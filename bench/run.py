@@ -21,6 +21,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse
+import gc
 import importlib
 import json
 import pkgutil
@@ -48,7 +49,11 @@ import workloads
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_runs"
-SETUP_REPEATS = 11
+BENCHMARK = ROOT / "BENCHMARK.json"
+# Set-ups before each round. The machine's speed drifts over seconds, so
+# set-ups spread over the whole run, like its rounds, give a steadier median
+# than set-ups made all at once.
+SETUPS_PER_ROUND = 20
 MIN_ROUNDS = 2
 
 
@@ -61,6 +66,11 @@ def import_package():
     for info in pkgutil.iter_modules(pkg.__path__):
         mods[info.name] = importlib.import_module(f"pseudoplateau.{info.name}")
     return mods
+
+
+def benchmark_spec():
+    """BENCHMARK.json: the one list of the metrics, their units and bounds."""
+    return json.loads(BENCHMARK.read_text())
 
 
 def run_round(work, mods, tracer, index):
@@ -123,21 +133,29 @@ def main(argv=None):
     work = workloads.make(args.workload)
 
     setups = []
-    for i in range(SETUP_REPEATS):
+
+    def set_up():
         t0 = time.perf_counter()
         mods = import_package()
-        work.setup(mods, run_dir / f"work{i}", args.seed)
+        work.setup(mods, run_dir / f"work{len(setups)}", args.seed)
         setups.append(time.perf_counter() - t0)
+        return mods
 
     tracer = tracing.Tracer()
     null = tracing.NullTracer()
     times = {False: [], True: []}
     traced_rounds = []
+    outputs = []
     attempted = failed = 0
-    problems = []
     start = time.perf_counter()
     index = 0
     while True:
+        # every round runs on a package imported afresh by its last set-up
+        for _ in range(SETUPS_PER_ROUND):
+            mods = set_up()
+        # the earlier copies of the package are cyclic garbage; collect them
+        # here, so that no round pays for the benchmark's own set-ups
+        gc.collect()
         traced = bool(args.trace) and index % 2 == 1
         tracer.round = index
         if traced:
@@ -146,14 +164,15 @@ def main(argv=None):
                 dt, done, out, error = run_round(work, mods, tracer, index)
             finally:
                 uninstall()
-            traced_rounds.append(index)
         else:
             dt, done, out, error = run_round(work, mods, null, index)
         attempted += work.ops
         failed += work.ops - done
         if error is None:
             times[traced].append(dt)
-            problems += [f"round {index}: {p}" for p in work.check(out)]
+            outputs.append((index, out))
+            if traced:
+                traced_rounds.append(index)
         else:
             print(f"round {index} failed:\n{error}", file=sys.stderr)
         index += 1
@@ -164,26 +183,32 @@ def main(argv=None):
         whole = not (args.trace and index % 2)
         if index >= MIN_ROUNDS and whole and elapsed + step > args.seconds:
             break
+    if not times[False] or (args.trace and not times[True]):
+        kind = "untraced and traced rounds" if args.trace else "round"
+        print(f"error: no {kind} of {args.workload} ran to the end", file=sys.stderr)
+        shutil.rmtree(run_dir, ignore_errors=True)
+        return 1
+    # read before the checks, so that the peak is the program's alone
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
+    problems = [f"round {i}: {p}" for i, out in outputs for p in work.check(out)]
     for p in problems:
         print(f"check failed: {p}", file=sys.stderr)
+    listed = benchmark_spec()["per_layer" if args.trace else "end_to_end"]
     if args.trace:
         OUT.mkdir(parents=True, exist_ok=True)
         tracer.dump(OUT / f"spans-{args.workload}-seed{args.seed}.json")
-        units = {name: unit for name, unit, _ in tracing.PER_LAYER}
-        values = tracer.layer_metrics(traced_rounds) if traced_rounds else {}
-        if times[True] and times[False]:
-            values["trace.pipeline_s"] = statistics.median(times[True])
-            values["trace.overhead_s"] = values["trace.pipeline_s"] - statistics.median(times[False])
+        names = [m["name"] for m in listed]
+        values = tracer.layer_metrics(traced_rounds, names)
+        values["trace.pipeline_s"] = statistics.median(times[True])
+        values["trace.overhead_s"] = values["trace.pipeline_s"] - statistics.median(times[False])
     else:
-        units = {"pipeline_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
-        values = {"pipeline_s": statistics.median(times[False]) if times[False] else None,
+        values = {"pipeline_s": statistics.median(times[False]),
                   "setup_s": statistics.median(setups),
                   "peak_rss_mb": peak_rss_mb}
     shutil.rmtree(run_dir, ignore_errors=True)
 
-    metrics = {name: {"value": values.get(name), "unit": unit} for name, unit in units.items()}
+    metrics = {m["name"]: {"value": values.get(m["name"]), "unit": m["unit"]} for m in listed}
     for name, m in metrics.items():
         print(f"{args.workload} {name} = {m['value']} {m['unit']}")
     rounds = " ".join(f"{t:.3f}" for t in times[False] + times[True])

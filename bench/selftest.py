@@ -116,7 +116,8 @@ def audit_cases(mods):
 
         d2 = work.round_dir(1)
         for p in d.iterdir():
-            (d2 / p.name).write_bytes(p.read_bytes())
+            if p.is_file():
+                (d2 / p.name).write_bytes(p.read_bytes())
         (d2 / "audit_report.json").write_text((d / "audit_report.json").read_text() + " ")
         expect("same seed, different report bytes", work.check(d2), False)
         (d2 / "audit_report.json").write_bytes((d / "audit_report.json").read_bytes())

@@ -2,15 +2,14 @@
 
     python3 bench/steadiness.py --runs 10
 
-Runs set A (seeds 1..runs) over every workload, or those named by
-`--workloads`, then set B (seeds 1001..1000+runs) over the same workloads,
-each run in its own process, for `run_seconds` from BENCHMARK.json. For each
-workload and end-to-end metric it prints both medians, each set's quartile
-spread as a share of its median, and whether the two sets agree within the
-bound declared in BENCHMARK.json: each spread (except that of `setup_s`)
-within the bound, and B's median no worse than A's by more than the bound.
-It also compares the share of failed operations. Writes every value to
-.bench_runs/steadiness.json. Exits 1 if anything disagrees.
+Runs set A (seeds 1..runs) over every workload, then set B (seeds
+1001..1000+runs), each run in its own process, for `run_seconds` from
+BENCHMARK.json. For each workload and end-to-end metric it prints both
+medians, each set's quartile spread as a share of its median, and whether
+the two sets agree within the bound declared in BENCHMARK.json: each spread
+within the bound, and B's median within the bound of A's in either
+direction. It also compares the share of failed operations. Writes every
+value to .bench_runs/steadiness.json. Exits 1 if anything disagrees.
 """
 
 import argparse
@@ -22,8 +21,6 @@ import time
 import run
 import workloads
 
-BENCHMARK = run.ROOT / "BENCHMARK.json"
-
 
 def spread(values):
     q1, _, q3 = statistics.quantiles(values, n=4)
@@ -31,22 +28,20 @@ def spread(values):
 
 
 def worse_by(a, b, better):
-    """How much worse b is than a, as a share of a."""
+    """How much worse b is than a, as a share of a; negative if b is better."""
     return (b - a) / a if better == "lower" else (a - b) / a
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--workloads", default=",".join(workloads.NAMES))
     args = parser.parse_args(argv)
-    spec = json.loads(BENCHMARK.read_text())
+    spec = run.benchmark_spec()
     seconds = spec["run_seconds"]
-    names = args.workloads.split(",")
 
     sets = {}
     for label, base in (("A", 0), ("B", 1000)):
-        for name in names:
+        for name in workloads.NAMES:
             for seed in range(base + 1, base + args.runs + 1):
                 t0 = time.perf_counter()
                 res = run.run_once(name, seed, seconds)
@@ -56,7 +51,7 @@ def main(argv=None):
                       file=sys.stderr, flush=True)
 
     rows, ok = [], True
-    for name in names:
+    for name in workloads.NAMES:
         a, b = sets[("A", name)], sets[("B", name)]
         share = [sum(r["failed"] for r in s) / sum(r["attempted"] for r in s) for s in (a, b)]
         correct = all(r["correct"] for r in a + b)
@@ -72,9 +67,8 @@ def main(argv=None):
                    "b_worse_by": worse_by(statistics.median(va), statistics.median(vb),
                                           metric["better"]),
                    "failed_share": share, "correct": correct, "a": va, "b": vb}
-            spreads_ok = (metric["name"] == "setup_s"
-                          or max(row["spread_a"], row["spread_b"]) <= metric["bound"])
-            row["agree"] = bool(spreads_ok and row["b_worse_by"] <= metric["bound"])
+            row["agree"] = bool(max(row["spread_a"], row["spread_b"]) <= metric["bound"]
+                                and abs(row["b_worse_by"]) <= metric["bound"])
             ok = ok and row["agree"]
             rows.append(row)
 

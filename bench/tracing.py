@@ -55,48 +55,6 @@ COUNTED = [
     ("qcore", "standardize_triple", "qcore.standardize_triple_calls"),
 ]
 
-# Per-layer metrics with their units and the direction that is better.
-# Spans listed in SPANNED give the `_s` self times; the rest are derived in
-# `round_metrics`.
-PER_LAYER = [
-    ("cli.loop_gen_s", "s", "lower"),
-    ("cli.solve_s", "s", "lower"),
-    ("cli.audit_s", "s", "lower"),
-    ("cli.plot_export_s", "s", "lower"),
-    ("plateau.build_state_s", "s", "lower"),
-    ("plateau.solve_s", "s", "lower"),
-    ("plateau.iteration_s", "s", "lower"),
-    ("plateau.factorisation_s", "s", "lower"),
-    ("plateau.solve_iterations", "count", "lower"),
-    ("plateau.solve_halvings", "count", "lower"),
-    ("plateau.discrete_geometry_s", "s", "lower"),
-    ("plateau.discrete_geometry_calls", "count", "lower"),
-    ("plateau.state_io_s", "s", "lower"),
-    ("plateau.state_bytes", "bytes", "lower"),
-    ("diagnostics.rigidity_s", "s", "lower"),
-    ("diagnostics.gradient_s", "s", "lower"),
-    ("diagnostics.distance_ratio_s", "s", "lower"),
-    ("diagnostics.gromov_s", "s", "lower"),
-    ("diagnostics.asymptotic_hyperbolicity_s", "s", "lower"),
-    ("diagnostics.hessian_s", "s", "lower"),
-    ("diagnostics.yamabe_flatten_s", "s", "lower"),
-    ("diagnostics.development_s", "s", "lower"),
-    ("diagnostics.quasiperiodicity_probe_s", "s", "lower"),
-    ("diagnostics.barbot_degeneration_s", "s", "lower"),
-    ("crossratio.qs_certify_s", "s", "lower"),
-    ("crossratio.quadruples_per_s", "1/s", "higher"),
-    ("einstein.loop_classify_s", "s", "lower"),
-    ("einstein.loop_classify_calls", "count", "lower"),
-    ("einstein.photon_arc_s", "s", "lower"),
-    ("einstein.loop_io_s", "s", "lower"),
-    ("hspace.spatial_distance_calls", "count", "lower"),
-    ("qcore.inner_calls", "count", "lower"),
-    ("qcore.standardize_triple_calls", "count", "lower"),
-    ("trace.pipeline_s", "s", "lower"),
-    ("trace.overhead_s", "s", "lower"),
-]
-
-
 class NullTracer:
     """Stands in for the tracer in untraced rounds, so both kinds of round
     run the same workload code."""
@@ -222,16 +180,14 @@ class Tracer:
             out[s["name"]] += (s["end"] - s["start"]) - child[s["id"]]
         return out, Counter(s["name"] for s in spans)
 
-    def round_metrics(self, round_id):
-        """Every per-layer metric except the trace.* pair for one round; a
-        layer that did not run reads 0."""
+    def round_metrics(self, round_id, names):
+        """The metrics in `names` for one round, except the trace.* pair.
+        A `<span>_s` name is that span's self time; a layer that did not run
+        reads 0. The counts and rates are derived below."""
         self_s, calls = self.self_times(round_id)
         counts = self.counts[round_id]
-        out = {name: 0.0 for name, _, _ in PER_LAYER if not name.startswith("trace.")}
-        for name in self_s:
-            key = name + "_s"
-            if key in out:
-                out[key] = self_s[name]
+        out = {name: float(self_s[name[:-2]]) for name in names
+               if name.endswith("_s") and not name.startswith("trace.")}
         solve_total = sum(s["end"] - s["start"] for s in self.spans
                           if s["round"] == round_id and s["name"] == "plateau.solve")
         iters = counts["plateau.solve_iterations"]
@@ -247,9 +203,9 @@ class Tracer:
             out[name] = counts[name]
         return out
 
-    def layer_metrics(self, rounds):
+    def layer_metrics(self, rounds, names):
         """Median over the traced rounds of every per-round metric."""
-        per_round = [self.round_metrics(r) for r in rounds]
+        per_round = [self.round_metrics(r, names) for r in rounds]
         return {k: statistics.median(m[k] for m in per_round) for k in per_round[0]}
 
     def dump(self, path):

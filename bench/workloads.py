@@ -2,8 +2,8 @@
 
 A round is the same fixed list of operations every time, so the share of
 failed operations does not depend on the seed or the run length. The seed
-reaches the program only as the `--seed` of `solve` and `audit`, and as the
-seed of `qs_certify` and `quasiperiodicity_probe`.
+reaches the program only as the `--seed` of `solve` and of the six-audit
+`audit`, and as the seed of `qs_certify` and `quasiperiodicity_probe`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,12 @@ import numpy as np
 
 import checks
 
-AUDITS = ("rigidity,gradient,distance_ratio,gromov,asymptotic_hyperbolicity,"
-          "hessian,boundary_extension")
+# Six of the seven audits, seeded by --seed. `distance_ratio` fails on about
+# 1% of seeds on this surface (its sampled min_ratio falls below
+# 1/(1 + 0.1)), so it runs as an operation of its own on a fixed seed on
+# which it fails every time, and counts as failed in every round.
+AUDITS = "rigidity,gradient,gromov,asymptotic_hyperbolicity,hessian,boundary_extension"
+DISTANCE_RATIO_SEED = 109525498
 # the default sample count of boundary_extension's certificate
 EXTENSION_QUADRUPLES = 1500
 WOBBLE = ("--kind", "c1_wobble", "--n", "1", "--amplitude", "0.25", "--frequency", "3")
@@ -39,13 +43,25 @@ class Round:
         self.done = 0
 
     def cli(self, span, *argv):
+        """Run a CLI command; a non-zero exit ends the round."""
+        code, err = self._main(span, argv)
+        if code != 0:
+            raise OpFailed(f"{argv[0]} exited {code}: {err}")
+        self.done += 1
+
+    def cli_known_fault(self, span, *argv):
+        """Run a CLI command that a known fault makes fail on these inputs;
+        it counts as failed but does not end the round."""
+        code, _ = self._main(span, argv)
+        if code == 0:
+            self.done += 1
+
+    def _main(self, span, argv):
         out, err = io.StringIO(), io.StringIO()
         with self.tracer.span(span), contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
             code = self.mods["cli"].main([str(a) for a in argv])
-        if code != 0:
-            raise OpFailed(f"{argv[0]} exited {code}: {err.getvalue().strip()}")
-        self.done += 1
+        return code, err.getvalue().strip()
 
     def call(self, fn, *args, **kwargs):
         result = fn(*args, **kwargs)
@@ -64,7 +80,7 @@ class MeshPipeline:
         self.name = name
         self.rings, self.sectors, self.samples = rings, sectors, samples
         self.audit = audit
-        self.ops = 3 if audit else 2
+        self.ops = 4 if audit else 2
         self.first = None
 
     def setup(self, mods, workdir, seed):
@@ -82,6 +98,9 @@ class MeshPipeline:
         if self.audit:
             r.cli("cli.audit", "audit", "--state", d / "state.txt", "--loop", loop,
                   "--audits", AUDITS, "--seed", self.seed, "--out", d)
+            r.cli_known_fault("cli.audit", "audit", "--state", d / "state.txt", "--loop", loop,
+                              "--audits", "distance_ratio", "--seed", DISTANCE_RATIO_SEED,
+                              "--out", d / "distance_ratio")
         return d
 
     def round_dir(self, index):
