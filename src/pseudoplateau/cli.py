@@ -171,7 +171,7 @@ def cmd_audit(args) -> int:
             reports[name] = rep.to_dict()
             all_passed = bool(all_passed and rep.passed)
             print(f"audit {name}: {'pass' if rep.passed else 'FAIL'}")
-    except diag.UnconvergedStateError as exc:
+    except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     _write_plot_data(state, args.out, args.seed)
@@ -185,7 +185,7 @@ def cmd_audit(args) -> int:
 def _write_plot_data(state: pl.SurfaceState, out: str, seed: int) -> None:
     geo = pl.discrete_geometry(state)
     mesh = state.mesh
-    ring, _ = pl._vertex_grid_index(mesh)
+    ring = mesh.stencil.ring
     rows = []
     for i in range(0, mesh.rings - 1):
         sel = ring == i

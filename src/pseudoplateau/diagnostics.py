@@ -24,12 +24,7 @@ from .einstein import (
 )
 from .crossratio import SampledBoundaryMap, qs_certify
 from .hspace import HPoint, gradient_norm_sq, horofunction, spatial_distance
-from .plateau import (
-    SurfaceState,
-    _vertex_grid_index,
-    discrete_geometry,
-    tangent_frames,
-)
+from .plateau import SurfaceState, discrete_geometry
 
 
 class UnconvergedStateError(GeometryError):
@@ -116,7 +111,8 @@ def gradient_audit(state: SurfaceState, boundary_samples: int = 24, seed: int = 
     rng = np.random.default_rng(seed)
     form = state.form
     zs = _boundary_points(state, boundary_samples, rng)
-    e1, e2 = tangent_frames(form, state.positions, state.mesh)
+    geo = discrete_geometry(state)
+    e1, e2 = geo.frames
     inter = np.flatnonzero(state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS))
     per_z = max(1, 600 // len(zs))
     vals = []
@@ -134,7 +130,6 @@ def gradient_audit(state: SurfaceState, boundary_samples: int = 24, seed: int = 
             vals.append(gradient_norm_sq(form, h, x, frame))
     vals = np.array(vals)
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
-    geo = discrete_geometry(state)
     max_k = float(np.nanmax(geo.K[state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS)]))
     c = -max_k
     passed = vmin >= min_threshold and vmax <= max_threshold
@@ -168,33 +163,23 @@ def _edge_graph(state: SurfaceState) -> sp.csr_matrix:
         rows.append(i)
         cols.append(j)
         vals.append(lengths)
-    ring, sec = _vertex_grid_index(mesh)
-    extra_i, extra_j = [], []
-    for v in range(nv):
-        i0 = int(ring[v])
-        if i0 >= mesh.rings:
-            continue
-        j0 = int(sec[v])
-        for w in mesh.balanced_star(i0, j0):
-            extra_i.append(v)
-            extra_j.append(w)
-        if i0 == 0:
-            continue
-        # steep and shallow chords to cover directions between the star's:
-        # several radial steps per sector step and vice versa
-        sigma = int(np.clip(round(mesh.sectors / (2.0 * np.pi * i0)), 1, mesh.sectors // 4))
+    table = mesh.stencil
+    src = np.broadcast_to(np.arange(nv)[:, None], table.star.shape)
+    extra_i, extra_j = [src[table.mask]], [table.star[table.mask]]
+    # steep and shallow chords to cover directions between the star's:
+    # several radial steps per sector step and vice versa
+    s = mesh.sectors
+    js = np.arange(s)
+    for i0 in range(1, mesh.rings):
+        sigma = int(np.clip(round(s / (2.0 * np.pi * i0)), 1, s // 4))
         fan = [(k, 1) for k in (2, 3, 4)] + [(k, -1) for k in (2, 3, 4)]
         fan += [(1, k * sigma) for k in (2, 3, 4)] + [(1, -k * sigma) for k in (2, 3, 4)]
         for (di, dj) in fan:
-            ii = i0 + di
-            if ii < 0 or ii > mesh.rings:
-                continue
-            w = mesh.vertex(ii, j0 + dj) if ii > 0 else 0
-            if w != v:
-                extra_i.append(v)
-                extra_j.append(w)
-    extra_i = np.array(extra_i, dtype=np.int64)
-    extra_j = np.array(extra_j, dtype=np.int64)
+            if i0 + di <= mesh.rings:
+                extra_i.append(mesh.vertex(i0, 0) + js)
+                extra_j.append(mesh.vertex(i0 + di, 0) + (js + dj) % s)
+    extra_i = np.concatenate(extra_i)
+    extra_j = np.concatenate(extra_j)
     pair = np.abs(form.inner_rows(X[extra_i], X[extra_j]))
     rows.append(extra_i)
     cols.append(extra_j)
@@ -827,7 +812,7 @@ def asymptotic_hyperbolicity_audit(state: SurfaceState, tol_outer: float = 0.1,
     _require_converged(state)
     geo = discrete_geometry(state)
     mesh = state.mesh
-    ring, _ = _vertex_grid_index(mesh)
+    ring = mesh.stencil.ring
     m = mesh.rings
     ring_means = {}
     for i in range(0, m - 1):
@@ -871,7 +856,7 @@ def hessian_audit(state: SurfaceState, z, samples: int = 200, seed: int = 0,
     geo = discrete_geometry(state)
     e1, e2 = geo.frames
     mesh = state.mesh
-    ring, sec = _vertex_grid_index(mesh)
+    ring, sec = mesh.stencil.ring, mesh.stencil.sector
     inter = np.flatnonzero(mesh.interior_mask(AUDIT_EXCLUDE_RINGS) & (ring >= 1))
     X = state.positions
     errors = []

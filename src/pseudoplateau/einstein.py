@@ -674,6 +674,16 @@ def loop_load(path) -> LipschitzLoop:
 
 
 def loop_loads(text: str) -> LipschitzLoop:
+    """Parse a loop file; a malformed one raises InvalidLoopError."""
+    try:
+        return _parse_loop(text)
+    except GeometryError:
+        raise
+    except (ValueError, KeyError) as exc:
+        raise InvalidLoopError(f"malformed loop file: {exc}") from exc
+
+
+def _parse_loop(text: str) -> LipschitzLoop:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(LOOP_HEADER):
         raise InvalidLoopError("missing loop header")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +40,28 @@ class FaceError(GeometryError):
     pass
 
 
+STAR_WIDTH = 8
+
+
+@dataclass(frozen=True)
+class StencilTable:
+    """Per-vertex index arrays of a `DiskMesh`.
+
+    `ring` and `sector` are the grid coordinates of every vertex (the
+    center is (0, 0)). `star` holds the balanced star of every interior
+    vertex in cyclic order, padded to STAR_WIDTH with the vertex itself;
+    `mask` marks the real entries and `nxt` the slot of each entry's cyclic
+    successor (a padding slot is its own successor). Rim vertices have an
+    empty star.
+    """
+
+    ring: np.ndarray
+    sector: np.ndarray
+    star: np.ndarray
+    mask: np.ndarray
+    nxt: np.ndarray
+
+
 @dataclass(frozen=True)
 class DiskMesh:
     """Polar triangulation of a disk: a center vertex, `rings` concentric
@@ -52,6 +75,8 @@ class DiskMesh:
     def __post_init__(self):
         if self.rings < 2 or self.sectors < 3:
             raise GeometryError("mesh needs at least two rings and three sectors")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise GeometryError(f"mesh radius must be finite and positive, got {self.radius!r}")
         m, s = self.rings, self.sectors
         faces = []
         for j in range(s):
@@ -76,10 +101,7 @@ class DiskMesh:
         return 1 + (i - 1) * self.sectors + (j % self.sectors)
 
     def ring_of(self) -> np.ndarray:
-        ring = np.zeros(self.vertex_count, dtype=np.int64)
-        for i in range(1, self.rings + 1):
-            ring[self.vertex(i, 0): self.vertex(i, 0) + self.sectors] = i
-        return ring
+        return np.concatenate([[0], np.repeat(np.arange(1, self.rings + 1), self.sectors)])
 
     def polar_grid(self):
         """Radii and angles of every vertex (center first)."""
@@ -112,30 +134,49 @@ class DiskMesh:
                 adj[f[a]].add(int(f[(a + 2) % 3]))
         return [np.fromiter(sorted(s_), dtype=np.int64) for s_ in adj]
 
-    def balanced_star(self, i: int, j: int) -> list[int]:
-        """Cyclically ordered stencil around vertex (i, j) whose legs have
-        comparable radial and angular extent. The raw polar star is badly
-        anisotropic near the center (aspect ratio s/2pi independent of m),
-        which leaves a non-vanishing bias in angle-defect estimates; the
-        balanced star subsamples the ring to restore second-order accuracy.
+    @cached_property
+    def stencil(self) -> StencilTable:
+        """The stencil table, built on first use and kept with the mesh.
+
+        The balanced star of a vertex is a cyclically ordered stencil whose
+        legs have comparable radial and angular extent. The raw polar star
+        is badly anisotropic near the center (aspect ratio s/2pi independent
+        of m), which leaves a non-vanishing bias in angle-defect estimates;
+        the balanced star subsamples the ring to restore second-order
+        accuracy.
         """
         m, s = self.rings, self.sectors
-        if i == 0:
-            stride = max(1, round(s / 6))
-            return [self.vertex(1, k * stride) for k in range(s // stride)]
-        sigma = int(np.clip(round(s / (2.0 * np.pi * i)), 1, s // 4))
-        raw = [
-            (i + 1, j), (i + 1, j + sigma), (i, j + sigma), (i - 1, j + sigma),
-            (i - 1, j), (i - 1, j - sigma), (i, j - sigma), (i + 1, j - sigma),
-        ]
-        star = []
-        for (a, b) in raw:
-            if a > m:
-                continue
-            v = self.vertex(a, b)
-            if not star or (v != star[-1] and v != star[0]):
-                star.append(v)
-        return star
+        nv = self.vertex_count
+        sector = np.concatenate([[0], np.tile(np.arange(s), m)])
+        star = np.repeat(np.arange(nv)[:, None], STAR_WIDTH, axis=1)
+        length = np.zeros(nv, dtype=np.int64)
+        stride = max(1, round(s / 6))
+        center = [self.vertex(1, k * stride) for k in range(s // stride)]
+        star[0, :len(center)] = center
+        length[0] = len(center)
+        js = np.arange(s)
+        for i in range(1, m):
+            sigma = int(np.clip(round(s / (2.0 * np.pi * i)), 1, s // 4))
+            raw = [
+                (i + 1, 0), (i + 1, sigma), (i, sigma), (i - 1, sigma),
+                (i - 1, 0), (i - 1, -sigma), (i, -sigma), (i + 1, -sigma),
+            ]
+            # which legs coincide does not depend on the sector, so sector 0
+            # decides which legs every vertex of the ring keeps
+            legs, ids = [], []
+            for (a, o) in raw:
+                v = self.vertex(a, o)
+                if not ids or (v != ids[-1] and v != ids[0]):
+                    legs.append((a, o))
+                    ids.append(v)
+            rows = self.vertex(i, 0) + js
+            for k, (a, o) in enumerate(legs):
+                star[rows, k] = 0 if a == 0 else self.vertex(a, 0) + (js + o) % s
+            length[rows] = len(legs)
+        slot = np.arange(STAR_WIDTH)
+        mask = slot < length[:, None]
+        nxt = np.where(mask, (slot + 1) % np.maximum(length, 1)[:, None], slot)
+        return StencilTable(ring=self.ring_of(), sector=sector, star=star, mask=mask, nxt=nxt)
 
 
 @dataclass
@@ -150,6 +191,8 @@ class SurfaceState:
     final_residual: float = float("nan")
     residual_history: list = field(default_factory=list)
     dt_summary: dict = field(default_factory=dict)
+    # (positions, DiscreteGeometry) of the last geometry pass on this state
+    _geometry: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "SurfaceState":
         return SurfaceState(
@@ -276,10 +319,6 @@ def mean_curvature_residual(state: SurfaceState) -> np.ndarray:
     )
     rho[state.mesh.boundary_mask()] = 0.0
     return rho
-
-
-def residual_norms(state: SurfaceState) -> np.ndarray:
-    return np.linalg.norm(mean_curvature_residual(state), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -552,20 +591,6 @@ class DiscreteGeometry:
     frames: tuple
 
 
-def _geodesic_edge_length(form: BilinearForm, xi: np.ndarray, xj: np.ndarray) -> float:
-    val = abs(form.inner(xi, xj))
-    return float(np.arccosh(max(val, 1.0)))
-
-
-def _vertex_grid_index(mesh: DiskMesh):
-    ring = mesh.ring_of()
-    sec = np.zeros(mesh.vertex_count, dtype=np.int64)
-    for i in range(1, mesh.rings + 1):
-        base = mesh.vertex(i, 0)
-        sec[base: base + mesh.sectors] = np.arange(mesh.sectors)
-    return ring, sec
-
-
 def discrete_geometry(state: SurfaceState) -> DiscreteGeometry:
     """Per-vertex curvature and second-form data.
 
@@ -573,143 +598,138 @@ def discrete_geometry(state: SurfaceState) -> DiscreteGeometry:
     balanced vertex star; the squared norm of the second fundamental form
     is computed both by Gauss inversion 2(K+1) and by a direct
     least-squares fit of the normal-valued quadratic over the same star.
+
+    The geometry is computed once per state: the result is kept on the
+    state and returned again while its positions are unchanged.
     """
+    cached = state._geometry
+    if cached is not None and np.array_equal(cached[0], state.positions):
+        return cached[1]
+    geo = _geometry_pass(state)
+    # every caller gets this one result, so none may write to it
+    for arr in [v for v in vars(geo).values() if isinstance(v, np.ndarray)] + list(geo.frames):
+        arr.flags.writeable = False
+    state._geometry = (state.positions.copy(), geo)
+    return geo
+
+
+def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
+    """One batched pass over every interior vertex star of the mesh's
+    stencil table. Padding slots hold the vertex itself, so their rows in
+    the least-squares fits are exactly zero and leave each fit unchanged."""
     form = state.form
     mesh = state.mesh
     X = state.positions
     nv = mesh.vertex_count
-    ring, sec = _vertex_grid_index(mesh)
+    dim = form.dim
+    table = mesh.stencil
     interior = mesh.interior_mask(exclude_rings=0)
     e1, e2 = tangent_frames(form, X, mesh)
-    dim = form.dim
+    idx = np.flatnonzero(interior)
+    star = table.star[idx]
+    mask = table.mask[idx]
+    nxt = table.nxt[idx]
+    x = X[idx][:, None, :]
+    f1 = e1[idx][:, None, :]
+    f2 = e2[idx][:, None, :]
+    pts = X[star]
 
-    K = np.full(nv, np.nan)
-    omega = np.full(nv, np.nan)
+    def inner(U, V):
+        return form.inner_rows(U, np.broadcast_to(V, U.shape))
+
+    def succ(a):
+        return np.take_along_axis(a, nxt, axis=1)
+
+    # quadratic fit of the normal deviation over the star: one 3-unknown
+    # least-squares problem per vertex, solved by a batched pseudo-inverse
+    d = pts - x
+    d = d + inner(d, x)[..., None] * x
+    u1 = inner(d, f1)
+    u2 = inner(d, f2)
+    normal = d - (u1[..., None] * f1 + u2[..., None] * f2)
+    G = 0.5 * np.stack([u1 * u1, 2.0 * u1 * u2, u2 * u2], axis=-1)
+    sol = np.linalg.pinv(G) @ normal
+    a11, a12, a22 = sol[:, 0], sol[:, 1], sol[:, 2]
+    q11 = form.inner_rows(a11, a11)
+    q12 = form.inner_rows(a12, a12)
+    q22 = form.inner_rows(a22, a22)
+    tr = a11 + a22
+    qtr = form.inner_rows(tr, tr)
+
     ii_frame = np.zeros((nv, 2, 2, dim))
+    ii_frame[idx, 0, 0] = a11
+    ii_frame[idx, 0, 1] = a12
+    ii_frame[idx, 1, 0] = a12
+    ii_frame[idx, 1, 1] = a22
     ii_fit = np.full(nv, np.nan)
+    ii_fit[idx] = -(q11 + 2.0 * q12 + q22)
     trace_defect = np.full(nv, np.nan)
+    trace_defect[idx] = np.where(qtr < 0, np.sqrt(np.abs(qtr)), np.linalg.norm(tr, axis=1))
     q4 = np.full(nv, np.nan, dtype=complex)
-    q4_res = np.full(nv, np.nan)
+    q4[idx] = (q11 - q12) - 2j * form.inner_rows(a11, a12)
     sigma_coeff = np.zeros((nv, dim), dtype=complex)
-    stars: list = [None] * nv
+    sigma_coeff[idx] = a11 - 1j * a12
 
-    uv_cache: list = [None] * nv
-    for v in range(nv):
-        if not interior[v]:
-            continue
-        star = mesh.balanced_star(int(ring[v]), int(sec[v]))
-        stars[v] = star
-        x = X[v]
-        pts = X[star]
-        # quadratic fit of the normal deviation over the star
-        d = pts - x
-        d = d + form.inner_rows(d, np.broadcast_to(x, d.shape))[:, None] * x
-        u1 = form.inner_rows(d, np.broadcast_to(e1[v], d.shape))
-        u2 = form.inner_rows(d, np.broadcast_to(e2[v], d.shape))
-        tang = u1[:, None] * e1[v] + u2[:, None] * e2[v]
-        normal = d - tang
-        G = 0.5 * np.column_stack([u1 * u1, 2.0 * u1 * u2, u2 * u2])
-        sol, *_ = np.linalg.lstsq(G, normal, rcond=None)
-        a11, a12, a22 = sol
-        ii_frame[v, 0, 0] = a11
-        ii_frame[v, 0, 1] = a12
-        ii_frame[v, 1, 0] = a12
-        ii_frame[v, 1, 1] = a22
-        ii_fit[v] = -(form.q(a11) + 2.0 * form.q(a12) + form.q(a22))
-        tr = a11 + a22
-        qtr = form.q(tr)
-        trace_defect[v] = np.sqrt(-qtr) if qtr < 0 else float(np.linalg.norm(tr))
-        sigma_coeff[v] = a11 - 1j * a12
-        q4[v] = (form.q(a11) - form.q(a12)) - 2j * form.inner(a11, a12)
-        uv_cache[v] = (u1, u2)
+    def kappa_sq(du1, du2):
+        # squared normal curvature of each direction, from the fitted form
+        nrm = np.hypot(du1, du2)
+        safe = np.where(nrm < 1e-300, 1.0, nrm)
+        c1 = (du1 / safe)[..., None]
+        c2 = (du2 / safe)[..., None]
+        vec = (c1 * c1 * a11[:, None] + 2.0 * c1 * c2 * a12[:, None]
+               + c2 * c2 * a22[:, None])
+        return np.where(nrm < 1e-300, 0.0, np.maximum(-form.inner_rows(vec, vec), 0.0))
 
-    for v in range(nv):
-        if not interior[v]:
-            continue
-        star = stars[v]
-        x = X[v]
-        pts = X[star]
-        u1, u2 = uv_cache[v]
-        A = ii_frame[v]
-
-        def kappa_sq(du1, du2):
-            # squared normal curvature of the direction, from the fitted form
-            nrm = np.hypot(du1, du2)
-            if nrm < 1e-300:
-                return 0.0
-            c1, c2 = du1 / nrm, du2 / nrm
-            vec = c1 * c1 * A[0, 0] + 2.0 * c1 * c2 * A[0, 1] + c2 * c2 * A[1, 1]
-            return max(-form.q(vec), 0.0)
-
-        # ambient-geodesic lengths, corrected to interior lengths at cubic
-        # order using the fitted normal curvature; without the correction the
-        # angle defect carries an O(1) bias wherever the surface bends. The
-        # normal directions are negative definite, so the ambient geodesic is
-        # LONGER than the interior one and the correction is a shortening.
-        radial = np.arccosh(np.maximum(np.abs(form.inner_rows(pts, np.broadcast_to(x, pts.shape))), 1.0))
-        nxt = np.roll(np.arange(len(star)), -1)
-        outer = np.arccosh(np.maximum(np.abs(form.inner_rows(pts, pts[nxt])), 1.0))
-        for k in range(len(star)):
-            radial[k] *= 1.0 - kappa_sq(u1[k], u2[k]) * radial[k] ** 2 / 24.0
-        for k in range(len(star)):
-            kn = nxt[k]
-            outer[k] *= 1.0 - kappa_sq(u1[kn] - u1[k], u2[kn] - u2[k]) * outer[k] ** 2 / 24.0
-        la, lb = radial, radial[nxt]
-        cosv = np.clip((la**2 + lb**2 - outer**2) / (2.0 * la * lb), -1.0, 1.0)
-        angles = np.arccos(cosv)
-        s_h = 0.5 * (la + lb + outer)
-        areas = np.sqrt(np.maximum(s_h * (s_h - la) * (s_h - lb) * (s_h - outer), 0.0))
-        omega[v] = float(np.sum(areas)) / 3.0
-        K[v] = (2.0 * np.pi - float(np.sum(angles))) / omega[v]
-
+    # ambient-geodesic lengths, corrected to interior lengths at cubic
+    # order using the fitted normal curvature; without the correction the
+    # angle defect carries an O(1) bias wherever the surface bends. The
+    # normal directions are negative definite, so the ambient geodesic is
+    # LONGER than the interior one and the correction is a shortening.
+    radial = np.arccosh(np.maximum(np.abs(inner(pts, x)), 1.0))
+    outer = np.arccosh(np.maximum(np.abs(form.inner_rows(pts, X[succ(star)])), 1.0))
+    radial = radial * (1.0 - kappa_sq(u1, u2) * radial**2 / 24.0)
+    outer = outer * (1.0 - kappa_sq(succ(u1) - u1, succ(u2) - u2) * outer**2 / 24.0)
+    # padding slots get a unit equilateral triangle, then drop out of the sums
+    la = np.where(mask, radial, 1.0)
+    lb = succ(la)
+    lc = np.where(mask, outer, 1.0)
+    cosv = np.clip((la**2 + lb**2 - lc**2) / (2.0 * la * lb), -1.0, 1.0)
+    angles = np.where(mask, np.arccos(cosv), 0.0)
+    s_h = 0.5 * (la + lb + lc)
+    areas = np.sqrt(np.maximum(s_h * (s_h - la) * (s_h - lb) * (s_h - lc), 0.0))
+    omega = np.full(nv, np.nan)
+    omega[idx] = np.sum(np.where(mask, areas, 0.0), axis=1) / 3.0
+    K = np.full(nv, np.nan)
+    K[idx] = (2.0 * np.pi - np.sum(angles, axis=1)) / omega[idx]
     ii_gauss = 2.0 * (K + 1.0)
 
-    # discrete Cauchy-Riemann defect of the sigma coefficient over the star
-    for v in range(nv):
-        if not interior[v] or stars[v] is None:
-            continue
-        vals = []
-        zs = []
-        x = X[v]
-
-        def proj(vec):
-            out = vec + form.inner(vec, x) * x
-            out = out - form.inner(out, e1[v]) * e1[v]
-            out = out - form.inner(out, e2[v]) * e2[v]
-            return out
-
-        for w in stars[v]:
-            if not interior[w]:
-                continue
-            d = X[w] - x
-            d = d + form.inner(d, x) * x
-            zu = form.inner(d, e1[v]) + 1j * form.inner(d, e2[v])
-            sw = sigma_coeff[w]
-            e1w = e1[w] + form.inner(e1[w], x) * x
-            phi = np.arctan2(form.inner(e1w, e2[v]), form.inner(e1w, e1[v]))
-            vals.append((proj(np.real(sw)) + 1j * proj(np.imag(sw))) * np.exp(-2j * phi))
-            zs.append(zu)
-        if len(vals) < 4:
-            continue
-        vals.append(sigma_coeff[v])
-        zs.append(0.0)
-        Z = np.array(zs)
-        Vm = np.column_stack([np.ones_like(Z), Z, np.conj(Z)])
-        coef, *_ = np.linalg.lstsq(Vm, np.array(vals), rcond=None)
-        q4_res[v] = float(np.linalg.norm(coef[2]))
+    # discrete Cauchy-Riemann defect of the sigma coefficient over the star:
+    # fit sigma(z) ~ c0 + c1 z + c2 conj(z) to the interior star vertices,
+    # transported into the frame at the center, plus the center itself
+    usable = mask & interior[star]
+    e1w = e1[star]
+    e1w = e1w + inner(e1w, x)[..., None] * x
+    phi = np.arctan2(inner(e1w, f2), inner(e1w, f1))
+    sw = sigma_coeff[star]
+    sw = sw + inner(sw, x)[..., None] * x
+    sw = sw - inner(sw, f1)[..., None] * f1
+    sw = sw - inner(sw, f2)[..., None] * f2
+    sw = np.where(usable[..., None], sw * np.exp(-2j * phi)[..., None], 0.0)
+    zu = np.where(usable, u1 + 1j * u2, 0.0)
+    # unusable rows are zero; the center joins as one more row with z = 0
+    Vm = np.concatenate([np.stack([usable, zu, np.conj(zu)], axis=-1),
+                         np.broadcast_to([1.0, 0.0, 0.0], (len(idx), 1, 3))], axis=1)
+    vals = np.concatenate([sw, sigma_coeff[idx][:, None]], axis=1)
+    coef = np.linalg.pinv(Vm) @ vals
+    fit = usable.sum(axis=1) >= 4
+    q4_res = np.full(nv, np.nan)
+    q4_res[idx] = np.where(fit, np.linalg.norm(coef[:, 2], axis=1), np.nan)
     rho = mean_curvature_residual(state)
     return DiscreteGeometry(
         K=K, omega=omega, ii_gauss=ii_gauss, ii_fit=ii_fit, ii_frame=ii_frame,
         trace_defect=trace_defect, rho=rho, q4=q4, q4_residual=q4_res,
         interior=interior, frames=(e1, e2),
     )
-
-
-def quartic_differential(state: SurfaceState):
-    """Per-vertex quartic value and holomorphicity residual from the fitted
-    second fundamental form."""
-    geo = discrete_geometry(state)
-    return geo.q4, geo.q4_residual
 
 
 def ricci_identity_check(surface: str, n: int = 1, samples: int = 12, seed: int = 0) -> float:
@@ -757,11 +777,7 @@ def state_dumps(state: SurfaceState) -> str:
         f"{STATE_HEADER} n={state.form.n} rings={mesh.rings} "
         f"sectors={mesh.sectors} R={mesh.radius!r} converged={int(state.converged)}\n"
     )
-    ring = mesh.ring_of()
-    sec = np.zeros(mesh.vertex_count, dtype=int)
-    for i in range(1, mesh.rings + 1):
-        base = mesh.vertex(i, 0)
-        sec[base: base + mesh.sectors] = np.arange(mesh.sectors)
+    ring, sec = mesh.stencil.ring, mesh.stencil.sector
     for v in range(mesh.vertex_count):
         coords = " ".join(repr(float(x)) for x in state.positions[v])
         out.write(f"{ring[v]} {sec[v]} {coords} {int(state.pinned[v])}\n")
@@ -774,6 +790,16 @@ def state_save(state: SurfaceState, path) -> None:
 
 
 def state_loads(text: str) -> SurfaceState:
+    """Parse a state file; a malformed one raises GeometryError."""
+    try:
+        return _parse_state(text)
+    except GeometryError:
+        raise
+    except (ValueError, KeyError, IndexError) as exc:
+        raise GeometryError(f"malformed surface state: {exc}") from exc
+
+
+def _parse_state(text: str) -> SurfaceState:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(STATE_HEADER):
         raise GeometryError("missing surface state header")
@@ -783,21 +809,27 @@ def state_loads(text: str) -> SurfaceState:
     s = int(fields["sectors"])
     R = float(fields["R"])
     converged = fields.get("converged", "0") == "1"
-    form = BilinearForm(n)
-    mesh = DiskMesh(m, s, R)
-    nv = mesh.vertex_count
+    # count the vertex lines before the mesh is built, so a corrupt header
+    # cannot ask for a huge mesh
+    nv = 1 + m * s
     if len(lines) - 1 != nv:
         raise GeometryError(f"state has {len(lines) - 1} vertex lines, expected {nv}")
+    form = BilinearForm(n)
+    mesh = DiskMesh(m, s, R)
     X = np.zeros((nv, form.dim))
     pinned = np.zeros(nv, dtype=bool)
     for ln in lines[1:]:
         vals = ln.split()
+        if len(vals) != form.dim + 3:
+            raise GeometryError(f"vertex line has {len(vals)} fields, expected {form.dim + 3}")
         i, j = int(vals[0]), int(vals[1])
+        if not (0 <= i <= m and 0 <= j < s):
+            raise GeometryError(f"vertex ({i}, {j}) is not on the mesh")
         v = mesh.vertex(i, j)
         X[v] = [float(t) for t in vals[2: 2 + form.dim]]
         pinned[v] = vals[2 + form.dim] == "1"
     qx = form.inner_rows(X, X)
-    if np.max(np.abs(qx + 1.0)) > 1e-8:
+    if not np.all(np.abs(qx + 1.0) <= 1e-8):
         raise GeometryError("state vertices are off the quadric")
     return SurfaceState(
         mesh=mesh, positions=X, pinned=pinned, form=form, converged=converged,

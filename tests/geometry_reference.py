@@ -1,0 +1,122 @@
+"""Per-vertex reference for `plateau.discrete_geometry`.
+
+It works one vertex at a time, with scalar loops and `np.linalg.lstsq`, the
+way the geometry was computed before it was batched over the mesh's stencil
+table. Tests compare the batched fields against it.
+"""
+
+import numpy as np
+
+from pseudoplateau import plateau as pl
+
+
+def balanced_star(mesh, i, j):
+    """Cyclically ordered stencil around vertex (i, j) of an interior ring."""
+    s = mesh.sectors
+    if i == 0:
+        stride = max(1, round(s / 6))
+        return [mesh.vertex(1, k * stride) for k in range(s // stride)]
+    sigma = int(np.clip(round(s / (2.0 * np.pi * i)), 1, s // 4))
+    raw = [
+        (i + 1, j), (i + 1, j + sigma), (i, j + sigma), (i - 1, j + sigma),
+        (i - 1, j), (i - 1, j - sigma), (i, j - sigma), (i + 1, j - sigma),
+    ]
+    star = []
+    for (a, b) in raw:
+        v = mesh.vertex(a, b)
+        if not star or (v != star[-1] and v != star[0]):
+            star.append(v)
+    return star
+
+
+def reference_geometry(state):
+    """The fields K, omega, ii_gauss, ii_fit, ii_frame, trace_defect, q4 and
+    q4_residual, keyed by name."""
+    form, mesh, X = state.form, state.mesh, state.positions
+    nv, s = mesh.vertex_count, mesh.sectors
+    e1, e2 = pl.tangent_frames(form, X, mesh)
+
+    def ip(u, v):
+        # the same summation as the batched code: lengths come from arccosh
+        # near 1, which turns one rounding step of a pairing into 1e-14
+        return form.inner_rows(u, v)
+
+    def q(u):
+        return ip(u, u)
+
+    interior = mesh.interior_mask(0)
+    out = {
+        "K": np.full(nv, np.nan), "omega": np.full(nv, np.nan),
+        "ii_fit": np.full(nv, np.nan), "ii_frame": np.zeros((nv, 2, 2, form.dim)),
+        "trace_defect": np.full(nv, np.nan), "q4": np.full(nv, np.nan, dtype=complex),
+        "q4_residual": np.full(nv, np.nan),
+    }
+    stars, uv = {}, {}
+    sigma = np.zeros((nv, form.dim), dtype=complex)
+    for v in np.flatnonzero(interior):
+        i, j = (0, 0) if v == 0 else (1 + (v - 1) // s, (v - 1) % s)
+        star = stars[v] = balanced_star(mesh, i, j)
+        x = X[v]
+        rows, normals, us = [], [], []
+        for w in star:
+            d = X[w] - x
+            d = d + ip(d, x) * x
+            u1, u2 = ip(d, e1[v]), ip(d, e2[v])
+            rows.append((0.5 * u1 * u1, u1 * u2, 0.5 * u2 * u2))
+            normals.append(d - u1 * e1[v] - u2 * e2[v])
+            us.append((u1, u2))
+        uv[v] = us
+        a11, a12, a22 = np.linalg.lstsq(np.array(rows), np.array(normals), rcond=None)[0]
+        out["ii_frame"][v] = [[a11, a12], [a12, a22]]
+        out["ii_fit"][v] = -(q(a11) + 2.0 * q(a12) + q(a22))
+        tr = a11 + a22
+        out["trace_defect"][v] = np.sqrt(-q(tr)) if q(tr) < 0 else np.linalg.norm(tr)
+        out["q4"][v] = (q(a11) - q(a12)) - 2j * ip(a11, a12)
+        sigma[v] = a11 - 1j * a12
+
+    for v, star in stars.items():
+        x, A, L = X[v], out["ii_frame"][v], len(star)
+
+        def kappa_sq(du1, du2):
+            nrm = np.hypot(du1, du2)
+            c1, c2 = du1 / nrm, du2 / nrm
+            vec = c1 * c1 * A[0, 0] + 2.0 * c1 * c2 * A[0, 1] + c2 * c2 * A[1, 1]
+            return max(-q(vec), 0.0)
+
+        angle_sum = area = 0.0
+        for k in range(L):
+            w, wn = star[k], star[(k + 1) % L]
+            (u1, u2), (n1, n2) = uv[v][k], uv[v][(k + 1) % L]
+            la = np.arccosh(max(abs(ip(X[w], x)), 1.0))
+            lb = np.arccosh(max(abs(ip(X[wn], x)), 1.0))
+            lc = np.arccosh(max(abs(ip(X[w], X[wn])), 1.0))
+            la *= 1.0 - kappa_sq(u1, u2) * la**2 / 24.0
+            lb *= 1.0 - kappa_sq(n1, n2) * lb**2 / 24.0
+            lc *= 1.0 - kappa_sq(n1 - u1, n2 - u2) * lc**2 / 24.0
+            angle_sum += np.arccos(np.clip((la**2 + lb**2 - lc**2) / (2.0 * la * lb), -1.0, 1.0))
+            h = 0.5 * (la + lb + lc)
+            area += np.sqrt(max(h * (h - la) * (h - lb) * (h - lc), 0.0))
+        out["omega"][v] = area / 3.0
+        out["K"][v] = (2.0 * np.pi - angle_sum) / out["omega"][v]
+
+        def proj(vec):
+            vec = vec + ip(vec, x) * x
+            vec = vec - ip(vec, e1[v]) * e1[v]
+            return vec - ip(vec, e2[v]) * e2[v]
+
+        vals, zs = [], []
+        for k, w in enumerate(star):
+            if not interior[w]:
+                continue
+            e1w = e1[w] + ip(e1[w], x) * x
+            phi = np.arctan2(ip(e1w, e2[v]), ip(e1w, e1[v]))
+            vals.append((proj(sigma[w].real) + 1j * proj(sigma[w].imag)) * np.exp(-2j * phi))
+            zs.append(uv[v][k][0] + 1j * uv[v][k][1])
+        if len(vals) < 4:
+            continue
+        Z = np.array(zs + [0.0])
+        Vm = np.column_stack([np.ones_like(Z), Z, np.conj(Z)])
+        coef = np.linalg.lstsq(Vm, np.array(vals + [sigma[v]]), rcond=None)[0]
+        out["q4_residual"][v] = np.linalg.norm(coef[2])
+    out["ii_gauss"] = 2.0 * (out["K"] + 1.0)
+    return out

@@ -2,6 +2,10 @@ import json
 
 import pytest
 
+from pseudoplateau import cli
+from pseudoplateau import einstein as ein
+from pseudoplateau import plateau as pl
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory, run_cli):
@@ -64,6 +68,43 @@ class TestSolve:
         res = run_cli("solve", "--loop", "nope.loop", "--out", "runx", cwd=workdir)
         assert res.returncode == 3, res.stderr
 
+    @pytest.mark.parametrize("radius", ["-1", "nan"])
+    def test_degenerate_radius_exit_three(self, workdir, run_cli, radius):
+        res = run_cli("solve", "--loop", "wobble.loop", "--rings", "12", "--sectors", "36",
+                      "--radius", radius, "--out", "runr", cwd=workdir)
+        assert res.returncode == 3, res.stderr
+        assert "radius" in res.stderr
+        assert not (workdir / "runr").exists()
+
+
+class TestMalformedInput:
+    # (command, file edited, line, text replaced, replacement)
+    CASES = [
+        ("solve", "wobble.loop", 1, None, "0 1 x"),
+        ("solve", "wobble.loop", 0, " c1=1", " c1=1 stray"),
+        ("audit", "run/state.txt", 0, "rings=12", "rings=x"),
+        ("audit", "run/state.txt", 0, "converged=1", "converged=1 stray"),
+        ("audit", "run/state.txt", 1, None, "0 0 0.0 x 1.0 0.0 0"),
+    ]
+
+    @pytest.mark.parametrize("command,name,line,old,new", CASES,
+                             ids=["loop_non_numeric", "loop_stray_token", "state_rings=x",
+                                  "state_stray_token", "state_non_numeric"])
+    def test_exit_three_without_traceback(self, workdir, run_cli, tmp_path,
+                                          command, name, line, old, new):
+        lines = (workdir / name).read_text().splitlines()
+        assert old is None or old in lines[line]
+        lines[line] = new if old is None else lines[line].replace(old, new)
+        bad = tmp_path / "bad"
+        bad.write_text("\n".join(lines) + "\n")
+        if command == "solve":
+            args = ("solve", "--loop", bad, "--rings", "12", "--sectors", "36", "--radius", "2.5")
+        else:
+            args = ("audit", "--state", bad, "--loop", workdir / "wobble.loop")
+        res = run_cli(*map(str, args), "--out", str(tmp_path / "out"), cwd=workdir)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
 
 class TestAudit:
     def test_full_audit_passes(self, workdir, run_cli):
@@ -107,16 +148,44 @@ class TestAudit:
             assert b1 == b2
 
 
+@pytest.fixture(scope="module")
+def crown_dir(tmp_path_factory, run_cli):
+    d = tmp_path_factory.mktemp("crown")
+    res = run_cli("loop-gen", "--kind", "crown", "--samples", "96",
+                  "--out", "crown.loop", cwd=d)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("solve", "--loop", "crown.loop", "--rings", "16", "--sectors", "48",
+                  "--radius", "1.2", "--out", "run", cwd=d)
+    assert res.returncode == 0, res.stderr
+    return d
+
+
 class TestNegativeControl:
-    def test_crown_fails_asymptotic_audit_with_exit_two(self, tmp_path, run_cli):
-        res = run_cli("loop-gen", "--kind", "crown", "--samples", "96",
-                      "--out", "crown.loop", cwd=tmp_path)
-        assert res.returncode == 0, res.stderr
-        res = run_cli("solve", "--loop", "crown.loop", "--rings", "16", "--sectors", "48",
-                      "--radius", "1.2", "--out", "run", cwd=tmp_path)
-        assert res.returncode == 0, res.stderr
+    def test_crown_fails_asymptotic_audit_with_exit_two(self, crown_dir, run_cli):
         res = run_cli("audit", "--state", "run/state.txt", "--loop", "crown.loop",
-                      "--audits", "asymptotic_hyperbolicity", "--out", "run", cwd=tmp_path)
+                      "--audits", "asymptotic_hyperbolicity", "--out", "run", cwd=crown_dir)
         assert res.returncode == 2, res.stderr
-        rep = json.loads((tmp_path / "run" / "audit_report.json").read_text())
+        rep = json.loads((crown_dir / "run" / "audit_report.json").read_text())
         assert rep["audits"]["asymptotic_hyperbolicity"]["passed"] is False
+
+    def test_crown_boundary_extension_exit_three(self, crown_dir, run_cli):
+        # the crown loop is not positive, which boundary_extension rejects
+        res = run_cli("audit", "--state", "run/state.txt", "--loop", "crown.loop",
+                      "--audits", "boundary_extension", "--out", "ext", cwd=crown_dir)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error:") and "positive loop" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_audit_runs_one_geometry_pass(tmp_path, monkeypatch, solved_wobble_state):
+    pl.state_save(solved_wobble_state, tmp_path / "state.txt")
+    ein.loop_save(solved_wobble_state.loop, tmp_path / "wobble.loop")
+    calls = []
+    kernel = pl._geometry_pass
+    monkeypatch.setattr(pl, "_geometry_pass", lambda st: calls.append(1) or kernel(st))
+    code = cli.main(["audit", "--state", str(tmp_path / "state.txt"),
+                     "--loop", str(tmp_path / "wobble.loop"),
+                     "--audits", "rigidity,gradient,asymptotic_hyperbolicity,hessian",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(calls) == 1

@@ -327,6 +327,16 @@ class TestLoopIO:
         with pytest.raises(ein.InvalidLoopError):
             ein.loop_loads(text)
 
+    @pytest.mark.parametrize("text", [
+        "einstein-loop v1 n=1 samples=2\n0 1 x\n1 1 0\n",
+        "einstein-loop v1 n=1 samples=2 stray\n0 1 0\n1 1 0\n",
+        "einstein-loop v1 n=x samples=2\n0 1 0\n1 1 0\n",
+        "einstein-loop v1 samples=2\n0 1 0\n1 1 0\n",
+    ], ids=["non_numeric", "stray_token", "n=x", "missing_n"])
+    def test_rejects_malformed_file(self, text):
+        with pytest.raises(ein.InvalidLoopError):
+            ein.loop_loads(text)
+
     def test_renormalises_near_unit_samples(self):
         eps = 5e-7
         text = (

@@ -5,6 +5,8 @@ from pseudoplateau.qcore import BilinearForm
 from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 
+from geometry_reference import balanced_star, reference_geometry
+
 
 FORM1 = BilinearForm(1)
 
@@ -42,6 +44,26 @@ class TestMesh:
         mesh = pl.DiskMesh(8, 24, 2.0)
         assert mesh.vertex_count == 1 + 8 * 24
         assert len(mesh.faces) == 24 * (2 * 8 - 1)
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_degenerate_radius(self, radius):
+        with pytest.raises(pl.GeometryError):
+            pl.DiskMesh(8, 24, radius)
+        with pytest.raises(pl.GeometryError):
+            pl.build_state(wobble_loop(k=64), 8, 24, radius)
+
+    @pytest.mark.parametrize("rings,sectors", [(8, 24), (5, 9), (24, 72)])
+    def test_stencil_table_holds_the_balanced_stars(self, rings, sectors):
+        mesh = pl.DiskMesh(rings, sectors, 1.0)
+        table = mesh.stencil
+        for v in range(mesh.vertex_count):
+            i, j = int(table.ring[v]), int(table.sector[v])
+            assert mesh.vertex(i, j) == v
+            star = list(table.star[v][table.mask[v]])
+            assert star == (balanced_star(mesh, i, j) if i < rings else [])
+            assert list(table.star[v][~table.mask[v]]) == [v] * (pl.STAR_WIDTH - len(star))
+            cyc = [table.nxt[v][k] for k in range(len(star))]
+            assert cyc == [(k + 1) % len(star) for k in range(len(star))]
 
     def test_every_interior_vertex_has_full_fan(self):
         mesh = pl.DiskMesh(6, 18, 2.0)
@@ -203,15 +225,44 @@ class TestDiscreteGeometry:
         assert np.nanmax(gap) <= 0.15
 
 
+class TestBatchedGeometry:
+    @pytest.mark.parametrize("name", ["solved_wobble", "barbot_grid"])
+    def test_matches_per_vertex_reference(self, name, request):
+        st = request.getfixturevalue(name)
+        geo = pl.discrete_geometry(st)
+        for field, want in reference_geometry(st).items():
+            got = getattr(geo, field)
+            assert np.array_equal(np.isnan(got), np.isnan(want)), field
+            ok = ~np.isnan(want)
+            assert np.max(np.abs(got[ok] - want[ok])) <= 1e-11, field
+
+    def test_computed_once_per_state(self, monkeypatch):
+        crown = ein.barbot_crown_standard(1)
+        st = pl.barbot_state(FORM1, crown, 8, 24, 1.0)
+        calls = []
+        kernel = pl._geometry_pass
+        monkeypatch.setattr(pl, "_geometry_pass", lambda s: calls.append(1) or kernel(s))
+        geo = pl.discrete_geometry(st)
+        assert pl.discrete_geometry(st) is geo
+        assert len(calls) == 1
+        # a moved vertex invalidates the kept result, in place or not
+        st.positions[5] *= 1.0 + 1e-9
+        moved = pl.discrete_geometry(st)
+        assert moved is not geo and len(calls) == 2
+        st.positions = st.positions.copy()
+        assert pl.discrete_geometry(st) is moved and len(calls) == 2
+        assert pl.discrete_geometry(st.copy()) is not moved and len(calls) == 3
+
+
 class TestQuartic:
     def test_disk_quartic_vanishes(self):
         st = pl.geodesic_disk_state(FORM1, 16, 48, 2.0)
-        q4, _ = pl.quartic_differential(st)
+        q4 = pl.discrete_geometry(st).q4
         inter = st.mesh.interior_mask(2)
         assert np.nanmax(np.abs(q4[inter])) < 1e-3
 
     def test_barbot_quartic_constant(self, barbot_grid):
-        q4, _ = pl.quartic_differential(barbot_grid)
+        q4 = pl.discrete_geometry(barbot_grid).q4
         inter = barbot_grid.mesh.interior_mask(2)
         mags = np.abs(q4[inter])
         mean = np.nanmean(mags)
@@ -269,6 +320,30 @@ class TestStateIO:
         lines[5] = " ".join(parts)
         with pytest.raises(pl.GeometryError):
             pl.state_loads("\n".join(lines))
+
+    @pytest.mark.parametrize("line,old,new", [
+        (0, "rings=8", "rings=x"),
+        (0, "rings=8", "rings=80000"),
+        (0, "converged=0", "converged=0 stray"),
+        (3, " 0.0 0", " x 0"),
+        (3, "1 1 ", "9 1 "),
+        (3, " 0.0 0", " nan 0"),
+        (3, " 0.0 0", " 0.0 0 0"),
+    ], ids=["rings=x", "huge_mesh", "stray_token", "non_numeric", "off_mesh",
+            "nan_coordinate", "extra_field"])
+    def test_rejects_malformed_state(self, line, old, new):
+        st = pl.geodesic_disk_state(FORM1, 8, 24, 1.0)
+        lines = pl.state_dumps(st).splitlines()
+        assert old in lines[line]
+        lines[line] = lines[line].replace(old, new, 1)
+        with pytest.raises(pl.GeometryError):
+            pl.state_loads("\n".join(lines))
+
+    def test_dumps_index_columns(self):
+        st = pl.geodesic_disk_state(FORM1, 8, 24, 1.0)
+        lines = pl.state_dumps(st).splitlines()[1:]
+        ij = [tuple(int(t) for t in ln.split()[:2]) for ln in lines]
+        assert ij == [(0, 0)] + [(i, j) for i in range(1, 9) for j in range(24)]
 
     def test_solve_report_is_json(self, solved_wobble):
         import json
