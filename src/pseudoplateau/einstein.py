@@ -693,12 +693,15 @@ def _parse_loop(text: str) -> LipschitzLoop:
     c1 = fields.get("c1", "0") == "1"
     if len(lines) - 1 != k:
         raise InvalidLoopError(f"header promises {k} samples, file has {len(lines) - 1}")
+    # check the field counts before the header's n sizes any array
+    rows = [ln.split() for ln in lines[1:]]
+    for i, toks in enumerate(rows):
+        if len(toks) != n + 2:
+            raise InvalidLoopError(f"sample line {i} has {len(toks)} fields, expected {n + 2}")
     thetas = np.zeros(k)
     fibers = np.zeros((k, n + 1))
-    for i, ln in enumerate(lines[1:]):
-        vals = [float(t) for t in ln.split()]
-        if len(vals) != n + 2:
-            raise InvalidLoopError(f"sample line {i} has {len(vals)} fields, expected {n + 2}")
+    for i, toks in enumerate(rows):
+        vals = [float(t) for t in toks]
         thetas[i] = vals[0]
         f = np.array(vals[1:])
         nf = np.linalg.norm(f)

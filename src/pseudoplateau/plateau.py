@@ -795,7 +795,7 @@ def state_loads(text: str) -> SurfaceState:
         return _parse_state(text)
     except GeometryError:
         raise
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError) as exc:
         raise GeometryError(f"malformed surface state: {exc}") from exc
 
 
@@ -809,19 +809,20 @@ def _parse_state(text: str) -> SurfaceState:
     s = int(fields["sectors"])
     R = float(fields["R"])
     converged = fields.get("converged", "0") == "1"
-    # count the vertex lines before the mesh is built, so a corrupt header
-    # cannot ask for a huge mesh
+    # count the vertex lines and their fields before the header sizes the
+    # form and the mesh, so a corrupt header cannot ask for huge arrays
     nv = 1 + m * s
     if len(lines) - 1 != nv:
         raise GeometryError(f"state has {len(lines) - 1} vertex lines, expected {nv}")
+    rows = [ln.split() for ln in lines[1:]]
+    for vals in rows:
+        if len(vals) != n + 6:
+            raise GeometryError(f"vertex line has {len(vals)} fields, expected {n + 6}")
     form = BilinearForm(n)
     mesh = DiskMesh(m, s, R)
     X = np.zeros((nv, form.dim))
     pinned = np.zeros(nv, dtype=bool)
-    for ln in lines[1:]:
-        vals = ln.split()
-        if len(vals) != form.dim + 3:
-            raise GeometryError(f"vertex line has {len(vals)} fields, expected {form.dim + 3}")
+    for vals in rows:
         i, j = int(vals[0]), int(vals[1])
         if not (0 <= i <= m and 0 <= j < s):
             raise GeometryError(f"vertex ({i}, {j}) is not on the mesh")

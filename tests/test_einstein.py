@@ -332,7 +332,8 @@ class TestLoopIO:
         "einstein-loop v1 n=1 samples=2 stray\n0 1 0\n1 1 0\n",
         "einstein-loop v1 n=x samples=2\n0 1 0\n1 1 0\n",
         "einstein-loop v1 samples=2\n0 1 0\n1 1 0\n",
-    ], ids=["non_numeric", "stray_token", "n=x", "missing_n"])
+        "einstein-loop v1 n=3 samples=2\n0 1 0\n1 1 0\n",
+    ], ids=["non_numeric", "stray_token", "n=x", "missing_n", "wrong_n"])
     def test_rejects_malformed_file(self, text):
         with pytest.raises(ein.InvalidLoopError):
             ein.loop_loads(text)

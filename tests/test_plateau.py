@@ -324,12 +324,13 @@ class TestStateIO:
     @pytest.mark.parametrize("line,old,new", [
         (0, "rings=8", "rings=x"),
         (0, "rings=8", "rings=80000"),
+        (0, "n=1", "n=3"),
         (0, "converged=0", "converged=0 stray"),
         (3, " 0.0 0", " x 0"),
         (3, "1 1 ", "9 1 "),
         (3, " 0.0 0", " nan 0"),
         (3, " 0.0 0", " 0.0 0 0"),
-    ], ids=["rings=x", "huge_mesh", "stray_token", "non_numeric", "off_mesh",
+    ], ids=["rings=x", "huge_mesh", "wrong_n", "stray_token", "non_numeric", "off_mesh",
             "nan_coordinate", "extra_field"])
     def test_rejects_malformed_state(self, line, old, new):
         st = pl.geodesic_disk_state(FORM1, 8, 24, 1.0)
