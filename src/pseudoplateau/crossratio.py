@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import BilinearForm, GeometryError
+from .qcore import NULL_EIGENVALUE_RTOL, BilinearForm, DegenerateTripleError, GeometryError
 from .einstein import (
+    TRANSVERSALITY_RTOL,
     BoundaryPoint,
     ChartDomainError,
     CoincidentPointsError,
@@ -27,7 +26,6 @@ from .einstein import (
     minkowski_chart_apply,
     minkowski_chart_inverse,
     projectively_equal,
-    quadruple_positive,
     standard_circle,
     tau_chart,
     transverse,
@@ -67,20 +65,20 @@ def _lift(value) -> np.ndarray:
     return np.array([float(value), 1.0])
 
 
+def _om(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
 def cross_ratio_real(x, y, z, t) -> float:
     """Classical cross-ratio of projective-line points given as real values
     (math.inf for the point at infinity); points must be pairwise distinct."""
     lifts = [_lift(v) for v in (x, y, z, t)]
-
-    def om(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
     for i in range(4):
         for j in range(i + 1, 4):
-            if abs(om(lifts[i], lifts[j])) < 1e-300:
+            if abs(_om(lifts[i], lifts[j])) < 1e-300:
                 raise CoincidentPointsError("cross-ratio of coincident points")
-    num = om(lifts[0], lifts[1]) * om(lifts[2], lifts[3])
-    den = om(lifts[0], lifts[3]) * om(lifts[2], lifts[1])
+    num = _om(lifts[0], lifts[1]) * _om(lifts[2], lifts[3])
+    den = _om(lifts[0], lifts[3]) * _om(lifts[2], lifts[1])
     return float(num / den)
 
 
@@ -90,18 +88,17 @@ def angle_lift(theta: float) -> np.ndarray:
     return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0)])
 
 
-def cross_ratio_angles(tx, ty, tz, tt) -> float:
-    """Projective cross-ratio of four circle parameters."""
-    lifts = [angle_lift(t) for t in (tx, ty, tz, tt)]
-
-    def om(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    den = om(lifts[0], lifts[3]) * om(lifts[2], lifts[1])
-    num = om(lifts[0], lifts[1]) * om(lifts[2], lifts[3])
+def _lifts_cross_ratio(lx, ly, lz, lt) -> float:
+    den = _om(lx, lt) * _om(lz, ly)
+    num = _om(lx, ly) * _om(lz, lt)
     if abs(den) < 1e-300:
         raise CoincidentPointsError("cross-ratio of coincident angles")
     return float(num / den)
+
+
+def cross_ratio_angles(tx, ty, tz, tt) -> float:
+    """Projective cross-ratio of four circle parameters."""
+    return _lifts_cross_ratio(*(angle_lift(t) for t in (tx, ty, tz, tt)))
 
 
 def value_to_angle(value) -> float:
@@ -217,74 +214,128 @@ class QSCertificate:
         )
 
 
-def _worker_count() -> int:
-    cap = os.environ.get("PSEUDOPLATEAU_THREADS", "1")
-    try:
-        return max(1, int(cap))
-    except ValueError:
-        return 1
+# The sub-triples of a quadruple (a, b, c, d) in the order positivity visits
+# them, the pairs of a triple, and the pairs of a quadruple ((a, d) third).
+_SUBTRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+_TRIPLE_PAIRS = ([0, 0, 1], [1, 2, 2])
+_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
 
 
-def _certify_chunk(form, bmap, A, target, chunk_seed):
-    rng = np.random.default_rng(chunk_seed)
-    k = bmap.size
-    best = 1.0
-    worst = None
-    accepted = 0
+def _window_quadruples(rng: np.random.Generator, lifts, A: float, target: int) -> list:
+    """Sorted index quadruples, drawn one at a time, whose projective
+    cross-ratio lies in the window [1/A, A]; at most 80 draws per target."""
+    k = len(lifts)
+    quads = []
     attempts = 0
-    while accepted < target and attempts < 80 * target:
+    while len(quads) < target and attempts < 80 * target:
         attempts += 1
-        sel = np.sort(rng.choice(k, size=4, replace=False))
-        i, j, l, m = (int(s) for s in sel)
-        r = cross_ratio_angles(*(bmap.domain[t] for t in sel))
-        if not (1.0 / A <= abs(r) <= A):
-            continue
-        pts = [bmap.images[t] for t in sel]
-        if not quadruple_positive(form, *pts):
+        sel = sorted(rng.choice(k, size=4, replace=False).tolist())
+        r = _lifts_cross_ratio(*(lifts[t] for t in sel))
+        if 1.0 / A <= abs(r) <= A:
+            quads.append(sel)
+    return quads
+
+
+def _quadruple_checks(P: np.ndarray, G: np.ndarray, norms: np.ndarray, quads: np.ndarray):
+    """The positivity and transversality tests of each row of `quads`
+    (indices into the representatives P with pairing matrix G and row norms
+    `norms`), as arrays: per sub-triple whether it has coincident points and
+    whether it fails to be positive, per pair whether it is transverse, and
+    whether d lies in the future cone of c in the chart of (a, b, c)."""
+    T = quads[:, _SUBTRIPLES]
+    R = P[T]
+    x, y = R[:, :, _TRIPLE_PAIRS[0]], R[:, :, _TRIPLE_PAIRS[1]]
+    gap = np.minimum(np.max(np.abs(x - y), axis=-1), np.max(np.abs(x + y), axis=-1))
+    coincident = np.any(gap <= 1e-9, axis=-1)
+    # signature (2, 1, 0) of each sub-triple, with subspace_signature's cutoff
+    eig = np.linalg.eigvalsh(G[T[..., :, None], T[..., None, :]])
+    scale = np.maximum(np.max(np.abs(eig), axis=-1), np.max(norms[T], axis=-1) ** 2)
+    cutoff = NULL_EIGENVALUE_RTOL * scale[..., None]
+    positive = (np.sum(eig > cutoff, axis=-1) == 2) & (np.sum(eig < -cutoff, axis=-1) == 1)
+
+    i, j = quads[:, _PAIRS[0]], quads[:, _PAIRS[1]]
+    apart = np.abs(G[i, j]) > TRANSVERSALITY_RTOL * norms[i] * norms[j]
+    # In the Minkowski chart of a, q(u_x - u_y) is a positive multiple of
+    # D(x, y) = -<x,y> / (<x,a><y,a>). With u_b = -e1 and u_c = e1, d lies in
+    # the future cone of c exactly when D(d,c) > 0 and
+    # D(d,b) - D(d,c) - D(c,b) = 4 (u_d - e1)_0 > 0.
+    a, b, c, d = quads.T
+
+    def D(p, q):
+        return -G[p, q] / (G[p, a] * G[q, a])
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_c = D(d, c)
+        ordered = (d_c > 0) & (D(d, b) - d_c - D(c, b) > 0)
+    return coincident, coincident | ~positive, apart, ordered
+
+
+def _certified_ratios(P: np.ndarray, G: np.ndarray, norms: np.ndarray,
+                      quads: np.ndarray) -> np.ndarray:
+    """b(a, b, c, d) of each row of `quads`, in cyclic domain order, after
+    checking that every quadruple is positive and pairwise transverse.
+
+    The first failing row raises what the per-quadruple test raises: a
+    coincident or non-positive sub-triple first, then d on the light cone of
+    a or a wrong cyclic order, then a non-transverse pair.
+    """
+    coincident, bad_triple, apart, ordered = _quadruple_checks(P, G, norms, quads)
+    on_cone = ~apart[:, 2]
+    failed = np.any(bad_triple, axis=1) | on_cone | ~ordered | ~np.all(apart, axis=1)
+    if np.any(failed):
+        q = int(np.argmax(failed))
+        if np.any(bad_triple[q]):
+            if coincident[q, int(np.argmax(bad_triple[q]))]:
+                raise CoincidentPointsError("triple contains coincident points")
+            raise DegenerateTripleError("quadruple has a non-positive sub-triple")
+        if on_cone[q]:
+            raise ChartDomainError("point lies on the light cone of the chart")
+        if not ordered[q]:
             raise NonPositiveMapError("sampled quadruple is not positive")
-        b = cross_ratio_b(form, *pts)
-        accepted += 1
-        score = max(abs(b), 1.0 / abs(b))
-        if score > best:
-            best = score
-            worst = tuple(float(bmap.domain[t]) for t in sel)
-    return best, worst, accepted
+        raise NonTransverseError("cross-ratio needs pairwise transverse points")
+    a, b, c, d = quads.T
+    return (G[a, b] * G[c, d]) / (G[a, d] * G[c, b])
 
 
 def qs_certify(form: BilinearForm, bmap: SampledBoundaryMap, A: float = 2.0,
                n_quadruples: int = 2000, rng_seed: int = 0) -> QSCertificate:
     """Measure the distortion constant B over sampled quadruples whose
     projective cross-ratio lies in the window [1/A, A]. Deterministic given
-    the seed and independent of the worker count."""
+    the seed.
+
+    Quadruples are drawn in chunks of 256, each from its own seed stream, and
+    each chunk is tested as arrays against one pairing matrix. The worst
+    quadruple is the first, in draw order, that attains B.
+    """
     if A <= 1.0:
         raise GeometryError("the window parameter must exceed 1")
     if bmap.size < 8:
         raise InsufficientSamplesError("too few samples to certify")
+    P = np.array([p.rep for p in bmap.images])
+    G = (P * form.signs) @ P.T
+    norms = np.linalg.norm(P, axis=1)
+    lifts = [tuple(angle_lift(t).tolist()) for t in bmap.domain]
     chunk = 256
-    n_chunks = (n_quadruples + chunk - 1) // chunk
-    targets = [min(chunk, n_quadruples - c * chunk) for c in range(n_chunks)]
-    jobs = [(form, bmap, A, targets[c], np.random.SeedSequence((rng_seed, c)))
-            for c in range(n_chunks)]
-    workers = _worker_count()
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda args: _certify_chunk(*args), jobs))
-    else:
-        results = [_certify_chunk(*j) for j in jobs]
-    best = 1.0
-    worst = None
-    total = 0
-    for b, w, acc in results:
-        total += acc
-        if b > best or worst is None:
-            best = max(best, b)
-            if w is not None:
-                worst = w
-    if total == 0:
+    drawn = []
+    ratios = []
+    for c in range((n_quadruples + chunk - 1) // chunk):
+        rng = np.random.default_rng(np.random.SeedSequence((rng_seed, c)))
+        quads = np.array(_window_quadruples(rng, lifts, A, min(chunk, n_quadruples - c * chunk)),
+                         dtype=np.intp).reshape(-1, 4)
+        if len(quads):
+            drawn.append(quads)
+            ratios.append(_certified_ratios(P, G, norms, quads))
+    if not drawn:
         raise InsufficientSamplesError("rejection sampling accepted no quadruple")
-    if worst is None:
-        worst = (0.0, 0.0, 0.0, 0.0)
-    return QSCertificate(A=float(A), B=float(best), quadruples_tested=int(total),
+    b = np.abs(np.concatenate(ratios))
+    score = np.maximum(b, 1.0 / b)
+    top = int(np.argmax(score))
+    best = 1.0
+    worst = (0.0, 0.0, 0.0, 0.0)
+    if score[top] > best:
+        best = score[top]
+        worst = tuple(float(bmap.domain[t]) for t in np.concatenate(drawn)[top])
+    return QSCertificate(A=float(A), B=float(best), quadruples_tested=len(score),
                          worst_quadruple=worst, seed=int(rng_seed))
 
 

@@ -626,21 +626,20 @@ def boundary_extension(state: SurfaceState, rays: int = 0, A: float = 2.0,
 # Loop-level probes
 
 
+def _pair_ratios(loop: LipschitzLoop, floor: float) -> np.ndarray:
+    """Fiber/circle distance ratio of every sample pair i < j, with 0 where
+    j <= i or where the circle distance falls below the floor."""
+    dn = np.arccos(np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0))
+    d = np.abs(loop.thetas[:, None] - loop.thetas[None, :]) % (2.0 * np.pi)
+    d1 = np.minimum(d, 2.0 * np.pi - d)
+    keep = np.triu(d1 >= floor, 1)
+    return np.where(keep, dn / np.where(keep, d1, 1.0), 0.0)
+
+
 def loop_margin(loop: LipschitzLoop, floor: float = 1e-4) -> float:
     """Relative contraction margin: 1 - max fiber/circle distance ratio over
     sampled pairs (pairs below the floor are skipped as pure noise)."""
-    k = loop.size
-    dots = np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0)
-    dn = np.arccos(dots)
-    worst = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = abs(loop.thetas[i] - loop.thetas[j]) % (2.0 * np.pi)
-            d1 = min(d, 2.0 * np.pi - d)
-            if d1 < floor:
-                continue
-            worst = max(worst, dn[i, j] / d1)
-    return 1.0 - worst
+    return 1.0 - float(np.max(_pair_ratios(loop, floor)))
 
 
 def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0) -> dict:
@@ -656,21 +655,11 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
     margins = []
     reps = np.column_stack([np.cos(loop.thetas), np.sin(loop.thetas), loop.fibers])
     # concentrating triples probe the renormalisation dynamics; aim half of
-    # them at the least-contracting spot of the graph
-    dots = np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0)
-    dn_all = np.arccos(dots)
-    worst_ratio = 0.0
-    worst_center = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = abs(loop.thetas[i] - loop.thetas[j]) % (2.0 * np.pi)
-            d1 = min(d, 2.0 * np.pi - d)
-            if d1 < 1e-4:
-                continue
-            r = dn_all[i, j] / d1
-            if r > worst_ratio:
-                worst_ratio = r
-                worst_center = 0.5 * (loop.thetas[i] + loop.thetas[j])
+    # them at the least-contracting spot of the graph, the first worst pair
+    # in row-major order
+    ratios = _pair_ratios(loop, 1e-4)
+    top = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    worst_center = 0.5 * (loop.thetas[top[0]] + loop.thetas[top[1]]) if ratios[top] > 0.0 else 0.0
     tried = 0
     while len(margins) < triples and tried < 30 * triples:
         tried += 1
@@ -721,44 +710,36 @@ def _distance_to_crown(crown: BarbotCrown, pts: np.ndarray) -> float:
     """Sup over the sample points of the exact auxiliary distance to the
     crown (each edge minimised over its arc parameter by golden section,
     which reaches machine precision where library minimisers floor their
-    tolerance at sqrt(eps))."""
+    tolerance at sqrt(eps)). The searches of all points on all four edges
+    run in lock step."""
     z = crown.zreps
-    edges = [(z[i], z[(i + 1) % 4]) for i in range(4)]
+    zi, zj = z, np.roll(z, -1, axis=0)
     golden = (np.sqrt(5.0) - 1.0) / 2.0
+    p = pts[:, None, None, :]
 
-    def edge_point(zi, zj, t):
-        vec = np.cos(t) * zi + np.sin(t) * zj
-        nu = np.linalg.norm(vec[:2])
-        nv = np.linalg.norm(vec[2:])
-        return np.concatenate([vec[:2] / nu, vec[2:] / nv])
+    def dist(t):
+        # t has shape (points, 4, m); the edge points broadcast against p
+        vec = np.cos(t)[..., None] * zi[:, None, :] + np.sin(t)[..., None] * zj[:, None, :]
+        nu = np.linalg.norm(vec[..., :2], axis=-1, keepdims=True)
+        nv = np.linalg.norm(vec[..., 2:], axis=-1, keepdims=True)
+        e = np.concatenate([vec[..., :2] / nu, vec[..., 2:] / nv], axis=-1)
+        return np.minimum(np.linalg.norm(e - p, axis=-1), np.linalg.norm(e + p, axis=-1))
 
-    worst = 0.0
-    for p in pts:
-        best = np.inf
-        for (zi, zj) in edges:
-            def dist(t):
-                e = edge_point(zi, zj, t)
-                return min(np.linalg.norm(e - p), np.linalg.norm(e + p))
-
-            coarse = np.linspace(1e-9, np.pi / 2.0 - 1e-9, 24)
-            vals = [dist(t) for t in coarse]
-            t0 = coarse[int(np.argmin(vals))]
-            lo, hi = max(t0 - 0.1, 0.0), min(t0 + 0.1, np.pi / 2.0)
-            x1 = hi - golden * (hi - lo)
-            x2 = lo + golden * (hi - lo)
-            f1, f2 = dist(x1), dist(x2)
-            for _ in range(70):
-                if f1 < f2:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - golden * (hi - lo)
-                    f1 = dist(x1)
-                else:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + golden * (hi - lo)
-                    f2 = dist(x2)
-            best = min(best, min(f1, f2))
-        worst = max(worst, best)
-    return worst
+    coarse = np.linspace(1e-9, np.pi / 2.0 - 1e-9, 24)
+    t0 = coarse[np.argmin(dist(np.broadcast_to(coarse, (len(pts), 4, 24))), axis=-1)]
+    lo, hi = np.maximum(t0 - 0.1, 0.0), np.minimum(t0 + 0.1, np.pi / 2.0)
+    x1 = hi - golden * (hi - lo)
+    x2 = lo + golden * (hi - lo)
+    f1, f2 = dist(np.stack([x1, x2], axis=-1)).transpose(2, 0, 1)
+    for _ in range(70):
+        left = f1 < f2
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x = np.where(left, hi - golden * (hi - lo), lo + golden * (hi - lo))
+        f = dist(x[..., None])[..., 0]
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
+    return float(max(0.0, np.max(np.min(np.minimum(f1, f2), axis=1))))
 
 
 def barbot_degeneration(loop: LipschitzLoop, crown: BarbotCrown, iters: int = 60,

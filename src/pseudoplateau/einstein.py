@@ -323,15 +323,6 @@ def tau_chart(form: BilinearForm, triple) -> MinkowskiChart:
 # Diamonds
 
 
-@dataclass(frozen=True)
-class Diamond:
-    """A connected component of points forming a positive triple with a
-    transverse pair, encoded by the defining triple and a side flag."""
-
-    triple: tuple
-    side: str  # "containing" or "avoiding" the third point
-
-
 def in_closed_diamond(form: BilinearForm, triple, x: BoundaryPoint, tol: float = 1e-9) -> bool:
     """Membership of x in the closure of the diamond of (b, c) not containing
     a, tested in the tau-chart of (a, b, c) by first-coordinate ordering."""

@@ -48,14 +48,6 @@ class HPoint:
         return self.rep if val < 0 else -self.rep
 
 
-def hpoint(form: BilinearForm, raw, atol: float = 1e-10) -> HPoint:
-    x = _as_vector(raw)
-    qx = form.q(x)
-    if abs(qx + 1.0) > atol:
-        raise GeometryError(f"representative has q = {qx:.12f}, expected -1")
-    return HPoint(x)
-
-
 def normalize_hpoint(form: BilinearForm, raw) -> HPoint:
     """Scale a timelike vector onto the q = -1 sheet."""
     x = _as_vector(raw)
@@ -283,16 +275,6 @@ def cylinder_point(form: BilinearForm, r: float, theta: float, fiber) -> HPoint:
     vec[1] = np.sinh(r) * np.sin(theta)
     vec[2:] = np.cosh(r) * f
     return HPoint(vec)
-
-
-def cylinder_coords(form: BilinearForm, x: HPoint):
-    """Inverse of cylinder_point: (r, theta, fiber)."""
-    u = x.rep[:2]
-    v = x.rep[2:]
-    sr = np.linalg.norm(u)
-    r = float(np.arcsinh(sr))
-    theta = float(np.arctan2(u[1], u[0]) % (2.0 * np.pi)) if sr > 0 else 0.0
-    return r, theta, v / np.linalg.norm(v)
 
 
 def boundary_ray_point(loop: LipschitzLoop, theta: float, R: float) -> HPoint:

@@ -42,6 +42,9 @@ class FaceError(GeometryError):
 
 STAR_WIDTH = 8
 
+# The largest mesh `build_state` accepts, in vertices (1 + rings * sectors).
+MAX_VERTICES = 200_000
+
 
 @dataclass(frozen=True)
 class StencilTable:
@@ -390,13 +393,16 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
     is placed on the exact flat orbit surface through that quadrilateral,
     so the solve is comparable vertex-by-vertex with the closed form.
     """
-    cls = loop_classify(loop)
-    if cls == "invalid":
-        raise InvalidLoopError("loop is neither positive nor semi-positive")
     if m < 8:
         raise GeometryError("need at least eight rings")
     if s < 3 * m:
         raise GeometryError("need at least three sectors per ring")
+    if 1 + m * s > MAX_VERTICES:
+        raise GeometryError(f"a mesh of {m} rings and {s} sectors has more than "
+                            f"{MAX_VERTICES} vertices")
+    cls = loop_classify(loop)
+    if cls == "invalid":
+        raise InvalidLoopError("loop is neither positive nor semi-positive")
     form = BilinearForm(loop.n)
     mesh = DiskMesh(m, s, R)
     crown = _detect_tiling_crown(form, loop)

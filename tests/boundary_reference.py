@@ -1,0 +1,108 @@
+"""Scalar references for the batched boundary kernels.
+
+They work one quadruple, one point or one pair at a time, the way
+`crossratio.qs_certify`, `diagnostics._distance_to_crown` and the loop pair
+scans were computed before they were batched. Tests compare the batched
+kernels against them.
+"""
+
+import numpy as np
+
+from pseudoplateau import crossratio as cr
+from pseudoplateau import einstein as ein
+
+
+def certify_reference(form, bmap, A=2.0, n_quadruples=2000, rng_seed=0):
+    """`qs_certify` with `quadruple_positive` and `cross_ratio_b` called on
+    each accepted quadruple in draw order."""
+    k = bmap.size
+    chunk = 256
+    best = 1.0
+    worst = None
+    total = 0
+    for c in range((n_quadruples + chunk - 1) // chunk):
+        rng = np.random.default_rng(np.random.SeedSequence((rng_seed, c)))
+        target = min(chunk, n_quadruples - c * chunk)
+        accepted = 0
+        attempts = 0
+        while accepted < target and attempts < 80 * target:
+            attempts += 1
+            sel = np.sort(rng.choice(k, size=4, replace=False))
+            r = cr.cross_ratio_angles(*(bmap.domain[t] for t in sel))
+            if not (1.0 / A <= abs(r) <= A):
+                continue
+            pts = [bmap.images[t] for t in sel]
+            if not ein.quadruple_positive(form, *pts):
+                raise cr.NonPositiveMapError("sampled quadruple is not positive")
+            b = cr.cross_ratio_b(form, *pts)
+            accepted += 1
+            score = max(abs(b), 1.0 / abs(b))
+            if score > best:
+                best = score
+                worst = tuple(float(bmap.domain[t]) for t in sel)
+        total += accepted
+    if total == 0:
+        raise cr.InsufficientSamplesError("rejection sampling accepted no quadruple")
+    return cr.QSCertificate(A=float(A), B=float(best), quadruples_tested=total,
+                            worst_quadruple=worst or (0.0, 0.0, 0.0, 0.0), seed=int(rng_seed))
+
+
+def distance_to_crown_reference(crown, pts):
+    """Scalar golden-section distance of each point to each crown edge."""
+    z = crown.zreps
+    edges = [(z[i], z[(i + 1) % 4]) for i in range(4)]
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def edge_point(zi, zj, t):
+        vec = np.cos(t) * zi + np.sin(t) * zj
+        nu = np.linalg.norm(vec[:2])
+        nv = np.linalg.norm(vec[2:])
+        return np.concatenate([vec[:2] / nu, vec[2:] / nv])
+
+    worst = 0.0
+    for p in pts:
+        best = np.inf
+        for (zi, zj) in edges:
+            def dist(t):
+                e = edge_point(zi, zj, t)
+                return min(np.linalg.norm(e - p), np.linalg.norm(e + p))
+
+            coarse = np.linspace(1e-9, np.pi / 2.0 - 1e-9, 24)
+            vals = [dist(t) for t in coarse]
+            t0 = coarse[int(np.argmin(vals))]
+            lo, hi = max(t0 - 0.1, 0.0), min(t0 + 0.1, np.pi / 2.0)
+            x1 = hi - golden * (hi - lo)
+            x2 = lo + golden * (hi - lo)
+            f1, f2 = dist(x1), dist(x2)
+            for _ in range(70):
+                if f1 < f2:
+                    hi, x2, f2 = x2, x1, f1
+                    x1 = hi - golden * (hi - lo)
+                    f1 = dist(x1)
+                else:
+                    lo, x1, f1 = x1, x2, f2
+                    x2 = lo + golden * (hi - lo)
+                    f2 = dist(x2)
+            best = min(best, min(f1, f2))
+        worst = max(worst, best)
+    return worst
+
+
+def worst_pair_reference(loop, floor=1e-4):
+    """Largest fiber/circle distance ratio over pairs i < j above the floor,
+    with the first pair in row-major order that attains it (None if none
+    exceeds zero)."""
+    dn = np.arccos(np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0))
+    worst = 0.0
+    pair = None
+    for i in range(loop.size):
+        for j in range(i + 1, loop.size):
+            d = abs(loop.thetas[i] - loop.thetas[j]) % (2.0 * np.pi)
+            d1 = min(d, 2.0 * np.pi - d)
+            if d1 < floor:
+                continue
+            r = dn[i, j] / d1
+            if r > worst:
+                worst = r
+                pair = (i, j)
+    return worst, pair

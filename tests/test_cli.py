@@ -76,6 +76,19 @@ class TestSolve:
         assert "radius" in res.stderr
         assert not (workdir / "runr").exists()
 
+    @pytest.mark.parametrize("rings,sectors", [("0", "36"), ("-12", "36"), ("12", "0"),
+                                               ("12", "-36"), ("1000", "3000")],
+                             ids=["zero_rings", "negative_rings", "zero_sectors",
+                                  "negative_sectors", "too_many_vertices"])
+    def test_mesh_size_out_of_bounds_exit_three(self, workdir, capsys, rings, sectors):
+        code = cli.main(["solve", "--loop", str(workdir / "wobble.loop"), "--rings", rings,
+                         "--sectors", sectors, "--radius", "2.5",
+                         "--out", str(workdir / "runm")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error:")
+        assert not (workdir / "runm").exists()
+
 
 class TestMalformedInput:
     # (command, file edited, line, text replaced, replacement)

@@ -8,6 +8,9 @@ from pseudoplateau.qcore import BilinearForm, random_isometry
 from pseudoplateau import crossratio as cr
 from pseudoplateau import einstein as ein
 
+from boundary_reference import certify_reference
+from conftest import make_wobble
+
 
 FORM1 = BilinearForm(1)
 FORM2 = BilinearForm(2)
@@ -266,12 +269,72 @@ class TestHolder:
             cr.holder_estimate(FORM1, bmap, (0.1, 1.0, 2.0))
 
 
-class TestWorkerIndependence:
-    def test_certificate_independent_of_thread_cap(self, monkeypatch):
-        dom = np.linspace(0, 2 * np.pi, 48, endpoint=False)
-        bmap = cr.circle_map(FORM1, dom)
-        monkeypatch.setenv("PSEUDOPLATEAU_THREADS", "1")
-        c1 = cr.qs_certify(FORM1, bmap, A=2.0, n_quadruples=600, rng_seed=13)
-        monkeypatch.setenv("PSEUDOPLATEAU_THREADS", "4")
-        c4 = cr.qs_certify(FORM1, bmap, A=2.0, n_quadruples=600, rng_seed=13)
-        assert c1 == c4
+class TestBatchedCertificate:
+    """`qs_certify` tests each chunk of quadruples as arrays; the scalar
+    reference tests them one at a time with `quadruple_positive` and
+    `cross_ratio_b`."""
+
+    @pytest.mark.parametrize("n,kind,k,seed", [
+        (1, "circle", 48, 13), (1, "circle", 96, 0), (2, "circle", 64, 4),
+        (1, "wobble", 96, 2), (2, "wobble", 96, 7), (3, "wobble", 80, 1),
+    ])
+    def test_equals_per_quadruple_reference(self, n, kind, k, seed):
+        form = BilinearForm(n)
+        dom = np.linspace(0, 2 * np.pi, k, endpoint=False)
+        if kind == "circle":
+            bmap = cr.circle_map(form, dom)
+        else:
+            loop = make_wobble(n=n, k=k)
+            bmap = cr.SampledBoundaryMap(loop.thetas, loop.sample_points())
+        cert = cr.qs_certify(form, bmap, A=2.0, n_quadruples=600, rng_seed=seed)
+        assert cert == certify_reference(form, bmap, A=2.0, n_quadruples=600, rng_seed=seed)
+        assert cert.quadruples_tested == 600
+
+    @pytest.mark.parametrize("kind,seed", [("crown", s) for s in range(4)] +
+                             [("scrambled", s) for s in range(2)])
+    def test_non_positive_map_raises_like_reference(self, kind, seed):
+        # the crown has degenerate sub-triples; the scrambled circle map has
+        # positive ones in the wrong cyclic order
+        if kind == "crown":
+            loop = ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=16)
+            bmap = cr.SampledBoundaryMap(loop.thetas, loop.sample_points())
+        else:
+            dom = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+            perm = np.random.default_rng(seed).permutation(32)
+            bmap = cr.SampledBoundaryMap(dom, circle_points(FORM1, *dom[perm]))
+        with pytest.raises((cr.NonPositiveMapError, ein.DegenerateTripleError)) as ref:
+            certify_reference(FORM1, bmap, A=2.0, n_quadruples=200, rng_seed=seed)
+        with pytest.raises((cr.NonPositiveMapError, ein.DegenerateTripleError)) as got:
+            cr.qs_certify(FORM1, bmap, A=2.0, n_quadruples=200, rng_seed=seed)
+        assert type(got.value) is type(ref.value)
+        expected = ein.DegenerateTripleError if kind == "crown" else cr.NonPositiveMapError
+        assert type(got.value) is expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_order_and_signature_agree_with_quadruple_positive(self, n):
+        # random index quadruples in random order, so most are not cyclically
+        # ordered; crown samples add quadruples with degenerate sub-triples
+        form = BilinearForm(n)
+        rng = np.random.default_rng(100 + n)
+        crown = ein.crown_loop(ein.barbot_crown_standard(n), samples_per_edge=6)
+        loops = [make_wobble(n=n, k=64), crown]
+        agree = positive = degenerate = 0
+        for loop, count in zip(loops, (1500, 300)):
+            pts = loop.sample_points()
+            P = np.array([p.rep for p in pts])
+            quads = np.array([rng.choice(len(pts), size=4, replace=False) for _ in range(count)])
+            coincident, bad_triple, _, ordered = cr._quadruple_checks(
+                P, (P * form.signs) @ P.T, np.linalg.norm(P, axis=1), quads)
+            for q, row in enumerate(quads):
+                try:
+                    expected = ein.quadruple_positive(form, *(pts[t] for t in row))
+                except ein.DegenerateTripleError:
+                    assert np.any(bad_triple[q]) and not np.any(coincident[q])
+                    degenerate += 1
+                    continue
+                assert not np.any(bad_triple[q])
+                assert ordered[q] == expected
+                positive += expected
+                agree += 1
+        assert agree + degenerate == 1800
+        assert agree >= 1500 and 200 < positive < agree and degenerate > 0

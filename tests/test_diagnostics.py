@@ -9,6 +9,7 @@ from pseudoplateau import plateau as pl
 from pseudoplateau import crossratio as cr
 from pseudoplateau import diagnostics as diag
 
+from boundary_reference import distance_to_crown_reference, worst_pair_reference
 from conftest import make_circle, make_rigid_arc, make_wobble
 
 
@@ -144,6 +145,31 @@ class TestQuasiperiodicityProbe:
         with pytest.raises(diag.GeometryError):
             diag.quasiperiodicity_probe(make_rigid_arc(), triples=10, seed=0)
 
+    @pytest.mark.parametrize("loop", [make_circle(), make_wobble(), make_wobble(n=2, k=96),
+                                      make_rigid_arc(k=64)], ids=["circle", "wobble",
+                                                                  "wobble_n2", "rigid_arc"])
+    def test_pair_scan_matches_scalar_reference(self, loop):
+        worst, pair = worst_pair_reference(loop)
+        ratios = diag._pair_ratios(loop, 1e-4)
+        assert diag.loop_margin(loop) == 1.0 - worst
+        if pair is None:
+            assert np.max(ratios) == 0.0
+        else:
+            top = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+            assert tuple(int(t) for t in top) == pair
+            assert ratios[top] == worst
+
+    def test_pair_scan_skips_pairs_below_floor(self):
+        th = np.array([0.0, 5e-5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        fib = np.column_stack([np.cos(0.3 * np.sin(th)), np.sin(0.3 * np.sin(th))])
+        fib[1] = (np.cos(1e-4), np.sin(1e-4))
+        loop = ein.LipschitzLoop(th, fib)
+        # the pair (0, 1) has ratio 2 but lies closer than the floor
+        worst, pair = worst_pair_reference(loop)
+        assert pair != (0, 1) and worst < 0.5
+        assert diag.loop_margin(loop) == 1.0 - worst
+        assert diag._pair_ratios(loop, 1e-4)[0, 1] == 0.0
+
 
 class TestBarbotDegeneration:
     def test_rigid_arc_converges(self):
@@ -165,6 +191,25 @@ class TestBarbotDegeneration:
         crown = ein.barbot_crown_standard(1)
         with pytest.raises(diag.GeometryError):
             diag.barbot_degeneration(make_circle(), crown, iters=5)
+
+    def test_lock_step_distance_matches_scalar_reference(self, monkeypatch):
+        # every iteration's samples go through both the lock-step kernel and
+        # the scalar golden-section reference; 48 samples seed the same crown
+        # as the default 96 at half the reference's cost
+        loop = make_rigid_arc(k=48)
+        crown = ein.crown_seeded_from_arc(FORM1, loop)
+        kernel = diag._distance_to_crown
+        gaps = []
+
+        def both(cr_, pts):
+            got = kernel(cr_, pts)
+            gaps.append(abs(got - distance_to_crown_reference(cr_, pts)))
+            return got
+
+        monkeypatch.setattr(diag, "_distance_to_crown", both)
+        diag.barbot_degeneration(loop, crown, iters=20)
+        assert len(gaps) == 21
+        assert max(gaps) <= 1e-15
 
 
 class TestAsymptoticHyperbolicity:

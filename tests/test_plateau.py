@@ -116,6 +116,15 @@ class TestBuildState:
         with pytest.raises(pl.GeometryError):
             pl.build_state(loop, 2, 24, 2.0)
 
+    def test_vertex_bound_checked_before_any_allocation(self, monkeypatch):
+        th = np.linspace(0, 2 * np.pi, 48, endpoint=False)
+        loop = ein.LipschitzLoop(th, np.tile([1.0, 0.0], (48, 1)))
+        # the bound is checked before the loop is even classified
+        monkeypatch.setattr(pl, "loop_classify", lambda loop: pytest.fail("classified"))
+        with pytest.raises(pl.GeometryError, match="vertices"):
+            pl.build_state(loop, 300, 1000, 2.0)
+        assert 1 + 300 * 1000 > pl.MAX_VERTICES
+
     def test_invalid_loop_rejected(self):
         th = np.linspace(0, 2 * np.pi, 48, endpoint=False)
         fib = np.column_stack([np.cos(th), np.sin(th)])
