@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.linalg import splu
 
 from .qcore import BilinearForm, GeometryError, standardize_triple
 from .einstein import (
@@ -21,6 +22,7 @@ from .einstein import (
     boundary_point,
     from_graph_sample,
     loop_classify,
+    _circle_dist_matrix,
 )
 from .crossratio import SampledBoundaryMap, qs_certify
 from .hspace import HPoint, gradient_norm_sq, horofunction, spatial_distance
@@ -300,303 +302,151 @@ def gromov_audit(state: SurfaceState, triples: int = 400, seed: int = 0) -> Audi
 # Conformal flattening and boundary extension
 
 
-def _hyperbolic_angles(a, b, c):
-    """Angles of hyperbolic triangles with side arrays (a, b, c); the angle
-    returned at each position is opposite the corresponding side."""
-    ca = np.cosh(a)
-    cb = np.cosh(b)
-    cc = np.cosh(c)
-    sb = np.sinh(b)
-    sc = np.sinh(c)
-    sa = np.sinh(a)
-    cosA = np.clip((cb * cc - ca) / (sb * sc), -1.0, 1.0)
-    cosB = np.clip((ca * cc - cb) / (sa * sc), -1.0, 1.0)
-    cosC = np.clip((ca * cb - cc) / (sa * sb), -1.0, 1.0)
-    return np.arccos(cosA), np.arccos(cosB), np.arccos(cosC)
+# The corners at the ends of side k of a face, which is opposite corner k.
+FACE_SIDES = ([1, 2], [0, 2], [0, 1])
+
+# Residual evaluations one Gauss-Newton solve may spend, rejected trial steps
+# included; the flattening and the development each converge in a handful.
+GAUSS_NEWTON_TRIALS = 40
 
 
-def yamabe_flatten(state: SurfaceState, tol: float = 1e-10, max_iter: int = 400):
+def _gauss_newton(residual, x: np.ndarray, tol: float) -> np.ndarray:
+    """Sparse Gauss-Newton: steps splu(J^T J).solve(J^T r), halved until the
+    squared residual drops, until max |r| < tol.
+
+    `residual(x)` returns the residual vector and its sparse Jacobian, or
+    raises FlatteningError at an inadmissible x, which rejects the trial
+    step like a residual increase does."""
+    r, J = residual(x)
+    step = None
+    for _ in range(GAUSS_NEWTON_TRIALS):
+        if np.max(np.abs(r)) < tol:
+            return x
+        if step is None:
+            Jt = J.T.tocsc()
+            step, t = splu((Jt @ J).tocsc()).solve(Jt @ r), 1.0
+        try:
+            r_t, J_t = residual(x - t * step)
+        except FlatteningError:
+            r_t = None
+        if r_t is not None and r_t @ r_t < r @ r:
+            x, r, J, step = x - t * step, r_t, J_t, None
+        else:
+            t *= 0.5
+    raise FlatteningError(f"Gauss-Newton solve stalled at max residual {np.max(np.abs(r)):.2e}")
+
+
+def yamabe_flatten(state: SurfaceState, tol: float = 1e-10):
     """Per-vertex log conformal factors making the mesh a cone-free
-    hyperbolic surface (interior angle sums 2 pi; boundary factors fixed).
+    hyperbolic surface (interior angle sums 2 pi; boundary factors fixed),
+    by Gauss-Newton on the interior angle defects.
 
-    Lengths scale by sinh(l'/2) = e^{(u_i+u_j)/2} sinh(l/2).
+    Lengths scale by sinh(l'/2) = e^{(u_i+u_j)/2} sinh(l/2), so
+    dl'/du_i = tanh(l'/2). The angle A_k opposite side l_k comes from the
+    half-angle formula tan^2(A_k/2) = sinh(s-l_a) sinh(s-l_b) / (sinh s sinh(s-l_k)),
+    s the half perimeter, which keeps its precision on the short sides near
+    the center where the law of cosines cancels, and varies as
+    dA_k = sinh l_k / (sinh l_a sinh l_b sin A_k) (dl_k - cos A_b dl_a - cos A_a dl_b).
+    Returns the factors and the side lengths per face, side k opposite
+    corner k.
     """
     form = state.form
-    mesh = state.mesh
     X = state.positions
-    faces = mesh.faces
-    nv = mesh.vertex_count
-    pair = np.abs(
-        np.stack(
-            [
-                form.inner_rows(X[faces[:, 1]], X[faces[:, 2]]),
-                form.inner_rows(X[faces[:, 0]], X[faces[:, 2]]),
-                form.inner_rows(X[faces[:, 0]], X[faces[:, 1]]),
-            ],
-            axis=1,
-        )
-    )
-    L0 = np.arccosh(np.maximum(pair, 1.0))
-    half0 = np.sinh(L0 / 2.0)
-    interior = ~mesh.boundary_mask()
-    u = np.zeros(nv)
+    faces = state.mesh.faces
+    nv = state.mesh.vertex_count
+    # the rim is the last ring, so the free interior factors come first
+    ni = nv - state.mesh.sectors
+    ends = [faces[:, side] for side in FACE_SIDES]
+    pairs = [np.abs(form.inner_rows(X[e[:, 0]], X[e[:, 1]])) for e in ends]
+    half0 = [np.sinh(0.5 * np.arccosh(np.maximum(pair, 1.0))) for pair in pairs]
 
-    def angle_sums(uv):
-        scale = np.exp(0.5 * (uv[faces[:, 1]] + uv[faces[:, 2]]))
-        l0 = 2.0 * np.arcsinh(half0[:, 0] * scale)
-        scale = np.exp(0.5 * (uv[faces[:, 0]] + uv[faces[:, 2]]))
-        l1 = 2.0 * np.arcsinh(half0[:, 1] * scale)
-        scale = np.exp(0.5 * (uv[faces[:, 0]] + uv[faces[:, 1]]))
-        l2 = 2.0 * np.arcsinh(half0[:, 2] * scale)
-        bad = (l0 + l1 <= l2) | (l0 + l2 <= l1) | (l1 + l2 <= l0)
-        if np.any(bad):
+    def lengths_of(ui):
+        u = np.concatenate([ui, np.zeros(nv - ni)])
+        l0, l1, l2 = ls = [2.0 * np.arcsinh(h * np.exp(0.5 * (u[e[:, 0]] + u[e[:, 1]])))
+                           for h, e in zip(half0, ends)]
+        if np.any((l0 + l1 <= l2) | (l0 + l2 <= l1) | (l1 + l2 <= l0)):
             raise FlatteningError("conformal factors broke a triangle inequality")
-        a0, a1, a2 = _hyperbolic_angles(l0, l1, l2)
-        sums = np.zeros(nv)
-        np.add.at(sums, faces[:, 0], a0)
-        np.add.at(sums, faces[:, 1], a1)
-        np.add.at(sums, faces[:, 2], a2)
-        return sums, (l0, l1, l2)
+        return ls
 
-    # damped Jacobi pre-smoothing, then Newton-Krylov on the interior defect
-    eta = 0.5
-    sums, lengths = angle_sums(u)
-    defect = np.where(interior, 2.0 * np.pi - sums, 0.0)
-    worst = float(np.max(np.abs(defect)))
-    for _ in range(60):
-        if worst < tol:
-            break
-        trial = u - eta * defect
-        try:
-            sums_t, lengths_t = angle_sums(trial)
-        except FlatteningError:
-            eta *= 0.5
-            if eta < 1e-6:
-                raise
-            continue
-        defect_t = np.where(interior, 2.0 * np.pi - sums_t, 0.0)
-        worst_t = float(np.max(np.abs(defect_t)))
-        if worst_t > worst:
-            eta *= 0.5
-            if eta < 1e-6:
-                raise FlatteningError("Yamabe relaxation stalled")
-            continue
-        u, defect, worst, lengths = trial, defect_t, worst_t, lengths_t
-        eta = min(eta * 1.05, 0.9)
-    if worst >= tol:
-        from scipy.optimize import newton_krylov
+    def residual(ui):
+        ls = np.asarray(lengths_of(ui))
+        sh = np.sinh(ls)
+        s = 0.5 * ls.sum(axis=0)
+        sh_gap = np.sinh(s - ls)
+        angles = 2.0 * np.arctan2(np.sqrt(np.roll(sh_gap, 1, axis=0) * np.roll(sh_gap, 2, axis=0)),
+                                  np.sqrt(np.sinh(s) * sh_gap))
+        cos = np.cos(angles)
+        sums = np.bincount(faces.T.ravel(), weights=angles.ravel(), minlength=nv)
+        dl_du = np.tanh(0.5 * ls)
+        rows, cols, vals = [], [], []
+        for k in range(3):
+            a, b = (k + 1) % 3, (k + 2) % 3
+            g = sh[k] / (sh[a] * sh[b] * np.sin(angles[k]))
+            for side, dA_dl in ((k, g), (a, -g * cos[b]), (b, -g * cos[a])):
+                for end in range(2):
+                    rows.append(faces[:, k])
+                    cols.append(ends[side][:, end])
+                    vals.append(-dA_dl * dl_du[side])
+        J = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(nv, nv))
+        return 2.0 * np.pi - sums[:ni], J[:ni, :ni]
 
-        idx = np.flatnonzero(interior)
-
-        def reduced(ui):
-            uv = np.zeros(nv)
-            uv[idx] = ui
-            sums_r, _ = angle_sums(uv)
-            return 2.0 * np.pi - sums_r[idx]
-
-        try:
-            sol = newton_krylov(reduced, u[idx], f_tol=tol, maxiter=60)
-        except Exception as exc:
-            raise FlatteningError(f"Yamabe solve did not converge: {exc}") from exc
-        u = np.zeros(nv)
-        u[idx] = sol
-        sums, lengths = angle_sums(u)
-        defect = np.where(interior, 2.0 * np.pi - sums, 0.0)
-        worst = float(np.max(np.abs(defect)))
-        if worst >= 10.0 * tol:
-            raise FlatteningError(f"Yamabe solve did not reach tolerance (defect {worst:.2e})")
-    return u, lengths
+    ui = _gauss_newton(residual, np.zeros(ni), tol)
+    return np.concatenate([ui, np.zeros(nv - ni)]), tuple(lengths_of(ui))
 
 
-def _edge_targets(mesh, lengths) -> dict:
+def _develop_h2(state: SurfaceState, lengths) -> np.ndarray:
+    """Lay the flattened mesh out on the hyperboloid x^2 + y^2 - z^2 = -1 by
+    Gauss-Newton on the edge lengths over the (x, y) of every vertex, until
+    every edge is within 1e-10 of its length.
+
+    The start is the surface's own H^2 projection (X_0, X_1, |X_{2:}|), the
+    graph coordinate of `build_state`, so the layout keeps the surface's
+    orientation. It is moved by an isometry that puts vertex 0 at the
+    origin and v(1, 0) on the +x axis, where x, y of vertex 0 and y of
+    v(1, 0) stay pinned. Returns the (x, y) rows."""
+    mesh = state.mesh
     faces = mesh.faces
-    l0, l1, l2 = lengths
-    target: dict[tuple[int, int], float] = {}
-    for fi, f in enumerate(faces):
-        a, b, c = int(f[0]), int(f[1]), int(f[2])
-        target[(min(b, c), max(b, c))] = float(l0[fi])
-        target[(min(a, c), max(a, c))] = float(l1[fi])
-        target[(min(a, b), max(a, b))] = float(l2[fi])
-    return target
-
-
-def _two_anchor_candidates(A, B, dA, dB):
-    """The two hyperboloid points at given distances from two anchors."""
-    def q3(p, q_):
-        return p[0] * q_[0] + p[1] * q_[1] - p[2] * q_[2]
-
-    gAB = q3(A, B)
-    M = np.array([[-1.0, gAB], [gAB, -1.0]])
-    rhs = np.array([-np.cosh(dA), -np.cosh(dB)])
-    ab = np.linalg.solve(M, rhs)
-    base = ab[0] * A + ab[1] * B
-    qb = q3(base, base)
-    N = np.array([
-        A[1] * B[2] - A[2] * B[1],
-        A[2] * B[0] - A[0] * B[2],
-        -(A[0] * B[1] - A[1] * B[0]),
-    ])
-    qn = q3(N, N)
-    if qn <= 0:
-        raise FlatteningError("development lost a spacelike normal")
-    N = N / np.sqrt(qn)
-    gamma = np.sqrt(max(-1.0 - qb, 0.0))
-    return base + gamma * N, base - gamma * N
-
-
-def _lsq_place(p, anchors, iters: int = 4):
-    """Damped Gauss-Newton placement against all anchors."""
-    x, y = p[0], p[1]
-    for _ in range(iters):
-        z = np.sqrt(1.0 + x * x + y * y)
-        rows, res = [], []
-        for (q_, ell) in anchors:
-            pair = -(x * q_[0] + y * q_[1] - z * q_[2])
-            pair = max(pair, 1.0 + 1e-15)
-            d = np.arccosh(pair)
-            denom = np.sqrt(max(pair * pair - 1.0, 1e-30))
-            rows.append((-(q_[0] - q_[2] * x / z) / denom, -(q_[1] - q_[2] * y / z) / denom))
-            res.append(d - ell)
-        J = np.array(rows)
-        r = np.array(res)
-        try:
-            step = np.linalg.solve(J.T @ J + 1e-12 * np.eye(2), J.T @ r)
-        except np.linalg.LinAlgError:
-            break
-        norm = np.hypot(step[0], step[1])
-        if norm > 0.5:
-            step *= 0.5 / norm
-        x -= step[0]
-        y -= step[1]
-    return np.array([x, y, np.sqrt(1.0 + x * x + y * y)])
-
-
-def _develop_h2(mesh, lengths):
-    """Lay the flattened mesh out in the hyperboloid model of H^2, ring by
-    ring, placing every vertex against all already-placed neighbours. Pure
-    two-anchor propagation amplifies rounding exponentially through thin
-    triangles; the redundant anchors keep the layout rigid."""
     nv = mesh.vertex_count
-    target = _edge_targets(mesh, lengths)
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(nv)]
-    for (a, b), ell in target.items():
-        nbrs[a].append((b, ell))
-        nbrs[b].append((a, ell))
-    # deterministic anchor order; with two anchors (A, B, candidate) is then
-    # an even permutation of a positively oriented face, so one global sign
-    # disambiguates every two-anchor placement
-    for lst in nbrs:
-        lst.sort()
-    pos = np.full((nv, 3), np.nan)
-    placed = np.zeros(nv, dtype=bool)
-    m, s = mesh.rings, mesh.sectors
-    pos[0] = (0.0, 0.0, 1.0)
-    placed[0] = True
+    sides = np.sort(np.concatenate([faces[:, side] for side in FACE_SIDES]), axis=1)
+    edges, first = np.unique(sides, axis=0, return_index=True)
+    target = np.concatenate(lengths)[first]
+    a, b = edges[:, 0], edges[:, 1]
+    rows = np.repeat(np.arange(len(edges)), 4)
+    cols = np.column_stack([2 * a, 2 * a + 1, 2 * b, 2 * b + 1]).ravel()
+
+    X = state.positions
+    z = np.linalg.norm(X[:, 2:], axis=1)
+    # the boost taking the projection (w, z_0) of vertex 0 to the origin
+    w = X[0, :2]
+    xy = X[:, :2] + np.outer(X[:, :2] @ w / (z[0] + 1.0) - z, w)
     v10 = mesh.vertex(1, 0)
-    ell0 = target[(0, v10)]
-    pos[v10] = (np.sinh(ell0), 0.0, np.cosh(ell0))
-    placed[v10] = True
-    ref_sign = None
-    for i in range(1, m + 1):
-        for j in range(s):
-            v = mesh.vertex(i, j)
-            if placed[v]:
-                continue
-            anchors = [(pos[w], ell) for (w, ell) in nbrs[v] if placed[w]]
-            anchor_ids = [w for (w, _) in nbrs[v] if placed[w]]
-            if len(anchors) < 2:
-                raise FlatteningError("development ordering left a vertex underdetermined")
-            cand_p, cand_m = _two_anchor_candidates(anchors[0][0], anchors[1][0],
-                                                    anchors[0][1], anchors[1][1])
-            if len(anchors) >= 3:
-                def resid(c):
-                    return sum(
-                        (np.arccosh(max(-(c[0] * a_[0][0] + c[1] * a_[0][1] - c[2] * a_[0][2]), 1.0)) - a_[1]) ** 2
-                        for a_ in anchors
-                    )
+    c, s = xy[v10] / np.hypot(*xy[v10])
+    xy = (xy @ np.array([[c, -s], [s, c]])).ravel()
+    pinned = [0, 1, 2 * v10 + 1]
+    xy[pinned] = 0.0
+    free = np.ones(2 * nv, dtype=bool)
+    free[pinned] = False
 
-                cand = cand_p if resid(cand_p) <= resid(cand_m) else cand_m
-            else:
-                # orientation disambiguation against the first placed face
-                A, B = pos[anchor_ids[0]], pos[anchor_ids[1]]
-                det_p = np.linalg.det(np.array([A, B, cand_p]))
-                if ref_sign is None:
-                    # the fan face (0, v(1, j-1), v(1, j)) is positively
-                    # oriented; fix the global sign from the first placement
-                    ref_sign = 1.0 if det_p >= 0 else -1.0
-                    cand = cand_p
-                else:
-                    cand = cand_p if det_p * ref_sign > 0 else cand_m
-            pos[v] = _lsq_place(cand, anchors)
-            placed[v] = True
-    if not np.all(placed):
-        raise FlatteningError("development left unplaced vertices")
-    return _refine_layout(mesh, lengths, pos)
+    def residual(q):
+        p = xy.copy()
+        p[free] = q
+        p = p.reshape(nv, 2)
+        z = np.sqrt(1.0 + np.sum(p * p, axis=1))
+        pair = np.maximum(z[a] * z[b] - np.sum(p[a] * p[b], axis=1), 1.0 + 1e-15)
+        root = np.sqrt(pair * pair - 1.0)[:, None]
+        grad_a = (p[a] * (z[b] / z[a])[:, None] - p[b]) / root
+        grad_b = (p[b] * (z[a] / z[b])[:, None] - p[a]) / root
+        J = sp.csc_matrix((np.column_stack([grad_a, grad_b]).ravel(), (rows, cols)),
+                          shape=(len(edges), 2 * nv))
+        return np.arccosh(pair) - target, J[:, free]
+
+    xy[free] = _gauss_newton(residual, xy[free], 1e-10)
+    return xy.reshape(nv, 2)
 
 
-def _refine_layout(mesh, lengths, pos, sweeps: int = 60, tol: float = 1e-9):
-    """Gauss-Newton sweeps equalising developed edge lengths with their
-    targets. Sequential placement amplifies rounding through thin triangles
-    (exponentially, in hyperbolic geometry); the defect-free metric is
-    exactly developable, so local refinement drives the edge errors to
-    rounding level."""
-    nv = mesh.vertex_count
-    target = _edge_targets(mesh, lengths)
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(nv)]
-    for (a, b), ell in target.items():
-        nbrs[a].append((b, ell))
-        nbrs[b].append((a, ell))
-
-    def edge_error():
-        worst = 0.0
-        for (a, b), ell in target.items():
-            val = -(pos[a, 0] * pos[b, 0] + pos[a, 1] * pos[b, 1] - pos[a, 2] * pos[b, 2])
-            worst = max(worst, abs(np.arccosh(max(val, 1.0)) - ell))
-        return worst
-
-    order = np.argsort(mesh.ring_of(), kind="stable")
-    for _ in range(sweeps):
-        for v in order:
-            data = nbrs[v]
-            if len(data) < 2:
-                continue
-            p = pos[v]
-            for _inner in range(3):
-                x, y = p[0], p[1]
-                z = np.sqrt(1.0 + x * x + y * y)
-                rows = []
-                res = []
-                for (w, ell) in data:
-                    q_ = pos[w]
-                    pair = -(x * q_[0] + y * q_[1] - z * q_[2])
-                    pair = max(pair, 1.0 + 1e-15)
-                    d = np.arccosh(pair)
-                    denom = np.sqrt(pair * pair - 1.0)
-                    gx = -(q_[0] - q_[2] * x / z) / denom
-                    gy = -(q_[1] - q_[2] * y / z) / denom
-                    rows.append((gx, gy))
-                    res.append(d - ell)
-                J = np.array(rows)
-                r = np.array(res)
-                JtJ = J.T @ J + 1e-12 * np.eye(2)
-                try:
-                    step = np.linalg.solve(JtJ, J.T @ r)
-                except np.linalg.LinAlgError:
-                    break
-                x -= step[0]
-                y -= step[1]
-                p = np.array([x, y, np.sqrt(1.0 + x * x + y * y)])
-            pos[v] = p
-        if edge_error() < tol:
-            break
-    worst = edge_error()
-    if worst > 1e-6:
-        raise FlatteningError(f"layout refinement stalled (edge error {worst:.2e})")
-    return pos
-
-
-def boundary_extension(state: SurfaceState, rays: int = 0, A: float = 2.0,
-                       n_quadruples: int = 1500, seed: int = 0):
+def boundary_extension(state: SurfaceState, A: float = 2.0, n_quadruples: int = 1500,
+                       seed: int = 0):
     """Boundary correspondence of the discrete uniformisation: flatten the
     mesh to constant curvature -1, develop it in the hyperbolic plane, read
     the induced boundary angles, compose with the loop, and certify the
@@ -607,15 +457,10 @@ def boundary_extension(state: SurfaceState, rays: int = 0, A: float = 2.0,
     if loop_classify(state.loop) != "positive":
         raise GeometryError("boundary extension requires a positive loop")
     _, lengths = yamabe_flatten(state)
-    pos = _develop_h2(state.mesh, lengths)
     mesh = state.mesh
-    base = mesh.vertex(mesh.rings, 0)
-    thetas_disk = []
+    rim = _develop_h2(state, lengths)[mesh.vertex(mesh.rings, 0):]
+    thetas_disk = np.arctan2(rim[:, 1], rim[:, 0]) % (2.0 * np.pi)
     thetas_loop = 2.0 * np.pi * np.arange(mesh.sectors) / mesh.sectors
-    for j in range(mesh.sectors):
-        p = pos[base + j]
-        thetas_disk.append(float(np.arctan2(p[1], p[0]) % (2.0 * np.pi)))
-    thetas_disk = np.array(thetas_disk)
     images = [state.loop.boundary_point(t) for t in thetas_loop]
     bmap = SampledBoundaryMap(thetas_disk, images, defined_on="flattened boundary")
     cert = qs_certify(state.form, bmap, A=A, n_quadruples=n_quadruples, rng_seed=seed)
@@ -630,8 +475,7 @@ def _pair_ratios(loop: LipschitzLoop, floor: float) -> np.ndarray:
     """Fiber/circle distance ratio of every sample pair i < j, with 0 where
     j <= i or where the circle distance falls below the floor."""
     dn = np.arccos(np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0))
-    d = np.abs(loop.thetas[:, None] - loop.thetas[None, :]) % (2.0 * np.pi)
-    d1 = np.minimum(d, 2.0 * np.pi - d)
+    d1 = _circle_dist_matrix(loop.thetas)
     keep = np.triu(d1 >= floor, 1)
     return np.where(keep, dn / np.where(keep, d1, 1.0), 0.0)
 

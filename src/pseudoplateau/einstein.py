@@ -382,6 +382,12 @@ def _circle_dist(a: float, b: float) -> float:
     return min(d, 2.0 * np.pi - d)
 
 
+def _circle_dist_matrix(thetas: np.ndarray) -> np.ndarray:
+    """`_circle_dist` between every pair of the angles, as one matrix."""
+    d = np.abs(thetas[:, None] - thetas[None, :]) % (2.0 * np.pi)
+    return np.minimum(d, 2.0 * np.pi - d)
+
+
 def _slerp(f: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
     ang = _sphere_dist(f, g)
     if ang < 1e-12:
@@ -461,16 +467,9 @@ def loop_classify(loop: LipschitzLoop, tol: float = 1e-8) -> str:
     """'positive' when strictly contracting on all sampled pairs,
     'semipositive' when 1-Lipschitz within tol but not a sampled isometry,
     'invalid' otherwise."""
-    k = loop.size
-    d1 = np.zeros((k, k))
-    dn = np.zeros((k, k))
     dots = np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0)
-    for i in range(k):
-        for j in range(i + 1, k):
-            d1[i, j] = _circle_dist(loop.thetas[i], loop.thetas[j])
-    dn_full = np.arccos(dots)
-    iu = np.triu_indices(k, 1)
-    gaps = d1[iu] - dn_full[iu]
+    iu = np.triu_indices(loop.size, 1)
+    gaps = _circle_dist_matrix(loop.thetas)[iu] - np.arccos(dots)[iu]
     if np.all(gaps > tol):
         return "positive"
     if np.all(gaps >= -tol):
@@ -486,12 +485,8 @@ def photon_arc(loop: LipschitzLoop, tol: float = 1e-8) -> list[tuple[int, int]]:
     returned as (start, end) index pairs, inclusive, cyclic; arcs with empty
     interior are dropped."""
     k = loop.size
-    d1 = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            d1[i, j] = _circle_dist(loop.thetas[i], loop.thetas[j])
     dots = np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0)
-    rigid = np.arccos(dots) >= d1 - tol
+    rigid = np.arccos(dots) >= _circle_dist_matrix(loop.thetas) - tol
 
     def window_rigid(i: int, j_len: int) -> bool:
         idx = [(i + t) % k for t in range(j_len + 1)]

@@ -738,37 +738,6 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     )
 
 
-def ricci_identity_check(surface: str, n: int = 1, samples: int = 12, seed: int = 0) -> float:
-    """Evaluate both sides of the normal-curvature pairing identity from
-    closed-form data on an analytic surface; returns the max |difference|."""
-    from .einstein import barbot_crown_standard
-    from .hspace import barbot_second_fundamental
-
-    form = BilinearForm(n)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    if surface == "geodesic":
-        return 0.0
-    if surface != "barbot":
-        raise GeometryError(f"unsupported analytic surface {surface!r}")
-    crown = barbot_crown_standard(n)
-    for _ in range(samples):
-        s, t = rng.uniform(-1.5, 1.5, size=2)
-        phi = rng.uniform(0.0, np.pi)
-        alpha0, beta0 = barbot_second_fundamental(crown, s, t)
-        c, s2 = np.cos(2 * phi), np.sin(2 * phi)
-        alpha = c * alpha0 + s2 * beta0
-        beta = -s2 * alpha0 + c * beta0
-        paa = form.q(alpha)
-        pbb = form.q(beta)
-        pab = form.inner(alpha, beta)
-        # <B(e2,a), B(e1,b)> - <B(e1,a), B(e2,b)> in the tangent frame
-        lhs = (pab * pab - paa * pbb) - (paa * pbb - pab * pab)
-        rhs = -2.0 * (paa * pbb - pab * pab)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # State file format
 

@@ -257,3 +257,50 @@ class TestYamabe:
         u1, _ = diag.yamabe_flatten(solved_wobble_state)
         u2, _ = diag.yamabe_flatten(solved_wobble_state)
         assert np.array_equal(u1, u2)
+
+
+class TestFlatteningJacobian:
+    def test_matches_central_differences(self, monkeypatch):
+        st = pl.plateau_solve(pl.build_state(make_wobble(), 16, 48, 3.0), tol=1e-9, max_iter=2000)
+        captured = []
+
+        def capture(residual, x, tol):
+            captured.append(residual)
+            return x
+
+        # yamabe_flatten hands its residual-and-Jacobian callback to the solver
+        monkeypatch.setattr(diag, "_gauss_newton", capture)
+        diag.yamabe_flatten(st)
+        residual = captured[0]
+        ni = st.mesh.vertex_count - st.mesh.sectors
+        u = np.random.default_rng(2).uniform(-0.05, 0.05, ni)
+        _, J = residual(u)
+        h = 1e-6
+        fd = np.empty((ni, ni))
+        for i in range(ni):
+            du = np.zeros(ni)
+            du[i] = h
+            fd[:, i] = (residual(u + du)[0] - residual(u - du)[0]) / (2.0 * h)
+        assert np.max(np.abs(J.toarray() - fd)) < 1e-6
+
+
+class TestDevelopment:
+    @pytest.mark.parametrize("fixture", ["solved_wobble_state", "solved_circle"])
+    def test_layout_reproduces_sides_with_one_orientation(self, fixture, request):
+        st = request.getfixturevalue(fixture)
+        _, lengths = diag.yamabe_flatten(st)
+        xy = diag._develop_h2(st, lengths)
+        p = np.column_stack([xy, np.sqrt(1.0 + np.sum(xy * xy, axis=1))])
+        faces = st.mesh.faces
+        for k, (a, b) in enumerate(diag.FACE_SIDES):
+            pa, pb = p[faces[:, a]], p[faces[:, b]]
+            pair = pa[:, 2] * pb[:, 2] - pa[:, 0] * pb[:, 0] - pa[:, 1] * pb[:, 1]
+            assert np.max(np.abs(np.arccosh(np.maximum(pair, 1.0)) - lengths[k])) <= 1e-9
+        signs = np.sign(np.linalg.det(p[faces]))
+        fan = np.sign(np.linalg.det(p[[0, st.mesh.vertex(1, 0), st.mesh.vertex(1, 1)]]))
+        assert fan != 0.0 and np.all(signs == fan)
+
+    def test_boundary_angles_repeatable(self, solved_wobble_state):
+        b1, _ = diag.boundary_extension(solved_wobble_state, seed=5)
+        b2, _ = diag.boundary_extension(solved_wobble_state, seed=5)
+        assert np.array_equal(b1.domain, b2.domain)

@@ -283,6 +283,15 @@ class TestLoops:
         assert ein.loop_classify(loop) == "semipositive"
         assert len(ein.photon_arc(loop)) == 4
 
+    def test_circle_dist_matrix_matches_scalar(self):
+        # uneven gaps, including pairs across 0 and pairs near pi apart
+        rng = np.random.default_rng(4)
+        thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, 60) ** 1.3 % (2.0 * np.pi))
+        loop = ein.LipschitzLoop(thetas, np.tile([1.0, 0.0], (60, 1)))
+        d1 = ein._circle_dist_matrix(loop.thetas)
+        want = [[ein._circle_dist(a, b) for b in loop.thetas] for a in loop.thetas]
+        assert np.array_equal(d1, np.array(want))
+
 
 class TestCrown:
     def test_standard_crown_invariants(self):

@@ -293,23 +293,6 @@ class TestQuartic:
         assert gauss_gap[32] < gauss_gap[16]
 
 
-class TestRicci:
-    def test_geodesic_plane_trivial(self):
-        assert pl.ricci_identity_check("geodesic") == 0.0
-
-    def test_barbot_identity(self):
-        assert pl.ricci_identity_check("barbot", n=1, samples=20, seed=3) <= 1e-12
-
-    def test_frame_rotation_invariance(self):
-        r1 = pl.ricci_identity_check("barbot", n=2, samples=15, seed=1)
-        r2 = pl.ricci_identity_check("barbot", n=2, samples=15, seed=2)
-        assert r1 <= 1e-12 and r2 <= 1e-12
-
-    def test_unknown_surface_rejected(self):
-        with pytest.raises(pl.GeometryError):
-            pl.ricci_identity_check("torus")
-
-
 class TestStateIO:
     def test_round_trip(self, tmp_path, solved_wobble):
         path = tmp_path / "state.txt"
