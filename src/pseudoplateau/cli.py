@@ -116,6 +116,14 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def cmd_audit(args) -> int:
+    names = [a.strip() for a in args.audits.split(",") if a.strip()]
+    for name in names:
+        if name not in diag.AUDITS:
+            print(f"error: unknown audit {name!r}", file=sys.stderr)
+            return 3
+        if diag.AUDITS[name].needs_loop and not args.loop:
+            print(f"error: the {name} audit needs --loop", file=sys.stderr)
+            return 3
     try:
         state = pl.state_load(args.state)
         if args.loop:
@@ -126,48 +134,16 @@ def cmd_audit(args) -> int:
     if not state.converged:
         print("error: state is not converged", file=sys.stderr)
         return 3
-    names = [a.strip() for a in args.audits.split(",") if a.strip()]
     os.makedirs(args.out, exist_ok=True)
     reports = {}
     all_passed = True
     try:
         for name in names:
-            if name == "rigidity":
-                rep = diag.rigidity_audit(state)
-            elif name == "gradient":
-                rep = diag.gradient_audit(state, seed=args.seed)
-            elif name == "distance_ratio":
-                rep = diag.distance_ratio_audit(state, seed=args.seed)
-            elif name == "gromov":
-                rep = diag.gromov_audit(state, seed=args.seed)
-            elif name == "asymptotic_hyperbolicity":
-                rep = diag.asymptotic_hyperbolicity_audit(state)
-            elif name == "hessian":
-                if state.loop is None:
-                    print("error: hessian audit needs --loop", file=sys.stderr)
-                    return 3
-                z = state.loop.boundary_point(0.0)
-                rep = diag.hessian_audit(state, z, seed=args.seed)
-            elif name == "boundary_extension":
-                if state.loop is None:
-                    print("error: boundary extension needs --loop", file=sys.stderr)
-                    return 3
-                _, cert = diag.boundary_extension(state, seed=args.seed)
-                with open(os.path.join(args.out, "qs_certificate.json"), "w") as fh:
-                    fh.write(cert.to_json())
-                    fh.write("\n")
-                rep = diag.AuditReport(
-                    name="boundary_extension",
-                    values={"A": cert.A, "B_measured": cert.B,
-                            "quadruples_tested": cert.quadruples_tested},
-                    thresholds={"B_finite": True},
-                    passed=bool(np.isfinite(cert.B)),
-                    samples=cert.quadruples_tested,
-                    seed=args.seed,
-                )
-            else:
-                print(f"error: unknown audit {name!r}", file=sys.stderr)
-                return 3
+            entry = diag.AUDITS[name]
+            rep = entry.run(state, args.seed)
+            if entry.artifact:
+                with open(os.path.join(args.out, entry.artifact), "w") as fh:
+                    fh.write(rep.artifact_text)
             reports[name] = rep.to_dict()
             all_passed = bool(all_passed and rep.passed)
             print(f"audit {name}: {'pass' if rep.passed else 'FAIL'}")
@@ -183,48 +159,23 @@ def cmd_audit(args) -> int:
 
 
 def _write_plot_data(state: pl.SurfaceState, out: str, seed: int) -> None:
+    """The plot CSVs, drawn with the audits' own samplers and one seeded
+    stream: the ring profile of K, a histogram of squared horofunction
+    gradients (12 boundary points x 40 vertices), and (graph, spatial)
+    distance pairs (8 sources x 25 targets)."""
     geo = pl.discrete_geometry(state)
     mesh = state.mesh
-    ring = mesh.stencil.ring
-    rows = []
-    for i in range(0, mesh.rings - 1):
-        sel = ring == i
-        if np.any(sel) and np.any(np.isfinite(geo.K[sel])):
-            rows.append((i, mesh.radius * i / mesh.rings, float(np.nanmean(geo.K[sel]))))
+    rows = [(i, mesh.radius * i / mesh.rings, k)
+            for i, k in enumerate(diag._ring_mean_K(state, geo)) if np.isfinite(k)]
     _write_csv(os.path.join(out, "k_profile.csv"), ["ring", "r", "mean_K"], rows)
 
     rng = np.random.default_rng(seed)
-    form = state.form
-    from .hspace import HPoint, gradient_norm_sq, horofunction, spatial_distance
-
-    e1, e2 = geo.frames
-    inter = np.flatnonzero(mesh.interior_mask(diag.AUDIT_EXCLUDE_RINGS))
-    zs = diag._boundary_points(state, 12, rng)
-    grads = []
-    for z in zs:
-        h = horofunction(form, z.rep)
-        for v in rng.choice(inter, size=40, replace=False):
-            x = HPoint(state.positions[v])
-            if abs(form.inner(x.rep, h.z0)) < 1e-10:
-                continue
-            grads.append(gradient_norm_sq(form, h, x, np.vstack([e1[v], e2[v]])))
-    hist, edges = np.histogram(np.array(grads), bins=24, range=(0.9, 2.1))
+    grads, _ = diag._gradient_samples(state, geo, rng, 12, 40)
+    hist, edges = np.histogram(grads, bins=24, range=(0.9, 2.1))
     _write_csv(os.path.join(out, "gradient_hist.csv"), ["bin_left", "bin_right", "count"],
-               [(edges[i], edges[i + 1], hist[i]) for i in range(len(hist))])
-
-    G = diag._edge_graph(state)
-    from scipy.sparse.csgraph import dijkstra
-
-    sources = rng.choice(inter, size=8, replace=False)
-    dist = dijkstra(G, directed=False, indices=sources)
-    rows = []
-    for row, src in enumerate(sources):
-        for t in rng.choice(inter, size=25, replace=False):
-            if t == src or dist[row, t] < 0.3:
-                continue
-            eth = spatial_distance(form, HPoint(state.positions[src]), HPoint(state.positions[t]))
-            rows.append((dist[row, t], eth))
-    _write_csv(os.path.join(out, "distance_scatter.csv"), ["d_graph", "eth"], rows)
+               zip(edges[:-1], edges[1:], hist))
+    _write_csv(os.path.join(out, "distance_scatter.csv"), ["d_graph", "eth"],
+               diag._distance_pairs(state, rng, 8, 25))
 
 
 def main(argv=None) -> int:

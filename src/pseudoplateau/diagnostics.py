@@ -8,7 +8,8 @@ outermost rings, where the Dirichlet truncation pollutes the data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +49,8 @@ class AuditReport:
     passed: bool
     samples: int = 0
     seed: int = 0
+    # the text of the audit's extra file, if it writes one; not in the report
+    artifact_text: str | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -104,33 +107,37 @@ def rigidity_audit(state: SurfaceState, k_threshold: float = 5e-2,
     )
 
 
+def _gradient_samples(state: SurfaceState, geo, rng: np.random.Generator,
+                      points: int, per_point: int):
+    """Squared tangential horofunction gradients: `points` boundary points,
+    then for each one `per_point` interior vertices drawn without
+    replacement. Returns the values and the number of pairs skipped because
+    the vertex lies on the boundary point's light cone."""
+    form = state.form
+    e1, e2 = geo.frames
+    inter = np.flatnonzero(state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS))
+    vals = []
+    skipped = 0
+    for z in _boundary_points(state, points, rng):
+        h = horofunction(form, z.rep)
+        for v in rng.choice(inter, size=min(per_point, len(inter)), replace=False):
+            x = HPoint(state.positions[v])
+            if abs(form.inner(x.rep, h.z0)) < 1e-10:
+                skipped += 1
+                continue
+            vals.append(gradient_norm_sq(form, h, x, np.vstack([e1[v], e2[v]])))
+    return np.array(vals), skipped
+
+
 def gradient_audit(state: SurfaceState, boundary_samples: int = 24, seed: int = 0,
                    min_threshold: float = 1.0 - 1e-2,
                    max_threshold: float = 2.0 + 5e-2) -> AuditReport:
     """Squared tangential gradient of horofunctions over sampled
     (vertex, boundary point) pairs: bounded below by 1 and above by 2."""
     _require_converged(state)
-    rng = np.random.default_rng(seed)
-    form = state.form
-    zs = _boundary_points(state, boundary_samples, rng)
     geo = discrete_geometry(state)
-    e1, e2 = geo.frames
-    inter = np.flatnonzero(state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS))
-    per_z = max(1, 600 // len(zs))
-    vals = []
-    skipped = 0
-    for z in zs:
-        h = horofunction(form, z.rep)
-        verts = rng.choice(inter, size=min(per_z, len(inter)), replace=False)
-        for v in verts:
-            x = HPoint(state.positions[v])
-            pairing = abs(form.inner(x.rep, h.z0))
-            if pairing < 1e-10:
-                skipped += 1
-                continue
-            frame = np.vstack([e1[v], e2[v]])
-            vals.append(gradient_norm_sq(form, h, x, frame))
-    vals = np.array(vals)
+    vals, skipped = _gradient_samples(state, geo, np.random.default_rng(seed),
+                                      boundary_samples, max(1, 600 // boundary_samples))
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
     max_k = float(np.nanmax(geo.K[state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS)]))
     c = -max_k
@@ -208,6 +215,27 @@ def _edge_graph(state: SurfaceState) -> sp.csr_matrix:
     return G.tocsr()
 
 
+def _distance_pairs(state: SurfaceState, rng: np.random.Generator, sources: int,
+                    per_source: int) -> np.ndarray:
+    """(graph distance, spatial distance) rows over interior vertex pairs:
+    `sources` sources drawn without replacement, then `per_source` targets
+    for each. A target equal to its source, or under 0.3 from it in the
+    graph, is skipped."""
+    form = state.form
+    X = state.positions
+    inter = np.flatnonzero(state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS))
+    drawn = rng.choice(inter, size=sources, replace=False)
+    dist = dijkstra(_edge_graph(state), directed=False, indices=drawn)
+    rows = []
+    for row, src in enumerate(drawn):
+        for t in rng.choice(inter, size=per_source, replace=False):
+            d_graph = dist[row, t]
+            if t == src or not np.isfinite(d_graph) or d_graph < 0.3:
+                continue
+            rows.append((d_graph, spatial_distance(form, HPoint(X[src]), HPoint(X[t]))))
+    return np.array(rows).reshape(-1, 2)
+
+
 def distance_ratio_audit(state: SurfaceState, pairs: int = 300, seed: int = 0,
                          mesh_slack: float | None = None) -> AuditReport:
     """Spatial distance over graph distance on random vertex pairs: pinched
@@ -216,25 +244,10 @@ def distance_ratio_audit(state: SurfaceState, pairs: int = 300, seed: int = 0,
     _require_converged(state)
     if mesh_slack is None:
         mesh_slack = 0.1 * max(1.0, (24.0 / state.mesh.rings) ** 1.5)
-    rng = np.random.default_rng(seed)
-    form = state.form
-    G = _edge_graph(state)
-    inter = np.flatnonzero(state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS))
     n_src = max(4, min(24, pairs // 12))
-    sources = rng.choice(inter, size=n_src, replace=False)
-    dist = dijkstra(G, directed=False, indices=sources)
-    ratios = []
-    for row, src in enumerate(sources):
-        targets = rng.choice(inter, size=max(2, pairs // n_src), replace=False)
-        for t in targets:
-            if t == src:
-                continue
-            d_graph = dist[row, t]
-            if not np.isfinite(d_graph) or d_graph < 0.3:
-                continue
-            eth = spatial_distance(form, HPoint(state.positions[src]), HPoint(state.positions[t]))
-            ratios.append(eth / d_graph)
-    ratios = np.array(ratios)
+    d_graph, eth = _distance_pairs(state, np.random.default_rng(seed), n_src,
+                                   max(2, pairs // n_src)).T
+    ratios = eth / d_graph
     rmin, rmax = float(np.min(ratios)), float(np.max(ratios))
     hi = np.sqrt(2.0) * (1.0 + mesh_slack)
     lo = 1.0 / (1.0 + mesh_slack)
@@ -630,41 +643,33 @@ def barbot_degeneration(loop: LipschitzLoop, crown: BarbotCrown, iters: int = 60
     }
 
 
+def _ring_mean_K(state: SurfaceState, geo) -> np.ndarray:
+    """Mean Gauss curvature of each ring 0 .. rings - 2, NaN samples
+    ignored."""
+    ring = state.mesh.stencil.ring
+    return np.array([np.nanmean(geo.K[ring == i]) for i in range(state.mesh.rings - 1)])
+
+
 def asymptotic_hyperbolicity_audit(state: SurfaceState, tol_outer: float = 0.1,
                                    noise: float = 2e-2) -> AuditReport:
     """Ring profile of the curvature: the outermost audited ring must sit
     near -1 and |K+1| must not grow outward over the outer half."""
     _require_converged(state)
-    geo = discrete_geometry(state)
-    mesh = state.mesh
-    ring = mesh.stencil.ring
-    m = mesh.rings
-    ring_means = {}
-    for i in range(0, m - 1):
-        sel = ring == i
-        if np.any(sel):
-            ring_means[i] = float(np.nanmean(geo.K[sel]))
-    outer_ring = m - 2
-    outer_val = ring_means[outer_ring]
+    means = _ring_mean_K(state, discrete_geometry(state))
+    outer_val = float(means[-1])
     outer_ok = abs(outer_val + 1.0) <= tol_outer
-    half = [i for i in sorted(ring_means) if i >= m // 2 and i <= outer_ring]
-    mono_ok = True
-    prev = None
-    for i in half:
-        cur = abs(ring_means[i] + 1.0)
-        if prev is not None and cur > prev + noise:
-            mono_ok = False
-        prev = cur
+    gap = np.abs(means[state.mesh.rings // 2:] + 1.0)
+    mono_ok = not np.any(gap[1:] > gap[:-1] + noise)
     passed = outer_ok and mono_ok
     return AuditReport(
         name="asymptotic_hyperbolicity",
         values={"outer_ring_mean_K": outer_val,
-                "ring_means": {str(k): v for k, v in ring_means.items()},
+                "ring_means": {str(i): float(v) for i, v in enumerate(means)},
                 "monotone": mono_ok,
                 "c1_loop": bool(state.loop.c1) if state.loop is not None else False},
         thresholds={"outer_ring_mean_K": -1.0, "outer_tol": tol_outer, "noise": noise},
         passed=bool(passed),
-        samples=len(ring_means),
+        samples=len(means),
     )
 
 
@@ -738,10 +743,49 @@ def hessian_audit(state: SurfaceState, z, samples: int = 200, seed: int = 0,
     )
 
 
-ALL_AUDITS = {
-    "rigidity": rigidity_audit,
-    "gradient": gradient_audit,
-    "distance_ratio": distance_ratio_audit,
-    "gromov": gromov_audit,
-    "asymptotic_hyperbolicity": asymptotic_hyperbolicity_audit,
+@dataclass(frozen=True)
+class RegisteredAudit:
+    """An audit as `audit` runs it from a state and a seed.
+
+    `run(state, seed)` returns the AuditReport. It reaches the audit through
+    this module's global name at call time, so a function patched on the
+    module is the one that runs. `needs_loop` marks audits that need the
+    loop attached to the state; `artifact` names the extra file the audit
+    writes, whose text is the report's `artifact_text`."""
+
+    run: Callable[[SurfaceState, int], AuditReport]
+    needs_loop: bool = False
+    artifact: str | None = None
+
+
+def boundary_extension_audit(state: SurfaceState, seed: int) -> AuditReport:
+    """`boundary_extension` as an audit: passes when the certificate's B is
+    finite; the certificate itself is the report's artifact."""
+    _, cert = boundary_extension(state, seed=seed)
+    return AuditReport(
+        name="boundary_extension",
+        values={"A": cert.A, "B_measured": cert.B,
+                "quadruples_tested": cert.quadruples_tested},
+        thresholds={"B_finite": True},
+        passed=bool(np.isfinite(cert.B)),
+        samples=cert.quadruples_tested,
+        seed=seed,
+        artifact_text=cert.to_json() + "\n",
+    )
+
+
+# Every audit the CLI can run, by name.
+AUDITS = {
+    "rigidity": RegisteredAudit(lambda state, seed: rigidity_audit(state)),
+    "gradient": RegisteredAudit(lambda state, seed: gradient_audit(state, seed=seed)),
+    "distance_ratio": RegisteredAudit(lambda state, seed: distance_ratio_audit(state, seed=seed)),
+    "gromov": RegisteredAudit(lambda state, seed: gromov_audit(state, seed=seed)),
+    "asymptotic_hyperbolicity": RegisteredAudit(
+        lambda state, seed: asymptotic_hyperbolicity_audit(state)),
+    "hessian": RegisteredAudit(
+        lambda state, seed: hessian_audit(state, state.loop.boundary_point(0.0), seed=seed),
+        needs_loop=True),
+    "boundary_extension": RegisteredAudit(
+        lambda state, seed: boundary_extension_audit(state, seed),
+        needs_loop=True, artifact="qs_certificate.json"),
 }

@@ -487,19 +487,20 @@ def photon_arc(loop: LipschitzLoop, tol: float = 1e-8) -> list[tuple[int, int]]:
     k = loop.size
     dots = np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0)
     rigid = np.arccos(dots) >= _circle_dist_matrix(loop.thetas) - tol
-
-    def window_rigid(i: int, j_len: int) -> bool:
-        idx = [(i + t) % k for t in range(j_len + 1)]
-        sub = rigid[np.ix_(idx, idx)]
-        return bool(np.all(sub))
-
-    # longest rigid window starting at each sample
-    best = np.zeros(k, dtype=int)
-    for i in range(k):
-        ln = 0
-        while ln + 1 < k and window_rigid(i, ln + 1):
-            ln += 1
-        best[i] = ln
+    # a window is rigid when every pair is, read in both orders
+    rigid = rigid & rigid.T
+    # A rigid window grows by one sample exactly when the new sample is
+    # rigid against every sample of the window, a prefix of its row read
+    # backwards: back[r] is the longest t with rigid[r, r - 1 .. r - t].
+    offsets = np.arange(k)
+    rows = np.arange(k)[:, None]
+    behind = rigid[rows, (rows - offsets) % k]
+    back = np.logical_and.accumulate(behind, axis=1).sum(axis=1) - 1
+    # the longest rigid window starting at each sample, capped at k - 1
+    # steps: the window from i reaches i + t while back[i + t] >= t
+    steps = offsets[1:]
+    grows = back[(rows + steps) % k] >= steps
+    best = np.logical_and.accumulate(grows, axis=1).sum(axis=1)
     arcs = []
     for i in range(k):
         if best[i] == 0:

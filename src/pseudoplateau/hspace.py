@@ -21,7 +21,7 @@ from .qcore import (
     consistent_lifts,
     subspace_signature,
 )
-from .einstein import BarbotCrown, BoundaryPoint, ChartDomainError, LipschitzLoop
+from .einstein import BarbotCrown, BoundaryPoint, LipschitzLoop
 
 
 class HorofunctionDomainError(GeometryError):
@@ -133,16 +133,7 @@ def ideal_barycenter(form: BilinearForm, triple) -> HPoint:
     if subspace_signature(form, reps).as_tuple() != (2, 1, 0):
         raise DegenerateTripleError("barycenter requires a positive triple")
     u = consistent_lifts(form, reps)
-    p01 = abs(form.inner(u[0], u[1]))
-    p02 = abs(form.inner(u[0], u[2]))
-    p12 = abs(form.inner(u[1], u[2]))
-    lam = np.array([
-        np.sqrt(p12 / (p01 * p02)),
-        np.sqrt(p02 / (p01 * p12)),
-        np.sqrt(p01 / (p02 * p12)),
-    ])
-    v = lam @ u
-    return normalize_hpoint(form, v)
+    return normalize_hpoint(form, barycenter_weights(form, u) @ u)
 
 
 def barycenter_weights(form: BilinearForm, triple) -> np.ndarray:
@@ -180,15 +171,6 @@ def pointed_plane_from_triple(form: BilinearForm, triple) -> PointedPlane:
     return PointedPlane(q_pt, U, W)
 
 
-def standard_pointed_plane(form: BilinearForm) -> PointedPlane:
-    """The plane spanned by the first three coordinates, marked at e3."""
-    d = form.dim
-    point = HPoint(np.eye(d)[2])
-    U = np.eye(d)[:2]
-    W = np.eye(d)[3:]
-    return PointedPlane(point, U, W)
-
-
 def _complement_basis(form: BilinearForm, rows: np.ndarray) -> np.ndarray:
     A = rows * form.signs
     _, sv, vh = np.linalg.svd(A)
@@ -203,37 +185,6 @@ def _complement_basis(form: BilinearForm, rows: np.ndarray) -> np.ndarray:
             raise GeometryError("complement is not negative definite")
         out.append(v / np.sqrt(-qv))
     return np.array(out)
-
-
-def radial_graph(form: BilinearForm, plane: PointedPlane, p: HPoint, w, atol: float = 1e-8) -> HPoint:
-    """The point (p + w) / sqrt(1 - q(w)) for p on the plane and w in the
-    negative-definite fiber direction; q = -1 holds identically."""
-    wv = _as_vector(w)
-    qw = form.q(wv)
-    if qw > atol:
-        raise GeometryError("fiber displacement must have q <= 0")
-    for row in plane.W:
-        if abs(form.inner(p.rep, row)) > atol:
-            raise GeometryError("base point must lie on the plane")
-    if abs(form.inner(wv, plane.point.rep)) > atol or np.max(np.abs((plane.U * form.signs) @ wv)) > atol:
-        raise GeometryError("displacement must be q-orthogonal to the plane")
-    return HPoint((p.rep + wv) / np.sqrt(1.0 - qw))
-
-
-def radial_project(form: BilinearForm, plane: PointedPlane, x: HPoint, tol: float = 1e-10):
-    """Invert the radial graph: split x into its plane component and fiber
-    displacement; defined only where the plane component is timelike."""
-    q0 = plane.point.rep
-    c_t = -form.inner(x.rep, q0)
-    c_u = (plane.U * form.signs) @ x.rep
-    v = c_t * q0 + c_u @ plane.U
-    qv = form.q(v)
-    if qv >= -tol:
-        raise ChartDomainError("plane component is not timelike; point is outside the radial chart")
-    s = np.sqrt(-qv)
-    wpart = (x.rep - v) / s
-    p = HPoint(v / s)
-    return p, wpart
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,21 @@ class DiskMesh:
         return [np.fromiter(sorted(s_), dtype=np.int64) for s_ in adj]
 
     @cached_property
+    def tangent_diffs(self) -> np.ndarray:
+        """The endpoints of the two difference directions of
+        `tangent_frames`, one row each for radial to, radial from, angular
+        to and angular from: central, one-sided at the rim, and across the
+        center along sectors 0 and s/4 at the center itself. Kept apart from
+        `stencil`, which the solver does not need."""
+        m, s = self.rings, self.sectors
+        v = self.vertex(1, 0) + np.arange(m * s).reshape(m, s)
+        rings = np.stack([np.vstack([v[1:], v[-1:]]), np.vstack([np.zeros((1, s), int), v[:-1]]),
+                          np.roll(v, -1, axis=1), np.roll(v, 1, axis=1)]).reshape(4, -1)
+        center = [[self.vertex(1, 0)], [self.vertex(1, s // 2)],
+                  [self.vertex(1, s // 4)], [self.vertex(1, (3 * s) // 4)]]
+        return np.hstack([center, rings])
+
+    @cached_property
     def stencil(self) -> StencilTable:
         """The stencil table, built on first use and kept with the mesh.
 
@@ -265,26 +280,7 @@ def _laplacian(form: BilinearForm, X: np.ndarray, mesh: DiskMesh):
 def tangent_frames(form: BilinearForm, X: np.ndarray, mesh: DiskMesh):
     """Structured per-vertex orthonormal tangent frames from central (or
     one-sided at the rim) difference directions."""
-    m, s = mesh.rings, mesh.sectors
-    nv = mesh.vertex_count
-    ta_to = np.zeros(nv, dtype=np.int64)
-    ta_from = np.zeros(nv, dtype=np.int64)
-    tb_to = np.zeros(nv, dtype=np.int64)
-    tb_from = np.zeros(nv, dtype=np.int64)
-    ta_to[0] = mesh.vertex(1, 0)
-    ta_from[0] = mesh.vertex(1, s // 2)
-    tb_to[0] = mesh.vertex(1, s // 4)
-    tb_from[0] = mesh.vertex(1, (3 * s) // 4)
-    for i in range(1, m + 1):
-        base = mesh.vertex(i, 0)
-        js = np.arange(s)
-        idx = base + js
-        ta_to[idx] = (mesh.vertex(i + 1, 0) + js) if i < m else (base + js)
-        ta_from[idx] = (mesh.vertex(i - 1, 0) + js) if i > 1 else 0
-        if i == m:
-            ta_from[idx] = mesh.vertex(m - 1, 0) + js
-        tb_to[idx] = base + (js + 1) % s
-        tb_from[idx] = base + (js - 1) % s
+    ta_to, ta_from, tb_to, tb_from = mesh.tangent_diffs
     ta = X[ta_to] - X[ta_from]
     tb = X[tb_to] - X[tb_from]
 

@@ -1,8 +1,8 @@
 """Scalar references for the batched boundary kernels.
 
 They work one quadruple, one point or one pair at a time, the way
-`crossratio.qs_certify`, `diagnostics._distance_to_crown` and the loop pair
-scans were computed before they were batched. Tests compare the batched
+`crossratio.qs_certify`, `diagnostics._distance_to_crown`, the loop pair
+scans and `einstein.photon_arc` were computed before they were batched. Tests compare the batched
 kernels against them.
 """
 
@@ -106,3 +106,28 @@ def worst_pair_reference(loop, floor=1e-4):
                 worst = r
                 pair = (i, j)
     return worst, pair
+
+
+def photon_arc_reference(loop, tol=1e-8):
+    """`photon_arc` growing each start's window one sample at a time and
+    testing the whole window's submatrix of the rigidity matrix."""
+    k = loop.size
+    dots = np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0)
+    rigid = np.arccos(dots) >= ein._circle_dist_matrix(loop.thetas) - tol
+
+    def window_rigid(i, length):
+        idx = [(i + t) % k for t in range(length + 1)]
+        return bool(np.all(rigid[np.ix_(idx, idx)]))
+
+    best = np.zeros(k, dtype=int)
+    for i in range(k):
+        ln = 0
+        while ln + 1 < k and window_rigid(i, ln + 1):
+            ln += 1
+        best[i] = ln
+    arcs = []
+    for i in range(k):
+        if best[i] == 0 or best[(i - 1) % k] >= best[i] + 1:
+            continue
+        arcs.append((i, (i + best[i]) % k))
+    return arcs

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pseudoplateau import cli
+from pseudoplateau import diagnostics as diag
 from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 
@@ -122,14 +123,13 @@ class TestMalformedInput:
 class TestAudit:
     def test_full_audit_passes(self, workdir, run_cli):
         res = run_cli("audit", "--state", "run/state.txt", "--loop", "wobble.loop",
-                      "--audits",
-                      "rigidity,gradient,distance_ratio,gromov,hessian,boundary_extension",
+                      "--audits", ",".join(diag.AUDITS),
                       "--seed", "3", "--out", "run", cwd=workdir)
         assert res.returncode == 0, res.stderr
         rep = json.loads((workdir / "run" / "audit_report.json").read_text())
         assert rep["passed"] is True
-        for name in ("rigidity", "gradient", "distance_ratio", "gromov", "hessian",
-                     "boundary_extension"):
+        assert sorted(rep["audits"]) == sorted(diag.AUDITS)
+        for name in diag.AUDITS:
             assert rep["audits"][name]["passed"] is True
         cert = json.loads((workdir / "run" / "qs_certificate.json").read_text())
         assert cert["A"] == 2.0 and cert["B_measured"] >= 1.0
@@ -143,6 +143,18 @@ class TestAudit:
         assert res.returncode == 2, res.stderr
         res = run_cli("audit", "--state", "rf/state.txt", "--out", "rf", cwd=workdir)
         assert res.returncode == 3, res.stderr
+
+    @pytest.mark.parametrize("audits,loop", [("rigidity,no_such_audit", True),
+                                             ("rigidity,hessian", False)],
+                             ids=["unknown_name", "hessian_without_loop"])
+    def test_rejected_request_runs_no_audit(self, workdir, run_cli, audits, loop):
+        # the whole request is checked before the first audit runs
+        args = ("audit", "--state", "run/state.txt", "--audits", audits, "--out", "rejected")
+        res = run_cli(*args, *(("--loop", "wobble.loop") if loop else ()), cwd=workdir)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error:")
+        assert "audit rigidity:" not in res.stdout
+        assert not (workdir / "rejected" / "audit_report.json").exists()
 
     def test_missing_state_exit_three(self, workdir, run_cli):
         res = run_cli("audit", "--state", "missing.txt", "--out", "x", cwd=workdir)

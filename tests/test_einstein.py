@@ -10,6 +10,8 @@ from pseudoplateau.qcore import (
 )
 from pseudoplateau import einstein as ein
 
+from boundary_reference import photon_arc_reference
+
 
 FORM1 = BilinearForm(1)
 FORM2 = BilinearForm(2)
@@ -282,6 +284,30 @@ class TestLoops:
         loop = ein.crown_loop(crown)
         assert ein.loop_classify(loop) == "semipositive"
         assert len(ein.photon_arc(loop)) == 4
+
+    @pytest.mark.parametrize("case", ["crown1", "crown2", "arc0.2", "arc0.33", "arc0.6",
+                                      "arc0.95", "uneven17", "uneven64", "uneven200",
+                                      "uneven512", "constant"])
+    def test_photon_arc_matches_window_reference(self, case):
+        if case.startswith("crown"):
+            loop = ein.crown_loop(ein.barbot_crown_standard(int(case[-1])))
+        elif case.startswith("arc"):
+            slope = float(case[3:])
+            th = np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False)
+            phi = np.where(th <= np.pi / 2.0, th, np.pi / 2.0 - (th - np.pi / 2.0) * slope)
+            loop = ein.LipschitzLoop(th, np.column_stack([np.cos(phi), np.sin(phi)]))
+        elif case.startswith("uneven"):
+            # uneven gaps; rigid on [0.5, 1.7] and [3.5, 4.1] and contracting
+            # back at rate 1.8 / (2 pi - 1.8) elsewhere, so windows start and
+            # stop at odd samples
+            k = int(case[6:])
+            th = np.sort(np.random.default_rng(k).uniform(0.0, 2.0 * np.pi, k))
+            rigid = np.clip(th - 0.5, 0.0, 1.2) + np.clip(th - 3.5, 0.0, 0.6)
+            phi = rigid - (th - rigid) * 1.8 / (2.0 * np.pi - 1.8)
+            loop = ein.LipschitzLoop(th, np.column_stack([np.cos(phi), np.sin(phi)]))
+        else:
+            loop = constant_loop()
+        assert ein.photon_arc(loop) == photon_arc_reference(loop)
 
     def test_circle_dist_matrix_matches_scalar(self):
         # uneven gaps, including pairs across 0 and pairs near pi apart

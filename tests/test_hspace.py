@@ -170,38 +170,6 @@ class TestPointedPlane:
             assert np.max(np.abs(recon - p.rep)) < 1e-9
 
 
-class TestRadialGraph:
-    def test_zero_displacement(self):
-        plane = hs.standard_pointed_plane(FORM2)
-        p = hs.geodesic_disk_point(FORM2, 1.1, 0.7)
-        x = hs.radial_graph(FORM2, plane, p, np.zeros(FORM2.dim))
-        assert np.allclose(x.rep, p.rep)
-
-    def test_normalisation_identity(self):
-        plane = hs.standard_pointed_plane(FORM2)
-        p = hs.geodesic_disk_point(FORM2, 0.9, 0.2)
-        w = plane.W[0] * np.sqrt(3.0)  # q(w) = -3
-        x = hs.radial_graph(FORM2, plane, p, w)
-        assert FORM2.q(x.rep) == pytest.approx(-1.0, abs=1e-14)
-        # normalisation factor 1/2
-        assert np.allclose(x.rep, (p.rep + w) / 2.0)
-
-    def test_round_trip(self):
-        plane = hs.standard_pointed_plane(FORM2)
-        p = hs.geodesic_disk_point(FORM2, 1.4, 2.2)
-        w = 0.8 * plane.W[0] + 0.3 * plane.W[1]
-        x = hs.radial_graph(FORM2, plane, p, w)
-        p2, w2 = hs.radial_project(FORM2, plane, x)
-        assert np.max(np.abs(p2.rep - p.rep)) < 1e-12
-        assert np.max(np.abs(w2 - w)) < 1e-12
-
-    def test_project_rejects_spacelike_component(self):
-        plane = hs.standard_pointed_plane(FORM1)
-        x = hs.cylinder_point(FORM1, 2.0, 0.0, np.array([0.0, 1.0]))
-        with pytest.raises(ein.ChartDomainError):
-            hs.radial_project(FORM1, plane, x)
-
-
 class TestBarbotSurface:
     def test_unit_timelike_everywhere(self):
         crown = ein.barbot_crown_standard(2)

@@ -65,6 +65,19 @@ class TestMesh:
             cyc = [table.nxt[v][k] for k in range(len(star))]
             assert cyc == [(k + 1) % len(star) for k in range(len(star))]
 
+    @pytest.mark.parametrize("rings,sectors", [(2, 3), (5, 9), (24, 72)])
+    def test_tangent_diffs_hold_the_frame_differences(self, rings, sectors):
+        mesh = pl.DiskMesh(rings, sectors, 1.0)
+        s = sectors
+        want = [[mesh.vertex(1, 0), mesh.vertex(1, s // 2),
+                 mesh.vertex(1, s // 4), mesh.vertex(1, (3 * s) // 4)]]
+        for i in range(1, rings + 1):
+            for j in range(s):
+                # radial: one-sided at the rim, from the center on ring 1
+                want.append([mesh.vertex(min(i + 1, rings), j), mesh.vertex(i - 1, j),
+                             mesh.vertex(i, j + 1), mesh.vertex(i, j - 1)])
+        assert np.array_equal(mesh.tangent_diffs.T, np.array(want))
+
     def test_every_interior_vertex_has_full_fan(self):
         mesh = pl.DiskMesh(6, 18, 2.0)
         # each interior vertex's star closes up: sum of incident face angles
