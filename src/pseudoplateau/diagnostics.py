@@ -80,7 +80,11 @@ def _boundary_points(state: SurfaceState, count: int, rng: np.random.Generator):
     mesh = state.mesh
     base = mesh.vertex(mesh.rings, 0)
     idx = rng.integers(0, mesh.sectors, size=count)
-    return [boundary_point(state.form, state.positions[base + i]) for i in idx]
+    # a rim vertex lies on q = -1; its class (u/|u|, v/|v|) is isotropic
+    X = state.positions[base + idx]
+    classes = np.hstack([X[:, :2] / np.linalg.norm(X[:, :2], axis=1)[:, None],
+                         X[:, 2:] / np.linalg.norm(X[:, 2:], axis=1)[:, None]])
+    return [boundary_point(state.form, x) for x in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +333,10 @@ def _gauss_newton(residual, x: np.ndarray, tol: float) -> np.ndarray:
 
     `residual(x)` returns the residual vector and its sparse Jacobian, or
     raises FlatteningError at an inadmissible x, which rejects the trial
-    step like a residual increase does."""
+    step like a residual increase does.
+
+    J^T J is symmetric positive definite, so it is factored in symmetric
+    mode: minimum degree on its own pattern and diagonal pivots."""
     r, J = residual(x)
     step = None
     for _ in range(GAUSS_NEWTON_TRIALS):
@@ -337,7 +344,9 @@ def _gauss_newton(residual, x: np.ndarray, tol: float) -> np.ndarray:
             return x
         if step is None:
             Jt = J.T.tocsc()
-            step, t = splu((Jt @ J).tocsc()).solve(Jt @ r), 1.0
+            # the factor is not kept: held into the next step, two would be alive at once
+            step, t = splu((Jt @ J).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True}).solve(Jt @ r), 1.0
         try:
             r_t, J_t = residual(x - t * step)
         except FlatteningError:

@@ -678,6 +678,8 @@ def _parse_loop(text: str) -> LipschitzLoop:
     n = int(fields["n"])
     k = int(fields["samples"])
     c1 = fields.get("c1", "0") == "1"
+    if k < 3:
+        raise InvalidLoopError(f"a loop needs at least three samples, header promises {k}")
     if len(lines) - 1 != k:
         raise InvalidLoopError(f"header promises {k} samples, file has {len(lines) - 1}")
     # check the field counts before the header's n sizes any array
@@ -689,6 +691,8 @@ def _parse_loop(text: str) -> LipschitzLoop:
     fibers = np.zeros((k, n + 1))
     for i, toks in enumerate(rows):
         vals = [float(t) for t in toks]
+        if not np.all(np.isfinite(vals)):
+            raise InvalidLoopError(f"sample line {i} has a non-finite value")
         thetas[i] = vals[0]
         f = np.array(vals[1:])
         nf = np.linalg.norm(f)

@@ -27,7 +27,6 @@ from .einstein import (
     from_graph_sample,
     loop_classify,
     photon_arc,
-    _slerp,
 )
 from .hspace import barbot_surface_point, cylinder_point
 
@@ -243,10 +242,11 @@ def faces_spacelike(form: BilinearForm, X: np.ndarray, faces: np.ndarray, floor:
     return bool(np.all(good)), good
 
 
-def _cotan_matrix(form: BilinearForm, X: np.ndarray, mesh: DiskMesh):
-    """Cotangent weight matrix, its row sums, and barycentric vertex areas."""
+def _cotan_matrix(grams, mesh: DiskMesh):
+    """Cotangent weight matrix, its row sums, and barycentric vertex areas,
+    from the face Gram entries of `face_grams`."""
     faces = mesh.faces
-    a, b, c, det = face_grams(form, X, faces)
+    a, b, c, det = grams
     bad = det <= 0
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -267,14 +267,6 @@ def _cotan_matrix(form: BilinearForm, X: np.ndarray, mesh: DiskMesh):
     np.add.at(omega, faces[:, 1], area / 3.0)
     np.add.at(omega, faces[:, 2], area / 3.0)
     return W, deg, omega
-
-
-def _laplacian(form: BilinearForm, X: np.ndarray, mesh: DiskMesh):
-    """Cotangent-weight Laplacian from the induced metrics: returns the
-    defect Delta x per vertex and the barycentric vertex areas."""
-    W, deg, omega = _cotan_matrix(form, X, mesh)
-    lap = (W @ X - deg[:, None] * X) / omega[:, None]
-    return lap, omega
 
 
 def tangent_frames(form: BilinearForm, X: np.ndarray, mesh: DiskMesh):
@@ -305,19 +297,24 @@ def tangent_frames(form: BilinearForm, X: np.ndarray, mesh: DiskMesh):
 def mean_curvature_residual(state: SurfaceState) -> np.ndarray:
     """Per-vertex normal defect of Delta x = 2x; zero rows on the pinned
     boundary ring, whose one-sided Laplacian carries no information."""
-    form = state.form
     X = state.positions
-    lap, _ = _laplacian(form, X, state.mesh)
-    d = lap - 2.0 * X
-    e1, e2 = tangent_frames(form, X, state.mesh)
+    return _residual(state.form, X, state.mesh, face_grams(state.form, X, state.mesh.faces))[0]
+
+
+def _residual(form: BilinearForm, X: np.ndarray, mesh: DiskMesh, grams):
+    """The residual of `mean_curvature_residual` from the face Gram entries
+    of X, with the cotangent assembly (W, deg, omega) it was computed from."""
+    W, deg, omega = _cotan_matrix(grams, mesh)
+    d = (W @ X - deg[:, None] * X) / omega[:, None] - 2.0 * X
+    e1, e2 = tangent_frames(form, X, mesh)
     rho = (
         d
         + form.inner_rows(d, X)[:, None] * X
         - form.inner_rows(d, e1)[:, None] * e1
         - form.inner_rows(d, e2)[:, None] * e2
     )
-    rho[state.mesh.boundary_mask()] = 0.0
-    return rho
+    rho[mesh.boundary_mask()] = 0.0
+    return rho, (W, deg, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -433,22 +430,30 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
                 X = base.copy()
                 break
     else:
-        bd = np.array([cylinder_point(form, R, th, loop.fiber_at(th)).rep for th in thetas])
-        bd_fibers = bd[:, 2:] / np.linalg.norm(bd[:, 2:], axis=1)[:, None]
+        # the points sinh(r) (cos t, sin t, 0) + cosh(r) (0, 0, v) of
+        # `cylinder_point`, one array per ring
+        grid = X[1:].reshape(m, s, form.dim)
+        rim = np.cosh(R) * np.array([loop.fiber_at(th) for th in thetas])
+        grid[-1, :, 0] = np.sinh(R) * np.cos(thetas)
+        grid[-1, :, 1] = np.sinh(R) * np.sin(thetas)
+        grid[-1, :, 2:] = rim
         vbar = _mean_fiber(loop)
         X[0] = cylinder_point(form, 0.0, 0.0, vbar).rep
-        for i in range(1, m + 1):
-            r = R * i / m
-            # taper the fiber with slope below 1/cosh(r), which keeps the
-            # rays spacelike for strictly contracting boundary data
-            frac = np.tanh(r) / np.tanh(R)
-            base = mesh.vertex(i, 0)
-            for j in range(s):
-                if i == m:
-                    X[base + j] = bd[j]
-                else:
-                    fib = _slerp(vbar, bd_fibers[j], frac)
-                    X[base + j] = cylinder_point(form, r, thetas[j], fib).rep
+        # taper each ray's fiber from vbar to the rim fiber by a slerp with
+        # slope below 1/cosh(r), which keeps the rays spacelike for strictly
+        # contracting boundary data
+        r = R * np.arange(1, m) / m
+        frac = (np.tanh(r) / np.tanh(R))[:, None, None]
+        g = rim / np.linalg.norm(rim, axis=1)[:, None]
+        ang = np.arccos(np.clip(g @ vbar, -1.0, 1.0))[:, None]
+        near = ang < 1e-12
+        sin_ang = np.sin(np.where(near, 1.0, ang))
+        arc = (np.sin((1.0 - frac) * ang) * vbar + np.sin(frac * ang) * g) / sin_ang
+        chord = (1.0 - frac) * vbar + frac * g
+        chord /= np.linalg.norm(chord, axis=-1, keepdims=True)
+        grid[:-1, :, 0] = np.outer(np.sinh(r), np.cos(thetas))
+        grid[:-1, :, 1] = np.outer(np.sinh(r), np.sin(thetas))
+        grid[:-1, :, 2:] = np.cosh(r)[:, None, None] * np.where(near, chord, arc)
     ok, good = faces_spacelike(form, X, mesh.faces)
     if not ok:
         idx = int(np.argmin(good))
@@ -484,27 +489,28 @@ def barbot_state(form: BilinearForm, crown: BarbotCrown, m: int, s: int, R: floa
 # Solver
 
 
-def _flow_step(form: BilinearForm, mesh: DiskMesh, X: np.ndarray, rho: np.ndarray,
-               free: np.ndarray, dt: float, method: str) -> np.ndarray:
-    """One step of the residual flow x' = x + dt rho, integrated either
-    explicitly or with the frozen cotangent operator implicit. The implicit
-    variant damps the stiff spatial modes that a single global explicit
-    step cannot resolve on a graded polar mesh; its fixed points (rho = 0)
-    are the same."""
-    if method == "explicit":
-        Xn = X.copy()
-        Xn[free] = X[free] + dt * rho[free]
-        return Xn
-    W, deg, omega = _cotan_matrix(form, X, mesh)
-    nv = mesh.vertex_count
-    L = sp.diags(deg) - W
-    A = (L + sp.diags((2.0 + 1.0 / dt) * omega)).tocsc()
-    idx = np.flatnonzero(free)
-    A_ff = A[idx][:, idx]
-    rhs = (omega[:, None] * rho)[idx]
-    delta = sp.linalg.splu(A_ff).solve(rhs)
+def _flow_operator(assembly, idx: np.ndarray, dt: float):
+    """LU factor of the implicit flow operator A = L + (2 + 1/dt) Omega on
+    the free vertices `idx`, with the cotangent Laplacian L and the vertex
+    areas Omega of `assembly`. A is symmetric, so its columns are ordered
+    by minimum degree on A + A^T."""
+    W, deg, omega = assembly
+    A = (sp.diags(deg + (2.0 + 1.0 / dt) * omega) - W).tocsr()
+    return sp.linalg.splu(A[idx][:, idx].tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+def _flow_step(X: np.ndarray, rho: np.ndarray, omega: np.ndarray, idx: np.ndarray,
+               dt: float, lu) -> np.ndarray:
+    """One step of the residual flow x' = x + dt rho on the free vertices
+    `idx`: explicit when `lu` is None, else implicit, solving the factor of
+    `_flow_operator` against Omega rho. The implicit variant damps the stiff
+    spatial modes that a single global explicit step cannot resolve on a
+    graded polar mesh; its fixed points (rho = 0) are the same."""
     Xn = X.copy()
-    Xn[idx] = X[idx] + delta
+    if lu is None:
+        Xn[idx] += dt * rho[idx]
+    else:
+        Xn[idx] += lu.solve((omega[:, None] * rho)[idx])
     return Xn
 
 
@@ -513,34 +519,45 @@ def plateau_solve(state: SurfaceState, tol: float = 1e-6, max_iter: int = 20000,
     """Damped flow of the maximality defect on unpinned vertices, with the
     quadric normalisation re-imposed each step. The step halves (with
     revert) whenever a face loses spacelikeness or the residual jumps,
-    grows 1.1x after 20 clean steps, and is capped at dt0."""
+    grows 1.1x after 20 clean steps, and is capped at dt0.
+
+    The implicit operator is factored once per step size, at the positions
+    where that step size is first used, and every step until dt changes
+    solves against that factor; convergence is judged on the residual of
+    each new state."""
     if method not in ("implicit", "explicit"):
         raise GeometryError(f"unknown solver method {method!r}")
     out = state.copy()
-    form = out.form
+    form, mesh = out.form, out.mesh
     X = out.positions
-    free = ~out.pinned
+    idx = np.flatnonzero(~out.pinned)
     dt = dt0
     halvings = 0
+    factorisations = 0
+    lu, lu_dt = None, None
     dt_min = dt0
     clean = 0
-    rho = mean_curvature_residual(out)
+    rho, assembly = _residual(form, X, mesh, face_grams(form, X, mesh.faces))
     rmax = float(np.max(np.linalg.norm(rho, axis=1)))
     hist = [rmax]
     it = 0
     converged = rmax < tol
     while it < max_iter and not converged:
         it += 1
-        Xnew = _flow_step(form, out.mesh, X, rho, free, dt, method)
+        if method == "implicit" and dt != lu_dt:
+            lu = None  # free the old factor before the new one is made
+            lu, lu_dt = _flow_operator(assembly, idx, dt), dt
+            factorisations += 1
+        Xnew = _flow_step(X, rho, assembly[2], idx, dt, lu)
         qn = form.inner_rows(Xnew, Xnew)
         ok = bool(np.all(qn < 0))
         if ok:
             Xnew = Xnew / np.sqrt(-qn)[:, None]
-            ok, _ = faces_spacelike(form, Xnew, out.mesh.faces)
+            grams = face_grams(form, Xnew, mesh.faces)
+            ok = bool(np.all((grams[0] > 0) & (grams[3] > 0)))
         if ok:
-            trial = SurfaceState(mesh=out.mesh, positions=Xnew, pinned=out.pinned, form=form)
             try:
-                rho_new = mean_curvature_residual(trial)
+                rho_new, assembly_new = _residual(form, Xnew, mesh, grams)
             except FaceError:
                 ok = False
         if ok:
@@ -555,8 +572,7 @@ def plateau_solve(state: SurfaceState, tol: float = 1e-6, max_iter: int = 20000,
             if dt < 1e-8:
                 raise SolverError("step size collapsed below 1e-8 without a spacelike step")
             continue
-        X = Xnew
-        rho = rho_new
+        X, rho, assembly = Xnew, rho_new, assembly_new
         rmax = rmax_new
         hist.append(rmax)
         clean += 1
@@ -570,7 +586,8 @@ def plateau_solve(state: SurfaceState, tol: float = 1e-6, max_iter: int = 20000,
     out.final_residual = rmax
     stride = max(1, len(hist) // 200)
     out.residual_history = [float(h) for h in hist[::stride]]
-    out.dt_summary = {"final": dt, "min": dt_min, "initial": dt0, "halvings": halvings, "method": method}
+    out.dt_summary = {"final": dt, "min": dt_min, "initial": dt0, "halvings": halvings,
+                      "factorisations": factorisations, "method": method}
     return out
 
 
@@ -748,10 +765,9 @@ def state_dumps(state: SurfaceState) -> str:
         f"{STATE_HEADER} n={state.form.n} rings={mesh.rings} "
         f"sectors={mesh.sectors} R={mesh.radius!r} converged={int(state.converged)}\n"
     )
-    ring, sec = mesh.stencil.ring, mesh.stencil.sector
-    for v in range(mesh.vertex_count):
-        coords = " ".join(repr(float(x)) for x in state.positions[v])
-        out.write(f"{ring[v]} {sec[v]} {coords} {int(state.pinned[v])}\n")
+    rows = zip(mesh.stencil.ring.tolist(), mesh.stencil.sector.tolist(),
+               state.positions.tolist(), state.pinned.tolist())
+    out.writelines(f"{i} {j} {' '.join(map(repr, x))} {int(p)}\n" for i, j, x, p in rows)
     return out.getvalue()
 
 

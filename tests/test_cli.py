@@ -137,6 +137,22 @@ class TestAudit:
         for csv in ("k_profile.csv", "gradient_hist.csv", "distance_scatter.csv"):
             assert (workdir / "run" / csv).exists()
 
+    def test_default_audits_without_loop_pass(self, workdir, run_cli):
+        # without --loop, gradient and gromov take boundary points from the
+        # projective classes of rim vertices
+        res = run_cli("audit", "--state", "run/state.txt", "--seed", "3", "--out", "noloop",
+                      cwd=workdir)
+        assert res.returncode == 0, res.stderr
+        res = run_cli("audit", "--state", "run/state.txt", "--loop", "wobble.loop",
+                      "--seed", "3", "--out", "withloop", cwd=workdir)
+        assert res.returncode == 0, res.stderr
+        rim, loop = (json.loads((workdir / d / "audit_report.json").read_text())["audits"]
+                     for d in ("noloop", "withloop"))
+        assert sorted(rim) == ["distance_ratio", "gradient", "gromov", "rigidity"]
+        assert all(rep["passed"] for rep in rim.values())
+        for key in ("min_grad_sq", "max_grad_sq"):
+            assert abs(rim["gradient"]["values"][key] - loop["gradient"]["values"][key]) <= 1e-3
+
     def test_unconverged_state_exit_three(self, workdir, run_cli):
         res = run_cli("solve", "--loop", "wobble.loop", "--rings", "12", "--sectors", "36",
                       "--radius", "2.5", "--max-iter", "0", "--out", "rf", cwd=workdir)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from pseudoplateau.qcore import BilinearForm
 from pseudoplateau import einstein as ein
@@ -213,6 +214,71 @@ class TestSolve:
             gaps[i: i + 256] = np.sqrt(d2.min(axis=1))
         assert np.max(gaps) < 1e-2
 
+    def test_returned_residual_is_the_true_residual(self, solved_wobble):
+        # the steps reuse a factor of the operator at older positions; the
+        # residual must still be that of the returned positions
+        rho = pl.mean_curvature_residual(solved_wobble)
+        assert np.max(np.linalg.norm(rho, axis=1)) == solved_wobble.final_residual
+        assert solved_wobble.final_residual < 1e-8
+
+    @staticmethod
+    def _count_factorisations(monkeypatch):
+        """Count splu calls and record the dt of every flow step."""
+        calls, dts = [], []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        step = pl._flow_step
+        monkeypatch.setattr(pl, "_flow_step", lambda *a: dts.append(a[4]) or step(*a))
+        return calls, dts
+
+    def test_factors_once_per_step_size(self, monkeypatch):
+        calls, dts = self._count_factorisations(monkeypatch)
+        out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-9)
+        assert out.converged and out.dt_summary["halvings"] == 0
+        assert set(dts) == {0.2}
+        assert len(calls) == out.dt_summary["factorisations"] == 1
+
+    def test_refactors_when_the_step_size_changes(self, monkeypatch):
+        calls, dts = self._count_factorisations(monkeypatch)
+        # reject the first trial step: dt halves, then grows back after
+        # every 20 clean steps
+        residual, evaluations = pl._residual, []
+
+        def reject_first_trial(*args):
+            evaluations.append(1)
+            if len(evaluations) == 2:
+                raise pl.FaceError("rejected")
+            return residual(*args)
+
+        monkeypatch.setattr(pl, "_residual", reject_first_trial)
+        out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-9)
+        assert out.converged and out.dt_summary["halvings"] == 1
+        changes = 1 + sum(a != b for a, b in zip(dts, dts[1:]))
+        assert len(calls) == out.dt_summary["factorisations"] == changes
+        assert changes >= 3
+
+    def test_explicit_method_never_factors(self, monkeypatch):
+        calls, _ = self._count_factorisations(monkeypatch)
+        out = pl.plateau_solve(pl.build_state(wobble_loop(k=64), 8, 24, 1.5), tol=1e-12,
+                               max_iter=5, method="explicit")
+        assert calls == [] and out.dt_summary["factorisations"] == 0
+
+    def test_threefold_wobble_solves_to_threefold_surface(self):
+        # f(t + 2pi/3) = f(t) on 144 samples: the rotation by a third of a
+        # turn maps the loop, the mesh and so the solved surface to itself
+        loop = wobble_loop(k=144)
+        out = pl.plateau_solve(pl.build_state(loop, 24, 72, 3.0), tol=1e-9)
+        assert out.converged
+        X = out.positions
+        c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
+        rotated = X.copy()
+        rotated[:, 0] = c * X[:, 0] - s * X[:, 1]
+        rotated[:, 1] = s * X[:, 0] + c * X[:, 1]
+        grid = 1 + np.arange(24 * 72).reshape(24, 72)
+        assert np.max(np.abs(X[np.roll(grid, -24, axis=1)] - rotated[grid])) <= 1e-8
+        assert np.max(np.abs(X[0] - rotated[0])) <= 1e-8
+
     def test_explicit_method_progresses(self):
         st = pl.build_state(wobble_loop(k=64), 8, 24, 1.5)
         r0 = np.max(np.linalg.norm(pl.mean_curvature_residual(st), axis=1))
@@ -350,6 +416,15 @@ class TestStateIO:
         lines = pl.state_dumps(st).splitlines()[1:]
         ij = [tuple(int(t) for t in ln.split()[:2]) for ln in lines]
         assert ij == [(0, 0)] + [(i, j) for i in range(1, 9) for j in range(24)]
+
+    def test_dumps_equal_per_vertex_formatting(self, solved_wobble):
+        st = solved_wobble
+        table = st.mesh.stencil
+        lines = pl.state_dumps(st).splitlines(keepends=True)
+        assert len(lines) == 1 + st.mesh.vertex_count
+        for v in range(st.mesh.vertex_count):
+            coords = " ".join(repr(float(x)) for x in st.positions[v])
+            assert lines[1 + v] == f"{table.ring[v]} {table.sector[v]} {coords} {int(st.pinned[v])}\n"
 
     def test_solve_report_is_json(self, solved_wobble):
         import json
