@@ -92,10 +92,13 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:
-        solved = pl.plateau_solve(state, tol=args.tol, max_iter=args.max_iter, dt0=args.dt0)
+        solved = pl.plateau_solve(state, tol=args.tol, max_iter=args.max_iter)
     except pl.SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
+    except GeometryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     os.makedirs(args.out, exist_ok=True)
     state_path = os.path.join(args.out, "state.txt")
     report_path = os.path.join(args.out, "solve_report.json")
@@ -204,7 +207,6 @@ def main(argv=None) -> int:
     p_solve.add_argument("--radius", type=float, default=3.0)
     p_solve.add_argument("--tol", type=float, default=1e-8)
     p_solve.add_argument("--max-iter", type=int, default=2000)
-    p_solve.add_argument("--dt0", type=float, default=0.2)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", required=True)
     p_solve.set_defaults(func=cmd_solve)

@@ -30,7 +30,6 @@ from .einstein import (
     tau_chart,
     transverse,
 )
-from .hspace import visual_distance
 
 
 class NonPositiveMapError(GeometryError):
@@ -38,10 +37,6 @@ class NonPositiveMapError(GeometryError):
 
 
 class InsufficientSamplesError(GeometryError):
-    pass
-
-
-class InsufficientSpreadError(GeometryError):
     pass
 
 
@@ -339,58 +334,12 @@ def qs_certify(form: BilinearForm, bmap: SampledBoundaryMap, A: float = 2.0,
                          worst_quadruple=worst, seed=int(rng_seed))
 
 
-def qs_rescale(A: float, B: float, C: float) -> float:
-    """Distortion constant after enlarging the cross-ratio window from A
-    to C, via the cocycle chain bound."""
-    if A <= 1.0 or B < 1.0 or C <= 1.0:
-        raise GeometryError("window constants must exceed 1 (and B >= 1)")
-    if C <= A:
-        return float(B)
-    return float(B ** (1.0 + math.log(C / A)))
-
-
 # ---------------------------------------------------------------------------
-# Semi-positive maps into flat R^{1,n}
+# Contraction of nested diamonds
 
 
 def _q1n(u: np.ndarray) -> float:
     return float(u[0] ** 2 - np.dot(u[1:], u[1:]))
-
-
-def semipositive_complete(xs, fs, tol: float = 1e-9, jump_factor: float = 20.0):
-    """One-sided completions of a semi-positive map sampled on a grid of an
-    interval: f_plus is the forward causal infimum, f_minus the backward
-    one; both agree with the input away from detected jumps."""
-    xs = np.asarray(xs, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    if xs.ndim != 1 or fs.shape[0] != xs.shape[0]:
-        raise GeometryError("mismatched sample arrays")
-    order = np.argsort(xs)
-    xs = xs[order]
-    fs = fs[order]
-    k = len(xs)
-    for i in range(k - 1):
-        d = fs[i + 1] - fs[i]
-        if _q1n(d) < -tol or d[0] < -tol:
-            raise GeometryError("input is not semi-positive on consecutive samples")
-    gaps = np.linalg.norm(np.diff(fs, axis=0), axis=1)
-    scale = np.median(gaps) if k > 2 else 0.0
-    jump = gaps > jump_factor * max(scale, 1e-300)
-    fplus = fs.copy()
-    fminus = fs.copy()
-    for i in range(k - 1):
-        if jump[i]:
-            # right limit at the left end of the gap is the value across it
-            # only when the sample sits on the left side of the jump
-            fminus[i + 1] = fs[i]
-    for i in range(k - 1, 0, -1):
-        if jump[i - 1]:
-            fplus[i - 1] = fs[i]
-    return fplus, fminus
-
-
-# ---------------------------------------------------------------------------
-# Contraction of nested diamonds
 
 
 @dataclass
@@ -521,85 +470,3 @@ def _lightlike_chord_ratio(form: BilinearForm, chart: MinkowskiChart, B: float,
     t_lo_end = solve(B, (1e-12, 0.5))
     measured = abs(t_hi_end - t_lo_end)
     return measured, formula
-
-
-# ---------------------------------------------------------------------------
-# Hoelder modulus
-
-
-def _mobius_to_reference(angles):
-    """PSL(2) matrix sending the three given circle parameters to the
-    equilateral reference parameters (0, 2pi/3, 4pi/3)."""
-    src = np.column_stack([angle_lift(t) for t in angles])
-    dst = np.column_stack([angle_lift(t) for t in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)])
-
-    def normalize(cols):
-        A = cols[:, :2]
-        coef = np.linalg.solve(A, cols[:, 2])
-        return A * coef
-
-    Ms = normalize(src)
-    Md = normalize(dst)
-    return Md @ np.linalg.inv(Ms)
-
-
-def source_visual_distance(mobius: np.ndarray, t1: float, t2: float) -> float:
-    """Angle distance on the circle after the triple normalisation."""
-    def push(t):
-        v = mobius @ angle_lift(t)
-        return 2.0 * np.arctan2(v[1], v[0])
-
-    d = abs(push(t1) - push(t2)) % (2.0 * np.pi)
-    return min(d, 2.0 * np.pi - d)
-
-
-@dataclass
-class HolderFit:
-    M: float
-    alpha: float
-    pairs: int
-
-
-def holder_estimate(form: BilinearForm, bmap: SampledBoundaryMap, tau0_angles,
-                    quantile: float = 0.99, max_pairs: int = 4000) -> HolderFit:
-    """Fit the one-sided modulus d_target <= M d_source^alpha over sampled
-    pairs: slope by least squares, envelope by the residual quantile."""
-    dom = bmap.domain
-    gaps = np.diff(np.concatenate([dom, [dom[0] + 2.0 * np.pi]]))
-    if np.max(gaps) > np.pi / 2.0:
-        raise InsufficientSpreadError("domain samples leave an arc wider than pi/2 uncovered")
-    mob = _mobius_to_reference(tau0_angles)
-    image_triple = []
-    for t in tau0_angles:
-        idx = int(np.argmin(np.abs((dom - t + np.pi) % (2 * np.pi) - np.pi)))
-        image_triple.append(bmap.images[idx])
-    k = bmap.size
-    rng_idx = []
-    step = max(1, (k * (k - 1) // 2) // max_pairs)
-    cnt = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if cnt % step == 0:
-                rng_idx.append((i, j))
-            cnt += 1
-    logs_src = []
-    logs_dst = []
-    for i, j in rng_idx:
-        ds = source_visual_distance(mob, dom[i], dom[j])
-        dt = visual_distance(form, [p.rep for p in image_triple], bmap.images[i], bmap.images[j])
-        if ds < 1e-9 or dt < 1e-9:
-            continue
-        logs_src.append(math.log(ds))
-        logs_dst.append(math.log(dt))
-    if len(logs_src) < 50:
-        raise InsufficientSpreadError("too few usable pairs for a modulus fit")
-    ls = np.array(logs_src)
-    ld = np.array(logs_dst)
-    if np.max(ls) - np.min(ls) < 1.0:
-        raise InsufficientSpreadError("pair distances span less than one decade")
-    slope, intercept = np.polyfit(ls, ld, 1)
-    if slope <= 0:
-        raise InsufficientSpreadError("fitted modulus exponent is not positive")
-    resid = ld - slope * ls
-    log_m = float(np.quantile(resid, quantile))
-    return HolderFit(M=float(np.exp(log_m)), alpha=float(slope), pairs=len(ls))

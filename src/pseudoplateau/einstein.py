@@ -130,23 +130,6 @@ def triple_class(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint, c: Boun
 
 
 @dataclass(frozen=True)
-class Photon:
-    basis: np.ndarray  # 2 x (n+3), spanning an isotropic plane
-
-
-def photon_through(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint) -> Photon:
-    if transverse(form, a, b):
-        raise NonTransverseError("points are transverse; no photon contains both")
-    if projectively_equal(a, b):
-        raise CoincidentPointsError("a photon needs two distinct points")
-    basis = np.vstack([a.rep, b.rep])
-    sig = subspace_signature(form, basis).as_tuple()
-    if sig != (0, 0, 2):
-        raise GeometryError(f"span is not an isotropic plane: signature {sig}")
-    return Photon(basis)
-
-
-@dataclass(frozen=True)
 class SpacelikeCircle:
     """Boundary of a totally geodesic hyperbolic plane: basis rows are
     (b1, b2) spacelike orthonormal and b3 with q = -1."""
@@ -170,15 +153,6 @@ def standard_circle(form: BilinearForm) -> SpacelikeCircle:
     basis[1, 1] = 1.0
     basis[2, 2] = 1.0
     return SpacelikeCircle(basis)
-
-
-def circle_through_triple(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint, c: BoundaryPoint) -> SpacelikeCircle:
-    if triple_class(form, a, b, c) != "positive":
-        raise DegenerateTripleError("only a positive triple spans a spacelike circle")
-    from .qcore import triple_frame
-
-    frame = triple_frame(form, [a.rep, b.rep, c.rep])
-    return SpacelikeCircle(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +312,6 @@ def in_closed_diamond(form: BilinearForm, triple, x: BoundaryPoint, tol: float =
     return bool(
         chart.q1n(lo) >= -tol and lo[0] >= -tol and chart.q1n(hi) >= -tol and hi[0] >= -tol
     )
-
-
-def diamond_distance(form: BilinearForm, triple, x: BoundaryPoint, y: BoundaryPoint,
-                     tol: float = 1e-9) -> float:
-    """Euclidean distance of the tau-chart preimages; defined on the diamond
-    of (b, c) avoiding a."""
-    chart = tau_chart(form, triple)
-    if not in_closed_diamond(form, triple, x, tol=max(tol, 1e-7)):
-        raise ChartDomainError("first point lies outside the diamond")
-    if not in_closed_diamond(form, triple, y, tol=max(tol, 1e-7)):
-        raise ChartDomainError("second point lies outside the diamond")
-    ux = minkowski_chart_inverse(form, chart, x)
-    uy = minkowski_chart_inverse(form, chart, y)
-    return float(np.linalg.norm(ux - uy))
 
 
 def quadruple_positive(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint,

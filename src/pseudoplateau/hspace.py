@@ -1,10 +1,9 @@
 """The pseudo-hyperbolic space H^{2,n}: unit-timelike lines of the form.
 
-Points are stored as q = -1 representatives; the sign quotient is resolved
-per-context against a base vector. Alongside points and distances, this
-module carries the analytic surfaces every numeric experiment is checked
-against: totally geodesic disks and the flat orbit surfaces spanned by
-photon quadrilaterals.
+Points are stored as q = -1 representatives. Alongside points, distances
+and horofunctions, this module carries the analytic surfaces every numeric
+experiment is checked against: totally geodesic disks and the flat orbit
+surfaces spanned by photon quadrilaterals.
 """
 
 from __future__ import annotations
@@ -13,15 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (
-    BilinearForm,
-    DegenerateTripleError,
-    GeometryError,
-    _as_vector,
-    consistent_lifts,
-    subspace_signature,
-)
-from .einstein import BarbotCrown, BoundaryPoint, LipschitzLoop
+from .qcore import BilinearForm, GeometryError, _as_vector
+from .einstein import BarbotCrown, LipschitzLoop
 
 
 class HorofunctionDomainError(GeometryError):
@@ -40,21 +32,6 @@ class HPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "rep", np.asarray(self.rep, dtype=float))
-
-    def lift_toward(self, base) -> np.ndarray:
-        """The lift with negative pairing against `base`."""
-        b = _as_vector(base)
-        val = float(np.dot(self.rep[:2], b[:2]) - np.dot(self.rep[2:], b[2:]))
-        return self.rep if val < 0 else -self.rep
-
-
-def normalize_hpoint(form: BilinearForm, raw) -> HPoint:
-    """Scale a timelike vector onto the q = -1 sheet."""
-    x = _as_vector(raw)
-    qx = form.q(x)
-    if qx >= 0:
-        raise GeometryError("vector is not timelike")
-    return HPoint(x / np.sqrt(-qx))
 
 
 def spatial_distance(form: BilinearForm, x: HPoint, y: HPoint) -> float:
@@ -82,13 +59,6 @@ def horofunction(form: BilinearForm, z, atol: float = 1e-8) -> Horofunction:
     if abs(form.q(z0)) > atol:
         raise GeometryError("horofunction vector must be isotropic")
     return Horofunction(z0)
-
-
-def horofunction_value(form: BilinearForm, h: Horofunction, x: HPoint, tol: float = 1e-12) -> float:
-    val = abs(form.inner(x.rep, h.z0))
-    if val <= tol:
-        raise HorofunctionDomainError("point is orthogonal to the horofunction vector")
-    return float(np.log(val))
 
 
 def check_frame(form: BilinearForm, frame: np.ndarray, atol: float = 1e-8) -> np.ndarray:
@@ -119,72 +89,6 @@ def horofunction_gradient(form: BilinearForm, h: Horofunction, x: HPoint, frame:
 def gradient_norm_sq(form: BilinearForm, h: Horofunction, x: HPoint, frame: np.ndarray) -> float:
     g = horofunction_gradient(form, h, x, frame)
     return form.q(g)
-
-
-# ---------------------------------------------------------------------------
-# Barycenters and pointed planes
-
-
-def ideal_barycenter(form: BilinearForm, triple) -> HPoint:
-    """The center of the ideal triangle spanned by a positive triple: the
-    normalised combination sum_i lambda_i u_i with the lambda weights chosen
-    so all pairwise products agree."""
-    reps = [_as_vector(t) for t in triple]
-    if subspace_signature(form, reps).as_tuple() != (2, 1, 0):
-        raise DegenerateTripleError("barycenter requires a positive triple")
-    u = consistent_lifts(form, reps)
-    return normalize_hpoint(form, barycenter_weights(form, u) @ u)
-
-
-def barycenter_weights(form: BilinearForm, triple) -> np.ndarray:
-    reps = consistent_lifts(form, [_as_vector(t) for t in triple])
-    p01 = abs(form.inner(reps[0], reps[1]))
-    p02 = abs(form.inner(reps[0], reps[2]))
-    p12 = abs(form.inner(reps[1], reps[2]))
-    return np.array([
-        np.sqrt(p12 / (p01 * p02)),
-        np.sqrt(p02 / (p01 * p12)),
-        np.sqrt(p01 / (p02 * p12)),
-    ])
-
-
-@dataclass(frozen=True)
-class PointedPlane:
-    """A totally geodesic hyperbolic plane with a marked point: the point,
-    a spacelike orthonormal 2-frame spanning its tangent plane, and the
-    negative-definite complement basis."""
-
-    point: HPoint
-    U: np.ndarray       # 2 x (n+3)
-    W: np.ndarray       # n x (n+3)
-
-
-def pointed_plane_from_triple(form: BilinearForm, triple) -> PointedPlane:
-    q_pt = ideal_barycenter(form, triple)
-    reps = consistent_lifts(form, [_as_vector(t) for t in triple])
-    u1 = form.project_out(reps[0], [q_pt.rep])
-    u1 = u1 / np.sqrt(form.q(u1))
-    u2 = form.project_out(reps[1], [q_pt.rep, u1])
-    u2 = u2 / np.sqrt(form.q(u2))
-    U = np.vstack([u1, u2])
-    W = _complement_basis(form, np.vstack([q_pt.rep, U]))
-    return PointedPlane(q_pt, U, W)
-
-
-def _complement_basis(form: BilinearForm, rows: np.ndarray) -> np.ndarray:
-    A = rows * form.signs
-    _, sv, vh = np.linalg.svd(A)
-    rank = int(np.sum(sv > 1e-12 * max(sv[0], 1.0)))
-    comp = vh[rank:]
-    # q-orthonormalise the (negative definite) complement
-    out = []
-    for vec in comp:
-        v = form.project_out(vec, out) if out else vec.copy()
-        qv = form.q(v)
-        if qv >= -1e-12:
-            raise GeometryError("complement is not negative definite")
-        out.append(v / np.sqrt(-qv))
-    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -240,29 +144,3 @@ def geodesic_disk_point(form: BilinearForm, r: float, theta: float) -> HPoint:
     f = np.zeros(form.dim - 2)
     f[0] = 1.0
     return cylinder_point(form, r, theta, f)
-
-
-# ---------------------------------------------------------------------------
-# Visual distance
-
-
-def visual_distance(form: BilinearForm, triple, x: BoundaryPoint, y: BoundaryPoint) -> float:
-    """Distance on the boundary in the Riemannian product metric of the
-    splitting attached to the triple's barycenter plane."""
-    plane = pointed_plane_from_triple(form, triple)
-    basis = np.vstack([plane.U, plane.point.rep, plane.W])
-
-    def split(p: BoundaryPoint):
-        coords = (basis * form.signs) @ p.rep
-        uu = coords[:2]
-        vv = -coords[2:]
-        return uu / np.linalg.norm(uu), vv / np.linalg.norm(vv)
-
-    ux, vx = split(x)
-    uy, vy = split(y)
-    du = np.arccos(np.clip(np.dot(ux, uy), -1.0, 1.0))
-    dv = np.arccos(np.clip(np.dot(vx, vy), -1.0, 1.0))
-    dup = np.arccos(np.clip(-np.dot(ux, uy), -1.0, 1.0))
-    dvp = np.arccos(np.clip(-np.dot(vx, vy), -1.0, 1.0))
-    # distance on the double cover, minimised over the common lift
-    return float(min(np.hypot(du, dv), np.hypot(dup, dvp)))

@@ -44,6 +44,9 @@ STAR_WIDTH = 8
 # The largest mesh `build_state` accepts, in vertices (1 + rings * sectors).
 MAX_VERTICES = 200_000
 
+# The first and largest step size of `plateau_solve`.
+INITIAL_DT = 0.2
+
 
 @dataclass(frozen=True)
 class StencilTable:
@@ -80,18 +83,15 @@ class DiskMesh:
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise GeometryError(f"mesh radius must be finite and positive, got {self.radius!r}")
         m, s = self.rings, self.sectors
-        faces = []
-        for j in range(s):
-            faces.append((0, self.vertex(1, j), self.vertex(1, j + 1)))
-        for i in range(2, m + 1):
-            for j in range(s):
-                v00 = self.vertex(i - 1, j)
-                v10 = self.vertex(i, j)
-                v11 = self.vertex(i, j + 1)
-                v01 = self.vertex(i - 1, j + 1)
-                faces.append((v00, v10, v11))
-                faces.append((v00, v11, v01))
-        object.__setattr__(self, "faces", np.asarray(faces, dtype=np.int64))
+        # the center fan, then per quad (ring i-1 to i, sector j to j+1) the
+        # triangles (v00, v10, v11) and (v00, v11, v01), ring by ring
+        v = self.vertex(1, 0) + np.arange(m * s, dtype=np.int64).reshape(m, s)
+        lo, hi = v[:-1], v[1:]
+        lo1, hi1 = np.roll(lo, -1, axis=1), np.roll(hi, -1, axis=1)
+        fan = np.column_stack([np.zeros(s, dtype=np.int64), v[0], np.roll(v[0], -1)])
+        quads = np.stack([np.stack([lo, hi, hi1], axis=-1), np.stack([lo, hi1, lo1], axis=-1)],
+                         axis=2)
+        object.__setattr__(self, "faces", np.vstack([fan, quads.reshape(-1, 3)]))
 
     @property
     def vertex_count(self) -> int:
@@ -108,13 +108,8 @@ class DiskMesh:
     def polar_grid(self):
         """Radii and angles of every vertex (center first)."""
         m, s = self.rings, self.sectors
-        r = np.zeros(self.vertex_count)
-        th = np.zeros(self.vertex_count)
-        thetas = 2.0 * np.pi * np.arange(s) / s
-        for i in range(1, m + 1):
-            base = self.vertex(i, 0)
-            r[base: base + s] = self.radius * i / m
-            th[base: base + s] = thetas
+        r = np.concatenate([[0.0], np.repeat(self.radius * np.arange(1, m + 1) / m, s)])
+        th = np.concatenate([[0.0], np.tile(2.0 * np.pi * np.arange(s) / s, m)])
         return r, th
 
     def boundary_mask(self) -> np.ndarray:
@@ -127,14 +122,6 @@ class DiskMesh:
         """Vertices at least `exclude_rings` rings away from the boundary."""
         ring = self.ring_of()
         return ring <= self.rings - 1 - exclude_rings
-
-    def neighbors(self) -> list[np.ndarray]:
-        adj = [set() for _ in range(self.vertex_count)]
-        for f in self.faces:
-            for a in range(3):
-                adj[f[a]].add(int(f[(a + 1) % 3]))
-                adj[f[a]].add(int(f[(a + 2) % 3]))
-        return [np.fromiter(sorted(s_), dtype=np.int64) for s_ in adj]
 
     @cached_property
     def tangent_diffs(self) -> np.ndarray:
@@ -408,11 +395,8 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
         # interior on the orbit surface, and push it off-surface by a fiber
         # rotation that dies at the rim, so the solve still has to contract
         # back onto the surface.
-        r_all, th_all = mesh.polar_grid()
-        base = np.zeros_like(X)
-        for v in range(mesh.vertex_count):
-            ss, tt = _barbot_ring_params(form, crown, r_all[v], th_all[v])
-            base[v] = barbot_surface_point(crown, ss, tt).rep
+        r_all, _ = mesh.polar_grid()
+        base = barbot_state(form, crown, m, s, R).positions
         bmask = mesh.boundary_mask()
         eps = 0.05
         while True:
@@ -500,42 +484,42 @@ def _flow_operator(assembly, idx: np.ndarray, dt: float):
 
 
 def _flow_step(X: np.ndarray, rho: np.ndarray, omega: np.ndarray, idx: np.ndarray,
-               dt: float, lu) -> np.ndarray:
-    """One step of the residual flow x' = x + dt rho on the free vertices
-    `idx`: explicit when `lu` is None, else implicit, solving the factor of
-    `_flow_operator` against Omega rho. The implicit variant damps the stiff
-    spatial modes that a single global explicit step cannot resolve on a
-    graded polar mesh; its fixed points (rho = 0) are the same."""
+               lu) -> np.ndarray:
+    """One implicit step of the residual flow x' = x + dt rho on the free
+    vertices `idx`, solving the factor `lu` of `_flow_operator` against
+    Omega rho. The implicit step damps the stiff spatial modes that a
+    single global explicit step cannot resolve on a graded polar mesh; its
+    fixed points (rho = 0) are the same."""
     Xn = X.copy()
-    if lu is None:
-        Xn[idx] += dt * rho[idx]
-    else:
-        Xn[idx] += lu.solve((omega[:, None] * rho)[idx])
+    Xn[idx] += lu.solve((omega[:, None] * rho)[idx])
     return Xn
 
 
-def plateau_solve(state: SurfaceState, tol: float = 1e-6, max_iter: int = 20000,
-                  dt0: float = 0.2, method: str = "implicit") -> SurfaceState:
-    """Damped flow of the maximality defect on unpinned vertices, with the
-    quadric normalisation re-imposed each step. The step halves (with
-    revert) whenever a face loses spacelikeness or the residual jumps,
-    grows 1.1x after 20 clean steps, and is capped at dt0.
+def plateau_solve(state: SurfaceState, tol: float = 1e-6, max_iter: int = 20000) -> SurfaceState:
+    """Damped implicit flow of the maximality defect on unpinned vertices,
+    with the quadric normalisation re-imposed each step. The step starts at
+    INITIAL_DT, halves (with revert) whenever a face loses spacelikeness or
+    the residual jumps, grows 1.1x after 20 clean steps, and is capped at
+    INITIAL_DT.
 
     The implicit operator is factored once per step size, at the positions
     where that step size is first used, and every step until dt changes
     solves against that factor; convergence is judged on the residual of
-    each new state."""
-    if method not in ("implicit", "explicit"):
-        raise GeometryError(f"unknown solver method {method!r}")
+    each new state. A tol that is not finite and positive, or a negative
+    max_iter, raises GeometryError."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise GeometryError(f"solver tolerance must be finite and positive, got {tol!r}")
+    if max_iter < 0:
+        raise GeometryError(f"iteration budget must not be negative, got {max_iter!r}")
     out = state.copy()
     form, mesh = out.form, out.mesh
     X = out.positions
     idx = np.flatnonzero(~out.pinned)
-    dt = dt0
+    dt = INITIAL_DT
     halvings = 0
     factorisations = 0
     lu, lu_dt = None, None
-    dt_min = dt0
+    dt_min = dt
     clean = 0
     rho, assembly = _residual(form, X, mesh, face_grams(form, X, mesh.faces))
     rmax = float(np.max(np.linalg.norm(rho, axis=1)))
@@ -544,11 +528,11 @@ def plateau_solve(state: SurfaceState, tol: float = 1e-6, max_iter: int = 20000,
     converged = rmax < tol
     while it < max_iter and not converged:
         it += 1
-        if method == "implicit" and dt != lu_dt:
+        if dt != lu_dt:
             lu = None  # free the old factor before the new one is made
             lu, lu_dt = _flow_operator(assembly, idx, dt), dt
             factorisations += 1
-        Xnew = _flow_step(X, rho, assembly[2], idx, dt, lu)
+        Xnew = _flow_step(X, rho, assembly[2], idx, lu)
         qn = form.inner_rows(Xnew, Xnew)
         ok = bool(np.all(qn < 0))
         if ok:
@@ -577,7 +561,7 @@ def plateau_solve(state: SurfaceState, tol: float = 1e-6, max_iter: int = 20000,
         hist.append(rmax)
         clean += 1
         if clean >= 20:
-            dt = min(dt * 1.1, dt0)
+            dt = min(dt * 1.1, INITIAL_DT)
             clean = 0
         converged = rmax < tol
     out.positions = X
@@ -586,8 +570,8 @@ def plateau_solve(state: SurfaceState, tol: float = 1e-6, max_iter: int = 20000,
     out.final_residual = rmax
     stride = max(1, len(hist) // 200)
     out.residual_history = [float(h) for h in hist[::stride]]
-    out.dt_summary = {"final": dt, "min": dt_min, "initial": dt0, "halvings": halvings,
-                      "factorisations": factorisations, "method": method}
+    out.dt_summary = {"final": dt, "min": dt_min, "initial": INITIAL_DT, "halvings": halvings,
+                      "factorisations": factorisations}
     return out
 
 

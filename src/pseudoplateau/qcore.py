@@ -4,9 +4,9 @@ Everything downstream lives in E = R^{n+3} with the quadratic form
 
     q(x) = x_1^2 + x_2^2 - x_3^2 - ... - x_{n+3}^2.
 
-This module owns the form itself, signatures of subspaces, the canonical
-basis attached to a positive boundary triple, and the diagonal group
-elements that stabilise a photon quadrilateral.
+This module owns the form itself, signatures of subspaces, and the
+canonical basis attached to a positive boundary triple, with the isometry
+that standardises it.
 """
 
 from __future__ import annotations
@@ -147,16 +147,6 @@ class Isometry:
     def apply(self, v) -> np.ndarray:
         return self.matrix @ _as_vector(v)
 
-    def inverse(self) -> "Isometry":
-        return Isometry(np.linalg.inv(self.matrix), self.space_oriented, self.time_oriented)
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        return Isometry(
-            self.matrix @ other.matrix,
-            self.space_oriented == other.space_oriented,
-            self.time_oriented == other.time_oriented,
-        )
-
 
 def isometry_from_matrix(form: BilinearForm, M: np.ndarray, atol: float = 1e-8) -> Isometry:
     Q = form.matrix
@@ -289,28 +279,3 @@ def standardize_triple(triple, form: BilinearForm, atol: float = 1e-8) -> Isomet
     if defect > atol:
         raise DegenerateTripleError(f"standardizer defect {defect:.2e} exceeds tolerance")
     return isometry_from_matrix(form, g, atol=atol)
-
-
-def cartan_element(crown, lam: float, mu: float, form: BilinearForm | None = None) -> Isometry:
-    """The isometry acting as diag(1/lam, 1/mu, lam, mu) on the crown's four
-    vertex lines and as the identity on their orthogonal complement."""
-    if lam <= 0 or mu <= 0:
-        raise GeometryError("cartan_element needs positive eigen-parameters")
-    Z = np.asarray(getattr(crown, "zreps", crown), dtype=float)
-    if Z.shape[0] != 4:
-        raise DegenerateCrownError("crown must supply four vertex representatives")
-    if form is None:
-        form = BilinearForm(Z.shape[1] - 3)
-    sig = subspace_signature(form, Z)
-    if sig.as_tuple() != (2, 2, 0):
-        raise DegenerateCrownError(f"crown span has signature {sig.as_tuple()}, expected (2, 2, 0)")
-    d = form.dim
-    # complete the vertex representatives with a basis of the orthogonal complement
-    QZ = Z * form.signs
-    _, _, vh = np.linalg.svd(QZ)
-    comp = vh[4:]
-    B = np.vstack([Z, comp]).T
-    diag = np.ones(d)
-    diag[0], diag[1], diag[2], diag[3] = 1.0 / lam, 1.0 / mu, lam, mu
-    M = B @ np.diag(diag) @ np.linalg.inv(B)
-    return isometry_from_matrix(form, M)

@@ -8,6 +8,7 @@ import pytest
 
 from pseudoplateau.qcore import BilinearForm
 from pseudoplateau import einstein as ein
+from pseudoplateau import hspace as hs
 from pseudoplateau import plateau as pl
 
 
@@ -63,6 +64,19 @@ def make_rigid_arc(k=96, slope=1.0 / 3.0):
         phi = t if t <= np.pi / 2.0 else np.pi / 2.0 - (t - np.pi / 2.0) * slope
         fibers[i] = (np.cos(phi), np.sin(phi))
     return ein.LipschitzLoop(thetas, fibers, c1=False)
+
+
+def orbit_surface_gaps(crown, X):
+    """Per-vertex distance from each row of X to the point of the crown's
+    orbit surface with the same first two coordinates. That point lies on
+    the surface, so each gap bounds the distance to the surface from above."""
+    form = BilinearForm(crown.n)
+    gaps = np.empty(len(X))
+    for v, x in enumerate(X):
+        s, t = pl._barbot_ring_params(form, crown, np.arcsinh(np.hypot(x[0], x[1])),
+                                      np.arctan2(x[1], x[0]))
+        gaps[v] = np.linalg.norm(x - hs.barbot_surface_point(crown, s, t).rep)
+    return gaps
 
 
 @pytest.fixture(scope="session")

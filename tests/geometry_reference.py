@@ -1,13 +1,45 @@
-"""Per-vertex reference for `plateau.discrete_geometry`.
+"""Per-vertex references for `plateau.DiskMesh` and `plateau.discrete_geometry`.
 
-It works one vertex at a time, with scalar loops and `np.linalg.lstsq`, the
-way the geometry was computed before it was batched over the mesh's stencil
-table. Tests compare the batched fields against it.
+They work one vertex (or face) at a time, with scalar loops and
+`np.linalg.lstsq`, the way the mesh tables and the geometry were computed
+before they were built from arrays. Tests compare the array code against
+them.
 """
 
 import numpy as np
 
 from pseudoplateau import plateau as pl
+
+
+def reference_faces(mesh):
+    """The center fan, then two triangles per quad between consecutive
+    rings, ring by ring and sector by sector."""
+    m, s = mesh.rings, mesh.sectors
+    faces = []
+    for j in range(s):
+        faces.append((0, mesh.vertex(1, j), mesh.vertex(1, j + 1)))
+    for i in range(2, m + 1):
+        for j in range(s):
+            v00 = mesh.vertex(i - 1, j)
+            v10 = mesh.vertex(i, j)
+            v11 = mesh.vertex(i, j + 1)
+            v01 = mesh.vertex(i - 1, j + 1)
+            faces.append((v00, v10, v11))
+            faces.append((v00, v11, v01))
+    return np.asarray(faces, dtype=np.int64)
+
+
+def reference_polar_grid(mesh):
+    """Radii and angles of every vertex, center first, one ring at a time."""
+    m, s = mesh.rings, mesh.sectors
+    r = np.zeros(mesh.vertex_count)
+    th = np.zeros(mesh.vertex_count)
+    thetas = 2.0 * np.pi * np.arange(s) / s
+    for i in range(1, m + 1):
+        base = mesh.vertex(i, 0)
+        r[base: base + s] = mesh.radius * i / m
+        th[base: base + s] = thetas
+    return r, th
 
 
 def balanced_star(mesh, i, j):

@@ -13,7 +13,7 @@ from pseudoplateau import hspace as hs
 from pseudoplateau import plateau as pl
 from pseudoplateau import diagnostics as diag
 
-from conftest import make_rigid_arc, make_wobble
+from conftest import make_rigid_arc, make_wobble, orbit_surface_gaps
 
 
 FORM1 = BilinearForm(1)
@@ -155,22 +155,7 @@ class TestCriterion6PlateauUniqueness:
 
     def test_crown_solves_to_orbit_surface(self, solved_crown_state):
         crown = ein.barbot_crown_standard(1)
-        R = solved_crown_state.mesh.radius
-        amax = np.arcsinh(np.sqrt(2.0) * np.sinh(R)) + 0.3
-        g = np.linspace(-amax, amax, 500)
-        S, T = np.meshgrid(g, g, indexing="ij")
-        z = crown.zreps
-        pts = (
-            np.exp(S)[..., None] * z[0] + np.exp(T)[..., None] * z[1]
-            + np.exp(-S)[..., None] * z[2] + np.exp(-T)[..., None] * z[3]
-        ).reshape(-1, 4)
-        gaps = np.empty(solved_crown_state.mesh.vertex_count)
-        X = solved_crown_state.positions
-        for i in range(0, len(gaps), 256):
-            chunk = X[i: i + 256]
-            d2 = ((chunk[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-            gaps[i: i + 256] = np.sqrt(d2.min(axis=1))
-        worst = float(np.max(gaps))
+        worst = float(np.max(orbit_surface_gaps(crown, solved_crown_state.positions)))
         ok = solved_crown_state.converged and worst <= 1e-2
         report("6 uniqueness proxy (crown)", ok,
                f"vertexwise distance to the analytic surface <= {worst:.2e}")

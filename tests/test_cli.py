@@ -91,6 +91,19 @@ class TestSolve:
         assert not (workdir / "runm").exists()
 
 
+    @pytest.mark.parametrize("option,value", [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+                                              ("--tol", "-1"), ("--max-iter", "-1"),
+                                              ("--max-iter", "-3")])
+    def test_degenerate_solver_parameters_exit_three(self, workdir, capsys, option, value):
+        code = cli.main(["solve", "--loop", str(workdir / "wobble.loop"), "--rings", "12",
+                         "--sectors", "36", "--radius", "2.5", option, value,
+                         "--out", str(workdir / "runp")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error:")
+        assert not (workdir / "runp").exists()
+
+
 class TestMalformedInput:
     # (command, file edited, line, text replaced, replacement)
     CASES = [

@@ -175,46 +175,6 @@ class TestQSCertify:
             cr.qs_certify(FORM1, bmap, A=2.0, n_quadruples=200, rng_seed=1)
 
 
-class TestQSRescale:
-    def test_small_window_returns_b(self):
-        assert cr.qs_rescale(2.0, 3.0, 2.0) == 3.0
-
-    def test_worked_example(self):
-        assert cr.qs_rescale(2.0, 3.0, 2.0 * math.e**2) == pytest.approx(27.0, rel=1e-12)
-
-    def test_unit_b_fixed_point(self):
-        assert cr.qs_rescale(2.0, 1.0, 100.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(cr.GeometryError):
-            cr.qs_rescale(1.0, 2.0, 3.0)
-
-
-class TestSemipositiveComplete:
-    def test_affine_map_unchanged(self):
-        xs = np.linspace(0, 1, 50)
-        fs = np.column_stack([xs, 0.2 * xs])
-        fp, fm = cr.semipositive_complete(xs, fs)
-        assert np.array_equal(fp, fs)
-        assert np.array_equal(fm, fs)
-
-    def test_step_map_one_sided_values(self):
-        xs = np.linspace(-1, 1, 81)  # includes 0
-        fs = np.zeros((81, 2))
-        for i, x in enumerate(xs):
-            fs[i, 0] = x + (1.0 if x >= 0 else 0.0)
-        fp, fm = cr.semipositive_complete(xs, fs)
-        i0 = int(np.argmin(np.abs(xs)))
-        assert fp[i0, 0] == pytest.approx(fs[i0, 0])
-        assert fm[i0, 0] == pytest.approx(fs[i0 - 1, 0])
-
-    def test_rejects_non_semipositive(self):
-        xs = np.linspace(0, 1, 10)
-        fs = np.column_stack([-xs, 0 * xs])
-        with pytest.raises(cr.GeometryError):
-            cr.semipositive_complete(xs, fs)
-
-
 class TestContraction:
     def test_nested_diamonds_bound(self):
         a, b, c = circle_points(FORM1, 0.0, 2.0, 4.0)
@@ -252,21 +212,6 @@ class TestContraction:
         y = circ.point_at(3.95)
         with pytest.raises(cr.GeometryError):
             cr.contraction_check(FORM1, (a, b, c), (a, x, y), B=1.2)
-
-
-class TestHolder:
-    def test_circle_map_nearly_lipschitz(self):
-        dom = np.linspace(0, 2 * np.pi, 96, endpoint=False)
-        bmap = cr.circle_map(FORM1, dom)
-        fit = cr.holder_estimate(FORM1, bmap, (0.0, 2 * np.pi / 3, 4 * np.pi / 3))
-        assert fit.alpha >= 0.95
-        assert fit.M > 0
-
-    def test_missing_hemisphere_rejected(self):
-        dom = np.linspace(0, np.pi * 0.95, 64)
-        bmap = cr.SampledBoundaryMap(dom, circle_points(FORM1, *dom))
-        with pytest.raises(cr.InsufficientSpreadError):
-            cr.holder_estimate(FORM1, bmap, (0.1, 1.0, 2.0))
 
 
 class TestBatchedCertificate:

@@ -158,6 +158,21 @@ class TestMinkowskiChart:
         with pytest.raises(ein.ChartDomainError):
             ein.minkowski_chart_inverse(FORM1, chart, a)
 
+    def test_chart_round_trip_bulk(self):
+        rng = np.random.default_rng(0)
+        from pseudoplateau.qcore import reference_triple
+        ref = reference_triple(FORM2)
+        a = ein.boundary_point(FORM2, ref[0])
+        b = ein.boundary_point(FORM2, ref[1])
+        chart = ein.minkowski_chart(FORM2, a, b)
+        worst = 0.0
+        for _ in range(1000):
+            u = rng.normal(size=3) * rng.uniform(0.1, 3.0)
+            x = ein.minkowski_chart_apply(FORM2, chart, u)
+            back = ein.minkowski_chart_inverse(FORM2, chart, x)
+            worst = max(worst, float(np.max(np.abs(back - u))))
+        assert worst < 1e-10
+
 
 class TestTauChart:
     def test_defining_property(self):
@@ -186,33 +201,39 @@ class TestTauChart:
 
 class TestDiamond:
     def test_endpoints_at_distance_two(self):
+        # b and c are the corners -e1 and e1 of the diamond in the chart
         a, b, c = ref_points(FORM1)
-        assert ein.diamond_distance(FORM1, (a, b, c), b, c) == pytest.approx(2.0, abs=1e-10)
-
-    def test_zero_distance(self):
-        a, b, c = ref_points(FORM1)
-        assert ein.diamond_distance(FORM1, (a, b, c), b, b) == pytest.approx(0.0, abs=1e-12)
+        chart = ein.tau_chart(FORM1, (a, b, c))
+        e1 = np.array([1.0, 0.0])
+        for p, corner in ((b, -e1), (c, e1)):
+            assert ein.in_closed_diamond(FORM1, (a, b, c), p)
+            assert np.max(np.abs(ein.minkowski_chart_inverse(FORM1, chart, p) - corner)) < 1e-10
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_isometry_invariance(self, seed):
+        # the chart of (ga, gb, gc) gives gx the coordinates that the chart
+        # of (a, b, c) gives x
         rng = np.random.default_rng(seed)
         a, b, c = circle_points(FORM1, 0.0, 2.1, 4.2)
         circ = ein.standard_circle(FORM1)
         x = circ.point_at(2.6)
         y = circ.point_at(3.4)
-        d0 = ein.diamond_distance(FORM1, (a, b, c), x, y)
         g = random_isometry(FORM1, rng)
         moved = [ein.boundary_point(FORM1, g.apply(p.rep)) for p in (a, b, c, x, y)]
-        d1 = ein.diamond_distance(FORM1, tuple(moved[:3]), moved[3], moved[4])
-        assert d1 == pytest.approx(d0, abs=1e-9 * (1 + d0))
+        chart = ein.tau_chart(FORM1, (a, b, c))
+        chart_moved = ein.tau_chart(FORM1, tuple(moved[:3]))
+        for p, gp in ((x, moved[3]), (y, moved[4])):
+            u0 = ein.minkowski_chart_inverse(FORM1, chart, p)
+            u1 = ein.minkowski_chart_inverse(FORM1, chart_moved, gp)
+            assert np.max(np.abs(u1 - u0)) <= 1e-9 * (1 + np.max(np.abs(u0)))
 
     def test_outside_point_rejected(self):
         a, b, c = circle_points(FORM1, 0.0, 2.1, 4.2)
         circ = ein.standard_circle(FORM1)
         outside = circ.point_at(1.0)  # between a and b, not in the (b, c) diamond avoiding a
-        with pytest.raises(ein.ChartDomainError):
-            ein.diamond_distance(FORM1, (a, b, c), outside, b)
+        assert not ein.in_closed_diamond(FORM1, (a, b, c), outside)
+        assert ein.in_closed_diamond(FORM1, (a, b, c), circ.point_at(3.0))
 
 
 class TestQuadruple:
@@ -381,40 +402,3 @@ class TestLoopIO:
         )
         loop = ein.loop_loads(text)
         assert np.allclose(np.linalg.norm(loop.fibers, axis=1), 1.0, atol=1e-12)
-
-
-class TestPhotonAndCircleTypes:
-    def test_photon_through_crown_edge(self):
-        crown = ein.barbot_crown_standard(1)
-        v = crown.vertices(FORM1)
-        ph = ein.photon_through(FORM1, v[0], v[1])
-        assert ein.subspace_signature(FORM1, ph.basis).as_tuple() == (0, 0, 2)
-
-    def test_photon_rejects_transverse_pair(self):
-        crown = ein.barbot_crown_standard(1)
-        v = crown.vertices(FORM1)
-        with pytest.raises(ein.NonTransverseError):
-            ein.photon_through(FORM1, v[0], v[2])
-
-    def test_circle_through_triple_contains_it(self):
-        circ = ein.standard_circle(FORM2)
-        triple = [circ.point_at(t) for t in (0.4, 2.2, 4.3)]
-        built = ein.circle_through_triple(FORM2, *triple)
-        for p in triple:
-            coeff, *_ = np.linalg.lstsq(built.basis.T, p.rep, rcond=None)
-            assert np.max(np.abs(coeff @ built.basis - p.rep)) < 1e-9
-
-    def test_chart_round_trip_bulk(self):
-        rng = np.random.default_rng(0)
-        from pseudoplateau.qcore import reference_triple
-        ref = reference_triple(FORM2)
-        a = ein.boundary_point(FORM2, ref[0])
-        b = ein.boundary_point(FORM2, ref[1])
-        chart = ein.minkowski_chart(FORM2, a, b)
-        worst = 0.0
-        for _ in range(1000):
-            u = rng.normal(size=3) * rng.uniform(0.1, 3.0)
-            x = ein.minkowski_chart_apply(FORM2, chart, u)
-            back = ein.minkowski_chart_inverse(FORM2, chart, x)
-            worst = max(worst, float(np.max(np.abs(back - u))))
-        assert worst < 1e-10

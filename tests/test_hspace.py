@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudoplateau.qcore import BilinearForm, DegenerateTripleError, random_isometry
+from pseudoplateau.qcore import BilinearForm, random_isometry
 from pseudoplateau import einstein as ein
 from pseudoplateau import hspace as hs
 
 
 FORM1 = BilinearForm(1)
 FORM2 = BilinearForm(2)
-
-
-def equilateral_triple(form):
-    circ = ein.standard_circle(form)
-    return [circ.point_at(t) for t in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)]
 
 
 class TestSpatialDistance:
@@ -49,29 +44,12 @@ class TestSpatialDistance:
 
 
 class TestHorofunction:
-    def test_rescaling_shifts_by_log(self):
-        z = np.array([1.0, 0.0, 1.0, 0.0])
-        x = hs.geodesic_disk_point(FORM1, 0.9, 1.1)
-        h1 = hs.Horofunction(z)
-        h2 = hs.Horofunction(3.0 * z)
-        v1 = hs.horofunction_value(FORM1, h1, x)
-        v2 = hs.horofunction_value(FORM1, h2, x)
-        assert v2 - v1 == pytest.approx(np.log(3.0), abs=1e-14)
-
-    def test_busemann_on_geodesic_ray(self):
-        # along the ray toward the ideal point of z the value decreases at unit speed
-        h = hs.horofunction(FORM1, np.array([1.0, 0.0, 1.0, 0.0]))
-        vals = [hs.horofunction_value(FORM1, h, hs.geodesic_disk_point(FORM1, r, 0.0))
-                for r in (0.0, 1.0, 2.0)]
-        assert vals[0] - vals[1] == pytest.approx(1.0, abs=1e-6) or \
-            vals[1] - vals[0] == pytest.approx(1.0, abs=1e-6)
-        assert abs(abs(vals[1] - vals[2]) - 1.0) < 1e-6
-
     def test_orthogonal_point_rejected(self):
         h = hs.horofunction(FORM1, np.array([1.0, 0.0, 1.0, 0.0]))
         x = hs.cylinder_point(FORM1, 0.0, 0.0, np.array([0.0, 1.0]))
+        frame = np.eye(FORM1.dim)[:2]
         with pytest.raises(hs.HorofunctionDomainError):
-            hs.horofunction_value(FORM1, h, x)
+            hs.horofunction_gradient(FORM1, h, x, frame)
 
     def test_ambient_gradient_unit_on_plane(self):
         h = hs.horofunction(FORM1, np.array([1.0, 0.0, 1.0, 0.0]))
@@ -101,73 +79,6 @@ class TestHorofunction:
         frame = np.eye(FORM1.dim)[:2] * 2.0
         with pytest.raises(hs.FrameError):
             hs.horofunction_gradient(FORM1, h, x, frame)
-
-
-class TestBarycenter:
-    def test_equilateral_center(self):
-        triple = equilateral_triple(FORM1)
-        lam = hs.barycenter_weights(FORM1, triple)
-        assert np.allclose(lam, np.sqrt(2.0 / 3.0), atol=1e-12)
-        center = hs.ideal_barycenter(FORM1, triple)
-        expect = np.zeros(FORM1.dim)
-        expect[2] = 1.0
-        assert np.allclose(np.abs(center.rep), expect, atol=1e-12)
-
-    def test_pairwise_products_agree_after_weighting(self):
-        circ = ein.standard_circle(FORM2)
-        triple = [circ.point_at(t) for t in (0.3, 1.9, 4.1)]
-        from pseudoplateau.qcore import consistent_lifts
-        u = consistent_lifts(FORM2, [p.rep for p in triple])
-        lam = hs.barycenter_weights(FORM2, triple)
-        prods = [FORM2.inner(lam[i] * u[i], lam[j] * u[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-        assert np.max(np.abs(np.diff(prods))) < 1e-10
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_equivariance(self, seed):
-        rng = np.random.default_rng(seed)
-        triple = equilateral_triple(FORM2)
-        g = random_isometry(FORM2, rng)
-        center = hs.ideal_barycenter(FORM2, triple)
-        moved = [ein.boundary_point(FORM2, g.apply(p.rep)) for p in triple]
-        center_moved = hs.ideal_barycenter(FORM2, moved)
-        img = g.apply(center.rep)
-        assert min(np.max(np.abs(center_moved.rep - img)),
-                   np.max(np.abs(center_moved.rep + img))) < 1e-9
-
-    def test_rejects_degenerate(self):
-        crown = ein.barbot_crown_standard(1)
-        v = crown.vertices(FORM1)
-        with pytest.raises(DegenerateTripleError):
-            hs.ideal_barycenter(FORM1, [p.rep for p in v[:3]])
-
-
-class TestPointedPlane:
-    def test_equilateral_plane(self):
-        triple = equilateral_triple(FORM1)
-        plane = hs.pointed_plane_from_triple(FORM1, triple)
-        assert np.allclose(np.abs(plane.point.rep), np.array([0, 0, 1.0, 0]), atol=1e-12)
-        # U spans the first two coordinates
-        proj = np.abs(plane.U[:, :2])
-        assert np.linalg.det(plane.U[:, :2]) == pytest.approx(np.prod(np.linalg.svd(plane.U[:, :2])[1]), abs=1e-9) or proj.sum() > 1.9
-
-    def test_gram_of_point_and_U(self):
-        circ = ein.standard_circle(FORM2)
-        triple = [circ.point_at(t) for t in (0.3, 1.9, 4.1)]
-        plane = hs.pointed_plane_from_triple(FORM2, triple)
-        rows = np.vstack([plane.point.rep, plane.U])
-        gram = (rows * FORM2.signs) @ rows.T
-        assert np.allclose(gram, np.diag([-1.0, 1.0, 1.0]), atol=1e-10)
-
-    def test_triple_lies_in_plane_span(self):
-        circ = ein.standard_circle(FORM2)
-        triple = [circ.point_at(t) for t in (0.3, 1.9, 4.1)]
-        plane = hs.pointed_plane_from_triple(FORM2, triple)
-        span = np.vstack([plane.point.rep, plane.U])
-        for p in triple:
-            coeff, res, *_ = np.linalg.lstsq(span.T, p.rep, rcond=None)
-            recon = coeff @ span
-            assert np.max(np.abs(recon - p.rep)) < 1e-9
 
 
 class TestBarbotSurface:
@@ -264,19 +175,3 @@ class TestBoundaryRay:
             x = x / np.linalg.norm(x)
             gap = min(np.linalg.norm(x - target), np.linalg.norm(x + target))
             assert gap <= 2.0 * np.exp(-2.0 * R)
-
-
-class TestVisualDistance:
-    def test_zero_on_same_point(self):
-        triple = equilateral_triple(FORM1)
-        p = ein.standard_circle(FORM1).point_at(0.5)
-        # arccos near 1 resolves coincidence only to sqrt(eps)
-        assert hs.visual_distance(FORM1, triple, p, p) == pytest.approx(0.0, abs=1e-6)
-
-    def test_circle_arc_length(self):
-        triple = equilateral_triple(FORM1)
-        circ = ein.standard_circle(FORM1)
-        # on the standard circle the splitting fiber is constant, so the
-        # visual distance is the angle gap
-        d = hs.visual_distance(FORM1, triple, circ.point_at(0.2), circ.point_at(0.9))
-        assert d == pytest.approx(0.7, abs=1e-9)

@@ -4,15 +4,22 @@ Each example starts from a valid file and applies a few edits of the kinds
 a damaged or hand-edited file shows: a truncated line, a dropped or
 duplicated field or line, a header value replaced by a non-numeric token or
 by a huge or negative size. Whatever the edits, the parser returns a parsed
-object or raises its own error type, never anything else.
+object or raises its own error type, never anything else. Run through the
+CLI (`solve` for a loop, `audit` for a state), a file that the parser
+rejects exits 3 with an `error:` line, and no exception leaves `cli.main`.
 """
 
+import contextlib
+import io
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pseudoplateau import cli
 from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 from pseudoplateau.qcore import BilinearForm, GeometryError
@@ -101,6 +108,51 @@ def test_mutated_state_parses_or_raises_geometry_error(changes):
         return
     assert isinstance(state, pl.SurfaceState)
     assert np.all(np.isfinite(state.positions))
+
+
+# the geodesic disk solves the Plateau problem exactly, so the audit may run
+CONVERGED_STATE_TEXT = STATE_TEXT.replace("converged=0", "converged=1", 1)
+
+
+def _run_cli(text, command):
+    """Write `text` to a file, run `command(path, out)` through `cli.main`
+    in-process, and return the exit code and stderr."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "input.txt"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(command(str(path), str(Path(d) / "out")))
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits)
+def test_mutated_loop_through_solve_exits_three_when_rejected(changes):
+    text = mutate(LOOP_TEXT, changes)
+    code, err = _run_cli(text, lambda path, out: [
+        "solve", "--loop", path, "--rings", "8", "--sectors", "24", "--radius", "1.0",
+        "--max-iter", "0", "--out", out])
+    try:
+        ein.loop_loads(text)
+    except ein.InvalidLoopError:
+        assert code == 3 and err.startswith("error:"), (code, err)
+        return
+    assert code in (2, 3), (code, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits)
+def test_mutated_state_through_audit_exits_three_when_rejected(changes):
+    text = mutate(CONVERGED_STATE_TEXT, changes)
+    code, err = _run_cli(text, lambda path, out: [
+        "audit", "--state", path, "--audits", "rigidity", "--out", out])
+    try:
+        pl.state_loads(text)
+    except GeometryError:
+        assert code == 3 and err.startswith("error:"), (code, err)
+        return
+    assert code in (0, 2, 3), (code, err)
 
 
 def test_unedited_files_parse():

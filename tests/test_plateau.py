@@ -6,7 +6,10 @@ from pseudoplateau.qcore import BilinearForm
 from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 
-from geometry_reference import balanced_star, reference_geometry
+from conftest import orbit_surface_gaps
+from geometry_reference import (
+    balanced_star, reference_faces, reference_geometry, reference_polar_grid,
+)
 
 
 FORM1 = BilinearForm(1)
@@ -45,6 +48,14 @@ class TestMesh:
         mesh = pl.DiskMesh(8, 24, 2.0)
         assert mesh.vertex_count == 1 + 8 * 24
         assert len(mesh.faces) == 24 * (2 * 8 - 1)
+
+    @pytest.mark.parametrize("rings,sectors", [(2, 3), (5, 9), (24, 72), (96, 288)])
+    def test_faces_and_polar_grid_match_the_loop_reference(self, rings, sectors):
+        mesh = pl.DiskMesh(rings, sectors, 1.7)
+        want = reference_faces(mesh)
+        assert mesh.faces.dtype == want.dtype and np.array_equal(mesh.faces, want)
+        for got, ref in zip(mesh.polar_grid(), reference_polar_grid(mesh)):
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan"), float("inf")])
     def test_rejects_degenerate_radius(self, radius):
@@ -192,27 +203,11 @@ class TestSolve:
         assert solved_wobble.converged
         assert solved_wobble.final_residual < 1e-8
 
-    def test_crown_converges_to_orbit_surface(self):
+    def test_crown_converges_to_orbit_surface(self, solved_crown_state):
+        # the 16x48 crown solve at R = 1.2, tol 1e-8, shared with criterion 6
+        assert solved_crown_state.converged
         crown = ein.barbot_crown_standard(1)
-        loop = ein.crown_loop(crown, samples_per_edge=24)
-        st = pl.build_state(loop, 16, 48, 1.2)
-        solved = pl.plateau_solve(st, tol=1e-8, max_iter=2000)
-        assert solved.converged
-        # distance from each solved vertex to the analytic surface
-        amax = np.arcsinh(np.sqrt(2.0) * np.sinh(1.2)) + 0.3
-        g = np.linspace(-amax, amax, 400)
-        S, T = np.meshgrid(g, g, indexing="ij")
-        z = crown.zreps
-        pts = (
-            np.exp(S)[..., None] * z[0] + np.exp(T)[..., None] * z[1]
-            + np.exp(-S)[..., None] * z[2] + np.exp(-T)[..., None] * z[3]
-        ).reshape(-1, 4)
-        gaps = np.empty(solved.mesh.vertex_count)
-        for i in range(0, len(gaps), 256):
-            chunk = solved.positions[i: i + 256]
-            d2 = ((chunk[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-            gaps[i: i + 256] = np.sqrt(d2.min(axis=1))
-        assert np.max(gaps) < 1e-2
+        assert np.max(orbit_surface_gaps(crown, solved_crown_state.positions)) < 1e-2
 
     def test_returned_residual_is_the_true_residual(self, solved_wobble):
         # the steps reuse a factor of the operator at older positions; the
@@ -223,13 +218,22 @@ class TestSolve:
 
     @staticmethod
     def _count_factorisations(monkeypatch):
-        """Count splu calls and record the dt of every flow step."""
-        calls, dts = [], []
+        """Count splu calls and record the dt of every flow step: the dt that
+        `_flow_operator` was given for the factor the step solves against."""
+        calls, dts, factor_dt = [], [], {}
         splu = scipy.sparse.linalg.splu
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda *a, **k: calls.append(1) or splu(*a, **k))
-        step = pl._flow_step
-        monkeypatch.setattr(pl, "_flow_step", lambda *a: dts.append(a[4]) or step(*a))
+        operator, step = pl._flow_operator, pl._flow_step
+
+        def recording_operator(assembly, idx, dt):
+            lu = operator(assembly, idx, dt)
+            factor_dt[id(lu)] = dt
+            return lu
+
+        monkeypatch.setattr(pl, "_flow_operator", recording_operator)
+        monkeypatch.setattr(pl, "_flow_step",
+                            lambda *a: dts.append(factor_dt[id(a[4])]) or step(*a))
         return calls, dts
 
     def test_factors_once_per_step_size(self, monkeypatch):
@@ -258,12 +262,6 @@ class TestSolve:
         assert len(calls) == out.dt_summary["factorisations"] == changes
         assert changes >= 3
 
-    def test_explicit_method_never_factors(self, monkeypatch):
-        calls, _ = self._count_factorisations(monkeypatch)
-        out = pl.plateau_solve(pl.build_state(wobble_loop(k=64), 8, 24, 1.5), tol=1e-12,
-                               max_iter=5, method="explicit")
-        assert calls == [] and out.dt_summary["factorisations"] == 0
-
     def test_threefold_wobble_solves_to_threefold_surface(self):
         # f(t + 2pi/3) = f(t) on 144 samples: the rotation by a third of a
         # turn maps the loop, the mesh and so the solved surface to itself
@@ -278,12 +276,6 @@ class TestSolve:
         grid = 1 + np.arange(24 * 72).reshape(24, 72)
         assert np.max(np.abs(X[np.roll(grid, -24, axis=1)] - rotated[grid])) <= 1e-8
         assert np.max(np.abs(X[0] - rotated[0])) <= 1e-8
-
-    def test_explicit_method_progresses(self):
-        st = pl.build_state(wobble_loop(k=64), 8, 24, 1.5)
-        r0 = np.max(np.linalg.norm(pl.mean_curvature_residual(st), axis=1))
-        out = pl.plateau_solve(st, tol=1e-12, max_iter=300, method="explicit")
-        assert out.final_residual < r0
 
 
 class TestDiscreteGeometry:

@@ -8,7 +8,6 @@ from pseudoplateau.qcore import (
     DegenerateTripleError,
     DimensionMismatchError,
     bilinear,
-    cartan_element,
     isometry_defect,
     random_isometry,
     reference_triple,
@@ -138,38 +137,3 @@ class TestStandardizeTriple:
         b0 = bilinear(form, u, v)
         b1 = bilinear(form, h.apply(u), h.apply(v))
         assert abs(b1 - b0) <= 1e-8 * (1.0 + abs(b0))
-
-
-class TestCartanElement:
-    def test_identity_at_unit_parameters(self):
-        form = BilinearForm(1)
-        g = cartan_element(crown_reps(1), 1.0, 1.0, form)
-        assert np.allclose(g.matrix, np.eye(form.dim), atol=1e-12)
-
-    def test_eigenaction_on_vertices(self):
-        form = BilinearForm(2)
-        z = crown_reps(2)
-        g = cartan_element(z, 4.0, 2.0, form)
-        for zi, ev in zip(z, [0.25, 0.5, 4.0, 2.0]):
-            assert np.allclose(g.apply(zi), ev * zi, atol=1e-10)
-
-    def test_abelian_group_law(self):
-        form = BilinearForm(1)
-        z = crown_reps(1)
-        a = cartan_element(z, 4.0, 2.0, form)
-        b = cartan_element(z, 0.5, 3.0, form)
-        ab = cartan_element(z, 2.0, 6.0, form)
-        assert np.allclose(a.matrix @ b.matrix, ab.matrix, atol=1e-10)
-
-    def test_preserves_form(self):
-        form = BilinearForm(1)
-        g = cartan_element(crown_reps(1), 4.0, 2.0, form)
-        assert isometry_defect(form, g.matrix) < 1e-10
-        assert abs(np.linalg.det(g.matrix) - 1.0) < 1e-10
-
-    def test_degenerate_crown_rejected(self):
-        form = BilinearForm(1)
-        z = crown_reps(1).copy()
-        z[2] = z[0]
-        with pytest.raises(DegenerateCrownError):
-            cartan_element(z, 4.0, 2.0, form)
