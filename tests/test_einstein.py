@@ -158,21 +158,6 @@ class TestMinkowskiChart:
         with pytest.raises(ein.ChartDomainError):
             ein.minkowski_chart_inverse(FORM1, chart, a)
 
-    def test_chart_round_trip_bulk(self):
-        rng = np.random.default_rng(0)
-        from pseudoplateau.qcore import reference_triple
-        ref = reference_triple(FORM2)
-        a = ein.boundary_point(FORM2, ref[0])
-        b = ein.boundary_point(FORM2, ref[1])
-        chart = ein.minkowski_chart(FORM2, a, b)
-        worst = 0.0
-        for _ in range(1000):
-            u = rng.normal(size=3) * rng.uniform(0.1, 3.0)
-            x = ein.minkowski_chart_apply(FORM2, chart, u)
-            back = ein.minkowski_chart_inverse(FORM2, chart, x)
-            worst = max(worst, float(np.max(np.abs(back - u))))
-        assert worst < 1e-10
-
 
 class TestTauChart:
     def test_defining_property(self):
@@ -402,3 +387,20 @@ class TestLoopIO:
         )
         loop = ein.loop_loads(text)
         assert np.allclose(np.linalg.norm(loop.fibers, axis=1), 1.0, atol=1e-12)
+
+
+class TestPhotonAndCircleTypes:
+    def test_chart_round_trip_bulk(self):
+        rng = np.random.default_rng(0)
+        from pseudoplateau.qcore import reference_triple
+        ref = reference_triple(FORM2)
+        a = ein.boundary_point(FORM2, ref[0])
+        b = ein.boundary_point(FORM2, ref[1])
+        chart = ein.minkowski_chart(FORM2, a, b)
+        worst = 0.0
+        for _ in range(1000):
+            u = rng.normal(size=3) * rng.uniform(0.1, 3.0)
+            x = ein.minkowski_chart_apply(FORM2, chart, u)
+            back = ein.minkowski_chart_inverse(FORM2, chart, x)
+            worst = max(worst, float(np.max(np.abs(back - u))))
+        assert worst < 1e-10
