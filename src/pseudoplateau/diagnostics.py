@@ -21,12 +21,11 @@ from .einstein import (
     BarbotCrown,
     LipschitzLoop,
     boundary_point,
-    from_graph_sample,
     loop_classify,
     _circle_dist_matrix,
 )
 from .crossratio import SampledBoundaryMap, qs_certify
-from .hspace import HPoint, gradient_norm_sq, horofunction, spatial_distance
+from .hspace import gradient_norm_sq, horofunction, spatial_distance
 from .plateau import SurfaceState, discrete_geometry
 
 
@@ -39,6 +38,15 @@ class FlatteningError(GeometryError):
 
 
 AUDIT_EXCLUDE_RINGS = 2
+
+# The audits' thresholds; each report's `thresholds` shows the ones it used.
+RIGIDITY_MAX_K = 5e-2
+RIGIDITY_MAX_II_SQ = 2.1
+GRADIENT_MIN_SQ = 1.0 - 1e-2
+GRADIENT_MAX_SQ = 2.0 + 5e-2
+OUTER_RING_TOL = 0.1
+RING_PROFILE_NOISE = 2e-2
+HESSIAN_MAX_MEDIAN_ERROR = 0.15
 
 
 @dataclass
@@ -71,12 +79,12 @@ def _require_converged(state: SurfaceState) -> None:
         raise UnconvergedStateError("audit requires a converged state")
 
 
-def _boundary_points(state: SurfaceState, count: int, rng: np.random.Generator):
-    """Ideal boundary samples: from the attached loop when present, else the
-    projective classes of the outer ring."""
+def _boundary_points(state: SurfaceState, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Ideal boundary samples as (count, dim) representatives: from the
+    attached loop when present, else the classes of the outer ring."""
     if state.loop is not None:
         thetas = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        return [state.loop.boundary_point(t) for t in thetas]
+        return np.array([state.loop.boundary_point(t).rep for t in thetas])
     mesh = state.mesh
     base = mesh.vertex(mesh.rings, 0)
     idx = rng.integers(0, mesh.sectors, size=count)
@@ -84,14 +92,13 @@ def _boundary_points(state: SurfaceState, count: int, rng: np.random.Generator):
     X = state.positions[base + idx]
     classes = np.hstack([X[:, :2] / np.linalg.norm(X[:, :2], axis=1)[:, None],
                          X[:, 2:] / np.linalg.norm(X[:, 2:], axis=1)[:, None]])
-    return [boundary_point(state.form, x) for x in classes]
+    return np.array([boundary_point(state.form, x).rep for x in classes])
 
 
 # ---------------------------------------------------------------------------
 
 
-def rigidity_audit(state: SurfaceState, k_threshold: float = 5e-2,
-                   ii_threshold: float = 2.1) -> AuditReport:
+def rigidity_audit(state: SurfaceState) -> AuditReport:
     """Maximum interior curvature and second-form norm against the rigidity
     bounds K <= 0 and |II|^2 <= 2."""
     _require_converged(state)
@@ -100,12 +107,12 @@ def rigidity_audit(state: SurfaceState, k_threshold: float = 5e-2,
     max_k = float(np.nanmax(geo.K[inter]))
     min_k = float(np.nanmin(geo.K[inter]))
     max_ii = float(np.nanmax(geo.ii_fit[inter]))
-    passed = max_k <= k_threshold and max_ii <= ii_threshold
+    passed = max_k <= RIGIDITY_MAX_K and max_ii <= RIGIDITY_MAX_II_SQ
     return AuditReport(
         name="rigidity",
         values={"max_K": max_k, "min_K": min_k, "max_II_sq": max_ii,
                 "max_II_sq_gauss": float(np.nanmax(geo.ii_gauss[inter]))},
-        thresholds={"max_K": k_threshold, "max_II_sq": ii_threshold},
+        thresholds={"max_K": RIGIDITY_MAX_K, "max_II_sq": RIGIDITY_MAX_II_SQ},
         passed=bool(passed),
         samples=int(np.sum(inter)),
     )
@@ -118,39 +125,35 @@ def _gradient_samples(state: SurfaceState, geo, rng: np.random.Generator,
     replacement. Returns the values and the number of pairs skipped because
     the vertex lies on the boundary point's light cone."""
     form = state.form
-    e1, e2 = geo.frames
+    X = state.positions
+    frames = np.stack(geo.frames, axis=1)
     inter = np.flatnonzero(state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS))
     vals = []
     skipped = 0
     for z in _boundary_points(state, points, rng):
-        h = horofunction(form, z.rep)
-        for v in rng.choice(inter, size=min(per_point, len(inter)), replace=False):
-            x = HPoint(state.positions[v])
-            if abs(form.inner(x.rep, h.z0)) < 1e-10:
-                skipped += 1
-                continue
-            vals.append(gradient_norm_sq(form, h, x, np.vstack([e1[v], e2[v]])))
-    return np.array(vals), skipped
+        h = horofunction(form, z)
+        v = rng.choice(inter, size=min(per_point, len(inter)), replace=False)
+        usable = np.abs(form.inner_rows(X[v], h.z0)) >= 1e-10
+        skipped += int(np.sum(~usable))
+        v = v[usable]
+        vals.append(gradient_norm_sq(form, h, X[v], frames[v]))
+    return np.concatenate(vals), skipped
 
 
-def gradient_audit(state: SurfaceState, boundary_samples: int = 24, seed: int = 0,
-                   min_threshold: float = 1.0 - 1e-2,
-                   max_threshold: float = 2.0 + 5e-2) -> AuditReport:
+def gradient_audit(state: SurfaceState, seed: int = 0) -> AuditReport:
     """Squared tangential gradient of horofunctions over sampled
     (vertex, boundary point) pairs: bounded below by 1 and above by 2."""
     _require_converged(state)
     geo = discrete_geometry(state)
-    vals, skipped = _gradient_samples(state, geo, np.random.default_rng(seed),
-                                      boundary_samples, max(1, 600 // boundary_samples))
+    vals, skipped = _gradient_samples(state, geo, np.random.default_rng(seed), 24, 25)
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
     max_k = float(np.nanmax(geo.K[state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS)]))
-    c = -max_k
-    passed = vmin >= min_threshold and vmax <= max_threshold
+    passed = vmin >= GRADIENT_MIN_SQ and vmax <= GRADIENT_MAX_SQ
     return AuditReport(
         name="gradient",
         values={"min_grad_sq": vmin, "max_grad_sq": vmax,
-                "two_minus_c": 2.0 - c, "skipped": skipped},
-        thresholds={"min_grad_sq": min_threshold, "max_grad_sq": max_threshold},
+                "two_minus_c": 2.0 + max_k, "skipped": skipped},
+        thresholds={"min_grad_sq": GRADIENT_MIN_SQ, "max_grad_sq": GRADIENT_MAX_SQ},
         passed=bool(passed),
         samples=len(vals),
         seed=seed,
@@ -162,23 +165,14 @@ def _edge_graph(state: SurfaceState) -> sp.csr_matrix:
     raw polar mesh offers few edge directions (skinny triangles), which
     overestimates the induced distance by up to ~30%; the star chords
     restore directional coverage."""
-    form = state.form
     X = state.positions
     mesh = state.mesh
     faces = mesh.faces
     nv = mesh.vertex_count
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        i = faces[:, a]
-        j = faces[:, (a + 1) % 3]
-        pair = np.abs(form.inner_rows(X[i], X[j]))
-        lengths = np.arccosh(np.maximum(pair, 1.0))
-        rows.append(i)
-        cols.append(j)
-        vals.append(lengths)
     table = mesh.stencil
     src = np.broadcast_to(np.arange(nv)[:, None], table.star.shape)
-    extra_i, extra_j = [src[table.mask]], [table.star[table.mask]]
+    rows = [faces[:, a] for a in range(3)] + [src[table.mask]]
+    cols = [faces[:, (a + 1) % 3] for a in range(3)] + [table.star[table.mask]]
     # steep and shallow chords to cover directions between the star's:
     # several radial steps per sector step and vice versa
     s = mesh.sectors
@@ -189,29 +183,22 @@ def _edge_graph(state: SurfaceState) -> sp.csr_matrix:
         fan += [(1, k * sigma) for k in (2, 3, 4)] + [(1, -k * sigma) for k in (2, 3, 4)]
         for (di, dj) in fan:
             if i0 + di <= mesh.rings:
-                extra_i.append(mesh.vertex(i0, 0) + js)
-                extra_j.append(mesh.vertex(i0 + di, 0) + (js + dj) % s)
-    extra_i = np.concatenate(extra_i)
-    extra_j = np.concatenate(extra_j)
-    pair = np.abs(form.inner_rows(X[extra_i], X[extra_j]))
-    rows.append(extra_i)
-    cols.append(extra_j)
-    vals.append(np.arccosh(np.maximum(pair, 1.0)))
+                rows.append(mesh.vertex(i0, 0) + js)
+                cols.append(mesh.vertex(i0 + di, 0) + (js + dj) % s)
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    # symmetrise and deduplicate by key (duplicate coo entries would sum)
+    vals = np.arccosh(np.maximum(np.abs(state.form.inner_rows(X[rows], X[cols])), 1.0))
+    # symmetrise and keep the shortest of duplicate edges (duplicate coo
+    # entries would sum)
     lo = np.minimum(rows, cols)
     hi = np.maximum(rows, cols)
     keep = lo != hi
     keys = lo[keep] * nv + hi[keep]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    v_sorted = vals[keep][order]
-    uniq, start = np.unique(keys, return_index=True)
-    edge_len = np.minimum.reduceat(v_sorted, start)
-    ei = (uniq // nv).astype(np.int64)
-    ej = (uniq % nv).astype(np.int64)
+    order = np.lexsort((vals[keep], keys))
+    keys, edge_len = keys[order], vals[keep][order]
+    first = np.concatenate([[True], keys[1:] != keys[:-1]])
+    keys, edge_len = keys[first], edge_len[first]
+    ei, ej = keys // nv, keys % nv
     G = sp.coo_matrix(
         (np.concatenate([edge_len, edge_len]), (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
         shape=(nv, nv),
@@ -225,32 +212,28 @@ def _distance_pairs(state: SurfaceState, rng: np.random.Generator, sources: int,
     `sources` sources drawn without replacement, then `per_source` targets
     for each. A target equal to its source, or under 0.3 from it in the
     graph, is skipped."""
-    form = state.form
     X = state.positions
     inter = np.flatnonzero(state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS))
     drawn = rng.choice(inter, size=sources, replace=False)
     dist = dijkstra(_edge_graph(state), directed=False, indices=drawn)
-    rows = []
-    for row, src in enumerate(drawn):
-        for t in rng.choice(inter, size=per_source, replace=False):
-            d_graph = dist[row, t]
-            if t == src or not np.isfinite(d_graph) or d_graph < 0.3:
-                continue
-            rows.append((d_graph, spatial_distance(form, HPoint(X[src]), HPoint(X[t]))))
-    return np.array(rows).reshape(-1, 2)
+    targets = np.array([rng.choice(inter, size=per_source, replace=False) for _ in drawn])
+    row = np.repeat(np.arange(sources), per_source)
+    src, tgt = drawn[row], targets.ravel()
+    d_graph = dist[row, tgt]
+    keep = (tgt != src) & np.isfinite(d_graph) & (d_graph >= 0.3)
+    return np.column_stack([d_graph[keep],
+                            spatial_distance(state.form, X[src[keep]], X[tgt[keep]])])
 
 
-def distance_ratio_audit(state: SurfaceState, pairs: int = 300, seed: int = 0,
+def distance_ratio_audit(state: SurfaceState, seed: int = 0,
                          mesh_slack: float | None = None) -> AuditReport:
-    """Spatial distance over graph distance on random vertex pairs: pinched
-    between 1 and sqrt(2) up to the graph-metric overestimation allowance
-    (0.1 from 24 rings up, growing on coarser meshes)."""
+    """Spatial distance over graph distance on 24 x 12 random vertex pairs:
+    pinched between 1 and sqrt(2) up to the graph-metric overestimation
+    allowance (0.1 from 24 rings up, growing on coarser meshes)."""
     _require_converged(state)
     if mesh_slack is None:
         mesh_slack = 0.1 * max(1.0, (24.0 / state.mesh.rings) ** 1.5)
-    n_src = max(4, min(24, pairs // 12))
-    d_graph, eth = _distance_pairs(state, np.random.default_rng(seed), n_src,
-                                   max(2, pairs // n_src)).T
+    d_graph, eth = _distance_pairs(state, np.random.default_rng(seed), 24, 12).T
     ratios = eth / d_graph
     rmin, rmax = float(np.min(ratios)), float(np.max(ratios))
     hi = np.sqrt(2.0) * (1.0 + mesh_slack)
@@ -266,51 +249,47 @@ def distance_ratio_audit(state: SurfaceState, pairs: int = 300, seed: int = 0,
     )
 
 
-def gromov_audit(state: SurfaceState, triples: int = 400, seed: int = 0) -> AuditReport:
+def gromov_audit(state: SurfaceState, seed: int = 0) -> AuditReport:
     """Gromov-product control: the normalised pairing |<z,w>/(<z,x><x,w>)|
     stays bounded, and the triangle slack of the spatial distance obeys the
     log(2 M1) bound triple by triple."""
     _require_converged(state)
     rng = np.random.default_rng(seed)
     form = state.form
+    X = state.positions
     inter = np.flatnonzero(state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS))
     bd = _boundary_points(state, 16, rng)
-    max_m1 = 0.0
-    max_slack = -np.inf
-    ok = True
-    for _ in range(triples):
-        x = HPoint(state.positions[rng.choice(inter)])
-        pick = rng.integers(0, 2)
-        if pick == 0:
-            z = state.positions[rng.choice(inter)]
-            w = state.positions[rng.choice(inter)]
+    # x is a vertex; z and w are two vertices or two boundary points, and
+    # index the rows of `points`
+    points = np.vstack([X, bd])
+    draws = []
+    for _ in range(400):
+        x = rng.choice(inter)
+        if rng.integers(0, 2) == 0:
+            draws.append((x, rng.choice(inter), rng.choice(inter)))
         else:
-            z = bd[rng.integers(0, len(bd))].rep
-            w = bd[rng.integers(0, len(bd))].rep
-        num = form.inner(z, w)
-        den = form.inner(z, x.rep) * form.inner(x.rep, w)
-        if abs(den) < 1e-12:
-            continue
-        ratio = abs(num / den)
-        max_m1 = max(max_m1, ratio)
-        if pick == 0:
-            zp, wp = HPoint(z), HPoint(w)
-            slack = (
-                spatial_distance(form, zp, wp)
-                - spatial_distance(form, zp, x)
-                - spatial_distance(form, x, wp)
-            )
-            max_slack = max(max_slack, slack)
-            if slack > np.log(2.0 * max(ratio, 1e-300)) + 1e-6:
-                ok = False
+            draws.append((x, len(X) + rng.integers(0, len(bd)), len(X) + rng.integers(0, len(bd))))
+    xi, zi, wi = np.array(draws).T
+    x, z, w = X[xi], points[zi], points[wi]
+    den = form.inner_rows(z, x) * form.inner_rows(x, w)
+    usable = np.abs(den) >= 1e-12
+    ratio = np.abs(form.inner_rows(z, w)[usable] / den[usable])
+    max_m1 = float(np.max(ratio, initial=0.0))
+    # the triangle slack is measured on the triples of vertices
+    inside = zi[usable] < len(X)
+    x, z, w = (a[usable][inside] for a in (x, z, w))
+    slack = (spatial_distance(form, z, w) - spatial_distance(form, z, x)
+             - spatial_distance(form, x, w))
+    max_slack = float(np.max(slack, initial=-np.inf))
+    ok = not np.any(slack > np.log(2.0 * np.maximum(ratio[inside], 1e-300)) + 1e-6)
     passed = ok and np.isfinite(max_m1) and max_slack <= np.log(2.0 * max_m1) + 1e-6
     return AuditReport(
         name="gromov",
-        values={"M1": max_m1, "max_slack": float(max_slack),
+        values={"M1": max_m1, "max_slack": max_slack,
                 "slack_bound": float(np.log(2.0 * max_m1))},
         thresholds={"slack_bound": float(np.log(2.0 * max_m1))},
         passed=bool(passed),
-        samples=triples,
+        samples=len(draws),
         seed=seed,
     )
 
@@ -358,10 +337,10 @@ def _gauss_newton(residual, x: np.ndarray, tol: float) -> np.ndarray:
     raise FlatteningError(f"Gauss-Newton solve stalled at max residual {np.max(np.abs(r)):.2e}")
 
 
-def yamabe_flatten(state: SurfaceState, tol: float = 1e-10):
+def yamabe_flatten(state: SurfaceState):
     """Per-vertex log conformal factors making the mesh a cone-free
     hyperbolic surface (interior angle sums 2 pi; boundary factors fixed),
-    by Gauss-Newton on the interior angle defects.
+    by Gauss-Newton on the interior angle defects, to within 1e-10.
 
     Lengths scale by sinh(l'/2) = e^{(u_i+u_j)/2} sinh(l/2), so
     dl'/du_i = tanh(l'/2). The angle A_k opposite side l_k comes from the
@@ -413,7 +392,7 @@ def yamabe_flatten(state: SurfaceState, tol: float = 1e-10):
                           shape=(nv, nv))
         return 2.0 * np.pi - sums[:ni], J[:ni, :ni]
 
-    ui = _gauss_newton(residual, np.zeros(ni), tol)
+    ui = _gauss_newton(residual, np.zeros(ni), 1e-10)
     return np.concatenate([ui, np.zeros(nv - ni)]), tuple(lengths_of(ui))
 
 
@@ -467,8 +446,7 @@ def _develop_h2(state: SurfaceState, lengths) -> np.ndarray:
     return xy.reshape(nv, 2)
 
 
-def boundary_extension(state: SurfaceState, A: float = 2.0, n_quadruples: int = 1500,
-                       seed: int = 0):
+def boundary_extension(state: SurfaceState, seed: int = 0):
     """Boundary correspondence of the discrete uniformisation: flatten the
     mesh to constant curvature -1, develop it in the hyperbolic plane, read
     the induced boundary angles, compose with the loop, and certify the
@@ -485,7 +463,7 @@ def boundary_extension(state: SurfaceState, A: float = 2.0, n_quadruples: int = 
     thetas_loop = 2.0 * np.pi * np.arange(mesh.sectors) / mesh.sectors
     images = [state.loop.boundary_point(t) for t in thetas_loop]
     bmap = SampledBoundaryMap(thetas_disk, images, defined_on="flattened boundary")
-    cert = qs_certify(state.form, bmap, A=A, n_quadruples=n_quadruples, rng_seed=seed)
+    cert = qs_certify(state.form, bmap, A=2.0, n_quadruples=1500, rng_seed=seed)
     return bmap, cert
 
 
@@ -493,19 +471,19 @@ def boundary_extension(state: SurfaceState, A: float = 2.0, n_quadruples: int = 
 # Loop-level probes
 
 
-def _pair_ratios(loop: LipschitzLoop, floor: float) -> np.ndarray:
+def _pair_ratios(loop: LipschitzLoop) -> np.ndarray:
     """Fiber/circle distance ratio of every sample pair i < j, with 0 where
-    j <= i or where the circle distance falls below the floor."""
+    j <= i or where the circle distance falls below 1e-4."""
     dn = np.arccos(np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0))
     d1 = _circle_dist_matrix(loop.thetas)
-    keep = np.triu(d1 >= floor, 1)
+    keep = np.triu(d1 >= 1e-4, 1)
     return np.where(keep, dn / np.where(keep, d1, 1.0), 0.0)
 
 
-def loop_margin(loop: LipschitzLoop, floor: float = 1e-4) -> float:
+def loop_margin(loop: LipschitzLoop) -> float:
     """Relative contraction margin: 1 - max fiber/circle distance ratio over
-    sampled pairs (pairs below the floor are skipped as pure noise)."""
-    return 1.0 - float(np.max(_pair_ratios(loop, floor)))
+    sampled pairs (pairs below 1e-4 are skipped as pure noise)."""
+    return 1.0 - float(np.max(_pair_ratios(loop)))
 
 
 def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0) -> dict:
@@ -523,7 +501,7 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
     # concentrating triples probe the renormalisation dynamics; aim half of
     # them at the least-contracting spot of the graph, the first worst pair
     # in row-major order
-    ratios = _pair_ratios(loop, 1e-4)
+    ratios = _pair_ratios(loop)
     top = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     worst_center = 0.5 * (loop.thetas[top[0]] + loop.thetas[top[1]]) if ratios[top] > 0.0 else 0.0
     tried = 0
@@ -541,9 +519,8 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
                              for a in angles])
             if len(sel) < 3:
                 continue
-        triple = [reps[i] for i in sel]
         try:
-            g = standardize_triple(triple, form)
+            g = standardize_triple(reps[sel], form)
         except GeometryError:
             continue
         moved = reps @ g.matrix.T
@@ -565,11 +542,6 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
         "renormalizations": len(margins),
         "seed": int(seed),
     }
-
-
-def _loop_points_product(loop: LipschitzLoop) -> np.ndarray:
-    pts = [from_graph_sample(t, f).rep for t, f in zip(loop.thetas, loop.fibers)]
-    return np.array(pts)
 
 
 def _distance_to_crown(crown: BarbotCrown, pts: np.ndarray) -> float:
@@ -608,15 +580,14 @@ def _distance_to_crown(crown: BarbotCrown, pts: np.ndarray) -> float:
     return float(max(0.0, np.max(np.min(np.minimum(f1, f2), axis=1))))
 
 
-def barbot_degeneration(loop: LipschitzLoop, crown: BarbotCrown, iters: int = 60,
-                        snap: float = 1e-13) -> dict:
+def barbot_degeneration(loop: LipschitzLoop, crown: BarbotCrown, iters: int = 60) -> dict:
     """Iterate the crown's contracting diagonal element on the loop samples
     and report, per iteration, how far the samples sit from the crown (the
     crown is the limit set; sample coverage of it is resolution-limited, so
     the distance is directed).
 
     The dynamics runs in the crown's eigenbasis, where the group element is
-    exactly diagonal; coefficients at pure-rounding level (relative snap)
+    exactly diagonal; coefficients at pure-rounding level (1e-13 relative)
     are zeroed so that invariant subspaces stay exactly invariant instead
     of being destroyed by amplified rounding noise.
     """
@@ -631,14 +602,14 @@ def barbot_degeneration(loop: LipschitzLoop, crown: BarbotCrown, iters: int = 60
     Binv = np.linalg.inv(B)
     eig = np.ones(form.dim)
     eig[:4] = (0.25, 0.5, 4.0, 2.0)
-    pts = _loop_points_product(loop)
+    pts = np.array([p.rep for p in loop.sample_points()])
     coeffs = pts @ Binv.T
     history = []
     for _ in range(iters + 1):
         history.append(_distance_to_crown(crown, pts))
         coeffs = coeffs * eig
         scale = np.max(np.abs(coeffs), axis=1)
-        coeffs = np.where(np.abs(coeffs) < snap * scale[:, None], 0.0, coeffs)
+        coeffs = np.where(np.abs(coeffs) < 1e-13 * scale[:, None], 0.0, coeffs)
         moved = coeffs @ B.T
         nu = np.linalg.norm(moved[:, :2], axis=1)
         nv = np.linalg.norm(moved[:, 2:], axis=1)
@@ -659,16 +630,15 @@ def _ring_mean_K(state: SurfaceState, geo) -> np.ndarray:
     return np.array([np.nanmean(geo.K[ring == i]) for i in range(state.mesh.rings - 1)])
 
 
-def asymptotic_hyperbolicity_audit(state: SurfaceState, tol_outer: float = 0.1,
-                                   noise: float = 2e-2) -> AuditReport:
+def asymptotic_hyperbolicity_audit(state: SurfaceState) -> AuditReport:
     """Ring profile of the curvature: the outermost audited ring must sit
     near -1 and |K+1| must not grow outward over the outer half."""
     _require_converged(state)
     means = _ring_mean_K(state, discrete_geometry(state))
     outer_val = float(means[-1])
-    outer_ok = abs(outer_val + 1.0) <= tol_outer
+    outer_ok = abs(outer_val + 1.0) <= OUTER_RING_TOL
     gap = np.abs(means[state.mesh.rings // 2:] + 1.0)
-    mono_ok = not np.any(gap[1:] > gap[:-1] + noise)
+    mono_ok = not np.any(gap[1:] > gap[:-1] + RING_PROFILE_NOISE)
     passed = outer_ok and mono_ok
     return AuditReport(
         name="asymptotic_hyperbolicity",
@@ -676,78 +646,64 @@ def asymptotic_hyperbolicity_audit(state: SurfaceState, tol_outer: float = 0.1,
                 "ring_means": {str(i): float(v) for i, v in enumerate(means)},
                 "monotone": mono_ok,
                 "c1_loop": bool(state.loop.c1) if state.loop is not None else False},
-        thresholds={"outer_ring_mean_K": -1.0, "outer_tol": tol_outer, "noise": noise},
+        thresholds={"outer_ring_mean_K": -1.0, "outer_tol": OUTER_RING_TOL,
+                    "noise": RING_PROFILE_NOISE},
         passed=bool(passed),
         samples=len(means),
     )
 
 
-def hessian_audit(state: SurfaceState, z, samples: int = 200, seed: int = 0,
-                  threshold: float = 0.15) -> AuditReport:
+def hessian_audit(state: SurfaceState, z, samples: int = 200, seed: int = 0) -> AuditReport:
     """Second differences of a horofunction along near-geodesic vertex
     triples against phi_z (g - dh dh + beta) with beta from the fitted
     second fundamental form."""
     _require_converged(state)
     form = state.form
     rng = np.random.default_rng(seed)
-    z0 = z.rep if hasattr(z, "rep") else np.asarray(z, dtype=float)
-    h = horofunction(form, z0)
+    h = horofunction(form, z)
     geo = discrete_geometry(state)
-    e1, e2 = geo.frames
     mesh = state.mesh
-    ring, sec = mesh.stencil.ring, mesh.stencil.sector
+    ring = mesh.stencil.ring
     inter = np.flatnonzero(mesh.interior_mask(AUDIT_EXCLUDE_RINGS) & (ring >= 1))
     X = state.positions
-    errors = []
-    skipped = 0
-    chosen = rng.choice(inter, size=min(samples, len(inter)), replace=False)
-    for v in chosen:
-        i, j = int(ring[v]), int(sec[v])
-        if i + 1 > mesh.rings:
-            continue
-        vp = mesh.vertex(i + 1, j)
-        vm = mesh.vertex(i - 1, j) if i > 1 else 0
-        x = X[v]
-        pairs3 = [abs(form.inner(x, h.z0)), abs(form.inner(X[vp], h.z0)),
-                  abs(form.inner(X[vm], h.z0))]
-        if min(pairs3) < 1e-8:
-            skipped += 1
-            continue
-        # second difference along the radial near-geodesic triple
-        lp = np.arccosh(max(abs(form.inner(X[vp], x)), 1.0))
-        lm = np.arccosh(max(abs(form.inner(X[vm], x)), 1.0))
-        hv = np.log(pairs3[0])
-        hp = np.log(pairs3[1])
-        hm = np.log(pairs3[2])
-        second = 2.0 * ((hp - hv) / lp + (hm - hv) / lm) / (lp + lm)
-        # direction of the segment in the tangent frame
-        d = X[vp] - X[vm]
-        d = d + form.inner(d, x) * x
-        c1 = form.inner(d, e1[v])
-        c2 = form.inner(d, e2[v])
-        nrm = np.hypot(c1, c2)
-        if nrm < 1e-12:
-            skipped += 1
-            continue
-        c1, c2 = c1 / nrm, c2 / nrm
-        u_vec = c1 * e1[v] + c2 * e2[v]
-        dh = form.inner(u_vec, h.z0) / form.inner(x, h.z0)
-        A = geo.ii_frame[v]
-        ii_dir = c1 * c1 * A[0, 0] + 2.0 * c1 * c2 * A[0, 1] + c2 * c2 * A[1, 1]
-        beta = form.inner(ii_dir, h.z0) / form.inner(x, h.z0)
-        rhs = 1.0 - dh * dh + beta
-        # the three terms are O(1) individually but may cancel exactly, so
-        # errors are measured against the metric scale g(u, u) = 1
-        errors.append(abs(second - rhs) / max(abs(rhs), 1.0))
-    if not errors:
+    drawn = rng.choice(inter, size=min(samples, len(inter)), replace=False)
+    # the radial neighbours one ring out and one ring in (the center for ring 1)
+    vp = drawn + mesh.sectors
+    vm = np.where(ring[drawn] > 1, drawn - mesh.sectors, 0)
+    pairs3 = np.abs(form.inner_rows(X[np.stack([drawn, vp, vm])], h.z0))
+    usable = np.min(pairs3, axis=0) >= 1e-8
+    v, vp, vm, pairs3 = drawn[usable], vp[usable], vm[usable], pairs3[:, usable]
+    x = X[v]
+    # second difference along the radial near-geodesic triple
+    lp, lm = np.arccosh(np.maximum(np.abs(form.inner_rows(X[np.stack([vp, vm])], x)), 1.0))
+    hv, hp, hm = np.log(pairs3)
+    second = 2.0 * ((hp - hv) / lp + (hm - hv) / lm) / (lp + lm)
+    # unit direction c of the segment in the tangent frame
+    d = X[vp] - X[vm]
+    d = d + form.inner_rows(d, x)[:, None] * x
+    frames = np.stack(geo.frames, axis=1)[v]
+    c = form.inner_rows(d[:, None], frames)
+    nrm = np.hypot(c[:, 0], c[:, 1])
+    usable = nrm >= 1e-12
+    c = c[usable] / nrm[usable, None]
+    x, frames, second = x[usable], frames[usable], second[usable]
+    x_z0 = form.inner_rows(x, h.z0)
+    dh = form.inner_rows(np.einsum("ni,nid->nd", c, frames), h.z0) / x_z0
+    ii_dir = np.einsum("ni,nj,nijd->nd", c, c, geo.ii_frame[v[usable]])
+    beta = form.inner_rows(ii_dir, h.z0) / x_z0
+    rhs = 1.0 - dh * dh + beta
+    # the three terms are O(1) individually but may cancel exactly, so
+    # errors are measured against the metric scale g(u, u) = 1
+    errors = np.abs(second - rhs) / np.maximum(np.abs(rhs), 1.0)
+    if errors.size == 0:
         raise GeometryError("no usable geodesic segments for the Hessian audit")
     med = float(np.median(errors))
     return AuditReport(
         name="hessian",
-        values={"median_rel_error": med, "skipped": skipped},
-        thresholds={"median_rel_error": threshold},
-        passed=bool(med <= threshold),
-        samples=len(errors),
+        values={"median_rel_error": med, "skipped": len(drawn) - errors.size},
+        thresholds={"median_rel_error": HESSIAN_MAX_MEDIAN_ERROR},
+        passed=bool(med <= HESSIAN_MAX_MEDIAN_ERROR),
+        samples=int(errors.size),
         seed=seed,
     )
 

@@ -34,13 +34,18 @@ class HPoint:
         object.__setattr__(self, "rep", np.asarray(self.rep, dtype=float))
 
 
-def spatial_distance(form: BilinearForm, x: HPoint, y: HPoint) -> float:
+def _rows(values):
+    """A stack of row results as an array, a single one as a float."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def spatial_distance(form: BilinearForm, x, y):
     """arccosh of the pairing on acausal pairs, zero otherwise. Pairings
-    within rounding of 1 count as causal: arccosh amplifies noise there."""
-    val = abs(form.inner(x.rep, y.rep))
-    if val <= 1.0 + 1e-14:
-        return 0.0
-    return float(np.arccosh(val))
+    within rounding of 1 count as causal: arccosh amplifies noise there.
+    x and y are points or stacks of representatives (..., dim), paired row
+    by row; one pair gives a float."""
+    val = np.abs(form.inner_rows(_as_vector(x), _as_vector(y)))
+    return _rows(np.arccosh(np.where(val <= 1.0 + 1e-14, 1.0, val)))
 
 
 @dataclass(frozen=True)
@@ -62,33 +67,33 @@ def horofunction(form: BilinearForm, z, atol: float = 1e-8) -> Horofunction:
 
 
 def check_frame(form: BilinearForm, frame: np.ndarray, atol: float = 1e-8) -> np.ndarray:
-    """Validate a q-orthonormal frame (rows); returns the row signs."""
+    """Validate q-orthonormal frames: the rows of `frame`, or of each frame
+    in a stack (..., k, dim). Returns the row signs, shape (..., k)."""
     frame = np.asarray(frame, dtype=float)
-    gram = (frame * form.signs) @ frame.T
-    signs = np.diag(gram)
-    if np.max(np.abs(np.abs(signs) - 1.0)) > atol:
+    gram = (frame * form.signs) @ np.swapaxes(frame, -1, -2)
+    signs = np.diagonal(gram, axis1=-2, axis2=-1)
+    if np.any(np.abs(np.abs(signs) - 1.0) > atol):
         raise FrameError("frame vectors must have q = +1 or -1")
-    off = gram - np.diag(signs)
-    if np.max(np.abs(off)) > atol:
+    if np.any(np.abs(gram - signs[..., None] * np.eye(gram.shape[-1])) > atol):
         raise FrameError("frame vectors must be q-orthogonal")
     return np.sign(signs)
 
 
-def horofunction_gradient(form: BilinearForm, h: Horofunction, x: HPoint, frame: np.ndarray) -> np.ndarray:
+def horofunction_gradient(form: BilinearForm, h: Horofunction, x, frame: np.ndarray) -> np.ndarray:
     """Projection of z0 onto the span of the frame, divided by <x0, z0>,
-    with the lift of x chosen so the pairing is positive."""
+    with the lift of x chosen so the pairing is positive. Takes a point and
+    its frame, or stacks (..., dim) and (..., k, dim) of them."""
     signs = check_frame(form, frame)
-    pairing = form.inner(x.rep, h.z0)
-    if abs(pairing) <= 1e-12:
+    pairing = np.abs(form.inner_rows(_as_vector(x), h.z0))
+    if np.any(pairing <= 1e-12):
         raise HorofunctionDomainError("point is orthogonal to the horofunction vector")
-    pairing = abs(pairing)
     coeffs = signs * ((frame * form.signs) @ h.z0)
-    return (coeffs @ frame) / pairing
+    return (coeffs[..., None, :] @ frame)[..., 0, :] / pairing[..., None]
 
 
-def gradient_norm_sq(form: BilinearForm, h: Horofunction, x: HPoint, frame: np.ndarray) -> float:
+def gradient_norm_sq(form: BilinearForm, h: Horofunction, x, frame: np.ndarray):
     g = horofunction_gradient(form, h, x, frame)
-    return form.q(g)
+    return _rows(form.inner_rows(g, g))
 
 
 # ---------------------------------------------------------------------------

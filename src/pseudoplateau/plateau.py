@@ -223,9 +223,9 @@ def face_grams(form: BilinearForm, X: np.ndarray, faces: np.ndarray):
     return a, b, c, a * c - b * b
 
 
-def faces_spacelike(form: BilinearForm, X: np.ndarray, faces: np.ndarray, floor: float = 0.0):
+def faces_spacelike(form: BilinearForm, X: np.ndarray, faces: np.ndarray):
     a, _, _, det = face_grams(form, X, faces)
-    good = (a > floor) & (det > floor)
+    good = (a > 0.0) & (det > 0.0)
     return bool(np.all(good)), good
 
 
@@ -803,6 +803,10 @@ def _parse_state(text: str) -> SurfaceState:
     qx = form.inner_rows(X, X)
     if not np.all(np.abs(qx + 1.0) <= 1e-8):
         raise GeometryError("state vertices are off the quadric")
+    # the rim vertices sit at the header radius, arcsinh |X[:2]| = R
+    rim = np.arcsinh(np.linalg.norm(X[mesh.vertex(m, 0):, :2], axis=1))
+    if not np.all(np.abs(rim - R) <= 1e-9 * max(1.0, R)):
+        raise GeometryError(f"rim vertices are not at the header radius R={R!r}")
     return SurfaceState(
         mesh=mesh, positions=X, pinned=pinned, form=form, converged=converged,
         final_residual=float("nan"),

@@ -137,27 +137,19 @@ def subspace_signature(form: BilinearForm, vectors, tol: float = NULL_EIGENVALUE
 
 @dataclass(frozen=True)
 class Isometry:
-    """A linear map preserving the form, with its orientation behaviour on
-    the positive 2-plane block and on the negative block recorded."""
+    """A linear map preserving the form."""
 
     matrix: np.ndarray
-    space_oriented: bool = True
-    time_oriented: bool = True
 
     def apply(self, v) -> np.ndarray:
         return self.matrix @ _as_vector(v)
 
 
 def isometry_from_matrix(form: BilinearForm, M: np.ndarray, atol: float = 1e-8) -> Isometry:
-    Q = form.matrix
-    defect = np.max(np.abs(M.T @ Q @ M - Q))
+    defect = isometry_defect(form, M)
     if defect > atol:
         raise GeometryError(f"matrix does not preserve the form (defect {defect:.2e})")
-    return Isometry(
-        M,
-        space_oriented=bool(np.linalg.det(M[:2, :2]) > 0),
-        time_oriented=bool(np.linalg.det(M[2:, 2:]) > 0),
-    )
+    return Isometry(M)
 
 
 def isometry_defect(form: BilinearForm, M: np.ndarray) -> float:
@@ -234,7 +226,7 @@ def standardize_triple(triple, form: BilinearForm, atol: float = 1e-8) -> Isomet
     The adapted frame is completed to a basis of E by Gram-Schmidt over the
     standard basis, in natural order, and the overall determinant is fixed
     to +1. For triples inducing the reference orientation the result lies in
-    the identity component; otherwise both orientation flags are False.
+    the identity component.
     """
     vecs = [_as_vector(t) for t in triple]
     sig = subspace_signature(form, vecs)
@@ -278,4 +270,4 @@ def standardize_triple(triple, form: BilinearForm, atol: float = 1e-8) -> Isomet
     defect = isometry_defect(form, g)
     if defect > atol:
         raise DegenerateTripleError(f"standardizer defect {defect:.2e} exceeds tolerance")
-    return isometry_from_matrix(form, g, atol=atol)
+    return Isometry(g)

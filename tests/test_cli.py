@@ -6,6 +6,7 @@ from pseudoplateau import cli
 from pseudoplateau import diagnostics as diag
 from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
+from pseudoplateau.qcore import BilinearForm
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,22 @@ class TestMalformedInput:
         res = run_cli(*map(str, args), "--out", str(tmp_path / "out"), cwd=workdir)
         assert res.returncode == 3, res.stderr
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("radius,code", [("1.0", 0), ("1.000001", 3), ("1e300", 3)])
+def test_state_header_radius_checked_against_rim(tmp_path, capsys, radius, code):
+    # the 8x24 geodesic disk of radius 1, marked converged, under a header
+    # radius that its rim vertices have or do not have
+    text = pl.state_dumps(pl.geodesic_disk_state(BilinearForm(1), 8, 24, 1.0))
+    assert "R=1.0 converged=0" in text
+    path = tmp_path / "state.txt"
+    path.write_text(text.replace("R=1.0 converged=0", f"R={radius} converged=1", 1))
+    out = tmp_path / "out"
+    assert cli.main(["audit", "--state", str(path), "--audits",
+                     "rigidity,asymptotic_hyperbolicity", "--out", str(out)]) == code
+    if code == 3:
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestAudit:

@@ -9,6 +9,7 @@ from pseudoplateau import plateau as pl
 from pseudoplateau import crossratio as cr
 from pseudoplateau import diagnostics as diag
 
+import audit_reference as ref
 from boundary_reference import distance_to_crown_reference, worst_pair_reference
 from conftest import make_circle, make_rigid_arc, make_wobble
 
@@ -150,7 +151,7 @@ class TestQuasiperiodicityProbe:
                                                                   "wobble_n2", "rigid_arc"])
     def test_pair_scan_matches_scalar_reference(self, loop):
         worst, pair = worst_pair_reference(loop)
-        ratios = diag._pair_ratios(loop, 1e-4)
+        ratios = diag._pair_ratios(loop)
         assert diag.loop_margin(loop) == 1.0 - worst
         if pair is None:
             assert np.max(ratios) == 0.0
@@ -168,7 +169,7 @@ class TestQuasiperiodicityProbe:
         worst, pair = worst_pair_reference(loop)
         assert pair != (0, 1) and worst < 0.5
         assert diag.loop_margin(loop) == 1.0 - worst
-        assert diag._pair_ratios(loop, 1e-4)[0, 1] == 0.0
+        assert diag._pair_ratios(loop)[0, 1] == 0.0
 
 
 class TestBarbotDegeneration:
@@ -304,3 +305,62 @@ class TestDevelopment:
         b1, _ = diag.boundary_extension(solved_wobble_state, seed=5)
         b2, _ = diag.boundary_extension(solved_wobble_state, seed=5)
         assert np.array_equal(b1.domain, b2.domain)
+
+
+# the bench seed, the seed on which distance_ratio fails on the bench
+# surface, and four others
+REFERENCE_SEEDS = (0, 1, 7, 41, 2012035123, 109525498)
+
+REFERENCE_AUDITS = {
+    "gradient": (lambda st, seed: diag.gradient_audit(st, seed=seed), ref.gradient_reference),
+    "distance_ratio": (lambda st, seed: diag.distance_ratio_audit(st, seed=seed),
+                       ref.distance_ratio_reference),
+    "gromov": (lambda st, seed: diag.gromov_audit(st, seed=seed), ref.gromov_reference),
+    "hessian": (lambda st, seed: diag.hessian_audit(st, st.loop.boundary_point(0.0), seed=seed),
+                lambda st, seed: ref.hessian_reference(st, st.loop.boundary_point(0.0), 200, seed)),
+}
+
+
+class TestArraysMatchPerSampleReference:
+    """The audits evaluate their samples on arrays; the references in
+    `audit_reference` evaluate them one at a time. Both draw the same
+    samples, so counts and verdicts agree and values agree to rounding."""
+
+    @pytest.mark.parametrize("audit", sorted(REFERENCE_AUDITS))
+    @pytest.mark.parametrize("fixture", ["solved_circle", "solved_wobble_state",
+                                         "barbot_grid_state"])
+    def test_audit_matches_reference(self, fixture, audit, request):
+        st = request.getfixturevalue(fixture)
+        run, reference = REFERENCE_AUDITS[audit]
+        for seed in REFERENCE_SEEDS:
+            rep, want = run(st, seed), reference(st, seed)
+            assert rep.samples == want["samples"], seed
+            assert rep.passed == bool(want["passed"]), seed
+            assert rep.values.keys() == want["values"].keys()
+            for key, value in want["values"].items():
+                if isinstance(value, int):
+                    assert rep.values[key] == value, (seed, key)
+                else:
+                    assert abs(rep.values[key] - value) <= 1e-10, (seed, key)
+
+    def test_plot_samplers_match_reference(self, solved_wobble_state):
+        # the plot export draws both samplers from one stream
+        st = solved_wobble_state
+        geo = pl.discrete_geometry(st)
+        rng, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+        grads, skipped = diag._gradient_samples(st, geo, rng, 12, 40)
+        want, want_skipped = ref.gradient_samples_reference(st, geo, rng_ref, 12, 40)
+        assert skipped == want_skipped and grads.shape == want.shape
+        assert np.max(np.abs(grads - want)) <= 1e-12
+        pairs = diag._distance_pairs(st, rng, 8, 25)
+        want = ref.distance_pairs_reference(st, rng_ref, 8, 25)
+        assert pairs.shape == want.shape
+        assert np.max(np.abs(pairs - want)) <= 1e-12
+
+    def test_rim_boundary_points_match_reference(self, solved_wobble_state):
+        # without a loop, the boundary points come from the rim vertices
+        st = solved_wobble_state.copy()
+        st.loop = None
+        got = diag._boundary_points(st, 16, np.random.default_rng(3))
+        want = ref.boundary_points_reference(st, 16, np.random.default_rng(3))
+        assert np.array_equal(got, np.array([z.rep for z in want]))

@@ -81,6 +81,58 @@ class TestHorofunction:
             hs.horofunction_gradient(FORM1, h, x, frame)
 
 
+class TestStacks:
+    """A stack of points (and frames) gives the per-row values of the
+    one-point calls."""
+
+    def test_spatial_distance_rows(self):
+        rng = np.random.default_rng(5)
+        # random fibers give acausal and causal pairs; row 0 is coincident
+        pts = np.array([hs.cylinder_point(FORM2, r, t, f / np.linalg.norm(f)).rep
+                        for r, t, f in zip(rng.uniform(0, 2, 40), rng.uniform(0, 2 * np.pi, 40),
+                                           rng.normal(size=(40, 3)))])
+        x, y = pts[:20], pts[20:]
+        y[0] = x[0]
+        # a pairing within rounding of 1 counts as causal
+        y[1] = x[1] * (1.0 + 4e-15)
+        got = hs.spatial_distance(FORM2, x, y)
+        want = [hs.spatial_distance(FORM2, hs.HPoint(a), hs.HPoint(b)) for a, b in zip(x, y)]
+        assert all(isinstance(d, float) for d in want)
+        assert want[1] == 0.0 and 0 < sum(d == 0.0 for d in want) < 20
+        assert got.shape == (20,) and np.array_equal(got, want)
+
+    def test_gradient_norm_sq_rows(self):
+        crown = ein.barbot_crown_standard(1)
+        h = hs.horofunction(FORM1, crown.zreps[0])
+        st = np.random.default_rng(2).uniform(-1.5, 1.5, size=(12, 2))
+        x = np.array([hs.barbot_surface_point(crown, s, t).rep for s, t in st])
+        frames = np.array([hs.barbot_tangent_frame(crown, s, t) for s, t in st])
+        got = hs.gradient_norm_sq(FORM1, h, x, frames)
+        want = [hs.gradient_norm_sq(FORM1, h, hs.HPoint(p), f) for p, f in zip(x, frames)]
+        assert all(isinstance(g, float) for g in want)
+        assert got.shape == (12,) and np.array_equal(got, want)
+
+    def test_one_bad_row_rejects_the_stack(self):
+        crown = ein.barbot_crown_standard(1)
+        h = hs.horofunction(FORM1, crown.zreps[0])
+        x = np.array([hs.barbot_surface_point(crown, s, 0.0).rep for s in (0.0, 0.5)])
+        frames = np.array([hs.barbot_tangent_frame(crown, s, 0.0) for s in (0.0, 0.5)])
+        bad = frames.copy()
+        bad[1] *= 2.0
+        with pytest.raises(hs.FrameError):
+            hs.gradient_norm_sq(FORM1, h, x, bad)
+        # unit rows that are not q-orthogonal
+        bad = np.stack([np.eye(FORM1.dim)[:2]] * 2)
+        bad[1, 1] = (0.6, 0.8, 0.0, 0.0)
+        with pytest.raises(hs.FrameError, match="orthogonal"):
+            hs.check_frame(FORM1, bad)
+        orth = hs.horofunction(FORM1, np.array([1.0, 0.0, 1.0, 0.0]))
+        y = x.copy()
+        y[1] = hs.cylinder_point(FORM1, 0.0, 0.0, np.array([0.0, 1.0])).rep
+        with pytest.raises(hs.HorofunctionDomainError):
+            hs.horofunction_gradient(FORM1, orth, y, np.stack([np.eye(FORM1.dim)[:2]] * 2))
+
+
 class TestBarbotSurface:
     def test_unit_timelike_everywhere(self):
         crown = ein.barbot_crown_standard(2)
