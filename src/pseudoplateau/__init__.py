@@ -11,7 +11,7 @@ Submodules:
     cli          command-line driver
 """
 
-from .qcore import BilinearForm, Isometry, SubspaceSignature, bilinear, subspace_signature
+from .qcore import BilinearForm, Isometry, SubspaceSignature, subspace_signature
 from .einstein import (
     BarbotCrown,
     BoundaryPoint,
@@ -28,7 +28,6 @@ __all__ = [
     "BilinearForm",
     "Isometry",
     "SubspaceSignature",
-    "bilinear",
     "subspace_signature",
     "BarbotCrown",
     "BoundaryPoint",

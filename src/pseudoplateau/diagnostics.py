@@ -305,10 +305,13 @@ FACE_SIDES = ([1, 2], [0, 2], [0, 1])
 # included; the flattening and the development each converge in a handful.
 GAUSS_NEWTON_TRIALS = 40
 
+# The largest residual entry at which a Gauss-Newton solve stops.
+GAUSS_NEWTON_TOL = 1e-10
 
-def _gauss_newton(residual, x: np.ndarray, tol: float) -> np.ndarray:
+
+def _gauss_newton(residual, x: np.ndarray) -> np.ndarray:
     """Sparse Gauss-Newton: steps splu(J^T J).solve(J^T r), halved until the
-    squared residual drops, until max |r| < tol.
+    squared residual drops, until max |r| < GAUSS_NEWTON_TOL.
 
     `residual(x)` returns the residual vector and its sparse Jacobian, or
     raises FlatteningError at an inadmissible x, which rejects the trial
@@ -319,7 +322,7 @@ def _gauss_newton(residual, x: np.ndarray, tol: float) -> np.ndarray:
     r, J = residual(x)
     step = None
     for _ in range(GAUSS_NEWTON_TRIALS):
-        if np.max(np.abs(r)) < tol:
+        if np.max(np.abs(r)) < GAUSS_NEWTON_TOL:
             return x
         if step is None:
             Jt = J.T.tocsc()
@@ -392,7 +395,7 @@ def yamabe_flatten(state: SurfaceState):
                           shape=(nv, nv))
         return 2.0 * np.pi - sums[:ni], J[:ni, :ni]
 
-    ui = _gauss_newton(residual, np.zeros(ni), 1e-10)
+    ui = _gauss_newton(residual, np.zeros(ni))
     return np.concatenate([ui, np.zeros(nv - ni)]), tuple(lengths_of(ui))
 
 
@@ -442,7 +445,7 @@ def _develop_h2(state: SurfaceState, lengths) -> np.ndarray:
                           shape=(len(edges), 2 * nv))
         return np.arccosh(pair) - target, J[:, free]
 
-    xy[free] = _gauss_newton(residual, xy[free], 1e-10)
+    xy[free] = _gauss_newton(residual, xy[free])
     return xy.reshape(nv, 2)
 
 

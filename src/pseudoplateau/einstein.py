@@ -17,7 +17,6 @@ import numpy as np
 from .qcore import (
     BilinearForm,
     DegenerateCrownError,
-    DegenerateTripleError,
     GeometryError,
     standardize_triple,
     subspace_signature,
@@ -43,6 +42,10 @@ class InvalidLoopError(GeometryError):
 
 TRANSVERSALITY_RTOL = 1e-8
 ISOTROPY_ATOL = 1e-10
+
+# The slack with which `loop_classify` and `photon_arc` compare the fiber
+# distance of two loop samples with their circle distance.
+LIPSCHITZ_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -113,20 +116,6 @@ def transverse(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint, tol: floa
     lie on a common photon)."""
     val = form.inner(a.rep, b.rep)
     return bool(abs(val) > tol * form.aux_norm(a.rep) * form.aux_norm(b.rep))
-
-
-def triple_class(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint, c: BoundaryPoint,
-                 tol: float = 1e-9) -> str:
-    """Classify span(a, b, c): 'positive' for signature (2,1), 'negative'
-    for (1,2), 'nonnegative_degenerate' otherwise."""
-    if projectively_equal(a, b) or projectively_equal(a, c) or projectively_equal(b, c):
-        raise CoincidentPointsError("triple contains coincident points")
-    sig = subspace_signature(form, [a.rep, b.rep, c.rep], tol=tol).as_tuple()
-    if sig == (2, 1, 0):
-        return "positive"
-    if sig == (1, 2, 0):
-        return "negative"
-    return "nonnegative_degenerate"
 
 
 @dataclass(frozen=True)
@@ -314,21 +303,6 @@ def in_closed_diamond(form: BilinearForm, triple, x: BoundaryPoint, tol: float =
     )
 
 
-def quadruple_positive(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint,
-                       c: BoundaryPoint, d: BoundaryPoint) -> bool:
-    """Whether b and d sit in opposite diamonds of the pair (a, c), i.e. the
-    quadruple is cyclically ordered; requires all sub-triples positive."""
-    for t in ([a, b, c], [a, b, d], [a, c, d], [b, c, d]):
-        if triple_class(form, *t) != "positive":
-            raise DegenerateTripleError("quadruple has a non-positive sub-triple")
-    chart = tau_chart(form, (a, b, c))
-    ud = minkowski_chart_inverse(form, chart, d)
-    e1 = np.zeros(chart.n + 1)
-    e1[0] = 1.0
-    rel = ud - e1
-    return bool(chart.q1n(rel) > 0 and rel[0] > 0)
-
-
 # ---------------------------------------------------------------------------
 # Loops
 
@@ -423,30 +397,30 @@ class LipschitzLoop:
         return [from_graph_sample(t, f) for t, f in zip(self.thetas, self.fibers)]
 
 
-def loop_classify(loop: LipschitzLoop, tol: float = 1e-8) -> str:
+def loop_classify(loop: LipschitzLoop) -> str:
     """'positive' when strictly contracting on all sampled pairs,
-    'semipositive' when 1-Lipschitz within tol but not a sampled isometry,
-    'invalid' otherwise."""
+    'semipositive' when 1-Lipschitz within LIPSCHITZ_TOL but not a sampled
+    isometry, 'invalid' otherwise."""
     dots = np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0)
     iu = np.triu_indices(loop.size, 1)
     gaps = _circle_dist_matrix(loop.thetas)[iu] - np.arccos(dots)[iu]
-    if np.all(gaps > tol):
+    if np.all(gaps > LIPSCHITZ_TOL):
         return "positive"
-    if np.all(gaps >= -tol):
-        if np.all(np.abs(gaps) <= tol):
+    if np.all(gaps >= -LIPSCHITZ_TOL):
+        if np.all(np.abs(gaps) <= LIPSCHITZ_TOL):
             return "invalid"  # a sampled global isometry traces a photon
         return "semipositive"
     return "invalid"
 
 
-def photon_arc(loop: LipschitzLoop, tol: float = 1e-8) -> list[tuple[int, int]]:
+def photon_arc(loop: LipschitzLoop) -> list[tuple[int, int]]:
     """Maximal sample-index arcs on which the loop is sampled-rigid (fiber
     distance matches circle distance on every pair within the arc). Arcs are
     returned as (start, end) index pairs, inclusive, cyclic; arcs with empty
     interior are dropped."""
     k = loop.size
     dots = np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0)
-    rigid = np.arccos(dots) >= _circle_dist_matrix(loop.thetas) - tol
+    rigid = np.arccos(dots) >= _circle_dist_matrix(loop.thetas) - LIPSCHITZ_TOL
     # a window is rigid when every pair is, read in both orders
     rigid = rigid & rigid.T
     # A rigid window grows by one sample exactly when the new sample is
@@ -559,10 +533,10 @@ def crown_loop(crown: BarbotCrown, samples_per_edge: int = 24) -> LipschitzLoop:
     return LipschitzLoop(thetas, fibers, c1=False)
 
 
-def crown_seeded_from_arc(form: BilinearForm, loop: LipschitzLoop, tol: float = 1e-8) -> BarbotCrown:
+def crown_seeded_from_arc(form: BilinearForm, loop: LipschitzLoop) -> BarbotCrown:
     """Seed a crown from the extremities of a photon arc of a semi-positive
     loop, completing the two remaining vertices by a Witt-style construction."""
-    arcs = photon_arc(loop, tol=tol)
+    arcs = photon_arc(loop)
     if not arcs:
         raise InvalidLoopError("loop has no photon arc; nothing to seed a crown from")
     if len(arcs) == 4:

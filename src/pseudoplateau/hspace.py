@@ -1,9 +1,9 @@
 """The pseudo-hyperbolic space H^{2,n}: unit-timelike lines of the form.
 
 Points are stored as q = -1 representatives. Alongside points, distances
-and horofunctions, this module carries the analytic surfaces every numeric
-experiment is checked against: totally geodesic disks and the flat orbit
-surfaces spanned by photon quadrilaterals.
+and horofunctions, this module carries the flat orbit surfaces spanned by
+photon quadrilaterals, on which the solver places crown data, and the
+polar-fiber points from which it builds its initial surfaces.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import BilinearForm, GeometryError, _as_vector
-from .einstein import BarbotCrown, LipschitzLoop
+from .einstein import BarbotCrown
 
 
 class HorofunctionDomainError(GeometryError):
@@ -22,6 +22,13 @@ class HorofunctionDomainError(GeometryError):
 
 class FrameError(GeometryError):
     pass
+
+
+# The largest |q(z0)| of a unit horofunction vector z0.
+HOROFUNCTION_ISOTROPY_ATOL = 1e-8
+
+# The largest entry by which a frame's Gram matrix may miss diag(+-1).
+FRAME_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,26 +62,26 @@ class Horofunction:
     z0: np.ndarray
 
 
-def horofunction(form: BilinearForm, z, atol: float = 1e-8) -> Horofunction:
+def horofunction(form: BilinearForm, z) -> Horofunction:
     z0 = _as_vector(z)
     nz = np.linalg.norm(z0)
     if nz == 0.0:
         raise GeometryError("horofunction vector must be nonzero")
     z0 = z0 / nz
-    if abs(form.q(z0)) > atol:
+    if abs(form.q(z0)) > HOROFUNCTION_ISOTROPY_ATOL:
         raise GeometryError("horofunction vector must be isotropic")
     return Horofunction(z0)
 
 
-def check_frame(form: BilinearForm, frame: np.ndarray, atol: float = 1e-8) -> np.ndarray:
+def check_frame(form: BilinearForm, frame: np.ndarray) -> np.ndarray:
     """Validate q-orthonormal frames: the rows of `frame`, or of each frame
     in a stack (..., k, dim). Returns the row signs, shape (..., k)."""
     frame = np.asarray(frame, dtype=float)
     gram = (frame * form.signs) @ np.swapaxes(frame, -1, -2)
     signs = np.diagonal(gram, axis1=-2, axis2=-1)
-    if np.any(np.abs(np.abs(signs) - 1.0) > atol):
+    if np.any(np.abs(np.abs(signs) - 1.0) > FRAME_ATOL):
         raise FrameError("frame vectors must have q = +1 or -1")
-    if np.any(np.abs(gram - signs[..., None] * np.eye(gram.shape[-1])) > atol):
+    if np.any(np.abs(gram - signs[..., None] * np.eye(gram.shape[-1])) > FRAME_ATOL):
         raise FrameError("frame vectors must be q-orthogonal")
     return np.sign(signs)
 
@@ -114,18 +121,6 @@ def barbot_tangent_frame(crown: BarbotCrown, s: float, t: float) -> np.ndarray:
     return np.sqrt(2.0) * np.vstack([xs, xt])
 
 
-def barbot_second_fundamental(crown: BarbotCrown, s: float, t: float):
-    """Closed-form second fundamental form in the orthonormal frame above:
-    returns (alpha, beta) = (II(e1, e1), II(e1, e2)); beta vanishes and
-    II(e2, e2) = -alpha by maximality."""
-    z = crown.zreps
-    x = barbot_surface_point(crown, s, t).rep
-    xss2 = 2.0 * (np.exp(s) * z[0] + np.exp(-s) * z[2])
-    alpha = xss2 - x
-    beta = np.zeros_like(x)
-    return alpha, beta
-
-
 def cylinder_point(form: BilinearForm, r: float, theta: float, fiber) -> HPoint:
     """The point sinh(r) (cos t, sin t, 0) + cosh(r) (0, 0, v); q = -1 for
     any unit fiber v, giving global polar-fiber coordinates on H^{2,n}."""
@@ -136,16 +131,3 @@ def cylinder_point(form: BilinearForm, r: float, theta: float, fiber) -> HPoint:
     vec[2:] = np.cosh(r) * f
     return HPoint(vec)
 
-
-def boundary_ray_point(loop: LipschitzLoop, theta: float, R: float) -> HPoint:
-    """Finite-radius representative of the ideal loop point at angle theta:
-    converges projectively to the loop point as R grows."""
-    form = BilinearForm(loop.n)
-    return cylinder_point(form, R, theta, loop.fiber_at(theta))
-
-
-def geodesic_disk_point(form: BilinearForm, r: float, theta: float) -> HPoint:
-    """Polar point of the standard totally geodesic plane."""
-    f = np.zeros(form.dim - 2)
-    f[0] = 1.0
-    return cylinder_point(form, r, theta, f)

@@ -446,15 +446,6 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
     return state
 
 
-def geodesic_disk_state(form: BilinearForm, m: int, s: int, R: float) -> SurfaceState:
-    """The exact totally geodesic disk on the polar mesh."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, s, endpoint=False)
-    fiber = np.zeros(form.dim - 2)
-    fiber[0] = 1.0
-    loop = LipschitzLoop(thetas, np.tile(fiber, (s, 1)), c1=True)
-    return build_state(loop, m, s, R)
-
-
 def barbot_state(form: BilinearForm, crown: BarbotCrown, m: int, s: int, R: float) -> SurfaceState:
     """The analytically sampled flat orbit surface on the polar mesh."""
     mesh = DiskMesh(m, s, R)
@@ -582,15 +573,9 @@ def plateau_solve(state: SurfaceState, tol: float = 1e-6, max_iter: int = 20000)
 @dataclass
 class DiscreteGeometry:
     K: np.ndarray
-    omega: np.ndarray
     ii_gauss: np.ndarray
     ii_fit: np.ndarray
     ii_frame: np.ndarray            # (nv, 2, 2, dim) fitted II tensors
-    trace_defect: np.ndarray
-    rho: np.ndarray
-    q4: np.ndarray
-    q4_residual: np.ndarray
-    interior: np.ndarray
     frames: tuple
 
 
@@ -619,7 +604,7 @@ def discrete_geometry(state: SurfaceState) -> DiscreteGeometry:
 def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     """One batched pass over every interior vertex star of the mesh's
     stencil table. Padding slots hold the vertex itself, so their rows in
-    the least-squares fits are exactly zero and leave each fit unchanged."""
+    the least-squares fit are exactly zero and leave the fit unchanged."""
     form = state.form
     mesh = state.mesh
     X = state.positions
@@ -656,8 +641,6 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     q11 = form.inner_rows(a11, a11)
     q12 = form.inner_rows(a12, a12)
     q22 = form.inner_rows(a22, a22)
-    tr = a11 + a22
-    qtr = form.inner_rows(tr, tr)
 
     ii_frame = np.zeros((nv, 2, 2, dim))
     ii_frame[idx, 0, 0] = a11
@@ -666,12 +649,6 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     ii_frame[idx, 1, 1] = a22
     ii_fit = np.full(nv, np.nan)
     ii_fit[idx] = -(q11 + 2.0 * q12 + q22)
-    trace_defect = np.full(nv, np.nan)
-    trace_defect[idx] = np.where(qtr < 0, np.sqrt(np.abs(qtr)), np.linalg.norm(tr, axis=1))
-    q4 = np.full(nv, np.nan, dtype=complex)
-    q4[idx] = (q11 - q12) - 2j * form.inner_rows(a11, a12)
-    sigma_coeff = np.zeros((nv, dim), dtype=complex)
-    sigma_coeff[idx] = a11 - 1j * a12
 
     def kappa_sq(du1, du2):
         # squared normal curvature of each direction, from the fitted form
@@ -700,39 +677,12 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     angles = np.where(mask, np.arccos(cosv), 0.0)
     s_h = 0.5 * (la + lb + lc)
     areas = np.sqrt(np.maximum(s_h * (s_h - la) * (s_h - lb) * (s_h - lc), 0.0))
-    omega = np.full(nv, np.nan)
-    omega[idx] = np.sum(np.where(mask, areas, 0.0), axis=1) / 3.0
+    omega = np.sum(np.where(mask, areas, 0.0), axis=1) / 3.0
     K = np.full(nv, np.nan)
-    K[idx] = (2.0 * np.pi - np.sum(angles, axis=1)) / omega[idx]
+    K[idx] = (2.0 * np.pi - np.sum(angles, axis=1)) / omega
     ii_gauss = 2.0 * (K + 1.0)
-
-    # discrete Cauchy-Riemann defect of the sigma coefficient over the star:
-    # fit sigma(z) ~ c0 + c1 z + c2 conj(z) to the interior star vertices,
-    # transported into the frame at the center, plus the center itself
-    usable = mask & interior[star]
-    e1w = e1[star]
-    e1w = e1w + inner(e1w, x)[..., None] * x
-    phi = np.arctan2(inner(e1w, f2), inner(e1w, f1))
-    sw = sigma_coeff[star]
-    sw = sw + inner(sw, x)[..., None] * x
-    sw = sw - inner(sw, f1)[..., None] * f1
-    sw = sw - inner(sw, f2)[..., None] * f2
-    sw = np.where(usable[..., None], sw * np.exp(-2j * phi)[..., None], 0.0)
-    zu = np.where(usable, u1 + 1j * u2, 0.0)
-    # unusable rows are zero; the center joins as one more row with z = 0
-    Vm = np.concatenate([np.stack([usable, zu, np.conj(zu)], axis=-1),
-                         np.broadcast_to([1.0, 0.0, 0.0], (len(idx), 1, 3))], axis=1)
-    vals = np.concatenate([sw, sigma_coeff[idx][:, None]], axis=1)
-    coef = np.linalg.pinv(Vm) @ vals
-    fit = usable.sum(axis=1) >= 4
-    q4_res = np.full(nv, np.nan)
-    q4_res[idx] = np.where(fit, np.linalg.norm(coef[:, 2], axis=1), np.nan)
-    rho = mean_curvature_residual(state)
-    return DiscreteGeometry(
-        K=K, omega=omega, ii_gauss=ii_gauss, ii_fit=ii_fit, ii_frame=ii_frame,
-        trace_defect=trace_defect, rho=rho, q4=q4, q4_residual=q4_res,
-        interior=interior, frames=(e1, e2),
-    )
+    return DiscreteGeometry(K=K, ii_gauss=ii_gauss, ii_fit=ii_fit, ii_frame=ii_frame,
+                            frames=(e1, e2))
 
 
 # ---------------------------------------------------------------------------

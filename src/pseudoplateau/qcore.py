@@ -34,6 +34,9 @@ class DegenerateCrownError(GeometryError):
 
 NULL_EIGENVALUE_RTOL = 1e-9
 
+# The largest entry of M^T Q M - Q at which a matrix counts as an isometry.
+ISOMETRY_ATOL = 1e-8
+
 
 def _as_vector(v) -> np.ndarray:
     """Accept a bare array or anything carrying a representative in .rep."""
@@ -99,11 +102,6 @@ class BilinearForm:
         return out
 
 
-def bilinear(form: BilinearForm, u, v) -> float:
-    """The pairing <u, v> under the diagonal (2, n+1) form."""
-    return form.inner(u, v)
-
-
 @dataclass(frozen=True)
 class SubspaceSignature:
     positive: int
@@ -145,9 +143,9 @@ class Isometry:
         return self.matrix @ _as_vector(v)
 
 
-def isometry_from_matrix(form: BilinearForm, M: np.ndarray, atol: float = 1e-8) -> Isometry:
+def isometry_from_matrix(form: BilinearForm, M: np.ndarray) -> Isometry:
     defect = isometry_defect(form, M)
-    if defect > atol:
+    if defect > ISOMETRY_ATOL:
         raise GeometryError(f"matrix does not preserve the form (defect {defect:.2e})")
     return Isometry(M)
 
@@ -220,7 +218,7 @@ def triple_frame(form: BilinearForm, triple) -> np.ndarray:
     return np.array([e1, e2, e3])
 
 
-def standardize_triple(triple, form: BilinearForm, atol: float = 1e-8) -> Isometry:
+def standardize_triple(triple, form: BilinearForm) -> Isometry:
     """The isometry carrying a positive triple onto the reference triple.
 
     The adapted frame is completed to a basis of E by Gram-Schmidt over the
@@ -268,6 +266,6 @@ def standardize_triple(triple, form: BilinearForm, atol: float = 1e-8) -> Isomet
             break
         g = g @ (np.eye(form.dim) - 0.5 * E)
     defect = isometry_defect(form, g)
-    if defect > atol:
+    if defect > ISOMETRY_ATOL:
         raise DegenerateTripleError(f"standardizer defect {defect:.2e} exceeds tolerance")
     return Isometry(g)

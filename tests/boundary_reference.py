@@ -2,14 +2,45 @@
 
 They work one quadruple, one point or one pair at a time, the way
 `crossratio.qs_certify`, `diagnostics._distance_to_crown`, the loop pair
-scans and `einstein.photon_arc` were computed before they were batched. Tests compare the batched
-kernels against them.
+scans and `einstein.photon_arc` were computed before they were batched.
+`quadruple_positive` is the scalar positivity certificate of one
+quadruple, built on the triple classification `triple_class`. Tests
+compare the batched kernels against them.
 """
 
 import numpy as np
 
 from pseudoplateau import crossratio as cr
 from pseudoplateau import einstein as ein
+from pseudoplateau.qcore import DegenerateTripleError, subspace_signature
+
+
+def triple_class(form, a, b, c, tol=1e-9):
+    """Classify span(a, b, c): 'positive' for signature (2,1), 'negative'
+    for (1,2), 'nonnegative_degenerate' otherwise."""
+    if (ein.projectively_equal(a, b) or ein.projectively_equal(a, c)
+            or ein.projectively_equal(b, c)):
+        raise ein.CoincidentPointsError("triple contains coincident points")
+    sig = subspace_signature(form, [a.rep, b.rep, c.rep], tol=tol).as_tuple()
+    if sig == (2, 1, 0):
+        return "positive"
+    if sig == (1, 2, 0):
+        return "negative"
+    return "nonnegative_degenerate"
+
+
+def quadruple_positive(form, a, b, c, d):
+    """Whether b and d sit in opposite diamonds of the pair (a, c), i.e. the
+    quadruple is cyclically ordered; requires all sub-triples positive."""
+    for t in ([a, b, c], [a, b, d], [a, c, d], [b, c, d]):
+        if triple_class(form, *t) != "positive":
+            raise DegenerateTripleError("quadruple has a non-positive sub-triple")
+    chart = ein.tau_chart(form, (a, b, c))
+    ud = ein.minkowski_chart_inverse(form, chart, d)
+    e1 = np.zeros(chart.n + 1)
+    e1[0] = 1.0
+    rel = ud - e1
+    return bool(chart.q1n(rel) > 0 and rel[0] > 0)
 
 
 def certify_reference(form, bmap, A=2.0, n_quadruples=2000, rng_seed=0):
@@ -32,7 +63,7 @@ def certify_reference(form, bmap, A=2.0, n_quadruples=2000, rng_seed=0):
             if not (1.0 / A <= abs(r) <= A):
                 continue
             pts = [bmap.images[t] for t in sel]
-            if not ein.quadruple_positive(form, *pts):
+            if not quadruple_positive(form, *pts):
                 raise cr.NonPositiveMapError("sampled quadruple is not positive")
             b = cr.cross_ratio_b(form, *pts)
             accepted += 1

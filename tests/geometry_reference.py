@@ -1,14 +1,54 @@
-"""Per-vertex references for `plateau.DiskMesh` and `plateau.discrete_geometry`.
+"""References for `plateau.DiskMesh`, `plateau.discrete_geometry` and the
+surfaces of H^{2,n}.
 
-They work one vertex (or face) at a time, with scalar loops and
-`np.linalg.lstsq`, the way the mesh tables and the geometry were computed
-before they were built from arrays. Tests compare the array code against
-them.
+The mesh and geometry references work one vertex (or face) at a time,
+with scalar loops and `np.linalg.lstsq`, the way the mesh tables and the
+geometry were computed before they were built from arrays. The analytic
+oracles are the totally geodesic disk, the finite-radius points over a
+loop and the closed-form second fundamental form of a flat orbit surface.
+Tests compare the program against them.
 """
 
 import numpy as np
 
+from pseudoplateau import hspace as hs
 from pseudoplateau import plateau as pl
+from pseudoplateau.einstein import LipschitzLoop
+from pseudoplateau.qcore import BilinearForm
+
+
+def geodesic_disk_point(form, r, theta):
+    """Polar point of the standard totally geodesic plane."""
+    f = np.zeros(form.dim - 2)
+    f[0] = 1.0
+    return hs.cylinder_point(form, r, theta, f)
+
+
+def geodesic_disk_state(form, m, s, R):
+    """The exact totally geodesic disk on the polar mesh."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, s, endpoint=False)
+    fiber = np.zeros(form.dim - 2)
+    fiber[0] = 1.0
+    loop = LipschitzLoop(thetas, np.tile(fiber, (s, 1)), c1=True)
+    return pl.build_state(loop, m, s, R)
+
+
+def boundary_ray_point(loop, theta, R):
+    """Finite-radius representative of the ideal loop point at angle theta:
+    converges projectively to the loop point as R grows."""
+    return hs.cylinder_point(BilinearForm(loop.n), R, theta, loop.fiber_at(theta))
+
+
+def barbot_second_fundamental(crown, s, t):
+    """Closed-form second fundamental form in the orthonormal frame of
+    `hspace.barbot_tangent_frame`: returns (alpha, beta) = (II(e1, e1),
+    II(e1, e2)); beta vanishes and II(e2, e2) = -alpha by maximality."""
+    z = crown.zreps
+    x = hs.barbot_surface_point(crown, s, t).rep
+    xss2 = 2.0 * (np.exp(s) * z[0] + np.exp(-s) * z[2])
+    alpha = xss2 - x
+    beta = np.zeros_like(x)
+    return alpha, beta
 
 
 def reference_faces(mesh):
@@ -62,8 +102,7 @@ def balanced_star(mesh, i, j):
 
 
 def reference_geometry(state):
-    """The fields K, omega, ii_gauss, ii_fit, ii_frame, trace_defect, q4 and
-    q4_residual, keyed by name."""
+    """The fields K, ii_gauss, ii_fit and ii_frame, keyed by name."""
     form, mesh, X = state.form, state.mesh, state.positions
     nv, s = mesh.vertex_count, mesh.sectors
     e1, e2 = pl.tangent_frames(form, X, mesh)
@@ -78,13 +117,10 @@ def reference_geometry(state):
 
     interior = mesh.interior_mask(0)
     out = {
-        "K": np.full(nv, np.nan), "omega": np.full(nv, np.nan),
-        "ii_fit": np.full(nv, np.nan), "ii_frame": np.zeros((nv, 2, 2, form.dim)),
-        "trace_defect": np.full(nv, np.nan), "q4": np.full(nv, np.nan, dtype=complex),
-        "q4_residual": np.full(nv, np.nan),
+        "K": np.full(nv, np.nan), "ii_fit": np.full(nv, np.nan),
+        "ii_frame": np.zeros((nv, 2, 2, form.dim)),
     }
     stars, uv = {}, {}
-    sigma = np.zeros((nv, form.dim), dtype=complex)
     for v in np.flatnonzero(interior):
         i, j = (0, 0) if v == 0 else (1 + (v - 1) // s, (v - 1) % s)
         star = stars[v] = balanced_star(mesh, i, j)
@@ -101,10 +137,6 @@ def reference_geometry(state):
         a11, a12, a22 = np.linalg.lstsq(np.array(rows), np.array(normals), rcond=None)[0]
         out["ii_frame"][v] = [[a11, a12], [a12, a22]]
         out["ii_fit"][v] = -(q(a11) + 2.0 * q(a12) + q(a22))
-        tr = a11 + a22
-        out["trace_defect"][v] = np.sqrt(-q(tr)) if q(tr) < 0 else np.linalg.norm(tr)
-        out["q4"][v] = (q(a11) - q(a12)) - 2j * ip(a11, a12)
-        sigma[v] = a11 - 1j * a12
 
     for v, star in stars.items():
         x, A, L = X[v], out["ii_frame"][v], len(star)
@@ -128,27 +160,6 @@ def reference_geometry(state):
             angle_sum += np.arccos(np.clip((la**2 + lb**2 - lc**2) / (2.0 * la * lb), -1.0, 1.0))
             h = 0.5 * (la + lb + lc)
             area += np.sqrt(max(h * (h - la) * (h - lb) * (h - lc), 0.0))
-        out["omega"][v] = area / 3.0
-        out["K"][v] = (2.0 * np.pi - angle_sum) / out["omega"][v]
-
-        def proj(vec):
-            vec = vec + ip(vec, x) * x
-            vec = vec - ip(vec, e1[v]) * e1[v]
-            return vec - ip(vec, e2[v]) * e2[v]
-
-        vals, zs = [], []
-        for k, w in enumerate(star):
-            if not interior[w]:
-                continue
-            e1w = e1[w] + ip(e1[w], x) * x
-            phi = np.arctan2(ip(e1w, e2[v]), ip(e1w, e1[v]))
-            vals.append((proj(sigma[w].real) + 1j * proj(sigma[w].imag)) * np.exp(-2j * phi))
-            zs.append(uv[v][k][0] + 1j * uv[v][k][1])
-        if len(vals) < 4:
-            continue
-        Z = np.array(zs + [0.0])
-        Vm = np.column_stack([np.ones_like(Z), Z, np.conj(Z)])
-        coef = np.linalg.lstsq(Vm, np.array(vals + [sigma[v]]), rcond=None)[0]
-        out["q4_residual"][v] = np.linalg.norm(coef[2])
+        out["K"][v] = (2.0 * np.pi - angle_sum) / (area / 3.0)
     out["ii_gauss"] = 2.0 * (out["K"] + 1.0)
     return out

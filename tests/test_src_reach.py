@@ -1,0 +1,70 @@
+"""The package keeps only code that the program or an acceptance criterion
+reaches: every `DiscreteGeometry` field is read by the code that consumes
+the geometry pass, and every top-level function and class is used from
+another place in the package, from `bench/`, or from
+`tests/test_acceptance.py`. Test-only references live in
+`tests/*_reference.py`.
+
+Both checks scan the source with `ast`, so a name counts as used when it
+appears as a name or an attribute; `bench/tracing.py` names the functions
+it patches as strings, so string constants under `bench/` count too."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pseudoplateau"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _used_names(node, strings=False):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def test_every_geometry_field_is_read_outside_the_pass():
+    plateau = _parse(PACKAGE / "plateau.py")
+    cls = next(n for n in plateau.body
+               if isinstance(n, ast.ClassDef) and n.name == "DiscreteGeometry")
+    fields = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
+    assert fields
+    skip = {id(n) for top in plateau.body
+            if isinstance(top, ast.FunctionDef) and top.name == "_geometry_pass"
+            for n in ast.walk(top)}
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for n in ast.walk(_parse(path)):
+            if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                    and id(n) not in skip):
+                read.add(n.attr)
+    unread = [f for f in fields if f not in read]
+    assert not unread, f"DiscreteGeometry fields no code reads: {unread}"
+
+
+def test_every_top_level_definition_is_reached():
+    defined = []   # (module, name)
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.stem, top.name))
+                # a definition's own body does not count as a use of it
+                used |= _used_names(top) - {top.name}
+            elif not isinstance(top, (ast.Import, ast.ImportFrom)):
+                used |= _used_names(top)
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        used |= _used_names(_parse(path), strings=True)
+    used |= _used_names(_parse(ROOT / "tests" / "test_acceptance.py"))
+    unreached = [f"{module}.{name}" for module, name in defined if name not in used]
+    assert not unreached, f"top-level definitions only tests reach: {unreached}"
