@@ -187,7 +187,8 @@ def _edge_graph(state: SurfaceState) -> sp.csr_matrix:
                 cols.append(mesh.vertex(i0 + di, 0) + (js + dj) % s)
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
-    vals = np.arccosh(np.maximum(np.abs(state.form.inner_rows(X[rows], X[cols])), 1.0))
+    vals = np.arccosh(np.maximum(np.abs(state.form.inner_rows(np.take(X, rows, axis=0),
+                                                              np.take(X, cols, axis=0))), 1.0))
     # symmetrise and keep the shortest of duplicate edges (duplicate coo
     # entries would sum)
     lo = np.minimum(rows, cols)
@@ -361,7 +362,8 @@ def yamabe_flatten(state: SurfaceState):
     # the rim is the last ring, so the free interior factors come first
     ni = nv - state.mesh.sectors
     ends = [faces[:, side] for side in FACE_SIDES]
-    pairs = [np.abs(form.inner_rows(X[e[:, 0]], X[e[:, 1]])) for e in ends]
+    pairs = [np.abs(form.inner_rows(np.take(X, e[:, 0], axis=0), np.take(X, e[:, 1], axis=0)))
+             for e in ends]
     half0 = [np.sinh(0.5 * np.arccosh(np.maximum(pair, 1.0))) for pair in pairs]
 
     def lengths_of(ui):

@@ -10,7 +10,6 @@ tangent plane.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -105,6 +104,9 @@ class DiskMesh:
     def ring_of(self) -> np.ndarray:
         return np.concatenate([[0], np.repeat(np.arange(1, self.rings + 1), self.sectors)])
 
+    def sector_of(self) -> np.ndarray:
+        return np.concatenate([[0], np.tile(np.arange(self.sectors), self.rings)])
+
     def polar_grid(self):
         """Radii and angles of every vertex (center first)."""
         m, s = self.rings, self.sectors
@@ -139,6 +141,21 @@ class DiskMesh:
         return np.hstack([center, rings])
 
     @cached_property
+    def cotan_pattern(self):
+        """The fixed sparsity of `_cotan_matrix`: the sorted CSR `indices`
+        and `indptr` of the six corner-pair entries of every face, the CSR
+        slot of each entry (ordered as `_cotan_matrix` lists the weights),
+        and the face corners, first corners then second then third."""
+        f = self.faces
+        nv = self.vertex_count
+        rows = np.concatenate([f[:, 1], f[:, 2], f[:, 0], f[:, 2], f[:, 0], f[:, 1]])
+        cols = np.concatenate([f[:, 2], f[:, 1], f[:, 2], f[:, 0], f[:, 1], f[:, 0]])
+        keys, slot = np.unique(rows * nv + cols, return_inverse=True)
+        indices = (keys % nv).astype(np.int32)
+        indptr = np.searchsorted(keys, nv * np.arange(nv + 1)).astype(np.int32)
+        return indices, indptr, slot, f.T.ravel()
+
+    @cached_property
     def stencil(self) -> StencilTable:
         """The stencil table, built on first use and kept with the mesh.
 
@@ -151,7 +168,6 @@ class DiskMesh:
         """
         m, s = self.rings, self.sectors
         nv = self.vertex_count
-        sector = np.concatenate([[0], np.tile(np.arange(s), m)])
         star = np.repeat(np.arange(nv)[:, None], STAR_WIDTH, axis=1)
         length = np.zeros(nv, dtype=np.int64)
         stride = max(1, round(s / 6))
@@ -180,7 +196,7 @@ class DiskMesh:
         slot = np.arange(STAR_WIDTH)
         mask = slot < length[:, None]
         nxt = np.where(mask, (slot + 1) % np.maximum(length, 1)[:, None], slot)
-        return StencilTable(ring=self.ring_of(), sector=sector, star=star, mask=mask, nxt=nxt)
+        return StencilTable(ring=self.ring_of(), sector=self.sector_of(), star=star, mask=mask, nxt=nxt)
 
 
 @dataclass
@@ -215,8 +231,9 @@ class SurfaceState:
 
 def face_grams(form: BilinearForm, X: np.ndarray, faces: np.ndarray):
     """Per-face induced metric entries (a, b, c) and Gram determinant."""
-    E1 = X[faces[:, 1]] - X[faces[:, 0]]
-    E2 = X[faces[:, 2]] - X[faces[:, 0]]
+    X0 = np.take(X, faces[:, 0], axis=0)
+    E1 = np.take(X, faces[:, 1], axis=0) - X0
+    E2 = np.take(X, faces[:, 2], axis=0) - X0
     a = form.inner_rows(E1, E1)
     b = form.inner_rows(E1, E2)
     c = form.inner_rows(E2, E2)
@@ -231,8 +248,9 @@ def faces_spacelike(form: BilinearForm, X: np.ndarray, faces: np.ndarray):
 
 def _cotan_matrix(grams, mesh: DiskMesh):
     """Cotangent weight matrix, its row sums, and barycentric vertex areas,
-    from the face Gram entries of `face_grams`."""
-    faces = mesh.faces
+    from the face Gram entries of `face_grams`, filled into the mesh's
+    `cotan_pattern`. An off-diagonal entry sums at most two face terms, so
+    the order of the sums does not change a bit of the result."""
     a, b, c, det = grams
     bad = det <= 0
     if np.any(bad):
@@ -244,15 +262,11 @@ def _cotan_matrix(grams, mesh: DiskMesh):
     cot1 = (a - b) / s
     cot2 = (c - b) / s
     nv = mesh.vertex_count
-    rows = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0], faces[:, 2], faces[:, 0], faces[:, 1]])
-    cols = np.concatenate([faces[:, 2], faces[:, 1], faces[:, 2], faces[:, 0], faces[:, 1], faces[:, 0]])
+    indices, indptr, slot, corners = mesh.cotan_pattern
     w = 0.5 * np.concatenate([cot0, cot0, cot1, cot1, cot2, cot2])
-    W = sp.coo_matrix((w, (rows, cols)), shape=(nv, nv)).tocsr()
+    W = sp.csr_matrix((np.bincount(slot, weights=w), indices, indptr), shape=(nv, nv))
     deg = np.asarray(W.sum(axis=1)).ravel()
-    omega = np.zeros(nv)
-    np.add.at(omega, faces[:, 0], area / 3.0)
-    np.add.at(omega, faces[:, 1], area / 3.0)
-    np.add.at(omega, faces[:, 2], area / 3.0)
+    omega = np.bincount(corners, weights=np.tile(area / 3.0, 3), minlength=nv)
     return W, deg, omega
 
 
@@ -260,8 +274,8 @@ def tangent_frames(form: BilinearForm, X: np.ndarray, mesh: DiskMesh):
     """Structured per-vertex orthonormal tangent frames from central (or
     one-sided at the rim) difference directions."""
     ta_to, ta_from, tb_to, tb_from = mesh.tangent_diffs
-    ta = X[ta_to] - X[ta_from]
-    tb = X[tb_to] - X[tb_from]
+    ta = np.take(X, ta_to, axis=0) - np.take(X, ta_from, axis=0)
+    tb = np.take(X, tb_to, axis=0) - np.take(X, tb_from, axis=0)
 
     def project_tangent(t):
         coeff = form.inner_rows(t, X)
@@ -482,7 +496,8 @@ def _flow_step(X: np.ndarray, rho: np.ndarray, omega: np.ndarray, idx: np.ndarra
     single global explicit step cannot resolve on a graded polar mesh; its
     fixed points (rho = 0) are the same."""
     Xn = X.copy()
-    Xn[idx] += lu.solve((omega[:, None] * rho)[idx])
+    Xn[idx] = np.take(X, idx, axis=0) + lu.solve(np.take(omega, idx)[:, None]
+                                                 * np.take(rho, idx, axis=0))
     return Xn
 
 
@@ -617,13 +632,10 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     star = table.star[idx]
     mask = table.mask[idx]
     nxt = table.nxt[idx]
-    x = X[idx][:, None, :]
-    f1 = e1[idx][:, None, :]
-    f2 = e2[idx][:, None, :]
-    pts = X[star]
-
-    def inner(U, V):
-        return form.inner_rows(U, np.broadcast_to(V, U.shape))
+    x = np.take(X, idx, axis=0)[:, None, :]
+    f1 = np.take(e1, idx, axis=0)[:, None, :]
+    f2 = np.take(e2, idx, axis=0)[:, None, :]
+    pts = np.take(X, star, axis=0)
 
     def succ(a):
         return np.take_along_axis(a, nxt, axis=1)
@@ -631,9 +643,9 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     # quadratic fit of the normal deviation over the star: one 3-unknown
     # least-squares problem per vertex, solved by a batched pseudo-inverse
     d = pts - x
-    d = d + inner(d, x)[..., None] * x
-    u1 = inner(d, f1)
-    u2 = inner(d, f2)
+    d = d + form.inner_rows(d, x)[..., None] * x
+    u1 = form.inner_rows(d, f1)
+    u2 = form.inner_rows(d, f2)
     normal = d - (u1[..., None] * f1 + u2[..., None] * f2)
     G = 0.5 * np.stack([u1 * u1, 2.0 * u1 * u2, u2 * u2], axis=-1)
     sol = np.linalg.pinv(G) @ normal
@@ -665,8 +677,9 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     # angle defect carries an O(1) bias wherever the surface bends. The
     # normal directions are negative definite, so the ambient geodesic is
     # LONGER than the interior one and the correction is a shortening.
-    radial = np.arccosh(np.maximum(np.abs(inner(pts, x)), 1.0))
-    outer = np.arccosh(np.maximum(np.abs(form.inner_rows(pts, X[succ(star)])), 1.0))
+    radial = np.arccosh(np.maximum(np.abs(form.inner_rows(pts, x)), 1.0))
+    outer = np.arccosh(np.maximum(
+        np.abs(form.inner_rows(pts, np.take(X, succ(star), axis=0))), 1.0))
     radial = radial * (1.0 - kappa_sq(u1, u2) * radial**2 / 24.0)
     outer = outer * (1.0 - kappa_sq(succ(u1) - u1, succ(u2) - u2) * outer**2 / 24.0)
     # padding slots get a unit equilateral triangle, then drop out of the sums
@@ -693,16 +706,13 @@ STATE_HEADER = "h2n-surface v1"
 
 
 def state_dumps(state: SurfaceState) -> str:
-    out = io.StringIO()
     mesh = state.mesh
-    out.write(
-        f"{STATE_HEADER} n={state.form.n} rings={mesh.rings} "
-        f"sectors={mesh.sectors} R={mesh.radius!r} converged={int(state.converged)}\n"
-    )
-    rows = zip(mesh.stencil.ring.tolist(), mesh.stencil.sector.tolist(),
-               state.positions.tolist(), state.pinned.tolist())
-    out.writelines(f"{i} {j} {' '.join(map(repr, x))} {int(p)}\n" for i, j, x, p in rows)
-    return out.getvalue()
+    header = (f"{STATE_HEADER} n={state.form.n} rings={mesh.rings} "
+              f"sectors={mesh.sectors} R={mesh.radius!r} converged={int(state.converged)}\n")
+    columns = [mesh.ring_of().tolist(), mesh.sector_of().tolist(), *state.positions.T.tolist(),
+               state.pinned.astype(int).tolist()]
+    fmt = "{} {} " + "{!r} " * state.form.dim + "{}\n"
+    return header + "".join(map(fmt.format, *columns))
 
 
 def state_save(state: SurfaceState, path) -> None:

@@ -10,6 +10,7 @@ Tests compare the program against them.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from pseudoplateau import hspace as hs
 from pseudoplateau import plateau as pl
@@ -67,6 +68,27 @@ def reference_faces(mesh):
             faces.append((v00, v10, v11))
             faces.append((v00, v11, v01))
     return np.asarray(faces, dtype=np.int64)
+
+
+def reference_cotan_matrix(grams, mesh):
+    """`plateau._cotan_matrix` from a COO matrix of the six corner-pair
+    weights of every face, converted to CSR (which sums the duplicates),
+    and vertex areas accumulated one corner column at a time."""
+    faces = mesh.faces
+    a, b, c, det = grams
+    s = np.sqrt(det)
+    area = 0.5 * s
+    cot0, cot1, cot2 = b / s, (a - b) / s, (c - b) / s
+    nv = mesh.vertex_count
+    rows = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0], faces[:, 2], faces[:, 0], faces[:, 1]])
+    cols = np.concatenate([faces[:, 2], faces[:, 1], faces[:, 2], faces[:, 0], faces[:, 1], faces[:, 0]])
+    w = 0.5 * np.concatenate([cot0, cot0, cot1, cot1, cot2, cot2])
+    W = sp.coo_matrix((w, (rows, cols)), shape=(nv, nv)).tocsr()
+    deg = np.asarray(W.sum(axis=1)).ravel()
+    omega = np.zeros(nv)
+    for k in range(3):
+        np.add.at(omega, faces[:, k], area / 3.0)
+    return W, deg, omega
 
 
 def reference_polar_grid(mesh):

@@ -8,8 +8,8 @@ from pseudoplateau import plateau as pl
 
 from conftest import orbit_surface_gaps
 from geometry_reference import (
-    balanced_star, geodesic_disk_state, reference_faces, reference_geometry,
-    reference_polar_grid,
+    balanced_star, geodesic_disk_state, reference_cotan_matrix, reference_faces,
+    reference_geometry, reference_polar_grid,
 )
 
 
@@ -184,6 +184,26 @@ class TestResidual:
         st2 = pl.SurfaceState(mesh=st.mesh, positions=X, pinned=st.pinned, form=FORM1)
         rho = pl.mean_curvature_residual(st2)
         assert np.linalg.norm(rho[v]) > 1e-2
+
+
+class TestCotanAssembly:
+    @pytest.mark.parametrize("m, s", [(2, 3), (8, 24), (24, 72), (96, 288)])
+    def test_matches_coo_assembly_bitwise(self, m, s):
+        # build_state needs eight rings, so the 2 x 3 start is the sampled
+        # orbit surface, at a radius small enough for spacelike faces
+        if m == 2:
+            start = pl.barbot_state(FORM1, ein.barbot_crown_standard(1), m, s, 0.3)
+        else:
+            start = pl.build_state(wobble_loop(), m, s, 2.0 if m == 8 else 3.0)
+        solved = pl.plateau_solve(start, tol=1e-6, max_iter=2000)
+        assert solved.converged and solved.iterations > 0
+        for st in (start, solved):
+            grams = pl.face_grams(st.form, st.positions, st.mesh.faces)
+            W, deg, omega = pl._cotan_matrix(grams, st.mesh)
+            W0, deg0, omega0 = reference_cotan_matrix(grams, st.mesh)
+            for got, want in [(W.data, W0.data), (W.indices, W0.indices),
+                              (W.indptr, W0.indptr), (deg, deg0), (omega, omega0)]:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSolve:

@@ -56,6 +56,37 @@ class TestBilinear:
         assert form.inner(u, v) == form.inner(v, u)
 
 
+class TestInnerRows:
+    @pytest.mark.parametrize("shape", [(4,), (9, 4), (55008, 4), (30, 8, 4)])
+    def test_dim4_equals_einsum_bitwise(self, shape):
+        form = BilinearForm(1)
+        rng = np.random.default_rng(len(shape))
+        U, V = rng.normal(size=shape), rng.normal(size=shape)
+        want = np.einsum("...i,...i->...", U * form.signs, V)
+        assert np.array_equal(form.inner_rows(U, V), want)
+        # a broadcast operand, as the star pass of the geometry uses it
+        if len(shape) > 1:
+            W = V[..., :1, :]
+            assert np.array_equal(form.inner_rows(U, W), np.einsum(
+                "...i,...i->...", U * form.signs, np.broadcast_to(W, shape)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_stack_equals_rows(self, n):
+        form = BilinearForm(n)
+        rng = np.random.default_rng(n)
+        U, V = rng.normal(size=(2, 12, form.dim))
+        got = form.inner_rows(U, V)
+        assert got.shape == (12,)
+        assert np.array_equal(got, [form.inner_rows(u, v) for u, v in zip(U, V)])
+        # one vector against the stack, and a 3-d stack against a 2-d one
+        assert np.array_equal(form.inner_rows(U, V[0]), [form.inner_rows(u, V[0]) for u in U])
+        stack = U.reshape(3, 4, form.dim)
+        assert np.array_equal(form.inner_rows(stack, V[:4]).ravel(),
+                              [form.inner_rows(u, v) for u, v in zip(U, np.tile(V[:4], (3, 1)))])
+        # and within rounding of the form's definition
+        assert np.allclose(got, [form.inner(u, v) for u, v in zip(U, V)], rtol=0, atol=1e-13)
+
+
 class TestSubspaceSignature:
     def test_positive_plane(self):
         form = BilinearForm(2)
