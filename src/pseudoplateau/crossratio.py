@@ -8,6 +8,7 @@ cross-ratios is what certification measures.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -83,17 +84,14 @@ def angle_lift(theta: float) -> np.ndarray:
     return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0)])
 
 
-def _lifts_cross_ratio(lx, ly, lz, lt) -> float:
+def cross_ratio_angles(tx, ty, tz, tt):
+    """Projective cross-ratio of four circle parameters, or elementwise of
+    four arrays of them."""
+    lx, ly, lz, lt = (angle_lift(t) for t in (tx, ty, tz, tt))
     den = _om(lx, lt) * _om(lz, ly)
-    num = _om(lx, ly) * _om(lz, lt)
-    if abs(den) < 1e-300:
+    if np.any(np.abs(den) < 1e-300):
         raise CoincidentPointsError("cross-ratio of coincident angles")
-    return float(num / den)
-
-
-def cross_ratio_angles(tx, ty, tz, tt) -> float:
-    """Projective cross-ratio of four circle parameters."""
-    return _lifts_cross_ratio(*(angle_lift(t) for t in (tx, ty, tz, tt)))
+    return _om(lx, ly) * _om(lz, lt) / den
 
 
 def value_to_angle(value) -> float:
@@ -109,7 +107,6 @@ class SampledBoundaryMap:
 
     domain: np.ndarray
     images: list
-    defined_on: str = "samples"
 
     def __post_init__(self):
         dom = np.asarray(self.domain, dtype=float) % (2.0 * np.pi)
@@ -131,18 +128,23 @@ def circle_map(form: BilinearForm, domain) -> SampledBoundaryMap:
     spacelike circle (sends circle parameters to circle points)."""
     circ = standard_circle(form)
     domain = np.asarray(domain, dtype=float)
-    return SampledBoundaryMap(domain, [circ.point_at(t) for t in domain], "projective line")
+    return SampledBoundaryMap(domain, [circ.point_at(t) for t in domain])
 
 
-def circle_map_test(form: BilinearForm, bmap: SampledBoundaryMap, tol: float = 1e-10,
-                    max_quadruples: int = 3000, det_tol: float = 1e-8) -> bool:
+# How many quadruples `circle_map_test` tests, and the relative size below
+# which their 4x4 Gram determinants count as vanishing.
+CIRCLE_TEST_QUADRUPLES = 3000
+GRAM_DET_RTOL = 1e-8
+
+
+def circle_map_test(form: BilinearForm, bmap: SampledBoundaryMap, tol: float = 1e-10) -> bool:
     """Whether the sampled map satisfies the squared-cross-ratio identity on
-    sampled quadruples, cross-checked by the vanishing of the 4x4 Gram
-    determinants."""
+    a deterministic spread of quadruples, cross-checked by the vanishing of
+    their 4x4 Gram determinants. All quadruples are tested as arrays against
+    one pairing matrix."""
     k = bmap.size
     if k < 4:
         raise InsufficientSamplesError("need at least four samples")
-    quads = _quadruple_indices(k, max_quadruples)
     from .qcore import subspace_signature
 
     sig_ok = False
@@ -154,38 +156,28 @@ def circle_map_test(form: BilinearForm, bmap: SampledBoundaryMap, tol: float = 1
             break
     if not sig_ok:
         raise NonPositiveMapError("image contains no positive triple")
-    for (i, j, l, m) in quads:
-        r = cross_ratio_angles(*(bmap.domain[t] for t in (i, j, l, m)))
-        try:
-            b = cross_ratio_b(form, *(bmap.images[t] for t in (i, j, l, m)))
-        except NonTransverseError:
-            # circle maps keep distinct points transverse, so this already
-            # refutes the identity
-            return False
-        if abs(b - r * r) > tol * (1.0 + r * r):
-            return False
-        reps = np.array([bmap.images[t].rep for t in (i, j, l, m)])
-        gram = (reps * form.signs) @ reps.T
-        scale = np.prod(np.linalg.norm(gram, axis=1))
-        if scale > 0 and abs(np.linalg.det(gram)) > det_tol * scale:
-            return False
-    return True
+    quads = np.array(_quadruple_indices(k, CIRCLE_TEST_QUADRUPLES), dtype=np.intp)
+    P = np.array([p.rep for p in bmap.images])
+    G = (P * form.signs) @ P.T
+    norms = np.linalg.norm(P, axis=1)
+    i, j = quads[:, _PAIRS[0]], quads[:, _PAIRS[1]]
+    # circle maps keep distinct points transverse, so a non-transverse pair
+    # already refutes the identity
+    if not np.all(np.abs(G[i, j]) > TRANSVERSALITY_RTOL * norms[i] * norms[j]):
+        return False
+    a, b, c, d = quads.T
+    r = cross_ratio_angles(*bmap.domain[quads].T)
+    ratios = (G[a, b] * G[c, d]) / (G[a, d] * G[c, b])
+    if np.any(np.abs(ratios - r * r) > tol * (1.0 + r * r)):
+        return False
+    gram = G[quads[:, :, None], quads[:, None, :]]
+    scale = np.prod(np.linalg.norm(gram, axis=2), axis=1)
+    return not np.any((scale > 0) & (np.abs(np.linalg.det(gram)) > GRAM_DET_RTOL * scale))
 
 
 def _quadruple_indices(k: int, cap: int) -> list[tuple[int, int, int, int]]:
     """Deterministic spread of ordered index quadruples."""
-    quads = []
-    if k >= 4:
-        step = max(1, k // 12)
-        idx = list(range(0, k, step))
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                for c in range(b + 1, len(idx)):
-                    for d in range(c + 1, len(idx)):
-                        quads.append((idx[a], idx[b], idx[c], idx[d]))
-                        if len(quads) >= cap:
-                            return quads
-    return quads
+    return list(itertools.islice(itertools.combinations(range(0, k, max(1, k // 12)), 4), cap))
 
 
 @dataclass
@@ -216,19 +208,28 @@ _TRIPLE_PAIRS = ([0, 0, 1], [1, 2, 2])
 _PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
 
 
-def _window_quadruples(rng: np.random.Generator, lifts, A: float, target: int) -> list:
-    """Sorted index quadruples, drawn one at a time, whose projective
-    cross-ratio lies in the window [1/A, A]; at most 80 draws per target."""
-    k = len(lifts)
-    quads = []
-    attempts = 0
-    while len(quads) < target and attempts < 80 * target:
-        attempts += 1
-        sel = sorted(rng.choice(k, size=4, replace=False).tolist())
-        r = _lifts_cross_ratio(*(lifts[t] for t in sel))
-        if 1.0 / A <= abs(r) <= A:
-            quads.append(sel)
-    return quads
+def _window_quadruples(rng: np.random.Generator, domain: np.ndarray, A: float,
+                       target: int) -> np.ndarray:
+    """Up to `target` sorted index quadruples, uniform over 4-subsets of the
+    samples, whose projective cross-ratio lies in the window [1/A, A], in
+    draw order. Rows of four indices are drawn in blocks; a row that repeats
+    an index is dropped but counts as a draw, and at most 80 rows are drawn
+    per target."""
+    k = len(domain)
+    budget = 80 * target
+    drawn = 0
+    blocks = []
+    found = 0
+    while found < target and drawn < budget:
+        m = min(4 * (target - found), budget - drawn)
+        rows = np.sort(rng.integers(0, k, size=(m, 4)), axis=1)
+        drawn += m
+        rows = rows[np.all(np.diff(rows, axis=1) > 0, axis=1)]
+        r = np.abs(cross_ratio_angles(*domain[rows].T))
+        rows = rows[(1.0 / A <= r) & (r <= A)]
+        blocks.append(rows)
+        found += len(rows)
+    return np.concatenate(blocks)[:target] if blocks else np.empty((0, 4), dtype=np.intp)
 
 
 def _quadruple_checks(P: np.ndarray, G: np.ndarray, norms: np.ndarray, quads: np.ndarray):
@@ -298,9 +299,9 @@ def qs_certify(form: BilinearForm, bmap: SampledBoundaryMap, A: float = 2.0,
     projective cross-ratio lies in the window [1/A, A]. Deterministic given
     the seed.
 
-    Quadruples are drawn in chunks of 256, each from its own seed stream, and
-    each chunk is tested as arrays against one pairing matrix. The worst
-    quadruple is the first, in draw order, that attains B.
+    Quadruples are drawn from one seed stream and tested as arrays against
+    one pairing matrix. The worst quadruple is the first, in draw order,
+    that attains B.
     """
     if A <= 1.0:
         raise GeometryError("the window parameter must exceed 1")
@@ -309,27 +310,17 @@ def qs_certify(form: BilinearForm, bmap: SampledBoundaryMap, A: float = 2.0,
     P = np.array([p.rep for p in bmap.images])
     G = (P * form.signs) @ P.T
     norms = np.linalg.norm(P, axis=1)
-    lifts = [tuple(angle_lift(t).tolist()) for t in bmap.domain]
-    chunk = 256
-    drawn = []
-    ratios = []
-    for c in range((n_quadruples + chunk - 1) // chunk):
-        rng = np.random.default_rng(np.random.SeedSequence((rng_seed, c)))
-        quads = np.array(_window_quadruples(rng, lifts, A, min(chunk, n_quadruples - c * chunk)),
-                         dtype=np.intp).reshape(-1, 4)
-        if len(quads):
-            drawn.append(quads)
-            ratios.append(_certified_ratios(P, G, norms, quads))
-    if not drawn:
+    quads = _window_quadruples(np.random.default_rng(rng_seed), bmap.domain, A, n_quadruples)
+    if not len(quads):
         raise InsufficientSamplesError("rejection sampling accepted no quadruple")
-    b = np.abs(np.concatenate(ratios))
+    b = np.abs(_certified_ratios(P, G, norms, quads))
     score = np.maximum(b, 1.0 / b)
     top = int(np.argmax(score))
     best = 1.0
     worst = (0.0, 0.0, 0.0, 0.0)
     if score[top] > best:
         best = score[top]
-        worst = tuple(float(bmap.domain[t]) for t in np.concatenate(drawn)[top])
+        worst = tuple(float(bmap.domain[t]) for t in quads[top])
     return QSCertificate(A=float(A), B=float(best), quadruples_tested=len(score),
                          worst_quadruple=worst, seed=int(rng_seed))
 
@@ -371,6 +362,8 @@ def contraction_check(form: BilinearForm, tau, tau_prime, B: float,
     """Measured contraction of the diamond distance between nested diamonds
     with cross-ratio control B, against the bound (B-1)/(B+1), plus the
     lightlike chord length of the controlled region."""
+    from scipy.spatial.distance import pdist
+
     a, b, c = tau
     a2, x, y = tau_prime
     if not projectively_equal(a, a2, atol=1e-8):
@@ -389,25 +382,18 @@ def contraction_check(form: BilinearForm, tau, tau_prime, B: float,
     pts = [minkowski_chart_apply(form, chart_inner, u) for u in grid]
     inner_coords = np.array(grid)
     outer_coords = np.array([minkowski_chart_inverse(form, chart_outer, p) for p in pts])
-    max_ratio = 0.0
-    count = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            di = np.linalg.norm(inner_coords[i] - inner_coords[j])
-            if di < 1e-9:
-                continue
-            do = np.linalg.norm(outer_coords[i] - outer_coords[j])
-            max_ratio = max(max_ratio, do / di)
-            count += 1
+    inner = pdist(inner_coords)
+    apart = inner >= 1e-9
+    ratios = pdist(outer_coords)[apart] / inner[apart]
     chord_measured, chord_formula = _lightlike_chord_ratio(form, chart_outer, B)
     bound = (B - 1.0) / (B + 1.0)
     return ContractionReport(
-        max_ratio=float(max_ratio),
+        max_ratio=float(np.max(ratios, initial=0.0)),
         bound=float(bound),
         chord_ratio_measured=float(chord_measured),
         chord_ratio_formula=float(chord_formula),
         chord_bound=float(bound * np.sqrt(2.0)),
-        samples=count,
+        samples=len(ratios),
     )
 
 
@@ -417,8 +403,11 @@ def lightlike_chord_formula(B: float, lam: float) -> float:
     return (B * B - 1.0) * lam / ((B + lam) * (lam * B + 1.0))
 
 
-def _lightlike_chord_ratio(form: BilinearForm, chart: MinkowskiChart, B: float,
-                           offset: float = 0.3):
+# Where the measured lightlike chord crosses the second chart axis.
+CHORD_OFFSET = 0.3
+
+
+def _lightlike_chord_ratio(form: BilinearForm, chart: MinkowskiChart, B: float):
     """Measure the controlled fraction of one lightlike chord of the diamond
     in the given chart, and evaluate the closed form at the chord's lambda."""
     n = chart.n
@@ -428,7 +417,7 @@ def _lightlike_chord_ratio(form: BilinearForm, chart: MinkowskiChart, B: float,
     u_dir[0] = 1.0
     u_dir[1] = 1.0
     x0 = np.zeros(n + 1)
-    x0[1] = offset
+    x0[1] = CHORD_OFFSET
 
     def t_hit(center):
         # line x0 + t u_dir meets the cone q(x - center) = 0 at a single t

@@ -467,7 +467,7 @@ def boundary_extension(state: SurfaceState, seed: int = 0):
     thetas_disk = np.arctan2(rim[:, 1], rim[:, 0]) % (2.0 * np.pi)
     thetas_loop = 2.0 * np.pi * np.arange(mesh.sectors) / mesh.sectors
     images = [state.loop.boundary_point(t) for t in thetas_loop]
-    bmap = SampledBoundaryMap(thetas_disk, images, defined_on="flattened boundary")
+    bmap = SampledBoundaryMap(thetas_disk, images)
     cert = qs_certify(state.form, bmap, A=2.0, n_quadruples=1500, rng_seed=seed)
     return bmap, cert
 

@@ -42,6 +42,9 @@ class InvalidLoopError(GeometryError):
 
 TRANSVERSALITY_RTOL = 1e-8
 ISOTROPY_ATOL = 1e-10
+# The relative gap |u| - |v| up to which `boundary_point` accepts a vector
+# as isotropic.
+ISOTROPY_RTOL = 1e-8
 
 # The slack with which `loop_classify` and `photon_arc` compare the fiber
 # distance of two loop samples with their circle distance.
@@ -75,7 +78,7 @@ class BoundaryPoint:
         return float(np.arctan2(self.u[1], self.u[0]) % (2.0 * np.pi))
 
 
-def boundary_point(form: BilinearForm, raw, atol: float = 1e-8) -> BoundaryPoint:
+def boundary_point(form: BilinearForm, raw) -> BoundaryPoint:
     """Normalise an isotropic vector into a BoundaryPoint; rejects vectors
     too far from the null cone."""
     x = _as_vector(raw)
@@ -85,7 +88,7 @@ def boundary_point(form: BilinearForm, raw, atol: float = 1e-8) -> BoundaryPoint
     nv = np.linalg.norm(x[2:])
     if nu == 0.0 or nv == 0.0:
         raise GeometryError("vector is not isotropic (a product factor vanishes)")
-    if abs(nu - nv) > atol * max(nu, nv):
+    if abs(nu - nv) > ISOTROPY_RTOL * max(nu, nv):
         raise GeometryError(f"vector is not isotropic: |u| = {nu:.3e}, |v| = {nv:.3e}")
     rep = np.concatenate([x[:2] / nu, x[2:] / nv])
     u = rep[:2]
@@ -111,11 +114,11 @@ def projectively_equal(a: BoundaryPoint, b: BoundaryPoint, atol: float = 1e-9) -
     )
 
 
-def transverse(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint, tol: float = TRANSVERSALITY_RTOL) -> bool:
+def transverse(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint) -> bool:
     """Whether two boundary points pair nontrivially under the form (do not
     lie on a common photon)."""
     val = form.inner(a.rep, b.rep)
-    return bool(abs(val) > tol * form.aux_norm(a.rep) * form.aux_norm(b.rep))
+    return bool(abs(val) > TRANSVERSALITY_RTOL * form.aux_norm(a.rep) * form.aux_norm(b.rep))
 
 
 @dataclass(frozen=True)
@@ -218,11 +221,11 @@ def minkowski_chart_apply(form: BilinearForm, chart: MinkowskiChart, u) -> Bound
     return boundary_point(form, vec)
 
 
-def minkowski_chart_inverse(form: BilinearForm, chart: MinkowskiChart, x: BoundaryPoint,
-                            tol: float = TRANSVERSALITY_RTOL) -> np.ndarray:
+def minkowski_chart_inverse(form: BilinearForm, chart: MinkowskiChart,
+                            x: BoundaryPoint) -> np.ndarray:
     """Chart coordinates of a point off the light cone L(a)."""
     pairing = form.inner(x.rep, chart.a0)
-    if abs(pairing) < tol * form.aux_norm(x.rep) * form.aux_norm(chart.a0):
+    if abs(pairing) < TRANSVERSALITY_RTOL * form.aux_norm(x.rep) * form.aux_norm(chart.a0):
         raise ChartDomainError("point lies on the light cone of the chart")
     x0 = x.rep / (-pairing)
     y = x0 + chart.b0
@@ -311,13 +314,8 @@ def _sphere_dist(f: np.ndarray, g: np.ndarray) -> float:
     return float(np.arccos(np.clip(np.dot(f, g), -1.0, 1.0)))
 
 
-def _circle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % (2.0 * np.pi)
-    return min(d, 2.0 * np.pi - d)
-
-
 def _circle_dist_matrix(thetas: np.ndarray) -> np.ndarray:
-    """`_circle_dist` between every pair of the angles, as one matrix."""
+    """The circle distance between every pair of the angles, as one matrix."""
     d = np.abs(thetas[:, None] - thetas[None, :]) % (2.0 * np.pi)
     return np.minimum(d, 2.0 * np.pi - d)
 
@@ -366,15 +364,10 @@ class LipschitzLoop:
     def lipschitz_margin(self) -> float:
         """Minimum of circle-distance minus fiber-distance over consecutive
         sample pairs; positive for strictly contracting data."""
-        k = self.size
-        vals = []
-        for i in range(k):
-            j = (i + 1) % k
-            vals.append(
-                _circle_dist(self.thetas[i], self.thetas[j])
-                - _sphere_dist(self.fibers[i], self.fibers[j])
-            )
-        return float(min(vals))
+        d = np.abs(self.thetas - np.roll(self.thetas, -1)) % (2.0 * np.pi)
+        dots = np.sum(self.fibers * np.roll(self.fibers, -1, axis=0), axis=1)
+        gaps = np.minimum(d, 2.0 * np.pi - d) - np.arccos(np.clip(dots, -1.0, 1.0))
+        return float(np.min(gaps))
 
     def fiber_at(self, theta: float) -> np.ndarray:
         """Geodesic interpolation of the fiber between bracketing samples."""
@@ -629,7 +622,10 @@ def _parse_loop(text: str) -> LipschitzLoop:
             raise InvalidLoopError(f"sample line {i} has a non-finite value")
         thetas[i] = vals[0]
         f = np.array(vals[1:])
-        nf = np.linalg.norm(f)
+        # a huge finite coordinate overflows the norm to inf, which the
+        # check below rejects
+        with np.errstate(over="ignore"):
+            nf = np.linalg.norm(f)
         if abs(nf - 1.0) > 1e-6:
             raise InvalidLoopError(f"sample {i} is off the unit sphere by {abs(nf - 1.0):.2e}")
         fibers[i] = f / nf

@@ -760,7 +760,10 @@ def _parse_state(text: str) -> SurfaceState:
         v = mesh.vertex(i, j)
         X[v] = [float(t) for t in vals[2: 2 + form.dim]]
         pinned[v] = vals[2 + form.dim] == "1"
-    qx = form.inner_rows(X, X)
+    # a huge or infinite coordinate makes qx inf or nan, which the check
+    # rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        qx = form.inner_rows(X, X)
     if not np.all(np.abs(qx + 1.0) <= 1e-8):
         raise GeometryError("state vertices are off the quadric")
     # the rim vertices sit at the header radius, arcsinh |X[:2]| = R

@@ -1,8 +1,9 @@
 """Scalar references for the batched boundary kernels.
 
 They work one quadruple, one point or one pair at a time, the way
-`crossratio.qs_certify`, `diagnostics._distance_to_crown`, the loop pair
-scans and `einstein.photon_arc` were computed before they were batched.
+`crossratio.qs_certify`, `crossratio.circle_map_test`,
+`diagnostics._distance_to_crown`, the loop pair scans and
+`einstein.photon_arc` were computed before they were batched.
 `quadruple_positive` is the scalar positivity certificate of one
 quadruple, built on the triple classification `triple_class`. Tests
 compare the batched kernels against them.
@@ -45,37 +46,67 @@ def quadruple_positive(form, a, b, c, d):
 
 def certify_reference(form, bmap, A=2.0, n_quadruples=2000, rng_seed=0):
     """`qs_certify` with `quadruple_positive` and `cross_ratio_b` called on
-    each accepted quadruple in draw order."""
-    k = bmap.size
-    chunk = 256
+    each quadruple of the same draw, in draw order."""
+    quads = cr._window_quadruples(np.random.default_rng(rng_seed), bmap.domain, A, n_quadruples)
+    if len(quads) == 0:
+        raise cr.InsufficientSamplesError("rejection sampling accepted no quadruple")
     best = 1.0
     worst = None
-    total = 0
-    for c in range((n_quadruples + chunk - 1) // chunk):
-        rng = np.random.default_rng(np.random.SeedSequence((rng_seed, c)))
-        target = min(chunk, n_quadruples - c * chunk)
-        accepted = 0
-        attempts = 0
-        while accepted < target and attempts < 80 * target:
-            attempts += 1
-            sel = np.sort(rng.choice(k, size=4, replace=False))
-            r = cr.cross_ratio_angles(*(bmap.domain[t] for t in sel))
-            if not (1.0 / A <= abs(r) <= A):
-                continue
-            pts = [bmap.images[t] for t in sel]
-            if not quadruple_positive(form, *pts):
-                raise cr.NonPositiveMapError("sampled quadruple is not positive")
-            b = cr.cross_ratio_b(form, *pts)
-            accepted += 1
-            score = max(abs(b), 1.0 / abs(b))
-            if score > best:
-                best = score
-                worst = tuple(float(bmap.domain[t]) for t in sel)
-        total += accepted
-    if total == 0:
-        raise cr.InsufficientSamplesError("rejection sampling accepted no quadruple")
-    return cr.QSCertificate(A=float(A), B=float(best), quadruples_tested=total,
+    for sel in quads:
+        pts = [bmap.images[t] for t in sel]
+        if not quadruple_positive(form, *pts):
+            raise cr.NonPositiveMapError("sampled quadruple is not positive")
+        b = cr.cross_ratio_b(form, *pts)
+        score = max(abs(b), 1.0 / abs(b))
+        if score > best:
+            best = score
+            worst = tuple(float(bmap.domain[t]) for t in sel)
+    return cr.QSCertificate(A=float(A), B=float(best), quadruples_tested=len(quads),
                             worst_quadruple=worst or (0.0, 0.0, 0.0, 0.0), seed=int(rng_seed))
+
+
+def circle_map_test_reference(form, bmap, tol=1e-10):
+    """`circle_map_test` with `cross_ratio_angles`, `cross_ratio_b` and one
+    Gram determinant per quadruple."""
+    k = bmap.size
+    if k < 4:
+        raise cr.InsufficientSamplesError("need at least four samples")
+    sig_ok = False
+    for shift in range(min(k // 3, 16)):
+        idx = (shift, (shift + k // 3) % k, (shift + (2 * k) // 3) % k)
+        sig = subspace_signature(form, [bmap.images[t].rep for t in idx]).as_tuple()
+        if sig == (2, 1, 0):
+            sig_ok = True
+            break
+    if not sig_ok:
+        raise cr.NonPositiveMapError("image contains no positive triple")
+    for (i, j, l, m) in cr._quadruple_indices(k, cr.CIRCLE_TEST_QUADRUPLES):
+        r = cr.cross_ratio_angles(*(bmap.domain[t] for t in (i, j, l, m)))
+        try:
+            b = cr.cross_ratio_b(form, *(bmap.images[t] for t in (i, j, l, m)))
+        except ein.NonTransverseError:
+            return False
+        if abs(b - r * r) > tol * (1.0 + r * r):
+            return False
+        reps = np.array([bmap.images[t].rep for t in (i, j, l, m)])
+        gram = (reps * form.signs) @ reps.T
+        scale = np.prod(np.linalg.norm(gram, axis=1))
+        if scale > 0 and abs(np.linalg.det(gram)) > cr.GRAM_DET_RTOL * scale:
+            return False
+    return True
+
+
+def circle_dist_reference(a, b):
+    """Distance on the circle between two angles."""
+    d = abs(a - b) % (2.0 * np.pi)
+    return min(d, 2.0 * np.pi - d)
+
+
+def lipschitz_margin_reference(loop):
+    """`LipschitzLoop.lipschitz_margin` one consecutive pair at a time."""
+    k = loop.size
+    return min(circle_dist_reference(loop.thetas[i], loop.thetas[(i + 1) % k])
+               - ein._sphere_dist(loop.fibers[i], loop.fibers[(i + 1) % k]) for i in range(k))
 
 
 def distance_to_crown_reference(crown, pts):

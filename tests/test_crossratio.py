@@ -8,7 +8,9 @@ from pseudoplateau.qcore import BilinearForm, DegenerateTripleError, random_isom
 from pseudoplateau import crossratio as cr
 from pseudoplateau import einstein as ein
 
-from boundary_reference import certify_reference, quadruple_positive
+from pseudoplateau import diagnostics as diag
+
+from boundary_reference import certify_reference, circle_map_test_reference, quadruple_positive
 from conftest import make_wobble
 
 
@@ -137,6 +139,95 @@ class TestCircleMap:
         with pytest.raises(cr.InsufficientSamplesError):
             cr.circle_map_test(FORM1, bmap)
 
+    @pytest.mark.parametrize("kind,tol,expected", [
+        ("circle", 1e-10, True), ("crown", 1e-6, False), ("wobble", 1e-6, False),
+    ])
+    def test_equals_per_quadruple_reference(self, kind, tol, expected):
+        if kind == "circle":
+            bmap = cr.circle_map(FORM1, np.linspace(0, 2 * np.pi, 64, endpoint=False))
+        else:
+            loop = (ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=8)
+                    if kind == "crown" else make_wobble(k=64))
+            bmap = cr.SampledBoundaryMap(loop.thetas, loop.sample_points())
+        assert cr.circle_map_test(FORM1, bmap, tol=tol) is expected
+        assert circle_map_test_reference(FORM1, bmap, tol=tol) is expected
+
+    def test_solved_circle_boundary_equals_reference(self, solved_circle):
+        bmap, _ = diag.boundary_extension(solved_circle, seed=5)
+        assert cr.circle_map_test(FORM1, bmap, tol=1e-6)
+        assert circle_map_test_reference(FORM1, bmap, tol=1e-6)
+
+    def test_quadruple_spread_is_sorted_and_capped(self):
+        quads = cr._quadruple_indices(40, 200)
+        assert len(quads) == 200 and len(set(quads)) == 200
+        assert all(q == tuple(sorted(q)) and len(set(q)) == 4 for q in quads)
+        assert quads[:2] == [(0, 3, 6, 9), (0, 3, 6, 12)]
+        assert cr._quadruple_indices(3, 10) == []
+
+
+class _CountingRng:
+    """A seeded generator that counts the rows of indices drawn from it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.rows = 0
+
+    def integers(self, low, high, size):
+        self.rows += size[0]
+        return self.rng.integers(low, high, size=size)
+
+
+def _geometric_map(k=8):
+    # samples at 30^-j: every sorted quadruple has |cross-ratio| near the
+    # ratio of two samples, below 1/20, so no quadruple lies in [1/2, 2]
+    return cr.circle_map(FORM1, 30.0 ** -np.arange(k))
+
+
+class TestWindowQuadruples:
+    @pytest.mark.parametrize("kind,seed", [("circle", 0), ("circle", 3), ("wobble", 1)])
+    def test_rows_sorted_distinct_and_in_window(self, kind, seed):
+        if kind == "circle":
+            bmap = cr.circle_map(FORM1, np.linspace(0, 2 * np.pi, 72, endpoint=False))
+        else:
+            loop = make_wobble(k=96)
+            bmap = cr.SampledBoundaryMap(loop.thetas, loop.sample_points())
+        A = 2.0
+        rng = _CountingRng(seed)
+        quads = cr._window_quadruples(rng, bmap.domain, A, 1500)
+        assert quads.shape == (1500, 4)
+        assert np.all(np.diff(quads, axis=1) > 0)
+        assert rng.rows <= 80 * 1500
+        for row in quads:
+            r = cr.cross_ratio_angles(*(bmap.domain[t] for t in row))
+            assert 1.0 / A <= abs(r) <= A
+
+    def test_same_seed_same_rows(self):
+        dom = np.linspace(0, 2 * np.pi, 48, endpoint=False)
+        q1 = cr._window_quadruples(np.random.default_rng(5), dom, 2.0, 400)
+        q2 = cr._window_quadruples(np.random.default_rng(5), dom, 2.0, 400)
+        q3 = cr._window_quadruples(np.random.default_rng(6), dom, 2.0, 400)
+        assert np.array_equal(q1, q2)
+        assert not np.array_equal(q1, q3)
+
+    def test_uniform_over_four_subsets(self):
+        # with the widest window every drawn 4-subset of 6 samples is kept;
+        # each of the 15 subsets should appear about 6000 / 15 = 400 times
+        dom = np.linspace(0, 2 * np.pi, 6, endpoint=False)
+        quads = cr._window_quadruples(np.random.default_rng(0), dom, 1e300, 6000)
+        _, counts = np.unique(quads, axis=0, return_counts=True)
+        assert len(counts) == 15
+        assert np.all(np.abs(counts - 400) < 100)
+
+    def test_budget_spent_when_no_row_fits(self):
+        bmap = _geometric_map()
+        rng = _CountingRng(0)
+        assert len(cr._window_quadruples(rng, bmap.domain, 2.0, 10)) == 0
+        assert rng.rows == 800
+
+    def test_unsatisfiable_map_raises(self):
+        with pytest.raises(cr.InsufficientSamplesError):
+            cr.qs_certify(FORM1, _geometric_map(), A=2.0, n_quadruples=50, rng_seed=0)
+
 
 class TestQSCertify:
     def test_circle_map_certificate(self):
@@ -215,9 +306,9 @@ class TestContraction:
 
 
 class TestBatchedCertificate:
-    """`qs_certify` tests each chunk of quadruples as arrays; the scalar
-    reference tests them one at a time with `quadruple_positive` and
-    `cross_ratio_b`."""
+    """`qs_certify` tests its quadruples as arrays; the scalar reference
+    tests the same draw one quadruple at a time with `quadruple_positive`
+    and `cross_ratio_b`."""
 
     @pytest.mark.parametrize("n,kind,k,seed", [
         (1, "circle", 48, 13), (1, "circle", 96, 0), (2, "circle", 64, 4),

@@ -8,9 +8,16 @@ from pseudoplateau.qcore import (
     random_isometry,
     reference_triple,
 )
+from pseudoplateau import cli
 from pseudoplateau import einstein as ein
 
-from boundary_reference import photon_arc_reference, quadruple_positive, triple_class
+from boundary_reference import (
+    circle_dist_reference,
+    lipschitz_margin_reference,
+    photon_arc_reference,
+    quadruple_positive,
+    triple_class,
+)
 
 
 FORM1 = BilinearForm(1)
@@ -321,8 +328,17 @@ class TestLoops:
         thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, 60) ** 1.3 % (2.0 * np.pi))
         loop = ein.LipschitzLoop(thetas, np.tile([1.0, 0.0], (60, 1)))
         d1 = ein._circle_dist_matrix(loop.thetas)
-        want = [[ein._circle_dist(a, b) for b in loop.thetas] for a in loop.thetas]
+        want = [[circle_dist_reference(a, b) for b in loop.thetas] for a in loop.thetas]
         assert np.array_equal(d1, np.array(want))
+
+    @pytest.mark.parametrize("kind", ["c1_wobble", "rigid_arc", "crown"])
+    def test_lipschitz_margin_matches_pairwise_reference(self, kind):
+        if kind == "crown":
+            loop = ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=8)
+        else:
+            loop = cli.generate_loop(kind, n=1, samples=64)
+        assert loop.lipschitz_margin == pytest.approx(lipschitz_margin_reference(loop),
+                                                      abs=1e-15)
 
 
 class TestCrown:

@@ -13,6 +13,7 @@ import contextlib
 import io
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,13 +197,31 @@ def test_loop_with_too_few_samples_rejected(samples):
         ein.loop_loads("\n".join([head] + lines[1:1 + samples]) + "\n")
 
 
+def _with_field(text, line, field, value):
+    lines = text.splitlines()
+    toks = lines[line].split()
+    toks[field] = value
+    lines[line] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("field", [0, 1])
 def test_loop_with_nan_rejected(field):
     # a NaN angle was once dropped as a duplicate sample without an error
-    lines = LOOP_TEXT.splitlines()
-    toks = lines[3].split()
-    toks[field] = "nan"
-    lines[3] = " ".join(toks)
     with pytest.raises(ein.InvalidLoopError):
-        ein.loop_loads("\n".join(lines) + "\n")
+        ein.loop_loads(_with_field(LOOP_TEXT, 3, field, "nan"))
 
+
+@pytest.mark.parametrize("parse,text,error", [
+    (ein.loop_loads, _with_field(LOOP_TEXT, 3, 1, "1e200"), ein.InvalidLoopError),
+    (pl.state_loads, _with_field(STATE_TEXT, 5, 2, "1e200"), GeometryError),
+    (pl.state_loads, _with_field(_with_field(STATE_TEXT, 5, 2, "1e200"), 5, 4, "1e200"),
+     GeometryError),
+], ids=["loop_fiber", "state_coordinate", "state_two_coordinates"])
+def test_huge_field_rejected_without_warning(parse, text, error):
+    # the squares of a huge coordinate overflow; the parser rejects the file
+    # without numpy printing an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            parse(text)
