@@ -131,11 +131,17 @@ def cmd_audit(args) -> int:
         state = pl.state_load(args.state)
         if args.loop:
             state.loop = ein.loop_load(args.loop)
+        if not state.converged:
+            raise GeometryError("state is not converged")
+        # the header's converged=1 is not taken on trust; a damaged state
+        # gives a residual of nan, which the check rejects
+        with np.errstate(all="ignore"):
+            residual = float(np.max(np.linalg.norm(pl.mean_curvature_residual(state), axis=1)))
+        if not residual <= pl.STATE_RESIDUAL_MAX:
+            raise GeometryError(f"state is marked converged, but its residual {residual:.3e} "
+                                f"is above {pl.STATE_RESIDUAL_MAX:g}")
     except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if not state.converged:
-        print("error: state is not converged", file=sys.stderr)
         return 3
     os.makedirs(args.out, exist_ok=True)
     reports = {}

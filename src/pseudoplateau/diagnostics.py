@@ -311,25 +311,32 @@ GAUSS_NEWTON_TOL = 1e-10
 
 
 def _gauss_newton(residual, x: np.ndarray) -> np.ndarray:
-    """Sparse Gauss-Newton: steps splu(J^T J).solve(J^T r), halved until the
-    squared residual drops, until max |r| < GAUSS_NEWTON_TOL.
+    """Sparse Gauss-Newton, until max |r| < GAUSS_NEWTON_TOL: each step is
+    halved until the squared residual drops.
 
     `residual(x)` returns the residual vector and its sparse Jacobian, or
     raises FlatteningError at an inadmissible x, which rejects the trial
     step like a residual increase does.
 
-    J^T J is symmetric positive definite, so it is factored in symmetric
-    mode: minimum degree on its own pattern and diagonal pivots."""
+    A square J is factored itself and the step is splu(J).solve(r), the
+    Newton step, which is the Gauss-Newton step of a nonsingular J. Any
+    other J gives splu(J^T J).solve(J^T r). Both matrices are symmetric
+    (the flattening's J is a Hessian), so they are factored in symmetric
+    mode: minimum degree on their own pattern and diagonal pivots."""
     r, J = residual(x)
     step = None
     for _ in range(GAUSS_NEWTON_TRIALS):
         if np.max(np.abs(r)) < GAUSS_NEWTON_TOL:
             return x
         if step is None:
-            Jt = J.T.tocsc()
+            if J.shape[0] == J.shape[1]:
+                lhs, rhs = J, r
+            else:
+                Jt = J.T.tocsc()
+                lhs, rhs = Jt @ J, Jt @ r
             # the factor is not kept: held into the next step, two would be alive at once
-            step, t = splu((Jt @ J).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True}).solve(Jt @ r), 1.0
+            step, t = splu(lhs.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True}).solve(rhs), 1.0
         try:
             r_t, J_t = residual(x - t * step)
         except FlatteningError:
@@ -341,19 +348,31 @@ def _gauss_newton(residual, x: np.ndarray) -> np.ndarray:
     raise FlatteningError(f"Gauss-Newton solve stalled at max residual {np.max(np.abs(r)):.2e}")
 
 
+def _face_angles(ls: np.ndarray) -> np.ndarray:
+    """The corner angles of hyperbolic triangles with sides `ls` (3, faces),
+    side k opposite corner k, from the half-angle formula
+    tan^2(A_k/2) = sinh(s-l_a) sinh(s-l_b) / (sinh s sinh(s-l_k)), s the half
+    perimeter, which keeps its precision on the short sides near the center
+    where the law of cosines cancels."""
+    s = 0.5 * ls.sum(axis=0)
+    sh_gap = np.sinh(s - ls)
+    return 2.0 * np.arctan2(np.sqrt(np.roll(sh_gap, 1, axis=0) * np.roll(sh_gap, 2, axis=0)),
+                            np.sqrt(np.sinh(s) * sh_gap))
+
+
 def yamabe_flatten(state: SurfaceState):
     """Per-vertex log conformal factors making the mesh a cone-free
     hyperbolic surface (interior angle sums 2 pi; boundary factors fixed),
-    by Gauss-Newton on the interior angle defects, to within 1e-10.
+    by Newton on the interior angle defects, to within 1e-10.
 
     Lengths scale by sinh(l'/2) = e^{(u_i+u_j)/2} sinh(l/2), so
-    dl'/du_i = tanh(l'/2). The angle A_k opposite side l_k comes from the
-    half-angle formula tan^2(A_k/2) = sinh(s-l_a) sinh(s-l_b) / (sinh s sinh(s-l_k)),
-    s the half perimeter, which keeps its precision on the short sides near
-    the center where the law of cosines cancels, and varies as
+    dl'/du_i = tanh(l'/2). The angle A_k opposite side l_k comes from
+    `_face_angles` and varies as
     dA_k = sinh l_k / (sinh l_a sinh l_b sin A_k) (dl_k - cos A_b dl_a - cos A_a dl_b).
-    Returns the factors and the side lengths per face, side k opposite
-    corner k.
+    The Jacobian is the Hessian of the convex functional of Bobenko,
+    Pinkall and Springborn (Geom. Topol. 19, 2015), so it is square and
+    symmetric. Returns the factors and the side lengths per face, side k
+    opposite corner k.
     """
     form = state.form
     X = state.positions
@@ -377,10 +396,7 @@ def yamabe_flatten(state: SurfaceState):
     def residual(ui):
         ls = np.asarray(lengths_of(ui))
         sh = np.sinh(ls)
-        s = 0.5 * ls.sum(axis=0)
-        sh_gap = np.sinh(s - ls)
-        angles = 2.0 * np.arctan2(np.sqrt(np.roll(sh_gap, 1, axis=0) * np.roll(sh_gap, 2, axis=0)),
-                                  np.sqrt(np.sinh(s) * sh_gap))
+        angles = _face_angles(ls)
         cos = np.cos(angles)
         sums = np.bincount(faces.T.ravel(), weights=angles.ravel(), minlength=nv)
         dl_du = np.tanh(0.5 * ls)
@@ -401,36 +417,76 @@ def yamabe_flatten(state: SurfaceState):
     return np.concatenate([ui, np.zeros(nv - ni)]), tuple(lengths_of(ui))
 
 
-def _develop_h2(state: SurfaceState, lengths) -> np.ndarray:
-    """Lay the flattened mesh out on the hyperboloid x^2 + y^2 - z^2 = -1 by
-    Gauss-Newton on the edge lengths over the (x, y) of every vertex, until
-    every edge is within 1e-10 of its length.
+def _place_rings(state: SurfaceState, lengths) -> np.ndarray:
+    """Lay the flattened mesh out on the hyperboloid x^2 + y^2 - z^2 = -1
+    ring by ring from its side lengths and `_face_angles`, as in Springborn,
+    Schroeder and Pinkall (SIGGRAPH 2008). Returns the (x, y) rows.
 
-    The start is the surface's own H^2 projection (X_0, X_1, |X_{2:}|), the
-    graph coordinate of `build_state`, so the layout keeps the surface's
-    orientation. It is moved by an isometry that puts vertex 0 at the
-    origin and v(1, 0) on the +x axis, where x, y of vertex 0 and y of
-    v(1, 0) stay pinned. Returns the (x, y) rows."""
+    Vertex 0 sits at the origin and ring 1 round it at the cumulative fan
+    angles, v(1, 0) on the +x axis. Every later vertex v(i, j) is shot from
+    v(i-1, j) along their edge, in the direction towards v(i-2, j) turned by
+    the three face angles at v(i-1, j) on the side of sector j+1. Each new
+    ring is put back on the hyperboloid, which keeps the rounding from
+    growing ring over ring. The turns go the way that gives the first fan
+    face the orientation of the surface's H^2 projection (X_0, X_1, |X_{2:}|),
+    the graph coordinate of `build_state`."""
+    mesh = state.mesh
+    m, s = mesh.rings, mesh.sectors
+    ls = np.asarray(lengths)
+    angles = _face_angles(ls)
+    fan, quads = angles[:, :s], angles[:, s:].reshape(3, m - 1, s, 2)
+    # the side v(i-1, j)-v(i, j) is side 2 of the fan face and of the first quad face
+    radial = np.vstack([ls[2, :s], ls[2, s:].reshape(m - 1, s, 2)[:, :, 0]])
+    X = state.positions
+    corners = [0, mesh.vertex(1, 0), mesh.vertex(1, 1)]
+    graph = np.column_stack([X[corners, :2], np.linalg.norm(X[corners, 2:], axis=1)])
+    sense = 1.0 if np.linalg.det(graph) > 0 else -1.0
+
+    p = np.zeros((mesh.vertex_count, 3))
+    p[0, 2] = 1.0
+    ring = p[1:].reshape(m, s, 3)  # ring[i - 1] is a view of the rows of v(i, .)
+    phi = sense * np.concatenate([[0.0], np.cumsum(fan[0, :-1])])
+    ring[0] = np.column_stack([np.sinh(radial[0]) * np.cos(phi),
+                               np.sinh(radial[0]) * np.sin(phi), np.cosh(radial[0])])
+    minkowski = np.array([1.0, 1.0, -1.0])
+    for i in range(2, m + 1):
+        at = ring[i - 2]
+        back, inner = (p[:1], fan[1]) if i == 2 else (ring[i - 3], quads[1, i - 3, :, 0])
+        turn = -sense * (inner + quads[0, i - 2, :, 1] + quads[0, i - 2, :, 0])
+        # the unit tangent at `at` towards `back`, and its quarter turn
+        t = back + (at * back * minkowski).sum(axis=1)[:, None] * at
+        t /= np.sqrt((t * t * minkowski).sum(axis=1))[:, None]
+        n = np.cross(at, t) * minkowski
+        d = np.cos(turn)[:, None] * t + np.sin(turn)[:, None] * n
+        new = np.cosh(radial[i - 1])[:, None] * at + np.sinh(radial[i - 1])[:, None] * d
+        new[:, 2] = np.sqrt(1.0 + new[:, 0] ** 2 + new[:, 1] ** 2)
+        ring[i - 1] = new
+    return p[:, :2]
+
+
+def _develop_h2(state: SurfaceState, lengths) -> np.ndarray:
+    """Lay the flattened mesh out on the hyperboloid x^2 + y^2 - z^2 = -1,
+    every edge within 1e-10 of its length, with the orientation of the
+    surface's H^2 projection. Returns the (x, y) rows.
+
+    `_place_rings` gives the layout. `_gauss_newton` on the edge lengths
+    over the (x, y) of every vertex checks it and polishes it where it is
+    off, with x, y of vertex 0 and y of v(1, 0) pinned at 0; on solved
+    states the placement is already within tolerance, and nothing is
+    factored."""
     mesh = state.mesh
     faces = mesh.faces
     nv = mesh.vertex_count
     sides = np.sort(np.concatenate([faces[:, side] for side in FACE_SIDES]), axis=1)
-    edges, first = np.unique(sides, axis=0, return_index=True)
+    # one integer key per edge: np.unique over rows sorts a structured view, far slower
+    keys, first = np.unique(sides[:, 0] * nv + sides[:, 1], return_index=True)
     target = np.concatenate(lengths)[first]
-    a, b = edges[:, 0], edges[:, 1]
-    rows = np.repeat(np.arange(len(edges)), 4)
+    a, b = np.divmod(keys, nv)
+    rows = np.repeat(np.arange(len(keys)), 4)
     cols = np.column_stack([2 * a, 2 * a + 1, 2 * b, 2 * b + 1]).ravel()
 
-    X = state.positions
-    z = np.linalg.norm(X[:, 2:], axis=1)
-    # the boost taking the projection (w, z_0) of vertex 0 to the origin
-    w = X[0, :2]
-    xy = X[:, :2] + np.outer(X[:, :2] @ w / (z[0] + 1.0) - z, w)
-    v10 = mesh.vertex(1, 0)
-    c, s = xy[v10] / np.hypot(*xy[v10])
-    xy = (xy @ np.array([[c, -s], [s, c]])).ravel()
-    pinned = [0, 1, 2 * v10 + 1]
-    xy[pinned] = 0.0
+    xy = _place_rings(state, lengths).ravel()
+    pinned = [0, 1, 2 * mesh.vertex(1, 0) + 1]
     free = np.ones(2 * nv, dtype=bool)
     free[pinned] = False
 
@@ -444,7 +500,7 @@ def _develop_h2(state: SurfaceState, lengths) -> np.ndarray:
         grad_a = (p[a] * (z[b] / z[a])[:, None] - p[b]) / root
         grad_b = (p[b] * (z[a] / z[b])[:, None] - p[a]) / root
         J = sp.csc_matrix((np.column_stack([grad_a, grad_b]).ravel(), (rows, cols)),
-                          shape=(len(edges), 2 * nv))
+                          shape=(len(keys), 2 * nv))
         return np.arccosh(pair) - target, J[:, free]
 
     xy[free] = _gauss_newton(residual, xy[free])

@@ -46,6 +46,10 @@ MAX_VERTICES = 200_000
 # The first and largest step size of `plateau_solve`.
 INITIAL_DT = 0.2
 
+# The default tolerance of `plateau_solve`, and the largest residual a state
+# file marked converged may have: the audit CLI recomputes it on load.
+STATE_RESIDUAL_MAX = 1e-6
+
 
 @dataclass(frozen=True)
 class StencilTable:
@@ -501,7 +505,8 @@ def _flow_step(X: np.ndarray, rho: np.ndarray, omega: np.ndarray, idx: np.ndarra
     return Xn
 
 
-def plateau_solve(state: SurfaceState, tol: float = 1e-6, max_iter: int = 20000) -> SurfaceState:
+def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
+                  max_iter: int = 20000) -> SurfaceState:
     """Damped implicit flow of the maximality defect on unpinned vertices,
     with the quadric normalisation re-imposed each step. The step starts at
     INITIAL_DT, halves (with revert) whenever a face loses spacelikeness or

@@ -6,11 +6,17 @@ with scalar loops and `np.linalg.lstsq`, the way the mesh tables and the
 geometry were computed before they were built from arrays. The analytic
 oracles are the totally geodesic disk, the finite-radius points over a
 loop and the closed-form second fundamental form of a flat orbit surface.
-Tests compare the program against them.
+The flattening references are a Gauss-Newton that always factors the
+normal matrix J^T J, and a development that starts from the surface's H^2
+projection instead of a ring-by-ring placement. Tests compare the program
+against them.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
+
+from pseudoplateau import diagnostics as diag
 
 from pseudoplateau import hspace as hs
 from pseudoplateau import plateau as pl
@@ -185,3 +191,71 @@ def reference_geometry(state):
         out["K"][v] = (2.0 * np.pi - angle_sum) / (area / 3.0)
     out["ii_gauss"] = 2.0 * (out["K"] + 1.0)
     return out
+
+
+def gauss_newton_normal(residual, x):
+    """`diagnostics._gauss_newton` with the normal-matrix step
+    splu(J^T J).solve(J^T r) for every J, square or not."""
+    r, J = residual(x)
+    step = None
+    for _ in range(diag.GAUSS_NEWTON_TRIALS):
+        if np.max(np.abs(r)) < diag.GAUSS_NEWTON_TOL:
+            return x
+        if step is None:
+            Jt = J.T.tocsc()
+            step, t = splu((Jt @ J).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True}).solve(Jt @ r), 1.0
+        try:
+            r_t, J_t = residual(x - t * step)
+        except diag.FlatteningError:
+            r_t = None
+        if r_t is not None and r_t @ r_t < r @ r:
+            x, r, J, step = x - t * step, r_t, J_t, None
+        else:
+            t *= 0.5
+    raise diag.FlatteningError(f"Gauss-Newton solve stalled at max residual {np.max(np.abs(r)):.2e}")
+
+
+def develop_from_projection(state, lengths):
+    """`diagnostics._develop_h2` from the surface's own H^2 projection
+    (X_0, X_1, |X_{2:}|), moved by an isometry that puts vertex 0 at the
+    origin and v(1, 0) on the +x axis, then Gauss-Newton on the edge
+    lengths with `gauss_newton_normal`. Returns the (x, y) rows."""
+    mesh = state.mesh
+    faces = mesh.faces
+    nv = mesh.vertex_count
+    sides = np.sort(np.concatenate([faces[:, side] for side in diag.FACE_SIDES]), axis=1)
+    edges, first = np.unique(sides, axis=0, return_index=True)
+    target = np.concatenate(lengths)[first]
+    a, b = edges[:, 0], edges[:, 1]
+    rows = np.repeat(np.arange(len(edges)), 4)
+    cols = np.column_stack([2 * a, 2 * a + 1, 2 * b, 2 * b + 1]).ravel()
+
+    X = state.positions
+    z = np.linalg.norm(X[:, 2:], axis=1)
+    # the boost taking the projection (w, z_0) of vertex 0 to the origin
+    w = X[0, :2]
+    xy = X[:, :2] + np.outer(X[:, :2] @ w / (z[0] + 1.0) - z, w)
+    v10 = mesh.vertex(1, 0)
+    c, s = xy[v10] / np.hypot(*xy[v10])
+    xy = (xy @ np.array([[c, -s], [s, c]])).ravel()
+    pinned = [0, 1, 2 * v10 + 1]
+    xy[pinned] = 0.0
+    free = np.ones(2 * nv, dtype=bool)
+    free[pinned] = False
+
+    def residual(q):
+        p = xy.copy()
+        p[free] = q
+        p = p.reshape(nv, 2)
+        z = np.sqrt(1.0 + np.sum(p * p, axis=1))
+        pair = np.maximum(z[a] * z[b] - np.sum(p[a] * p[b], axis=1), 1.0 + 1e-15)
+        root = np.sqrt(pair * pair - 1.0)[:, None]
+        grad_a = (p[a] * (z[b] / z[a])[:, None] - p[b]) / root
+        grad_b = (p[b] * (z[a] / z[b])[:, None] - p[a]) / root
+        J = sp.csc_matrix((np.column_stack([grad_a, grad_b]).ravel(), (rows, cols)),
+                          shape=(len(edges), 2 * nv))
+        return np.arccosh(pair) - target, J[:, free]
+
+    xy[free] = gauss_newton_normal(residual, xy[free])
+    return xy.reshape(nv, 2)

@@ -152,6 +152,23 @@ def test_state_header_radius_checked_against_rim(tmp_path, capsys, radius, code)
         assert not out.exists()
 
 
+def test_unsolved_state_marked_converged_exit_three(workdir, tmp_path, capsys):
+    # the build_state start is far from solved, whatever its header says
+    start = pl.build_state(ein.loop_load(workdir / "wobble.loop"), 12, 36, 2.5)
+    start.converged = True
+    pl.state_save(start, tmp_path / "state.txt")
+    out = tmp_path / "out"
+    code = cli.main(["audit", "--state", str(tmp_path / "state.txt"), "--audits", "rigidity",
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("error:") and f"above {pl.STATE_RESIDUAL_MAX:g}" in err
+    assert not out.exists()
+    # the solved state of the same loop and mesh still audits
+    assert cli.main(["audit", "--state", str(workdir / "run" / "state.txt"),
+                     "--audits", "rigidity", "--out", str(out)]) == 0
+
+
 class TestAudit:
     def test_full_audit_passes(self, workdir, run_cli):
         res = run_cli("audit", "--state", "run/state.txt", "--loop", "wobble.loop",

@@ -12,9 +12,63 @@ from pseudoplateau import diagnostics as diag
 import audit_reference as ref
 from boundary_reference import distance_to_crown_reference, worst_pair_reference
 from conftest import make_circle, make_rigid_arc, make_wobble
+from geometry_reference import develop_from_projection, gauss_newton_normal
 
 
 FORM1 = BilinearForm(1)
+
+
+@pytest.fixture(scope="module")
+def wobble_16x48():
+    return pl.plateau_solve(pl.build_state(make_wobble(), 16, 48, 3.0), tol=1e-9, max_iter=2000)
+
+
+@pytest.fixture(scope="module")
+def wobble_48x144():
+    return pl.plateau_solve(pl.build_state(make_wobble(), 48, 144, 3.0), tol=1e-9, max_iter=2000)
+
+
+def _flattening_residual(monkeypatch, st):
+    """The residual-and-Jacobian callback that `yamabe_flatten` hands to
+    the solver."""
+    captured = []
+
+    def capture(residual, x):
+        captured.append(residual)
+        return x
+
+    with monkeypatch.context() as patch:
+        patch.setattr(diag, "_gauss_newton", capture)
+        diag.yamabe_flatten(st)
+    return captured[0]
+
+
+def _spy_splu(monkeypatch):
+    """Record every matrix handed to `splu`, which still factors it."""
+    given = []
+    splu = diag.splu
+
+    def spy(A, **options):
+        given.append(A)
+        return splu(A, **options)
+
+    monkeypatch.setattr(diag, "splu", spy)
+    return given
+
+
+def _lift(xy):
+    return np.column_stack([xy, np.sqrt(1.0 + np.sum(xy * xy, axis=1))])
+
+
+def _max_side_error(st, xy, lengths):
+    p = _lift(xy)
+    faces = st.mesh.faces
+    errors = []
+    for k, (a, b) in enumerate(diag.FACE_SIDES):
+        pa, pb = p[faces[:, a]], p[faces[:, b]]
+        pair = pa[:, 2] * pb[:, 2] - pa[:, 0] * pb[:, 0] - pa[:, 1] * pb[:, 1]
+        errors.append(np.max(np.abs(np.arccosh(np.maximum(pair, 1.0)) - lengths[k])))
+    return max(errors)
 
 
 class TestRigidityAudit:
@@ -261,18 +315,9 @@ class TestYamabe:
 
 
 class TestFlatteningJacobian:
-    def test_matches_central_differences(self, monkeypatch):
-        st = pl.plateau_solve(pl.build_state(make_wobble(), 16, 48, 3.0), tol=1e-9, max_iter=2000)
-        captured = []
-
-        def capture(residual, x):
-            captured.append(residual)
-            return x
-
-        # yamabe_flatten hands its residual-and-Jacobian callback to the solver
-        monkeypatch.setattr(diag, "_gauss_newton", capture)
-        diag.yamabe_flatten(st)
-        residual = captured[0]
+    def test_matches_central_differences(self, monkeypatch, wobble_16x48):
+        st = wobble_16x48
+        residual = _flattening_residual(monkeypatch, st)
         ni = st.mesh.vertex_count - st.mesh.sectors
         u = np.random.default_rng(2).uniform(-0.05, 0.05, ni)
         _, J = residual(u)
@@ -283,6 +328,74 @@ class TestFlatteningJacobian:
             du[i] = h
             fd[:, i] = (residual(u + du)[0] - residual(u - du)[0]) / (2.0 * h)
         assert np.max(np.abs(J.toarray() - fd)) < 1e-6
+
+    def test_is_symmetric(self, monkeypatch, wobble_16x48):
+        # the Hessian of the Bobenko-Pinkall-Springborn functional
+        st = wobble_16x48
+        residual = _flattening_residual(monkeypatch, st)
+        ni = st.mesh.vertex_count - st.mesh.sectors
+        for u in (np.zeros(ni), np.random.default_rng(2).uniform(-0.05, 0.05, ni)):
+            J = residual(u)[1].toarray()
+            assert np.max(np.abs(J - J.T)) <= 1e-12 * np.max(np.abs(J))
+
+
+class TestSquareMode:
+    def test_flattening_factors_its_jacobian(self, monkeypatch, solved_wobble_state):
+        st = solved_wobble_state
+        ni = st.mesh.vertex_count - st.mesh.sectors
+        J = _flattening_residual(monkeypatch, st)(np.zeros(ni))[1]
+        pattern = set(zip(*J.nonzero()))
+        given = _spy_splu(monkeypatch)
+        diag.yamabe_flatten(st)
+        assert given
+        for A in given:
+            # J^T J couples vertices two rings apart, J only neighbours
+            assert A.shape == (ni, ni)
+            assert set(zip(*A.nonzero())) == pattern
+
+    def test_development_factors_nothing(self, monkeypatch, solved_wobble_state):
+        _, lengths = diag.yamabe_flatten(solved_wobble_state)
+        given = _spy_splu(monkeypatch)
+        diag._develop_h2(solved_wobble_state, lengths)
+        assert given == []
+
+    def test_factors_match_normal_matrix_gauss_newton(self, monkeypatch, solved_wobble_state):
+        u, _ = diag.yamabe_flatten(solved_wobble_state)
+        monkeypatch.setattr(diag, "_gauss_newton", gauss_newton_normal)
+        want, _ = diag.yamabe_flatten(solved_wobble_state)
+        assert np.max(np.abs(u - want)) <= 1e-12
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("fixture", ["solved_wobble_state", "wobble_48x144"])
+    def test_placement_alone_reproduces_sides(self, fixture, request):
+        st = request.getfixturevalue(fixture)
+        _, lengths = diag.yamabe_flatten(st)
+        assert _max_side_error(st, diag._place_rings(st, lengths), lengths) < diag.GAUSS_NEWTON_TOL
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["as_solved", "mirrored"])
+    @pytest.mark.parametrize("fixture", ["solved_wobble_state", "solved_circle"])
+    def test_layout_has_orientation_of_projection(self, fixture, mirrored, request):
+        st = request.getfixturevalue(fixture).copy()
+        if mirrored:
+            # a reflection of H^{2,n}: the same flattened lengths, the other orientation
+            st.positions[:, 1] *= -1.0
+        _, lengths = diag.yamabe_flatten(st)
+        faces = st.mesh.faces
+        X = st.positions
+        graph = np.column_stack([X[:, :2], np.linalg.norm(X[:, 2:], axis=1)])
+        signs = np.sign(np.linalg.det(_lift(diag._develop_h2(st, lengths))[faces]))
+        assert np.all(signs == np.sign(np.linalg.det(graph[faces])))
+
+    @pytest.mark.parametrize("fixture", ["solved_wobble_state", "solved_circle"])
+    def test_rim_angles_match_projection_start(self, fixture, request):
+        st = request.getfixturevalue(fixture)
+        _, lengths = diag.yamabe_flatten(st)
+        rim = st.mesh.vertex(st.mesh.rings, 0)
+        got = diag._develop_h2(st, lengths)[rim:]
+        want = develop_from_projection(st, lengths)[rim:]
+        gap = np.angle((got[:, 0] + 1j * got[:, 1]) / (want[:, 0] + 1j * want[:, 1]))
+        assert np.max(np.abs(gap)) <= 1e-9
 
 
 class TestDevelopment:
