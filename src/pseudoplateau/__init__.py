@@ -14,7 +14,6 @@ Submodules:
 from .qcore import BilinearForm, Isometry, SubspaceSignature, subspace_signature
 from .einstein import (
     BarbotCrown,
-    BoundaryPoint,
     LipschitzLoop,
     barbot_crown_standard,
     loop_classify,
@@ -30,7 +29,6 @@ __all__ = [
     "SubspaceSignature",
     "subspace_signature",
     "BarbotCrown",
-    "BoundaryPoint",
     "LipschitzLoop",
     "barbot_crown_standard",
     "loop_classify",

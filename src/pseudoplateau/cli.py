@@ -20,6 +20,11 @@ from . import plateau as pl
 from . import diagnostics as diag
 
 
+# The most samples `loop-gen` generates. The loop classifiers build k x k
+# matrices, about 134 MB each at this size.
+MAX_LOOP_SAMPLES = 4096
+
+
 def _north_pole(n: int) -> np.ndarray:
     f = np.zeros(n + 1)
     f[0] = 1.0
@@ -29,6 +34,11 @@ def _north_pole(n: int) -> np.ndarray:
 def generate_loop(kind: str, n: int = 1, samples: int = 128, amplitude: float = 0.25,
                   frequency: int = 3, slope: float = 1.0 / 3.0,
                   input_path: str | None = None) -> ein.LipschitzLoop:
+    # checked before anything is sized
+    if not 3 <= samples <= MAX_LOOP_SAMPLES:
+        raise ein.InvalidLoopError(f"--samples must lie in [3, {MAX_LOOP_SAMPLES}], got {samples}")
+    if n < 1:
+        raise ein.InvalidLoopError(f"--n must be at least 1, got {n}")
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     if kind == "circle":
         fibers = np.tile(_north_pole(n), (samples, 1))

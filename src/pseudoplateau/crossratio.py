@@ -15,19 +15,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import NULL_EIGENVALUE_RTOL, BilinearForm, DegenerateTripleError, GeometryError
+from .qcore import (
+    NULL_EIGENVALUE_RTOL,
+    BilinearForm,
+    DegenerateTripleError,
+    GeometryError,
+    _rows,
+    norm_rows,
+)
 from .einstein import (
-    TRANSVERSALITY_RTOL,
-    BoundaryPoint,
     ChartDomainError,
     CoincidentPointsError,
     MinkowskiChart,
     NonTransverseError,
+    circle_points,
     in_closed_diamond,
     minkowski_chart_apply,
     minkowski_chart_inverse,
     projectively_equal,
-    standard_circle,
+    q1n,
     tau_chart,
     transverse,
 )
@@ -41,18 +47,36 @@ class InsufficientSamplesError(GeometryError):
     pass
 
 
-def cross_ratio_b(form: BilinearForm, x: BoundaryPoint, y: BoundaryPoint,
-                  z: BoundaryPoint, t: BoundaryPoint) -> float:
-    """<x,y><z,t> / (<x,t><z,y>); independent of the representative scaling.
-    Requires a pairwise transverse quadruple."""
-    pts = (x, y, z, t)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not transverse(form, pts[i], pts[j]):
-                raise NonTransverseError("cross-ratio needs pairwise transverse points")
-    num = form.inner(x.rep, y.rep) * form.inner(z.rep, t.rep)
-    den = form.inner(x.rep, t.rep) * form.inner(z.rep, y.rep)
-    return float(num / den)
+# The pairs of a quadruple (x, y, z, t), with (x, t) third.
+_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
+
+
+def _apart(G: np.ndarray, norms: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """Whether each of the six pairs of each quadruple is transverse. The
+    rows of `quads` index the last axes of the pairing matrix G and of the
+    representatives' norms."""
+    i, j = quads[..., _PAIRS[0]], quads[..., _PAIRS[1]]
+    return transverse(G[..., i, j], norms[..., i], norms[..., j])
+
+
+def _ratios(G: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """b(x, y, z, t) = <x,y><z,t> / (<x,t><z,y>) of each quadruple, its
+    indices read off the last axes of the pairing matrix G."""
+    x, y, z, t = (quads[..., c] for c in range(4))
+    return (G[..., x, y] * G[..., z, t]) / (G[..., x, t] * G[..., z, y])
+
+
+def cross_ratio_b(form: BilinearForm, X):
+    """b(x, y, z, t) = <x,y><z,t> / (<x,t><z,y>) of the boundary
+    representatives in the rows of X (4, dim), or of each quadruple of a
+    stack (m, 4, dim); one quadruple gives a float. Independent of the
+    representatives' scaling. Requires pairwise transverse quadruples."""
+    X = np.asarray(X, dtype=float)
+    G = (X * form.signs) @ np.swapaxes(X, -1, -2)
+    quad = np.arange(4)
+    if not np.all(_apart(G, norm_rows(X), quad)):
+        raise NonTransverseError("cross-ratio needs pairwise transverse points")
+    return _rows(_ratios(G, quad))
 
 
 def _lift(value) -> np.ndarray:
@@ -103,18 +127,21 @@ def value_to_angle(value) -> float:
 
 @dataclass
 class SampledBoundaryMap:
-    """A boundary map sampled on circle parameters of the projective line."""
+    """A boundary map sampled on circle parameters of the projective line:
+    `reps[i]` is the boundary representative of the image of `domain[i]`."""
 
     domain: np.ndarray
-    images: list
+    reps: np.ndarray
 
     def __post_init__(self):
         dom = np.asarray(self.domain, dtype=float) % (2.0 * np.pi)
+        reps = np.asarray(self.reps, dtype=float)
+        if dom.ndim != 1 or reps.ndim != 2 or len(dom) != len(reps):
+            raise GeometryError(f"domain and image sample counts differ: {dom.shape} "
+                                f"angles, {reps.shape} representatives")
         order = np.argsort(dom)
         self.domain = dom[order]
-        self.images = [self.images[i] for i in order]
-        if len(self.domain) != len(self.images):
-            raise GeometryError("domain and image sample counts differ")
+        self.reps = reps[order]
         if np.any(np.diff(self.domain) <= 1e-12):
             raise GeometryError("domain samples must be strictly increasing")
 
@@ -126,9 +153,7 @@ class SampledBoundaryMap:
 def circle_map(form: BilinearForm, domain) -> SampledBoundaryMap:
     """The canonical embedding of the projective line onto the standard
     spacelike circle (sends circle parameters to circle points)."""
-    circ = standard_circle(form)
-    domain = np.asarray(domain, dtype=float)
-    return SampledBoundaryMap(domain, [circ.point_at(t) for t in domain])
+    return SampledBoundaryMap(domain, circle_points(form, domain))
 
 
 # How many quadruples `circle_map_test` tests, and the relative size below
@@ -148,26 +173,22 @@ def circle_map_test(form: BilinearForm, bmap: SampledBoundaryMap, tol: float = 1
     from .qcore import subspace_signature
 
     sig_ok = False
+    P = bmap.reps
     for shift in range(min(k // 3, 16)):
-        idx = (shift, (shift + k // 3) % k, (shift + (2 * k) // 3) % k)
-        sig = subspace_signature(form, [bmap.images[t].rep for t in idx]).as_tuple()
-        if sig == (2, 1, 0):
+        idx = [shift, (shift + k // 3) % k, (shift + (2 * k) // 3) % k]
+        if subspace_signature(form, P[idx]).as_tuple() == (2, 1, 0):
             sig_ok = True
             break
     if not sig_ok:
         raise NonPositiveMapError("image contains no positive triple")
     quads = np.array(_quadruple_indices(k, CIRCLE_TEST_QUADRUPLES), dtype=np.intp)
-    P = np.array([p.rep for p in bmap.images])
     G = (P * form.signs) @ P.T
-    norms = np.linalg.norm(P, axis=1)
-    i, j = quads[:, _PAIRS[0]], quads[:, _PAIRS[1]]
     # circle maps keep distinct points transverse, so a non-transverse pair
     # already refutes the identity
-    if not np.all(np.abs(G[i, j]) > TRANSVERSALITY_RTOL * norms[i] * norms[j]):
+    if not np.all(_apart(G, norm_rows(P), quads)):
         return False
-    a, b, c, d = quads.T
     r = cross_ratio_angles(*bmap.domain[quads].T)
-    ratios = (G[a, b] * G[c, d]) / (G[a, d] * G[c, b])
+    ratios = _ratios(G, quads)
     if np.any(np.abs(ratios - r * r) > tol * (1.0 + r * r)):
         return False
     gram = G[quads[:, :, None], quads[:, None, :]]
@@ -202,10 +223,9 @@ class QSCertificate:
 
 
 # The sub-triples of a quadruple (a, b, c, d) in the order positivity visits
-# them, the pairs of a triple, and the pairs of a quadruple ((a, d) third).
+# them, and the pairs of a triple.
 _SUBTRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 _TRIPLE_PAIRS = ([0, 0, 1], [1, 2, 2])
-_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
 
 
 def _window_quadruples(rng: np.random.Generator, domain: np.ndarray, A: float,
@@ -240,17 +260,15 @@ def _quadruple_checks(P: np.ndarray, G: np.ndarray, norms: np.ndarray, quads: np
     whether d lies in the future cone of c in the chart of (a, b, c)."""
     T = quads[:, _SUBTRIPLES]
     R = P[T]
-    x, y = R[:, :, _TRIPLE_PAIRS[0]], R[:, :, _TRIPLE_PAIRS[1]]
-    gap = np.minimum(np.max(np.abs(x - y), axis=-1), np.max(np.abs(x + y), axis=-1))
-    coincident = np.any(gap <= 1e-9, axis=-1)
+    coincident = np.any(projectively_equal(R[:, :, _TRIPLE_PAIRS[0]], R[:, :, _TRIPLE_PAIRS[1]]),
+                        axis=-1)
     # signature (2, 1, 0) of each sub-triple, with subspace_signature's cutoff
     eig = np.linalg.eigvalsh(G[T[..., :, None], T[..., None, :]])
     scale = np.maximum(np.max(np.abs(eig), axis=-1), np.max(norms[T], axis=-1) ** 2)
     cutoff = NULL_EIGENVALUE_RTOL * scale[..., None]
     positive = (np.sum(eig > cutoff, axis=-1) == 2) & (np.sum(eig < -cutoff, axis=-1) == 1)
 
-    i, j = quads[:, _PAIRS[0]], quads[:, _PAIRS[1]]
-    apart = np.abs(G[i, j]) > TRANSVERSALITY_RTOL * norms[i] * norms[j]
+    apart = _apart(G, norms, quads)
     # In the Minkowski chart of a, q(u_x - u_y) is a positive multiple of
     # D(x, y) = -<x,y> / (<x,a><y,a>). With u_b = -e1 and u_c = e1, d lies in
     # the future cone of c exactly when D(d,c) > 0 and
@@ -289,8 +307,7 @@ def _certified_ratios(P: np.ndarray, G: np.ndarray, norms: np.ndarray,
         if not ordered[q]:
             raise NonPositiveMapError("sampled quadruple is not positive")
         raise NonTransverseError("cross-ratio needs pairwise transverse points")
-    a, b, c, d = quads.T
-    return (G[a, b] * G[c, d]) / (G[a, d] * G[c, b])
+    return _ratios(G, quads)
 
 
 def qs_certify(form: BilinearForm, bmap: SampledBoundaryMap, A: float = 2.0,
@@ -307,9 +324,9 @@ def qs_certify(form: BilinearForm, bmap: SampledBoundaryMap, A: float = 2.0,
         raise GeometryError("the window parameter must exceed 1")
     if bmap.size < 8:
         raise InsufficientSamplesError("too few samples to certify")
-    P = np.array([p.rep for p in bmap.images])
+    P = bmap.reps
     G = (P * form.signs) @ P.T
-    norms = np.linalg.norm(P, axis=1)
+    norms = norm_rows(P)
     quads = _window_quadruples(np.random.default_rng(rng_seed), bmap.domain, A, n_quadruples)
     if not len(quads):
         raise InsufficientSamplesError("rejection sampling accepted no quadruple")
@@ -329,10 +346,6 @@ def qs_certify(form: BilinearForm, bmap: SampledBoundaryMap, A: float = 2.0,
 # Contraction of nested diamonds
 
 
-def _q1n(u: np.ndarray) -> float:
-    return float(u[0] ** 2 - np.dot(u[1:], u[1:]))
-
-
 @dataclass
 class ContractionReport:
     max_ratio: float
@@ -343,25 +356,24 @@ class ContractionReport:
     samples: int
 
 
-def _diamond_grid(n: int, per_axis: int) -> list[np.ndarray]:
-    """Deterministic grid inside the standard diamond |s| + |w| < 1."""
-    pts = []
-    for s in np.linspace(-0.8, 0.8, per_axis):
-        for w in np.linspace(-0.8, 0.8, per_axis):
-            if abs(s) + abs(w) >= 0.95:
-                continue
-            u = np.zeros(n + 1)
-            u[0] = s
-            u[1] = w
-            pts.append(u)
-    return pts
+def _diamond_grid(n: int, per_axis: int) -> np.ndarray:
+    """Deterministic grid inside the standard diamond |s| + |w| < 1, as
+    chart coordinate rows (k, n+1)."""
+    s, w = np.meshgrid(np.linspace(-0.8, 0.8, per_axis), np.linspace(-0.8, 0.8, per_axis),
+                       indexing="ij")
+    keep = np.abs(s) + np.abs(w) < 0.95
+    grid = np.zeros((int(np.sum(keep)), n + 1))
+    grid[:, 0] = s[keep]
+    grid[:, 1] = w[keep]
+    return grid
 
 
 def contraction_check(form: BilinearForm, tau, tau_prime, B: float,
                       per_axis: int = 7) -> ContractionReport:
     """Measured contraction of the diamond distance between nested diamonds
     with cross-ratio control B, against the bound (B-1)/(B+1), plus the
-    lightlike chord length of the controlled region."""
+    lightlike chord length of the controlled region. tau and tau_prime are
+    triples of boundary representatives, (3, dim) each."""
     from scipy.spatial.distance import pdist
 
     a, b, c = tau
@@ -370,21 +382,20 @@ def contraction_check(form: BilinearForm, tau, tau_prime, B: float,
         raise GeometryError("the two triples must share their first point")
     if B <= 1.0:
         raise GeometryError("the cross-ratio control must exceed 1")
+    chart_outer = tau_chart(form, tau)
     for p in (x, y):
-        if not in_closed_diamond(form, tau, p, tol=1e-7):
+        if not in_closed_diamond(form, chart_outer, p, tol=1e-7):
             raise ChartDomainError("inner diamond endpoints must lie in the outer diamond")
-        val = cross_ratio_b(form, a, b, p, c)
+        val = cross_ratio_b(form, np.stack([a, b, p, c]))
         if not (1.0 / B - 1e-9 <= val <= B + 1e-9):
             raise GeometryError(f"cross-ratio control violated: b = {val:.6f}")
-    chart_outer = tau_chart(form, (a, b, c))
-    chart_inner = tau_chart(form, (a2, x, y))
+    chart_inner = tau_chart(form, tau_prime)
     grid = _diamond_grid(form.n, per_axis)
-    pts = [minkowski_chart_apply(form, chart_inner, u) for u in grid]
-    inner_coords = np.array(grid)
-    outer_coords = np.array([minkowski_chart_inverse(form, chart_outer, p) for p in pts])
-    inner = pdist(inner_coords)
+    outer = minkowski_chart_inverse(form, chart_outer,
+                                    minkowski_chart_apply(form, chart_inner, grid))
+    inner = pdist(grid)
     apart = inner >= 1e-9
-    ratios = pdist(outer_coords)[apart] / inner[apart]
+    ratios = pdist(outer)[apart] / inner[apart]
     chord_measured, chord_formula = _lightlike_chord_ratio(form, chart_outer, B)
     bound = (B - 1.0) / (B + 1.0)
     return ContractionReport(
@@ -422,9 +433,8 @@ def _lightlike_chord_ratio(form: BilinearForm, chart: MinkowskiChart, B: float):
     def t_hit(center):
         # line x0 + t u_dir meets the cone q(x - center) = 0 at a single t
         rel = x0 - center
-        qrel = rel[0] ** 2 - np.dot(rel[1:], rel[1:])
         pair = rel[0] * u_dir[0] - np.dot(rel[1:], u_dir[1:])
-        return -qrel / (2.0 * pair)
+        return -q1n(rel) / (2.0 * pair)
 
     tb = t_hit(-e1)
     tc = t_hit(e1)
@@ -432,9 +442,11 @@ def _lightlike_chord_ratio(form: BilinearForm, chart: MinkowskiChart, B: float):
     qq = x0 + tc * u_dir
     seg = qq - p
 
+    corners = np.array([-e1, e1])
+
     def bval(t):
-        w = p + t * seg
-        return _q1n(w - e1) / _q1n(w + e1)
+        to_c, to_b = q1n(p + t * seg + corners)
+        return to_c / to_b
 
     lam = bval(0.5)
     if not (1.0 / B < lam < B):

@@ -20,7 +20,8 @@ from .qcore import BilinearForm, GeometryError, standardize_triple
 from .einstein import (
     BarbotCrown,
     LipschitzLoop,
-    boundary_point,
+    boundary_points,
+    graph_points,
     loop_classify,
     _circle_dist_matrix,
 )
@@ -84,7 +85,7 @@ def _boundary_points(state: SurfaceState, count: int, rng: np.random.Generator) 
     attached loop when present, else the classes of the outer ring."""
     if state.loop is not None:
         thetas = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        return np.array([state.loop.boundary_point(t).rep for t in thetas])
+        return state.loop.boundary_points(thetas)
     mesh = state.mesh
     base = mesh.vertex(mesh.rings, 0)
     idx = rng.integers(0, mesh.sectors, size=count)
@@ -92,7 +93,7 @@ def _boundary_points(state: SurfaceState, count: int, rng: np.random.Generator) 
     X = state.positions[base + idx]
     classes = np.hstack([X[:, :2] / np.linalg.norm(X[:, :2], axis=1)[:, None],
                          X[:, 2:] / np.linalg.norm(X[:, 2:], axis=1)[:, None]])
-    return np.array([boundary_point(state.form, x).rep for x in classes])
+    return boundary_points(state.form, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +523,7 @@ def boundary_extension(state: SurfaceState, seed: int = 0):
     rim = _develop_h2(state, lengths)[mesh.vertex(mesh.rings, 0):]
     thetas_disk = np.arctan2(rim[:, 1], rim[:, 0]) % (2.0 * np.pi)
     thetas_loop = 2.0 * np.pi * np.arange(mesh.sectors) / mesh.sectors
-    images = [state.loop.boundary_point(t) for t in thetas_loop]
-    bmap = SampledBoundaryMap(thetas_disk, images)
+    bmap = SampledBoundaryMap(thetas_disk, state.loop.boundary_points(thetas_loop))
     cert = qs_certify(state.form, bmap, A=2.0, n_quadruples=1500, rng_seed=seed)
     return bmap, cert
 
@@ -663,7 +663,7 @@ def barbot_degeneration(loop: LipschitzLoop, crown: BarbotCrown, iters: int = 60
     Binv = np.linalg.inv(B)
     eig = np.ones(form.dim)
     eig[:4] = (0.25, 0.5, 4.0, 2.0)
-    pts = np.array([p.rep for p in loop.sample_points()])
+    pts = graph_points(loop.thetas, loop.fibers)
     coeffs = pts @ Binv.T
     history = []
     for _ in range(iters + 1):
@@ -671,12 +671,7 @@ def barbot_degeneration(loop: LipschitzLoop, crown: BarbotCrown, iters: int = 60
         coeffs = coeffs * eig
         scale = np.max(np.abs(coeffs), axis=1)
         coeffs = np.where(np.abs(coeffs) < 1e-13 * scale[:, None], 0.0, coeffs)
-        moved = coeffs @ B.T
-        nu = np.linalg.norm(moved[:, :2], axis=1)
-        nv = np.linalg.norm(moved[:, 2:], axis=1)
-        pts = np.column_stack([moved[:, :2] / nu[:, None], moved[:, 2:] / nv[:, None]])
-        lead = np.where(np.abs(pts[:, 0]) > 1e-12, np.sign(pts[:, 0]), np.sign(pts[:, 1]))
-        pts = pts * lead[:, None]
+        pts = boundary_points(form, coeffs @ B.T)
     return {
         "hausdorff": [float(h) for h in history],
         "final": float(history[-1]),
@@ -809,7 +804,7 @@ AUDITS = {
     "asymptotic_hyperbolicity": RegisteredAudit(
         lambda state, seed: asymptotic_hyperbolicity_audit(state)),
     "hessian": RegisteredAudit(
-        lambda state, seed: hessian_audit(state, state.loop.boundary_point(0.0), seed=seed),
+        lambda state, seed: hessian_audit(state, state.loop.boundary_points(0.0), seed=seed),
         needs_loop=True),
     "boundary_extension": RegisteredAudit(
         lambda state, seed: boundary_extension_audit(state, seed),

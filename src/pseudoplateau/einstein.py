@@ -1,16 +1,18 @@
 """Boundary geometry of H^{2,n}: the projectivised null cone of the form.
 
-Boundary points are stored on the double cover in product coordinates
-(u, v) with u a unit vector of R^2 and v a unit vector of R^{n+1}; the
-sign quotient is resolved by making the first nonzero coordinate of u
-positive. Loops are sampled graphs of 1-Lipschitz maps from the circle to
-the sphere, with geodesic interpolation between samples.
+A boundary point is a normalised representative row: in product
+coordinates (u, v), u is a unit vector of R^2 and v a unit vector of
+R^{n+1}, and the sign quotient is resolved by making the first nonzero
+coordinate of u positive. A stack of k points is a (k, n+3) array of such
+rows, and every boundary operation here works row by row. Loops are
+sampled graphs of 1-Lipschitz maps from the circle to the sphere, with
+geodesic interpolation between samples.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +20,11 @@ from .qcore import (
     BilinearForm,
     DegenerateCrownError,
     GeometryError,
+    _rows,
+    dot_rows,
+    norm_rows,
     standardize_triple,
     subspace_signature,
-    _as_vector,
 )
 
 
@@ -41,8 +45,7 @@ class InvalidLoopError(GeometryError):
 
 
 TRANSVERSALITY_RTOL = 1e-8
-ISOTROPY_ATOL = 1e-10
-# The relative gap |u| - |v| up to which `boundary_point` accepts a vector
+# The relative gap |u| - |v| up to which `boundary_points` accepts a vector
 # as isotropic.
 ISOTROPY_RTOL = 1e-8
 
@@ -51,100 +54,65 @@ ISOTROPY_RTOL = 1e-8
 LIPSCHITZ_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A point of the Einstein quadric, normalised in product coordinates."""
-
-    rep: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        rep = np.asarray(self.rep, dtype=float)
-        if rep.ndim != 1 or rep.shape[0] < 3:
-            raise GeometryError("boundary representative must be a vector in R^{n+3}")
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "n", rep.shape[0] - 3)
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.rep[:2]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.rep[2:]
-
-    @property
-    def theta(self) -> float:
-        return float(np.arctan2(self.u[1], self.u[0]) % (2.0 * np.pi))
+def _signed(rep: np.ndarray) -> np.ndarray:
+    """The sign rule: negate each row whose first nonzero coordinate of u is
+    negative."""
+    lead = np.where(rep[..., 0] != 0.0, rep[..., 0], rep[..., 1])
+    return np.where((lead < 0)[..., None], -rep, rep)
 
 
-def boundary_point(form: BilinearForm, raw) -> BoundaryPoint:
-    """Normalise an isotropic vector into a BoundaryPoint; rejects vectors
-    too far from the null cone."""
-    x = _as_vector(raw)
-    if x.shape[0] != form.dim:
-        raise GeometryError(f"expected length {form.dim}, got {x.shape[0]}")
-    nu = np.linalg.norm(x[:2])
-    nv = np.linalg.norm(x[2:])
-    if nu == 0.0 or nv == 0.0:
+def boundary_points(form: BilinearForm, X) -> np.ndarray:
+    """Normalise isotropic vectors, a row (dim,) or a stack (k, dim), into
+    boundary representatives; rejects vectors too far from the null cone."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 0 or X.shape[-1] != form.dim:
+        raise GeometryError(f"expected rows of length {form.dim}, got shape {X.shape}")
+    nu = norm_rows(X[..., :2])
+    nv = norm_rows(X[..., 2:])
+    if np.any((nu == 0.0) | (nv == 0.0)):
         raise GeometryError("vector is not isotropic (a product factor vanishes)")
-    if abs(nu - nv) > ISOTROPY_RTOL * max(nu, nv):
-        raise GeometryError(f"vector is not isotropic: |u| = {nu:.3e}, |v| = {nv:.3e}")
-    rep = np.concatenate([x[:2] / nu, x[2:] / nv])
-    u = rep[:2]
-    lead = u[0] if u[0] != 0.0 else u[1]
-    if lead < 0:
-        rep = -rep
-    return BoundaryPoint(rep)
+    off = np.abs(nu - nv) > ISOTROPY_RTOL * np.maximum(nu, nv)
+    if np.any(off):
+        raise GeometryError(f"vector is not isotropic: |u| = {nu[off][0]:.3e}, "
+                            f"|v| = {nv[off][0]:.3e}")
+    return _signed(np.concatenate([X[..., :2] / nu[..., None], X[..., 2:] / nv[..., None]],
+                                  axis=-1))
 
 
-def from_graph_sample(theta: float, fiber: np.ndarray) -> BoundaryPoint:
-    """The boundary point of a loop-graph sample, keeping the graph lift."""
-    rep = np.concatenate([[np.cos(theta), np.sin(theta)], fiber])
-    u = rep[:2]
-    lead = u[0] if u[0] != 0.0 else u[1]
-    if lead < 0:
-        rep = -rep
-    return BoundaryPoint(rep)
+def graph_points(thetas, fibers) -> np.ndarray:
+    """The boundary points (cos t, sin t, f) of loop-graph samples (t, f), one
+    or a stack, with the sign rule. (cos t, sin t) is kept as computed:
+    normalising it again would move its last bits."""
+    thetas = np.asarray(thetas, dtype=float)
+    u = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+    return _signed(np.concatenate([u, fibers], axis=-1))
 
 
-def projectively_equal(a: BoundaryPoint, b: BoundaryPoint, atol: float = 1e-9) -> bool:
-    return bool(
-        np.max(np.abs(a.rep - b.rep)) <= atol or np.max(np.abs(a.rep + b.rep)) <= atol
-    )
+def circle_points(form: BilinearForm, thetas) -> np.ndarray:
+    """Boundary points of the standard spacelike circle, the boundary of the
+    totally geodesic plane spanned by e1, e2 and e3: (cos t, sin t, 1, 0, ...)
+    normalised, one row per angle, in the given order."""
+    thetas = np.asarray(thetas, dtype=float)
+    X = np.zeros(thetas.shape + (form.dim,))
+    X[..., 0] = np.cos(thetas)
+    X[..., 1] = np.sin(thetas)
+    X[..., 2] = 1.0
+    return boundary_points(form, X)
 
 
-def transverse(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint) -> bool:
-    """Whether two boundary points pair nontrivially under the form (do not
-    lie on a common photon)."""
-    val = form.inner(a.rep, b.rep)
-    return bool(abs(val) > TRANSVERSALITY_RTOL * form.aux_norm(a.rep) * form.aux_norm(b.rep))
+def projectively_equal(X, Y, atol: float = 1e-9):
+    """Whether boundary representatives agree up to sign within atol in every
+    coordinate: row by row for stacks, a bool for one pair."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    gap = np.minimum(np.max(np.abs(X - Y), axis=-1), np.max(np.abs(X + Y), axis=-1))
+    return _rows(gap <= atol)
 
 
-@dataclass(frozen=True)
-class SpacelikeCircle:
-    """Boundary of a totally geodesic hyperbolic plane: basis rows are
-    (b1, b2) spacelike orthonormal and b3 with q = -1."""
-
-    basis: np.ndarray
-
-    def point_at(self, theta: float) -> BoundaryPoint:
-        rep = np.cos(theta) * self.basis[0] + np.sin(theta) * self.basis[1] + self.basis[2]
-        u = rep[:2].copy()
-        nu = np.linalg.norm(u)
-        rep = np.concatenate([u / nu, rep[2:] / nu])
-        lead = rep[0] if rep[0] != 0.0 else rep[1]
-        if lead < 0:
-            rep = -rep
-        return BoundaryPoint(rep)
-
-
-def standard_circle(form: BilinearForm) -> SpacelikeCircle:
-    basis = np.zeros((3, form.dim))
-    basis[0, 0] = 1.0
-    basis[1, 1] = 1.0
-    basis[2, 2] = 1.0
-    return SpacelikeCircle(basis)
+def transverse(pairing, norm_x, norm_y):
+    """Whether boundary representatives x and y with pairing <x, y> and
+    Euclidean norms |x| and |y| pair nontrivially under the form, so lie on
+    no common photon; elementwise on arrays."""
+    return np.abs(pairing) > TRANSVERSALITY_RTOL * norm_x * norm_y
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +135,11 @@ class MinkowskiChart:
     def n(self) -> int:
         return self.fbasis.shape[0] - 1
 
-    def q1n(self, u: np.ndarray) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(u[0] ** 2 - np.dot(u[1:], u[1:]))
+
+def q1n(U) -> np.ndarray:
+    """The form u_0^2 - |u_{1..n}|^2 of R^{1,n}, row by row."""
+    U = np.asarray(U, dtype=float)
+    return U[..., 0] ** 2 - dot_rows(U[..., 1:], U[..., 1:])
 
 
 def _q1n_signs(n: int) -> np.ndarray:
@@ -197,13 +167,14 @@ def _orthonormal_lorentz_basis(form: BilinearForm, span_rows: np.ndarray) -> np.
     return np.array(rows)
 
 
-def minkowski_chart(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint) -> MinkowskiChart:
-    """The canonical chart of Mink(a) anchored at b (no affine adjustment)."""
-    pairing = form.inner(a.rep, b.rep)
-    if abs(pairing) < TRANSVERSALITY_RTOL * form.aux_norm(a.rep) * form.aux_norm(b.rep):
+def minkowski_chart(form: BilinearForm, a, b) -> MinkowskiChart:
+    """The canonical chart of Mink(a) anchored at b (no affine adjustment);
+    a and b are boundary representatives."""
+    a0, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    pairing = form.inner(a0, b)
+    if not transverse(pairing, norm_rows(a0), norm_rows(b)):
         raise NonTransverseError("chart anchor must be transverse to the cone point")
-    a0 = a.rep
-    b0 = b.rep / pairing
+    b0 = b / pairing
     QA = np.vstack([form.signs * a0, form.signs * b0])
     _, _, vh = np.linalg.svd(QA)
     span = vh[2:]
@@ -212,27 +183,26 @@ def minkowski_chart(form: BilinearForm, a: BoundaryPoint, b: BoundaryPoint) -> M
     return MinkowskiChart(a0, b0, fbasis, np.eye(n + 1), np.zeros(n + 1))
 
 
-def minkowski_chart_apply(form: BilinearForm, chart: MinkowskiChart, u) -> BoundaryPoint:
+def minkowski_chart_apply(form: BilinearForm, chart: MinkowskiChart, U) -> np.ndarray:
     """psi(u) = u - b0 + q(u)/2 a0, with u expanded in the chart basis after
-    the affine adjustment."""
-    u = np.asarray(u, dtype=float)
-    w = chart.p + chart.L @ u
-    vec = w @ chart.fbasis - chart.b0 + 0.5 * chart.q1n(w) * chart.a0
-    return boundary_point(form, vec)
+    the affine adjustment: the boundary points of chart coordinates, a row
+    (n+1,) or a stack (k, n+1)."""
+    W = chart.p + np.asarray(U, dtype=float) @ chart.L.T
+    vec = W @ chart.fbasis - chart.b0 + 0.5 * q1n(W)[..., None] * chart.a0
+    return boundary_points(form, vec)
 
 
-def minkowski_chart_inverse(form: BilinearForm, chart: MinkowskiChart,
-                            x: BoundaryPoint) -> np.ndarray:
-    """Chart coordinates of a point off the light cone L(a)."""
-    pairing = form.inner(x.rep, chart.a0)
-    if abs(pairing) < TRANSVERSALITY_RTOL * form.aux_norm(x.rep) * form.aux_norm(chart.a0):
+def minkowski_chart_inverse(form: BilinearForm, chart: MinkowskiChart, X) -> np.ndarray:
+    """Chart coordinates of boundary representatives off the light cone L(a),
+    a row or a stack of rows."""
+    X = np.asarray(X, dtype=float)
+    pairing = form.inner_rows(X, chart.a0)
+    if not np.all(transverse(pairing, norm_rows(X), norm_rows(chart.a0))):
         raise ChartDomainError("point lies on the light cone of the chart")
-    x0 = x.rep / (-pairing)
-    y = x0 + chart.b0
-    y = y - form.inner(y, chart.b0) * chart.a0
-    signs = _q1n_signs(chart.n)
-    w = signs * ((chart.fbasis * form.signs) @ y)
-    return np.linalg.solve(chart.L, w - chart.p)
+    y = X / -pairing[..., None] + chart.b0
+    y = y - form.inner_rows(y, chart.b0)[..., None] * chart.a0
+    w = _q1n_signs(chart.n) * (y @ (chart.fbasis * form.signs).T)
+    return np.linalg.solve(chart.L, (w - chart.p).T).T
 
 
 _REFERENCE_CHART_CACHE: dict[int, MinkowskiChart] = {}
@@ -245,13 +215,10 @@ def _reference_tau_chart(form: BilinearForm) -> MinkowskiChart:
         return _REFERENCE_CHART_CACHE[form.n]
     from .qcore import reference_triple
 
-    ref = reference_triple(form)
-    a = boundary_point(form, ref[0])
-    b = boundary_point(form, ref[1])
-    c = boundary_point(form, ref[2])
+    a, b, c = boundary_points(form, reference_triple(form))
     base = minkowski_chart(form, a, b)
     w = minkowski_chart_inverse(form, base, c)
-    qw = base.q1n(w)
+    qw = q1n(w)
     if qw <= 0:
         raise GeometryError("reference chart corner is not spacelike")
     lam = np.sqrt(qw) / 2.0
@@ -275,11 +242,11 @@ def _reference_tau_chart(form: BilinearForm) -> MinkowskiChart:
 
 
 def tau_chart(form: BilinearForm, triple) -> MinkowskiChart:
-    """The chart for a positive triple (a, b, c): a Minkowski chart for a
-    sending (-1, 0, ..., 0) to b and (1, 0, ..., 0) to c. The O(n) ambiguity
-    is resolved by the deterministic reference construction."""
-    a, b, c = triple
-    g = standardize_triple([a.rep, b.rep, c.rep], form)
+    """The chart for a positive triple (a, b, c) of boundary representatives:
+    a Minkowski chart for a sending (-1, 0, ..., 0) to b and (1, 0, ..., 0)
+    to c. The O(n) ambiguity is resolved by the deterministic reference
+    construction."""
+    g = standardize_triple(triple, form)
     ref = _reference_tau_chart(form)
     ginv = np.linalg.inv(g.matrix)
     return MinkowskiChart(ginv @ ref.a0, ginv @ ref.b0, ref.fbasis @ ginv.T, ref.L, ref.p)
@@ -289,10 +256,10 @@ def tau_chart(form: BilinearForm, triple) -> MinkowskiChart:
 # Diamonds
 
 
-def in_closed_diamond(form: BilinearForm, triple, x: BoundaryPoint, tol: float = 1e-9) -> bool:
-    """Membership of x in the closure of the diamond of (b, c) not containing
-    a, tested in the tau-chart of (a, b, c) by first-coordinate ordering."""
-    chart = tau_chart(form, triple)
+def in_closed_diamond(form: BilinearForm, chart: MinkowskiChart, x, tol: float = 1e-9) -> bool:
+    """Membership of the boundary point x in the closure of the diamond of
+    (b, c) not containing a, tested by first-coordinate ordering in `chart`,
+    the tau-chart of (a, b, c)."""
     try:
         u = minkowski_chart_inverse(form, chart, x)
     except ChartDomainError:
@@ -301,31 +268,17 @@ def in_closed_diamond(form: BilinearForm, triple, x: BoundaryPoint, tol: float =
     e1[0] = 1.0
     lo = u + e1
     hi = e1 - u
-    return bool(
-        chart.q1n(lo) >= -tol and lo[0] >= -tol and chart.q1n(hi) >= -tol and hi[0] >= -tol
-    )
+    return bool(q1n(lo) >= -tol and lo[0] >= -tol and q1n(hi) >= -tol and hi[0] >= -tol)
 
 
 # ---------------------------------------------------------------------------
 # Loops
 
 
-def _sphere_dist(f: np.ndarray, g: np.ndarray) -> float:
-    return float(np.arccos(np.clip(np.dot(f, g), -1.0, 1.0)))
-
-
 def _circle_dist_matrix(thetas: np.ndarray) -> np.ndarray:
     """The circle distance between every pair of the angles, as one matrix."""
     d = np.abs(thetas[:, None] - thetas[None, :]) % (2.0 * np.pi)
     return np.minimum(d, 2.0 * np.pi - d)
-
-
-def _slerp(f: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
-    ang = _sphere_dist(f, g)
-    if ang < 1e-12:
-        out = (1.0 - t) * f + t * g
-        return out / np.linalg.norm(out)
-    return (np.sin((1.0 - t) * ang) * f + np.sin(t * ang) * g) / np.sin(ang)
 
 
 @dataclass
@@ -343,7 +296,8 @@ class LipschitzLoop:
         order = np.argsort(thetas)
         thetas = thetas[order]
         fibers = fibers[order]
-        keep = np.concatenate([[True], np.diff(thetas) > 1e-12])
+        # the first sample is always kept, and an empty loop keeps nothing
+        keep = np.diff(thetas, prepend=-np.inf) > 1e-12
         self.thetas = thetas[keep]
         self.fibers = fibers[keep]
         if len(self.thetas) < 3:
@@ -369,25 +323,29 @@ class LipschitzLoop:
         gaps = np.minimum(d, 2.0 * np.pi - d) - np.arccos(np.clip(dots, -1.0, 1.0))
         return float(np.min(gaps))
 
-    def fiber_at(self, theta: float) -> np.ndarray:
-        """Geodesic interpolation of the fiber between bracketing samples."""
-        theta = theta % (2.0 * np.pi)
+    def fibers_at(self, thetas) -> np.ndarray:
+        """The fiber at one angle (n+1,) or at a stack of angles (k, n+1):
+        geodesic interpolation between the bracketing samples, or their
+        renormalised chord where the two fibers are within 1e-12 rad."""
+        theta = np.asarray(thetas, dtype=float) % (2.0 * np.pi)
         k = self.size
-        idx = int(np.searchsorted(self.thetas, theta))
-        i = (idx - 1) % k
-        j = idx % k
-        ti, tj = self.thetas[i], self.thetas[j]
-        gap = (tj - ti) % (2.0 * np.pi)
-        if gap < 1e-12:
-            return self.fibers[i]
-        t = ((theta - ti) % (2.0 * np.pi)) / gap
-        return _slerp(self.fibers[i], self.fibers[j], t)
+        idx = np.searchsorted(self.thetas, theta)
+        i, j = (idx - 1) % k, idx % k
+        ti = self.thetas[i]
+        gap = (self.thetas[j] - ti) % (2.0 * np.pi)
+        same = gap < 1e-12
+        t = (((theta - ti) % (2.0 * np.pi)) / np.where(same, 1.0, gap))[..., None]
+        f, g = self.fibers[i], self.fibers[j]
+        ang = np.arccos(np.clip(dot_rows(f, g), -1.0, 1.0))[..., None]
+        near = ang < 1e-12
+        chord = (1.0 - t) * f + t * g
+        chord = chord / norm_rows(chord)[..., None]
+        arc = (np.sin((1.0 - t) * ang) * f + np.sin(t * ang) * g) / np.sin(np.where(near, 1.0, ang))
+        return np.where(same[..., None], f, np.where(near, chord, arc))
 
-    def boundary_point(self, theta: float) -> BoundaryPoint:
-        return from_graph_sample(theta, self.fiber_at(theta))
-
-    def sample_points(self) -> list[BoundaryPoint]:
-        return [from_graph_sample(t, f) for t, f in zip(self.thetas, self.fibers)]
+    def boundary_points(self, thetas) -> np.ndarray:
+        """The loop's boundary points at one angle or at a stack of angles."""
+        return graph_points(thetas, self.fibers_at(thetas))
 
 
 def loop_classify(loop: LipschitzLoop) -> str:
@@ -455,9 +413,6 @@ class BarbotCrown:
     def n(self) -> int:
         return self.zreps.shape[1] - 3
 
-    def vertices(self, form: BilinearForm) -> list[BoundaryPoint]:
-        return [boundary_point(form, z) for z in self.zreps]
-
 
 def validate_crown(form: BilinearForm, crown: BarbotCrown, atol: float = 1e-10) -> None:
     z = crown.zreps
@@ -491,7 +446,7 @@ def barbot_crown_standard(n: int) -> BarbotCrown:
 def crown_from_corners(form: BilinearForm, corners) -> BarbotCrown:
     """Build a crown from four cyclically ordered vertex representatives on
     consecutive photons, fixing the diagonal gauge symmetrically."""
-    w = np.array([_as_vector(c) for c in corners], dtype=float)
+    w = np.array(corners, dtype=float)
     if form.inner(w[0], w[2]) > 0:
         w[2] = -w[2]
     if form.inner(w[1], w[3]) > 0:
@@ -533,11 +488,10 @@ def crown_seeded_from_arc(form: BilinearForm, loop: LipschitzLoop) -> BarbotCrow
     if not arcs:
         raise InvalidLoopError("loop has no photon arc; nothing to seed a crown from")
     if len(arcs) == 4:
-        corners = [from_graph_sample(loop.thetas[a[0]], loop.fibers[a[0]]).rep for a in arcs]
-        return crown_from_corners(form, corners)
-    i0, i1 = arcs[0]
-    w1 = from_graph_sample(loop.thetas[i0], loop.fibers[i0]).rep
-    w2 = from_graph_sample(loop.thetas[i1], loop.fibers[i1]).rep
+        corners = [a[0] for a in arcs]
+        return crown_from_corners(form, graph_points(loop.thetas[corners], loop.fibers[corners]))
+    ends = list(arcs[0])
+    w1, w2 = graph_points(loop.thetas[ends], loop.fibers[ends])
 
     def witt_partner(w, others):
         # an isotropic vector pairing nontrivially with w and to zero with

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import BilinearForm, GeometryError, _as_vector
+from .qcore import BilinearForm, GeometryError, _as_vector, _rows
 from .einstein import BarbotCrown
 
 
@@ -39,11 +39,6 @@ class HPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "rep", np.asarray(self.rep, dtype=float))
-
-
-def _rows(values):
-    """A stack of row results as an array, a single one as a float."""
-    return float(values) if np.ndim(values) == 0 else values
 
 
 def spatial_distance(form: BilinearForm, x, y):

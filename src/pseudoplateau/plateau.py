@@ -23,7 +23,7 @@ from .einstein import (
     InvalidLoopError,
     LipschitzLoop,
     crown_from_corners,
-    from_graph_sample,
+    graph_points,
     loop_classify,
     photon_arc,
 )
@@ -375,9 +375,9 @@ def _detect_tiling_crown(form: BilinearForm, loop: LipschitzLoop):
     ends = sorted(a[1] for a in arcs)
     if starts != ends:
         return None
-    corners = [from_graph_sample(loop.thetas[a[0]], loop.fibers[a[0]]).rep for a in arcs]
+    corners = [a[0] for a in arcs]
     try:
-        return crown_from_corners(form, corners)
+        return crown_from_corners(form, graph_points(loop.thetas[corners], loop.fibers[corners]))
     except GeometryError:
         return None
 
@@ -435,7 +435,7 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
         # the points sinh(r) (cos t, sin t, 0) + cosh(r) (0, 0, v) of
         # `cylinder_point`, one array per ring
         grid = X[1:].reshape(m, s, form.dim)
-        rim = np.cosh(R) * np.array([loop.fiber_at(th) for th in thetas])
+        rim = np.cosh(R) * loop.fibers_at(thetas)
         grid[-1, :, 0] = np.sinh(R) * np.cos(thetas)
         grid[-1, :, 1] = np.sinh(R) * np.sin(thetas)
         grid[-1, :, 2:] = rim

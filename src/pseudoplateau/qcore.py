@@ -44,6 +44,28 @@ def _as_vector(v) -> np.ndarray:
     return np.asarray(rep, dtype=float)
 
 
+def _rows(values):
+    """A stack of row results as an array, a single one as a Python scalar."""
+    return np.asarray(values).item() if np.ndim(values) == 0 else values
+
+
+def dot_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean dot products of two stacks (..., d), or of two
+    vectors, broadcast against each other.
+
+    Each row is a (1, d) by (d, 1) matmul, which gives np.dot's value to the
+    bit; a sum over X * Y, or np.linalg.norm along an axis, can differ from
+    it in the last place.
+    """
+    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
+
+
+def norm_rows(X: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean norms, equal to the bit to np.linalg.norm of each
+    row on its own."""
+    return np.sqrt(dot_rows(X, X))
+
+
 @dataclass(frozen=True)
 class BilinearForm:
     """The diagonal form diag(+, +, -, ..., -) on R^{n+3}."""

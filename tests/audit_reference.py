@@ -12,9 +12,10 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from pseudoplateau import diagnostics as diag
-from pseudoplateau.einstein import boundary_point
 from pseudoplateau.hspace import HPoint, gradient_norm_sq, horofunction, spatial_distance
 from pseudoplateau.plateau import discrete_geometry
+
+from boundary_reference import boundary_point_reference, loop_point_reference
 
 
 def _interior(state):
@@ -22,17 +23,18 @@ def _interior(state):
 
 
 def boundary_points_reference(state, count, rng):
-    """The ideal boundary samples as a list of boundary points."""
+    """The ideal boundary samples as a list of boundary points, from the
+    scalar references of `boundary_reference`."""
     if state.loop is not None:
         thetas = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        return [state.loop.boundary_point(t) for t in thetas]
+        return [loop_point_reference(state.loop, t) for t in thetas]
     mesh = state.mesh
     base = mesh.vertex(mesh.rings, 0)
     idx = rng.integers(0, mesh.sectors, size=count)
     X = state.positions[base + idx]
     classes = np.hstack([X[:, :2] / np.linalg.norm(X[:, :2], axis=1)[:, None],
                          X[:, 2:] / np.linalg.norm(X[:, 2:], axis=1)[:, None]])
-    return [boundary_point(state.form, x) for x in classes]
+    return [boundary_point_reference(state.form, x) for x in classes]
 
 
 def gradient_samples_reference(state, geo, rng, points, per_point):
@@ -42,7 +44,7 @@ def gradient_samples_reference(state, geo, rng, points, per_point):
     vals = []
     skipped = 0
     for z in boundary_points_reference(state, points, rng):
-        h = horofunction(form, z.rep)
+        h = horofunction(form, z)
         for v in rng.choice(inter, size=min(per_point, len(inter)), replace=False):
             x = HPoint(state.positions[v])
             if abs(form.inner(x.rep, h.z0)) < 1e-10:
@@ -108,8 +110,8 @@ def gromov_reference(state, seed):
             z = state.positions[rng.choice(inter)]
             w = state.positions[rng.choice(inter)]
         else:
-            z = bd[rng.integers(0, len(bd))].rep
-            w = bd[rng.integers(0, len(bd))].rep
+            z = bd[rng.integers(0, len(bd))]
+            w = bd[rng.integers(0, len(bd))]
         num = form.inner(z, w)
         den = form.inner(z, x.rep) * form.inner(x.rep, w)
         if abs(den) < 1e-12:

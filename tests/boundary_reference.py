@@ -2,11 +2,13 @@
 
 They work one quadruple, one point or one pair at a time, the way
 `crossratio.qs_certify`, `crossratio.circle_map_test`,
-`diagnostics._distance_to_crown`, the loop pair scans and
-`einstein.photon_arc` were computed before they were batched.
+`diagnostics._distance_to_crown`, the loop pair scans,
+`einstein.photon_arc` and the boundary points of loops and of the standard
+circle were computed before they were batched.
 `quadruple_positive` is the scalar positivity certificate of one
 quadruple, built on the triple classification `triple_class`. Tests
-compare the batched kernels against them.
+compare the batched kernels against them. Boundary points are
+representative rows, as in `einstein`.
 """
 
 import numpy as np
@@ -16,13 +18,82 @@ from pseudoplateau import einstein as ein
 from pseudoplateau.qcore import DegenerateTripleError, subspace_signature
 
 
+def sign_rule_reference(rep):
+    """Negate a representative whose first nonzero coordinate of u is negative."""
+    lead = rep[0] if rep[0] != 0.0 else rep[1]
+    return -rep if lead < 0 else rep
+
+
+def boundary_point_reference(form, raw):
+    """One isotropic vector normalised in product coordinates, with the sign
+    rule; rejects vectors too far from the null cone."""
+    x = np.asarray(raw, dtype=float)
+    if x.shape[0] != form.dim:
+        raise ein.GeometryError(f"expected length {form.dim}, got {x.shape[0]}")
+    nu = np.linalg.norm(x[:2])
+    nv = np.linalg.norm(x[2:])
+    if nu == 0.0 or nv == 0.0:
+        raise ein.GeometryError("vector is not isotropic (a product factor vanishes)")
+    if abs(nu - nv) > ein.ISOTROPY_RTOL * max(nu, nv):
+        raise ein.GeometryError(f"vector is not isotropic: |u| = {nu:.3e}, |v| = {nv:.3e}")
+    return sign_rule_reference(np.concatenate([x[:2] / nu, x[2:] / nv]))
+
+
+def graph_point_reference(theta, fiber):
+    """The boundary point of one loop-graph sample, keeping the graph lift."""
+    return sign_rule_reference(np.concatenate([[np.cos(theta), np.sin(theta)], fiber]))
+
+
+def circle_point_reference(form, theta):
+    """The standard circle's point at theta: cos t e1 + sin t e2 + e3, with
+    both factors divided by |u|."""
+    basis = np.eye(form.dim)[:3]
+    rep = np.cos(theta) * basis[0] + np.sin(theta) * basis[1] + basis[2]
+    nu = np.linalg.norm(rep[:2])
+    return sign_rule_reference(np.concatenate([rep[:2] / nu, rep[2:] / nu]))
+
+
+def sphere_dist_reference(f, g):
+    """Great-circle distance between two unit fibers."""
+    return float(np.arccos(np.clip(np.dot(f, g), -1.0, 1.0)))
+
+
+def slerp_reference(f, g, t):
+    ang = sphere_dist_reference(f, g)
+    if ang < 1e-12:
+        out = (1.0 - t) * f + t * g
+        return out / np.linalg.norm(out)
+    return (np.sin((1.0 - t) * ang) * f + np.sin(t * ang) * g) / np.sin(ang)
+
+
+def fiber_at_reference(loop, theta):
+    """Geodesic interpolation of the fiber between bracketing samples, one
+    angle at a time."""
+    theta = theta % (2.0 * np.pi)
+    k = loop.size
+    idx = int(np.searchsorted(loop.thetas, theta))
+    i = (idx - 1) % k
+    j = idx % k
+    ti, tj = loop.thetas[i], loop.thetas[j]
+    gap = (tj - ti) % (2.0 * np.pi)
+    if gap < 1e-12:
+        return loop.fibers[i]
+    t = ((theta - ti) % (2.0 * np.pi)) / gap
+    return slerp_reference(loop.fibers[i], loop.fibers[j], t)
+
+
+def loop_point_reference(loop, theta):
+    """The loop's boundary point at one angle."""
+    return graph_point_reference(theta, fiber_at_reference(loop, theta))
+
+
 def triple_class(form, a, b, c, tol=1e-9):
     """Classify span(a, b, c): 'positive' for signature (2,1), 'negative'
     for (1,2), 'nonnegative_degenerate' otherwise."""
     if (ein.projectively_equal(a, b) or ein.projectively_equal(a, c)
             or ein.projectively_equal(b, c)):
         raise ein.CoincidentPointsError("triple contains coincident points")
-    sig = subspace_signature(form, [a.rep, b.rep, c.rep], tol=tol).as_tuple()
+    sig = subspace_signature(form, [a, b, c], tol=tol).as_tuple()
     if sig == (2, 1, 0):
         return "positive"
     if sig == (1, 2, 0):
@@ -41,7 +112,7 @@ def quadruple_positive(form, a, b, c, d):
     e1 = np.zeros(chart.n + 1)
     e1[0] = 1.0
     rel = ud - e1
-    return bool(chart.q1n(rel) > 0 and rel[0] > 0)
+    return bool(ein.q1n(rel) > 0 and rel[0] > 0)
 
 
 def certify_reference(form, bmap, A=2.0, n_quadruples=2000, rng_seed=0):
@@ -53,10 +124,10 @@ def certify_reference(form, bmap, A=2.0, n_quadruples=2000, rng_seed=0):
     best = 1.0
     worst = None
     for sel in quads:
-        pts = [bmap.images[t] for t in sel]
+        pts = bmap.reps[sel]
         if not quadruple_positive(form, *pts):
             raise cr.NonPositiveMapError("sampled quadruple is not positive")
-        b = cr.cross_ratio_b(form, *pts)
+        b = cr.cross_ratio_b(form, pts)
         score = max(abs(b), 1.0 / abs(b))
         if score > best:
             best = score
@@ -74,7 +145,7 @@ def circle_map_test_reference(form, bmap, tol=1e-10):
     sig_ok = False
     for shift in range(min(k // 3, 16)):
         idx = (shift, (shift + k // 3) % k, (shift + (2 * k) // 3) % k)
-        sig = subspace_signature(form, [bmap.images[t].rep for t in idx]).as_tuple()
+        sig = subspace_signature(form, [bmap.reps[t] for t in idx]).as_tuple()
         if sig == (2, 1, 0):
             sig_ok = True
             break
@@ -82,13 +153,13 @@ def circle_map_test_reference(form, bmap, tol=1e-10):
         raise cr.NonPositiveMapError("image contains no positive triple")
     for (i, j, l, m) in cr._quadruple_indices(k, cr.CIRCLE_TEST_QUADRUPLES):
         r = cr.cross_ratio_angles(*(bmap.domain[t] for t in (i, j, l, m)))
+        reps = bmap.reps[[i, j, l, m]]
         try:
-            b = cr.cross_ratio_b(form, *(bmap.images[t] for t in (i, j, l, m)))
+            b = cr.cross_ratio_b(form, reps)
         except ein.NonTransverseError:
             return False
         if abs(b - r * r) > tol * (1.0 + r * r):
             return False
-        reps = np.array([bmap.images[t].rep for t in (i, j, l, m)])
         gram = (reps * form.signs) @ reps.T
         scale = np.prod(np.linalg.norm(gram, axis=1))
         if scale > 0 and abs(np.linalg.det(gram)) > cr.GRAM_DET_RTOL * scale:
@@ -106,7 +177,8 @@ def lipschitz_margin_reference(loop):
     """`LipschitzLoop.lipschitz_margin` one consecutive pair at a time."""
     k = loop.size
     return min(circle_dist_reference(loop.thetas[i], loop.thetas[(i + 1) % k])
-               - ein._sphere_dist(loop.fibers[i], loop.fibers[(i + 1) % k]) for i in range(k))
+               - sphere_dist_reference(loop.fibers[i], loop.fibers[(i + 1) % k])
+               for i in range(k))
 
 
 def distance_to_crown_reference(crown, pts):

@@ -43,7 +43,7 @@ def geodesic_disk_state(form, m, s, R):
 def boundary_ray_point(loop, theta, R):
     """Finite-radius representative of the ideal loop point at angle theta:
     converges projectively to the loop point as R grows."""
-    return hs.cylinder_point(BilinearForm(loop.n), R, theta, loop.fiber_at(theta))
+    return hs.cylinder_point(BilinearForm(loop.n), R, theta, loop.fibers_at(theta))
 
 
 def barbot_second_fundamental(crown, s, t):

@@ -163,6 +163,9 @@ class TestCriterion6PlateauUniqueness:
 
 class TestCriterion7CrossRatioIdentities:
     def test_chart_identity_bulk(self):
+        # the configurations are drawn one at a time from one stream, moved
+        # as one stack, and each gets its own chart; b of all of them is
+        # evaluated at once through the kernels of `qs_certify`
         rng = np.random.default_rng(77)
         worst = 0.0
         count = 0
@@ -171,22 +174,24 @@ class TestCriterion7CrossRatioIdentities:
             form = BilinearForm(n)
             from pseudoplateau.qcore import random_isometry
 
-            while count < sum(v for k, v in configs_per_n.items() if k <= n):
-                angles = np.sort(rng.uniform(0, 2 * np.pi, size=4))
-                if np.min(np.diff(angles)) < 0.05 or (2 * np.pi - angles[-1] + angles[0]) < 0.05:
+            angles, moves = [], []
+            while len(angles) < total:
+                t = np.sort(rng.uniform(0, 2 * np.pi, size=4))
+                if np.min(np.diff(t)) < 0.05 or (2 * np.pi - t[-1] + t[0]) < 0.05:
                     continue
-                g = random_isometry(form, rng)
-                circ = ein.standard_circle(form)
-                a, x, b, y = (ein.boundary_point(form, g.apply(circ.point_at(t).rep))
-                              for t in angles)
-                val = cr.cross_ratio_b(form, a, x, b, y)
-                chart = ein.minkowski_chart(form, a, b)
-                ux = ein.minkowski_chart_inverse(form, chart, x)
-                uy = ein.minkowski_chart_inverse(form, chart, y)
-                ub = ein.minkowski_chart_inverse(form, chart, b)
-                chart_val = chart.q1n(ub - uy) / chart.q1n(ub - ux)
-                worst = max(worst, abs(chart_val - val) / (1.0 + abs(val)))
-                count += 1
+                angles.append(t)
+                moves.append(random_isometry(form, rng).matrix.T)
+            # the rows of each quadruple are a, x, b, y
+            quads = ein.boundary_points(form, ein.circle_points(form, angles) @ np.array(moves))
+            coords = []
+            for X in quads:
+                chart = ein.minkowski_chart(form, X[0], X[2])
+                coords.append(ein.minkowski_chart_inverse(form, chart, X[[1, 3, 2]]))
+            ux, uy, ub = np.moveaxis(np.array(coords), 1, 0)
+            chart_val = ein.q1n(ub - uy) / ein.q1n(ub - ux)
+            val = cr.cross_ratio_b(form, quads)
+            worst = max(worst, float(np.max(np.abs(chart_val - val) / (1.0 + np.abs(val)))))
+            count += len(quads)
         ok = count >= 10000 and worst <= 1e-10
         report("7 cross-ratio identities (chart)", ok,
                f"{count} configurations, worst relative gap {worst:.2e}")
@@ -194,16 +199,13 @@ class TestCriterion7CrossRatioIdentities:
     def test_circle_map_square_identity(self):
         dom = np.linspace(0, 2 * np.pi, 40, endpoint=False)
         bmap = cr.circle_map(FORM1, dom)
-        worst = 0.0
-        quads = cr._quadruple_indices(40, 2000)
-        for (i, j, k, l) in quads:
-            r = cr.cross_ratio_angles(*(bmap.domain[t] for t in (i, j, k, l)))
-            b = cr.cross_ratio_b(FORM1, *(bmap.images[t] for t in (i, j, k, l)))
-            worst = max(worst, abs(b - r * r) / (1.0 + r * r))
+        quads = np.array(cr._quadruple_indices(40, 2000))
+        r = cr.cross_ratio_angles(*bmap.domain[quads].T)
+        b = cr.cross_ratio_b(FORM1, bmap.reps[quads])
+        worst = float(np.max(np.abs(b - r * r) / (1.0 + r * r)))
         angles = [cr.value_to_angle(v) for v in (0.0, 1.0, float("inf"), 2.0)]
-        pts = [ein.standard_circle(FORM1).point_at(t) for t in angles]
         worked_r = cr.cross_ratio_real(0.0, 1.0, float("inf"), 2.0)
-        worked_b = cr.cross_ratio_b(FORM1, *pts)
+        worked_b = cr.cross_ratio_b(FORM1, ein.circle_points(FORM1, angles))
         ok = worst <= 1e-12 and abs(worked_r - 0.5) < 1e-14 and abs(worked_b - 0.25) < 1e-12
         report("7 cross-ratio identities (circle map)", ok,
                f"worst |b - r^2| = {worst:.2e}; worked quadruple r = {worked_r}, b = {worked_b:.6f}")
@@ -217,7 +219,6 @@ class TestCriterion8Contraction:
         worst_ratio = 0.0
         chord_gap = 0.0
         count = 0
-        circ = ein.standard_circle(FORM1)
         from pseudoplateau.qcore import random_isometry
 
         while count < 1000:
@@ -231,14 +232,14 @@ class TestCriterion8Contraction:
             if ty - tx < 0.05 * (tc - tb):
                 continue
             g = random_isometry(FORM1, rng, scale=0.3)
-            a, b, c, x, y = (ein.boundary_point(FORM1, g.apply(circ.point_at(t).rep))
-                             for t in (ta, tb, tc, tx, ty))
+            # the rows are a, b, c, x, y
+            X = ein.boundary_points(FORM1, ein.circle_points(FORM1, [ta, tb, tc, tx, ty])
+                                    @ g.matrix.T)
             try:
-                bx = cr.cross_ratio_b(FORM1, a, b, x, c)
-                by = cr.cross_ratio_b(FORM1, a, b, y, c)
+                bx, by = cr.cross_ratio_b(FORM1, X[[[0, 1, 3, 2], [0, 1, 4, 2]]])
                 if not (1.0 / B < min(bx, by) and max(bx, by) < B):
                     continue
-                repc = cr.contraction_check(FORM1, (a, b, c), (a, x, y), B, per_axis=4)
+                repc = cr.contraction_check(FORM1, X[:3], X[[0, 3, 4]], B, per_axis=4)
             except (cr.GeometryError, ein.GeometryError):
                 continue
             worst_ratio = max(worst_ratio, repc.max_ratio)

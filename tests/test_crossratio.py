@@ -19,8 +19,11 @@ FORM2 = BilinearForm(2)
 
 
 def circle_points(form, *angles):
-    circ = ein.standard_circle(form)
-    return [circ.point_at(t) for t in angles]
+    return ein.circle_points(form, angles)
+
+
+def sample_map(loop):
+    return cr.SampledBoundaryMap(loop.thetas, ein.graph_points(loop.thetas, loop.fibers))
 
 
 class TestCrossRatioReal:
@@ -55,7 +58,7 @@ class TestCrossRatioB:
     def test_non_transverse_pair_rejected(self):
         x, y, z = circle_points(FORM1, 0.1, 1.2, 2.3)
         with pytest.raises(ein.NonTransverseError):
-            cr.cross_ratio_b(FORM1, x, y, z, y)
+            cr.cross_ratio_b(FORM1, np.stack([x, y, z, y]))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -65,8 +68,9 @@ class TestCrossRatioB:
         if np.min(np.diff(angles)) < 0.1:
             return
         a, c0, d, c1, c2 = circle_points(FORM2, *angles)
-        lhs = cr.cross_ratio_b(FORM2, a, c0, d, c2)
-        rhs = cr.cross_ratio_b(FORM2, a, c0, d, c1) * cr.cross_ratio_b(FORM2, a, c1, d, c2)
+        lhs = cr.cross_ratio_b(FORM2, np.stack([a, c0, d, c2]))
+        rhs = (cr.cross_ratio_b(FORM2, np.stack([a, c0, d, c1]))
+               * cr.cross_ratio_b(FORM2, np.stack([a, c1, d, c2])))
         assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(lhs)))
 
     @given(st.integers(0, 2**31 - 1))
@@ -78,17 +82,25 @@ class TestCrossRatioB:
             return
         pts = circle_points(FORM2, *angles)
         g = random_isometry(FORM2, rng)
-        before = cr.cross_ratio_b(FORM2, *pts)
-        moved = [ein.boundary_point(FORM2, g.apply(p.rep)) for p in pts]
-        after = cr.cross_ratio_b(FORM2, *moved)
+        before = cr.cross_ratio_b(FORM2, pts)
+        moved = ein.boundary_points(FORM2, [g.apply(p) for p in pts])
+        after = cr.cross_ratio_b(FORM2, moved)
         assert after == pytest.approx(before, abs=1e-10 * (1 + abs(before)))
 
     def test_scaling_invariance_exact(self):
+        # scaling a representative by a power of two, or negating it, moves
+        # no bit of b
         pts = circle_points(FORM1, 0.3, 1.1, 2.9, 4.4)
-        before = cr.cross_ratio_b(FORM1, *pts)
-        scaled = [ein.BoundaryPoint(p.rep) for p in pts]
-        after = cr.cross_ratio_b(FORM1, *scaled)
+        before = cr.cross_ratio_b(FORM1, pts)
+        after = cr.cross_ratio_b(FORM1, pts * np.array([[2.0], [-0.5], [4.0], [-1.0]]))
         assert after == before
+
+    def test_stack_matches_one_quadruple_at_a_time(self):
+        angles = np.sort(np.random.default_rng(2).uniform(0, 2 * np.pi, size=(50, 4)), axis=1)
+        X = np.stack([circle_points(FORM2, *row) for row in angles])
+        got = cr.cross_ratio_b(FORM2, X)
+        assert got.shape == (50,)
+        assert np.array_equal(got, [cr.cross_ratio_b(FORM2, x) for x in X])
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -102,16 +114,14 @@ class TestCrossRatioB:
         ux = ein.minkowski_chart_inverse(FORM2, chart, x)
         uy = ein.minkowski_chart_inverse(FORM2, chart, y)
         ub = ein.minkowski_chart_inverse(FORM2, chart, b)
-        val = cr.cross_ratio_b(FORM2, a, x, b, y)
-        chart_val = chart.q1n(ub - uy) / chart.q1n(ub - ux)
+        val = cr.cross_ratio_b(FORM2, np.stack([a, x, b, y]))
+        chart_val = ein.q1n(ub - uy) / ein.q1n(ub - ux)
         assert chart_val == pytest.approx(val, abs=1e-10 * (1 + abs(val)))
 
     def test_monotone_along_diamond(self):
         # b(a, b, ., c) decreases from u to v across the inner diamond
         a, b, u, x, v, c = circle_points(FORM1, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0)
-        bu = cr.cross_ratio_b(FORM1, a, b, u, c)
-        bx = cr.cross_ratio_b(FORM1, a, b, x, c)
-        bv = cr.cross_ratio_b(FORM1, a, b, v, c)
+        bu, bx, bv = cr.cross_ratio_b(FORM1, np.stack([[a, b, p, c] for p in (u, x, v)]))
         assert bv < bx < bu
 
 
@@ -123,21 +133,34 @@ class TestCircleMap:
 
     def test_squared_identity_value(self):
         angles = [cr.value_to_angle(v) for v in (0.0, 1.0, math.inf, 2.0)]
-        pts = circle_points(FORM1, *angles)
-        b = cr.cross_ratio_b(FORM1, *pts)
+        b = cr.cross_ratio_b(FORM1, circle_points(FORM1, *angles))
         assert b == pytest.approx(0.25, abs=1e-12)
 
     def test_crown_perturbed_loop_fails(self):
         crown = ein.barbot_crown_standard(1)
         loop = ein.crown_loop(crown, samples_per_edge=8)
-        bmap = cr.SampledBoundaryMap(loop.thetas, loop.sample_points())
-        assert not cr.circle_map_test(FORM1, bmap, tol=1e-6)
+        assert not cr.circle_map_test(FORM1, sample_map(loop), tol=1e-6)
 
     def test_too_few_samples(self):
         dom = np.array([0.0, 1.0, 2.0])
         bmap = cr.SampledBoundaryMap(dom, circle_points(FORM1, *dom))
         with pytest.raises(cr.InsufficientSamplesError):
             cr.circle_map_test(FORM1, bmap)
+
+    @pytest.mark.parametrize("images", [10, 6])
+    def test_sample_counts_checked_before_reordering(self, images):
+        # more images than angles once dropped the extra ones silently, and
+        # fewer raised IndexError
+        dom = np.linspace(0, 2 * np.pi, 8, endpoint=False)[::-1]
+        reps = circle_points(FORM1, *np.linspace(0, 2 * np.pi, images, endpoint=False))
+        with pytest.raises(cr.GeometryError, match="sample counts differ"):
+            cr.SampledBoundaryMap(dom, reps)
+
+    def test_reorders_images_with_the_domain(self):
+        dom = np.array([3.0, 1.0, 2.0, 0.5])
+        bmap = cr.SampledBoundaryMap(dom, circle_points(FORM1, *dom))
+        assert np.array_equal(bmap.domain, [0.5, 1.0, 2.0, 3.0])
+        assert np.array_equal(bmap.reps, circle_points(FORM1, 0.5, 1.0, 2.0, 3.0))
 
     @pytest.mark.parametrize("kind,tol,expected", [
         ("circle", 1e-10, True), ("crown", 1e-6, False), ("wobble", 1e-6, False),
@@ -148,7 +171,7 @@ class TestCircleMap:
         else:
             loop = (ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=8)
                     if kind == "crown" else make_wobble(k=64))
-            bmap = cr.SampledBoundaryMap(loop.thetas, loop.sample_points())
+            bmap = sample_map(loop)
         assert cr.circle_map_test(FORM1, bmap, tol=tol) is expected
         assert circle_map_test_reference(FORM1, bmap, tol=tol) is expected
 
@@ -189,8 +212,7 @@ class TestWindowQuadruples:
         if kind == "circle":
             bmap = cr.circle_map(FORM1, np.linspace(0, 2 * np.pi, 72, endpoint=False))
         else:
-            loop = make_wobble(k=96)
-            bmap = cr.SampledBoundaryMap(loop.thetas, loop.sample_points())
+            bmap = sample_map(make_wobble(k=96))
         A = 2.0
         rng = _CountingRng(seed)
         quads = cr._window_quadruples(rng, bmap.domain, A, 1500)
@@ -260,25 +282,17 @@ class TestQSCertify:
 
     def test_semipositive_loop_rejected(self):
         crown = ein.barbot_crown_standard(1)
-        loop = ein.crown_loop(crown, samples_per_edge=16)
-        bmap = cr.SampledBoundaryMap(loop.thetas, loop.sample_points())
+        bmap = sample_map(ein.crown_loop(crown, samples_per_edge=16))
         with pytest.raises((cr.NonPositiveMapError, DegenerateTripleError)):
             cr.qs_certify(FORM1, bmap, A=2.0, n_quadruples=200, rng_seed=1)
 
 
 class TestContraction:
     def test_nested_diamonds_bound(self):
-        a, b, c = circle_points(FORM1, 0.0, 2.0, 4.0)
         # inner endpoints chosen inside the (b, c) diamond with controlled ratio
-        circ = ein.standard_circle(FORM1)
-        x = circ.point_at(2.55)
-        y = circ.point_at(3.45)
-        B = max(
-            cr.cross_ratio_b(FORM1, a, b, x, c),
-            1 / cr.cross_ratio_b(FORM1, a, b, x, c),
-            cr.cross_ratio_b(FORM1, a, b, y, c),
-            1 / cr.cross_ratio_b(FORM1, a, b, y, c),
-        ) * 1.01
+        a, b, c, x, y = circle_points(FORM1, 0.0, 2.0, 4.0, 2.55, 3.45)
+        bx, by = cr.cross_ratio_b(FORM1, np.stack([[a, b, x, c], [a, b, y, c]]))
+        B = max(bx, 1 / bx, by, 1 / by) * 1.01
         rep = cr.contraction_check(FORM1, (a, b, c), (a, x, y), B)
         assert rep.max_ratio <= rep.bound + 1e-6
 
@@ -297,10 +311,8 @@ class TestContraction:
         assert measured == pytest.approx(formula, abs=1e-8)
 
     def test_violated_window_rejected(self):
-        a, b, c = circle_points(FORM1, 0.0, 2.0, 4.0)
-        circ = ein.standard_circle(FORM1)
-        x = circ.point_at(2.05)  # extreme cross-ratio, tiny B fails
-        y = circ.point_at(3.95)
+        # x and y give extreme cross-ratios, so a tiny B fails
+        a, b, c, x, y = circle_points(FORM1, 0.0, 2.0, 4.0, 2.05, 3.95)
         with pytest.raises(cr.GeometryError):
             cr.contraction_check(FORM1, (a, b, c), (a, x, y), B=1.2)
 
@@ -320,8 +332,7 @@ class TestBatchedCertificate:
         if kind == "circle":
             bmap = cr.circle_map(form, dom)
         else:
-            loop = make_wobble(n=n, k=k)
-            bmap = cr.SampledBoundaryMap(loop.thetas, loop.sample_points())
+            bmap = sample_map(make_wobble(n=n, k=k))
         cert = cr.qs_certify(form, bmap, A=2.0, n_quadruples=600, rng_seed=seed)
         assert cert == certify_reference(form, bmap, A=2.0, n_quadruples=600, rng_seed=seed)
         assert cert.quadruples_tested == 600
@@ -332,8 +343,7 @@ class TestBatchedCertificate:
         # the crown has degenerate sub-triples; the scrambled circle map has
         # positive ones in the wrong cyclic order
         if kind == "crown":
-            loop = ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=16)
-            bmap = cr.SampledBoundaryMap(loop.thetas, loop.sample_points())
+            bmap = sample_map(ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=16))
         else:
             dom = np.linspace(0, 2 * np.pi, 32, endpoint=False)
             perm = np.random.default_rng(seed).permutation(32)
@@ -356,14 +366,13 @@ class TestBatchedCertificate:
         loops = [make_wobble(n=n, k=64), crown]
         agree = positive = degenerate = 0
         for loop, count in zip(loops, (1500, 300)):
-            pts = loop.sample_points()
-            P = np.array([p.rep for p in pts])
-            quads = np.array([rng.choice(len(pts), size=4, replace=False) for _ in range(count)])
+            P = ein.graph_points(loop.thetas, loop.fibers)
+            quads = np.array([rng.choice(len(P), size=4, replace=False) for _ in range(count)])
             coincident, bad_triple, _, ordered = cr._quadruple_checks(
                 P, (P * form.signs) @ P.T, np.linalg.norm(P, axis=1), quads)
             for q, row in enumerate(quads):
                 try:
-                    expected = quadruple_positive(form, *(pts[t] for t in row))
+                    expected = quadruple_positive(form, *P[row])
                 except DegenerateTripleError:
                     assert np.any(bad_triple[q]) and not np.any(coincident[q])
                     degenerate += 1

@@ -280,25 +280,25 @@ class TestAsymptoticHyperbolicity:
 
 class TestHessianAudit:
     def test_disk_matches_busemann(self, solved_circle):
-        z = solved_circle.loop.boundary_point(0.7)
+        z = solved_circle.loop.boundary_points(0.7)
         rep = diag.hessian_audit(solved_circle, z, samples=150, seed=4)
         assert rep.passed
         assert rep.values["median_rel_error"] < 0.05
 
     def test_wobble_within_threshold(self, solved_wobble_state):
-        z = solved_wobble_state.loop.boundary_point(1.3)
+        z = solved_wobble_state.loop.boundary_points(1.3)
         rep = diag.hessian_audit(solved_wobble_state, z, samples=150, seed=4)
         assert rep.passed
 
     def test_barbot_crown_vertex(self, barbot_grid_state):
         crown = ein.barbot_crown_standard(1)
-        z = ein.boundary_point(FORM1, crown.zreps[0])
+        z = ein.boundary_points(FORM1, crown.zreps[0])
         rep = diag.hessian_audit(barbot_grid_state, z, samples=150, seed=4)
         assert rep.passed
 
     def test_orthogonal_samples_skipped_and_reported(self, solved_circle):
         # a boundary vector orthogonal to part of the surface plane
-        z = ein.boundary_point(FORM1, np.array([1.0, 0.0, 0.0, 1.0]))
+        z = ein.boundary_points(FORM1, np.array([1.0, 0.0, 0.0, 1.0]))
         rep = diag.hessian_audit(solved_circle, z, samples=150, seed=4)
         assert "skipped" in rep.values
 
@@ -429,8 +429,8 @@ REFERENCE_AUDITS = {
     "distance_ratio": (lambda st, seed: diag.distance_ratio_audit(st, seed=seed),
                        ref.distance_ratio_reference),
     "gromov": (lambda st, seed: diag.gromov_audit(st, seed=seed), ref.gromov_reference),
-    "hessian": (lambda st, seed: diag.hessian_audit(st, st.loop.boundary_point(0.0), seed=seed),
-                lambda st, seed: ref.hessian_reference(st, st.loop.boundary_point(0.0), 200, seed)),
+    "hessian": (lambda st, seed: diag.hessian_audit(st, st.loop.boundary_points(0.0), seed=seed),
+                lambda st, seed: ref.hessian_reference(st, st.loop.boundary_points(0.0), 200, seed)),
 }
 
 
@@ -476,4 +476,4 @@ class TestArraysMatchPerSampleReference:
         st.loop = None
         got = diag._boundary_points(st, 16, np.random.default_rng(3))
         want = ref.boundary_points_reference(st, 16, np.random.default_rng(3))
-        assert np.array_equal(got, np.array([z.rep for z in want]))
+        assert np.array_equal(got, np.array(want))

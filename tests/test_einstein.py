@@ -12,12 +12,18 @@ from pseudoplateau import cli
 from pseudoplateau import einstein as ein
 
 from boundary_reference import (
+    boundary_point_reference,
     circle_dist_reference,
+    circle_point_reference,
+    fiber_at_reference,
+    graph_point_reference,
     lipschitz_margin_reference,
+    loop_point_reference,
     photon_arc_reference,
     quadruple_positive,
     triple_class,
 )
+from conftest import make_wobble
 
 
 FORM1 = BilinearForm(1)
@@ -25,12 +31,15 @@ FORM2 = BilinearForm(2)
 
 
 def ref_points(form):
-    return [ein.boundary_point(form, z) for z in reference_triple(form)]
+    return ein.boundary_points(form, reference_triple(form))
 
 
 def circle_points(form, *angles):
-    circ = ein.standard_circle(form)
-    return [circ.point_at(t) for t in angles]
+    return ein.circle_points(form, angles)
+
+
+def transverse(form, x, y):
+    return ein.transverse(form.inner(x, y), np.linalg.norm(x), np.linalg.norm(y))
 
 
 def constant_loop(n=1, k=48, fiber=None):
@@ -56,34 +65,41 @@ def rigid_arc_loop(n=1, k=96):
 
 class TestBoundaryPoint:
     def test_product_normalisation(self):
-        p = ein.boundary_point(FORM1, np.array([3.0, 0.0, 0.0, 3.0]))
-        assert np.allclose(p.u, [1.0, 0.0])
-        assert np.allclose(p.v, [0.0, 1.0])
-        assert abs(FORM1.q(p.rep)) <= 1e-10
+        p = ein.boundary_points(FORM1, np.array([3.0, 0.0, 0.0, 3.0]))
+        assert np.allclose(p[:2], [1.0, 0.0])
+        assert np.allclose(p[2:], [0.0, 1.0])
+        assert abs(FORM1.q(p)) <= 1e-10
 
     def test_sign_rule(self):
-        p = ein.boundary_point(FORM1, np.array([-2.0, 0.0, 0.0, 2.0]))
-        assert p.u[0] == 1.0
+        p = ein.boundary_points(FORM1, np.array([-2.0, 0.0, 0.0, 2.0]))
+        assert p[0] == 1.0
 
     def test_rejects_non_isotropic(self):
         with pytest.raises(ein.GeometryError):
-            ein.boundary_point(FORM1, np.array([1.0, 0.0, 0.0, 2.0]))
+            ein.boundary_points(FORM1, np.array([1.0, 0.0, 0.0, 2.0]))
+
+    def test_stack_rejects_one_bad_row_and_wrong_length(self):
+        rows = np.array([[3.0, 0.0, 0.0, 3.0], [1.0, 0.0, 0.0, 2.0]])
+        with pytest.raises(ein.GeometryError):
+            ein.boundary_points(FORM1, rows)
+        with pytest.raises(ein.GeometryError):
+            ein.boundary_points(FORM2, rows[:1])
 
 
 class TestTransverse:
     def test_self_not_transverse(self):
         x = circle_points(FORM1, 0.3)[0]
-        assert not ein.transverse(FORM1, x, x)
+        assert not transverse(FORM1, x, x)
 
     def test_crown_adjacent_and_diagonal(self):
         crown = ein.barbot_crown_standard(1)
-        v = crown.vertices(FORM1)
-        assert not ein.transverse(FORM1, v[0], v[1])
-        assert ein.transverse(FORM1, v[0], v[2])
+        v = ein.boundary_points(FORM1, crown.zreps)
+        assert not transverse(FORM1, v[0], v[1])
+        assert transverse(FORM1, v[0], v[2])
 
     def test_antipodal_circle_points(self):
         x, y = circle_points(FORM1, 0.0, np.pi)
-        assert ein.transverse(FORM1, x, y)
+        assert transverse(FORM1, x, y)
         # on the natural circle lifts (cos t, sin t, 1) the pairing is cos(pi) - 1
         lift0 = np.array([1.0, 0.0, 1.0, 0.0])
         lift1 = np.array([-1.0, 0.0, 1.0, 0.0])
@@ -97,9 +113,9 @@ class TestTripleClass:
 
     def test_crown_edge_triple_degenerate(self):
         crown = ein.barbot_crown_standard(1)
-        v = crown.vertices(FORM1)
+        v = ein.boundary_points(FORM1, crown.zreps)
         loop = ein.crown_loop(crown)
-        mid = loop.boundary_point(np.pi / 4.0)
+        mid = loop.boundary_points(np.pi / 4.0)
         assert triple_class(FORM1, v[0], v[1], mid) == "nonnegative_degenerate"
 
     def test_coincident_points_rejected(self):
@@ -133,19 +149,19 @@ class TestMinkowskiChart:
         a, b, _ = ref_points(FORM2)
         chart = ein.minkowski_chart(FORM2, a, b)
         w = np.array([1.0, 1.0, 0.0])
-        pts = [ein.minkowski_chart_apply(FORM2, chart, t * w) for t in (0.5, 1.5, 3.0)]
-        sig = ein.subspace_signature(FORM2, [p.rep for p in pts]).as_tuple()
+        pts = ein.minkowski_chart_apply(FORM2, chart, np.outer([0.5, 1.5, 3.0], w))
+        sig = ein.subspace_signature(FORM2, pts).as_tuple()
         assert sig[2] >= 1 and sig[0] + sig[1] + sig[2] == 3
-        assert ein.subspace_signature(FORM2, [pts[0].rep, pts[1].rep]).as_tuple() == (0, 0, 2)
+        assert ein.subspace_signature(FORM2, pts[:2]).as_tuple() == (0, 0, 2)
 
     def test_spacelike_line_lands_on_circle_through_cone_point(self):
         a, b, _ = ref_points(FORM1)
         chart = ein.minkowski_chart(FORM1, a, b)
         w = np.array([1.0, 0.2])
-        pts = [ein.minkowski_chart_apply(FORM1, chart, t * w) for t in (-1.0, 0.5, 2.0)]
+        pts = ein.minkowski_chart_apply(FORM1, chart, np.outer([-1.0, 0.5, 2.0], w))
         # the three images and the cone point span a (2, 1) space; the fourth
         # Gram eigenvalue is the rank-deficiency null
-        sig = ein.subspace_signature(FORM1, [p.rep for p in pts] + [a.rep]).as_tuple()
+        sig = ein.subspace_signature(FORM1, np.vstack([pts, a])).as_tuple()
         assert sig == (2, 1, 1)
 
     @given(st.integers(0, 2**31 - 1))
@@ -158,6 +174,18 @@ class TestMinkowskiChart:
         x = ein.minkowski_chart_apply(FORM2, chart, u)
         back = ein.minkowski_chart_inverse(FORM2, chart, x)
         assert np.max(np.abs(back - u)) < 1e-10
+
+    def test_stacks_map_row_by_row(self):
+        a, b, _ = ref_points(FORM2)
+        chart = ein.minkowski_chart(FORM2, a, b)
+        U = np.random.default_rng(3).normal(size=(20, 3))
+        X = ein.minkowski_chart_apply(FORM2, chart, U)
+        assert X.shape == (20, 5)
+        for u, x in zip(U, X):
+            assert np.max(np.abs(ein.minkowski_chart_apply(FORM2, chart, u) - x)) <= 1e-12
+        assert np.max(np.abs(ein.minkowski_chart_inverse(FORM2, chart, X) - U)) < 1e-10
+        with pytest.raises(ein.ChartDomainError):
+            ein.minkowski_chart_inverse(FORM2, chart, np.vstack([X, a]))
 
     def test_inverse_rejects_light_cone(self):
         a, b, _ = ref_points(FORM1)
@@ -186,7 +214,7 @@ class TestTauChart:
 
     def test_degenerate_triple_rejected(self):
         crown = ein.barbot_crown_standard(1)
-        v = crown.vertices(FORM1)
+        v = ein.boundary_points(FORM1, crown.zreps)
         with pytest.raises(DegenerateTripleError):
             ein.tau_chart(FORM1, (v[0], v[1], v[2]))
 
@@ -198,7 +226,7 @@ class TestDiamond:
         chart = ein.tau_chart(FORM1, (a, b, c))
         e1 = np.array([1.0, 0.0])
         for p, corner in ((b, -e1), (c, e1)):
-            assert ein.in_closed_diamond(FORM1, (a, b, c), p)
+            assert ein.in_closed_diamond(FORM1, chart, p)
             assert np.max(np.abs(ein.minkowski_chart_inverse(FORM1, chart, p) - corner)) < 1e-10
 
     @given(st.integers(0, 2**31 - 1))
@@ -207,12 +235,9 @@ class TestDiamond:
         # the chart of (ga, gb, gc) gives gx the coordinates that the chart
         # of (a, b, c) gives x
         rng = np.random.default_rng(seed)
-        a, b, c = circle_points(FORM1, 0.0, 2.1, 4.2)
-        circ = ein.standard_circle(FORM1)
-        x = circ.point_at(2.6)
-        y = circ.point_at(3.4)
+        a, b, c, x, y = circle_points(FORM1, 0.0, 2.1, 4.2, 2.6, 3.4)
         g = random_isometry(FORM1, rng)
-        moved = [ein.boundary_point(FORM1, g.apply(p.rep)) for p in (a, b, c, x, y)]
+        moved = ein.boundary_points(FORM1, [g.apply(p) for p in (a, b, c, x, y)])
         chart = ein.tau_chart(FORM1, (a, b, c))
         chart_moved = ein.tau_chart(FORM1, tuple(moved[:3]))
         for p, gp in ((x, moved[3]), (y, moved[4])):
@@ -221,11 +246,11 @@ class TestDiamond:
             assert np.max(np.abs(u1 - u0)) <= 1e-9 * (1 + np.max(np.abs(u0)))
 
     def test_outside_point_rejected(self):
-        a, b, c = circle_points(FORM1, 0.0, 2.1, 4.2)
-        circ = ein.standard_circle(FORM1)
-        outside = circ.point_at(1.0)  # between a and b, not in the (b, c) diamond avoiding a
-        assert not ein.in_closed_diamond(FORM1, (a, b, c), outside)
-        assert ein.in_closed_diamond(FORM1, (a, b, c), circ.point_at(3.0))
+        a, b, c, outside, inside = circle_points(FORM1, 0.0, 2.1, 4.2, 1.0, 3.0)
+        # `outside` lies between a and b, not in the (b, c) diamond avoiding a
+        chart = ein.tau_chart(FORM1, (a, b, c))
+        assert not ein.in_closed_diamond(FORM1, chart, outside)
+        assert ein.in_closed_diamond(FORM1, chart, inside)
 
 
 class TestQuadruple:
@@ -331,6 +356,13 @@ class TestLoops:
         want = [[circle_dist_reference(a, b) for b in loop.thetas] for a in loop.thetas]
         assert np.array_equal(d1, np.array(want))
 
+    @pytest.mark.parametrize("samples", [0, 2])
+    def test_too_few_samples_rejected(self, samples):
+        # an empty loop was once indexed before this check and raised IndexError
+        th = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        with pytest.raises(ein.InvalidLoopError):
+            ein.LipschitzLoop(th, np.tile([1.0, 0.0], (samples, 1)))
+
     @pytest.mark.parametrize("kind", ["c1_wobble", "rigid_arc", "crown"])
     def test_lipschitz_margin_matches_pairwise_reference(self, kind):
         if kind == "crown":
@@ -409,9 +441,7 @@ class TestPhotonAndCircleTypes:
     def test_chart_round_trip_bulk(self):
         rng = np.random.default_rng(0)
         from pseudoplateau.qcore import reference_triple
-        ref = reference_triple(FORM2)
-        a = ein.boundary_point(FORM2, ref[0])
-        b = ein.boundary_point(FORM2, ref[1])
+        a, b, _ = ein.boundary_points(FORM2, reference_triple(FORM2))
         chart = ein.minkowski_chart(FORM2, a, b)
         worst = 0.0
         for _ in range(1000):
@@ -420,3 +450,62 @@ class TestPhotonAndCircleTypes:
             back = ein.minkowski_chart_inverse(FORM2, chart, x)
             worst = max(worst, float(np.max(np.abs(back - u))))
         assert worst < 1e-10
+
+
+class TestBatchedBoundaryPoints:
+    """The row-wise kernels equal the scalar references of
+    `boundary_reference` bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_normaliser_matches_scalar_reference(self, n):
+        form = BilinearForm(n)
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=(300, 2))
+        u[:10, 0] = 0.0  # the sign rule falls back to the second coordinate
+        v = rng.normal(size=(300, n + 1))
+        scale = np.linalg.norm(u, axis=1) / np.linalg.norm(v, axis=1)
+        X = np.hstack([u, v * scale[:, None]]) * rng.uniform(0.1, 10.0, size=(300, 1))
+        want = np.array([boundary_point_reference(form, x) for x in X])
+        assert np.array_equal(ein.boundary_points(form, X), want)
+        assert np.array_equal(ein.boundary_points(form, X[7]), want[7])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("count", [72, 288, 1000, "random"])
+    def test_loop_kernels_match_scalar_reference(self, n, count):
+        loop = make_wobble(n=n, k=96)
+        if count == "random":
+            thetas = np.random.default_rng(n).uniform(-1.0, 7.0, size=500)
+        else:
+            thetas = 2.0 * np.pi * np.arange(count) / count
+        fibers = loop.fibers_at(thetas)
+        assert np.array_equal(fibers, np.array([fiber_at_reference(loop, t) for t in thetas]))
+        assert np.array_equal(loop.boundary_points(thetas),
+                              np.array([loop_point_reference(loop, t) for t in thetas]))
+        assert np.array_equal(loop.fibers_at(thetas[5]), fibers[5])
+        assert np.array_equal(ein.graph_points(loop.thetas, loop.fibers),
+                              np.array([graph_point_reference(t, f)
+                                        for t, f in zip(loop.thetas, loop.fibers)]))
+
+    def test_close_samples_use_the_chord(self):
+        # two fibers within 1e-12 rad take the renormalised chord, as the
+        # scalar slerp did
+        th = np.array([0.0, 1.0, 2.0, 4.0])
+        fibers = np.array([[1.0, 0.0], [1.0, 1e-13], [0.0, 1.0], [-1.0, 0.0]])
+        fibers /= np.linalg.norm(fibers, axis=1)[:, None]
+        loop = ein.LipschitzLoop(th, fibers)
+        thetas = np.array([0.25, 0.5, 1.0, 1.5, 3.0])
+        assert np.array_equal(loop.fibers_at(thetas),
+                              np.array([fiber_at_reference(loop, t) for t in thetas]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_circle_points_match_scalar_reference(self, n):
+        # the reference divides v = (1, 0, ...) by |u|, which differs from 1
+        # in the last place on some angles; circle_points divides it by its
+        # own norm, 1, so u agrees to the bit and v is exactly +-e_0
+        form = BilinearForm(n)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False)
+        got = ein.circle_points(form, thetas)
+        want = np.array([circle_point_reference(form, t) for t in thetas])
+        assert np.array_equal(got[:, :2], want[:, :2])
+        assert np.array_equal(np.abs(got[:, 2:]), np.eye(n + 1)[np.zeros(96, dtype=int)])
+        assert np.max(np.abs(got - want)) <= np.finfo(float).eps

@@ -224,7 +224,7 @@ class TestBoundaryRay:
         fibers = np.column_stack([np.cos(0.2 * np.sin(thetas)), np.sin(0.2 * np.sin(thetas))])
         loop = ein.LipschitzLoop(thetas, fibers)
         theta = 1.234
-        target = loop.boundary_point(theta).rep
+        target = loop.boundary_points(theta)
         target = target / np.linalg.norm(target)
         for R in (2.0, 4.0, 8.0):
             x = boundary_ray_point(loop, theta, R).rep

@@ -225,3 +225,45 @@ def test_huge_field_rejected_without_warning(parse, text, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             parse(text)
+
+
+def _loop_gen(*args):
+    """Run `loop-gen` in-process into a temporary directory; return the exit
+    code and stderr."""
+    with tempfile.TemporaryDirectory() as d:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["loop-gen", *args, "--out", str(Path(d) / "x.loop")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("kind,flag,value", [
+    ("circle", "--samples", 0), ("c1_wobble", "--samples", 0), ("rigid_arc", "--samples", 0),
+    ("crown", "--samples", 0), ("circle", "--samples", -5), ("c1_wobble", "--samples", 2),
+    ("c1_wobble", "--n", 0), ("rigid_arc", "--n", -1), ("circle", "--n", 0),
+    ("crown", "--n", 0),
+])
+def test_loop_gen_rejects_degenerate_sizes(kind, flag, value):
+    code, err = _loop_gen("--kind", kind, flag, str(value))
+    assert code == 3 and err.startswith("error:"), (code, err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["circle", "c1_wobble", "rigid_arc", "crown"]),
+       st.one_of(st.integers(-(10**18), 2), st.integers(cli.MAX_LOOP_SAMPLES + 1, 10**18)),
+       st.integers(-(10**6), 3))
+def test_loop_gen_out_of_range_samples_exit_three(kind, samples, n):
+    code, err = _loop_gen("--kind", kind, "--samples", str(samples), "--n", str(n))
+    assert code == 3 and err.startswith("error:"), (code, err)
+
+
+def test_loop_gen_sample_cap_checked_before_allocation():
+    tracemalloc.start()
+    try:
+        code, err = _loop_gen("--kind", "circle", "--samples", str(10**12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err.startswith("error:")
+    assert peak < 10**6
+    assert _loop_gen("--kind", "circle", "--samples", str(cli.MAX_LOOP_SAMPLES // 64))[0] == 0
