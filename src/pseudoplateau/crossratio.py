@@ -8,6 +8,7 @@ cross-ratios is what certification measures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -26,7 +27,6 @@ from .qcore import (
 from .einstein import (
     ChartDomainError,
     CoincidentPointsError,
-    MinkowskiChart,
     NonTransverseError,
     circle_points,
     in_closed_diamond,
@@ -396,7 +396,7 @@ def contraction_check(form: BilinearForm, tau, tau_prime, B: float,
     inner = pdist(grid)
     apart = inner >= 1e-9
     ratios = pdist(outer)[apart] / inner[apart]
-    chord_measured, chord_formula = _lightlike_chord_ratio(form, chart_outer, B)
+    chord_measured, chord_formula = _lightlike_chord_ratio(form.n, B)
     bound = (B - 1.0) / (B + 1.0)
     return ContractionReport(
         max_ratio=float(np.max(ratios, initial=0.0)),
@@ -418,10 +418,12 @@ def lightlike_chord_formula(B: float, lam: float) -> float:
 CHORD_OFFSET = 0.3
 
 
-def _lightlike_chord_ratio(form: BilinearForm, chart: MinkowskiChart, B: float):
-    """Measure the controlled fraction of one lightlike chord of the diamond
-    in the given chart, and evaluate the closed form at the chord's lambda."""
-    n = chart.n
+@functools.lru_cache(maxsize=32)
+def _lightlike_chord_ratio(n: int, B: float):
+    """Measure the controlled fraction of one lightlike chord of the standard
+    diamond of R^{1,n}, and evaluate the closed form at the chord's lambda.
+    The chord is the same for every chart, so it is measured once per
+    (n, B)."""
     e1 = np.zeros(n + 1)
     e1[0] = 1.0
     u_dir = np.zeros(n + 1)

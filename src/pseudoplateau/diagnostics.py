@@ -217,7 +217,9 @@ def _distance_pairs(state: SurfaceState, rng: np.random.Generator, sources: int,
     X = state.positions
     inter = np.flatnonzero(state.mesh.interior_mask(AUDIT_EXCLUDE_RINGS))
     drawn = rng.choice(inter, size=sources, replace=False)
-    dist = dijkstra(_edge_graph(state), directed=False, indices=drawn)
+    # the edge graph holds both directions of every edge with equal lengths,
+    # so the directed search gives the undirected distances
+    dist = dijkstra(_edge_graph(state), directed=True, indices=drawn)
     targets = np.array([rng.choice(inter, size=per_source, replace=False) for _ in drawn])
     row = np.repeat(np.arange(sources), per_source)
     src, tgt = drawn[row], targets.ravel()

@@ -46,6 +46,9 @@ MAX_VERTICES = 200_000
 # The first and largest step size of `plateau_solve`.
 INITIAL_DT = 0.2
 
+# The number of past steps that `plateau_solve` mixes into each new one.
+ANDERSON_DEPTH = 2
+
 # The default tolerance of `plateau_solve`, and the largest residual a state
 # file marked converged may have: the audit CLI recomputes it on load.
 STATE_RESIDUAL_MAX = 1e-6
@@ -505,19 +508,69 @@ def _flow_step(X: np.ndarray, rho: np.ndarray, omega: np.ndarray, idx: np.ndarra
     return Xn
 
 
+def _onto_quadric(form: BilinearForm, Y: np.ndarray):
+    """The rows of Y scaled onto q = -1, or None if a row is not timelike."""
+    q = form.inner_rows(Y, Y)
+    if not np.all(q < 0):
+        return None
+    return Y / np.sqrt(-q)[:, None]
+
+
+def _trial(form: BilinearForm, mesh: DiskMesh, X: np.ndarray, rmax: float, tol: float):
+    """The residual, cotangent assembly and largest residual norm of the
+    trial positions X, or None if X is not a step the solver may take: a
+    face is not spacelike, the residual raises FaceError, or the largest
+    residual is not finite or more than twice max(rmax, tol)."""
+    grams = face_grams(form, X, mesh.faces)
+    if not np.all((grams[0] > 0) & (grams[3] > 0)):
+        return None
+    try:
+        rho, assembly = _residual(form, X, mesh, grams)
+    except FaceError:
+        return None
+    r = float(np.max(np.linalg.norm(rho, axis=1)))
+    if not np.isfinite(r) or r > 2.0 * max(rmax, tol):
+        return None
+    return rho, assembly, r
+
+
+def _anderson_mix(G: np.ndarray, F: np.ndarray, dG: list, dF: list) -> np.ndarray:
+    """The Anderson-mixed iterate G - sum_j gamma_j dG_j, where gamma
+    minimises |F - sum_j gamma_j dF_j| over the stored differences.
+
+    The least-squares problem is solved on the Gram matrix of the dF_j, a
+    matrix of the history's depth. Its entries are np.sum of products, which
+    gives the same bits under every BLAS thread count; np.dot and np.vdot on
+    vectors this long do not."""
+    gram = np.array([[np.sum(a * b) for b in dF] for a in dF])
+    rhs = np.array([np.sum(a * F) for a in dF])
+    gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    mixed = G.copy()
+    for g, d in zip(gamma, dG):
+        mixed -= g * d
+    return mixed
+
+
 def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
                   max_iter: int = 20000) -> SurfaceState:
     """Damped implicit flow of the maximality defect on unpinned vertices,
-    with the quadric normalisation re-imposed each step. The step starts at
-    INITIAL_DT, halves (with revert) whenever a face loses spacelikeness or
-    the residual jumps, grows 1.1x after 20 clean steps, and is capped at
-    INITIAL_DT.
+    with the quadric normalisation re-imposed each step and the steps
+    Anderson-mixed. The step starts at INITIAL_DT, halves (with revert)
+    whenever a face loses spacelikeness or the residual jumps, grows 1.1x
+    after 20 clean steps, and is capped at INITIAL_DT.
 
     The implicit operator is factored once per step size, at the positions
     where that step size is first used, and every step until dt changes
-    solves against that factor; convergence is judged on the residual of
-    each new state. A tol that is not finite and positive, or a negative
-    max_iter, raises GeometryError."""
+    solves against that factor. The plain step from X is the fixed-point
+    map G(X) = X + A^-1 Omega rho scaled onto the quadric. Each new step
+    mixes G with the differences of G and of F = G - X at the last
+    ANDERSON_DEPTH accepted iterates of the same dt, and is checked like
+    the plain step. A mixed step that fails a check is a fallback: the
+    history is cleared and the next iteration takes the plain step at the
+    same dt. Only a plain step that fails halves dt, and every change of dt
+    clears the history. Convergence is judged on the residual of each new
+    state. A tol that is not finite and positive, or a negative max_iter,
+    raises GeometryError."""
     if not (np.isfinite(tol) and tol > 0):
         raise GeometryError(f"solver tolerance must be finite and positive, got {tol!r}")
     if max_iter < 0:
@@ -528,6 +581,7 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     idx = np.flatnonzero(~out.pinned)
     dt = INITIAL_DT
     halvings = 0
+    fallbacks = 0
     factorisations = 0
     lu, lu_dt = None, None
     dt_min = dt
@@ -535,6 +589,10 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     rho, assembly = _residual(form, X, mesh, face_grams(form, X, mesh.faces))
     rmax = float(np.max(np.linalg.norm(rho, axis=1)))
     hist = [rmax]
+    # the plain step G(X) from the current X, its free rows G and F = G - X,
+    # (G, F) at the last accepted iterate, and the stored differences
+    plain = G = F = last = None
+    dG, dF = [], []
     it = 0
     converged = rmax < tol
     while it < max_iter and not converged:
@@ -543,23 +601,30 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
             lu = None  # free the old factor before the new one is made
             lu, lu_dt = _flow_operator(assembly, idx, dt), dt
             factorisations += 1
-        Xnew = _flow_step(X, rho, assembly[2], idx, lu)
-        qn = form.inner_rows(Xnew, Xnew)
-        ok = bool(np.all(qn < 0))
-        if ok:
-            Xnew = Xnew / np.sqrt(-qn)[:, None]
-            grams = face_grams(form, Xnew, mesh.faces)
-            ok = bool(np.all((grams[0] > 0) & (grams[3] > 0)))
-        if ok:
-            try:
-                rho_new, assembly_new = _residual(form, Xnew, mesh, grams)
-            except FaceError:
-                ok = False
-        if ok:
-            rmax_new = float(np.max(np.linalg.norm(rho_new, axis=1)))
-            if not np.isfinite(rmax_new) or rmax_new > 2.0 * max(rmax, tol):
-                ok = False
-        if not ok:
+            plain, last, dG, dF = None, None, [], []
+        if plain is None:
+            plain = _onto_quadric(form, _flow_step(X, rho, assembly[2], idx, lu))
+            if plain is not None:
+                G = np.take(plain, idx, axis=0)
+                F = G - np.take(X, idx, axis=0)
+                if last is not None:
+                    dG = (dG + [G - last[0]])[-ANDERSON_DEPTH:]
+                    dF = (dF + [F - last[1]])[-ANDERSON_DEPTH:]
+        Xnew, mixed = plain, False
+        if plain is not None and dF:
+            free = _onto_quadric(form, _anderson_mix(G, F, dG, dF))
+            if free is None:
+                Xnew = None
+            else:
+                Xnew = plain.copy()
+                Xnew[idx] = free
+            mixed = True
+        step = None if Xnew is None else _trial(form, mesh, Xnew, rmax, tol)
+        if step is None and mixed:
+            fallbacks += 1
+            dG, dF = [], []
+            continue
+        if step is None:
             dt *= 0.5
             halvings += 1
             clean = 0
@@ -567,9 +632,10 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
             if dt < 1e-8:
                 raise SolverError("step size collapsed below 1e-8 without a spacelike step")
             continue
-        X, rho, assembly = Xnew, rho_new, assembly_new
-        rmax = rmax_new
+        X = Xnew
+        rho, assembly, rmax = step
         hist.append(rmax)
+        plain, last = None, (G, F)
         clean += 1
         if clean >= 20:
             dt = min(dt * 1.1, INITIAL_DT)
@@ -582,7 +648,7 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     stride = max(1, len(hist) // 200)
     out.residual_history = [float(h) for h in hist[::stride]]
     out.dt_summary = {"final": dt, "min": dt_min, "initial": INITIAL_DT, "halvings": halvings,
-                      "factorisations": factorisations}
+                      "fallbacks": fallbacks, "factorisations": factorisations}
     return out
 
 

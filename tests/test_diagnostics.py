@@ -131,6 +131,16 @@ class TestDistanceRatioAudit:
         assert rep.passed
         assert rep.values["max_ratio"] <= np.sqrt(2.0) * 1.1
 
+    def test_edge_graph_is_symmetric_so_directed_distances_are_undirected(
+            self, solved_wobble_state):
+        from scipy.sparse.csgraph import dijkstra
+
+        G = diag._edge_graph(solved_wobble_state)
+        assert (G != G.T).nnz == 0
+        sources = np.arange(1, solved_wobble_state.mesh.vertex_count, 97)
+        assert np.array_equal(dijkstra(G, directed=True, indices=sources),
+                              dijkstra(G, directed=False, indices=sources))
+
     def test_barbot_diagonal_ratio(self):
         crown = ein.barbot_crown_standard(1)
         from pseudoplateau.hspace import barbot_surface_point, spatial_distance

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -6,7 +10,7 @@ from pseudoplateau.qcore import BilinearForm
 from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 
-from conftest import orbit_surface_gaps
+from conftest import SRC, orbit_surface_gaps
 from geometry_reference import (
     balanced_star, geodesic_disk_state, reference_cotan_matrix, reference_faces,
     reference_geometry, reference_polar_grid,
@@ -277,11 +281,70 @@ class TestSolve:
             return residual(*args)
 
         monkeypatch.setattr(pl, "_residual", reject_first_trial)
-        out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-9)
+        # the mixed steps converge to 1e-9 before dt has grown back twice
+        out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-11)
         assert out.converged and out.dt_summary["halvings"] == 1
         changes = 1 + sum(a != b for a, b in zip(dts, dts[1:]))
         assert len(calls) == out.dt_summary["factorisations"] == changes
         assert changes >= 3
+
+    @pytest.mark.parametrize("loop", [
+        wobble_loop(k=144), ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=36),
+    ], ids=["wobble", "crown"])
+    def test_mixed_steps_converge_within_the_ceiling(self, loop):
+        # the plain flow takes 26 (wobble) and 16 (crown) steps at 24x72
+        out = pl.plateau_solve(pl.build_state(loop, 24, 72, 3.0), tol=1e-9)
+        assert out.converged and out.iterations <= 16
+        assert out.dt_summary["factorisations"] == 1
+        assert out.dt_summary["halvings"] == out.dt_summary["fallbacks"] == 0
+
+    def test_rejected_mixed_step_falls_back_to_the_plain_step(self, monkeypatch):
+        # residual evaluations: the start, the first (plain) step, the first
+        # mixed step, which is rejected, then the plain step it falls back to
+        residual, step = pl._residual, pl._flow_step
+        evaluated, flowed = [], []
+
+        def reject_first_mixed(form, X, mesh, grams):
+            evaluated.append((X, len(flowed)))
+            if len(evaluated) == 3:
+                raise pl.FaceError("rejected")
+            return residual(form, X, mesh, grams)
+
+        monkeypatch.setattr(pl, "_residual", reject_first_mixed)
+        monkeypatch.setattr(pl, "_flow_step", lambda *a: flowed.append(step(*a)) or flowed[-1])
+        out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-9)
+        assert out.converged
+        assert out.dt_summary["fallbacks"] == 1 and out.dt_summary["halvings"] == 0
+        assert out.dt_summary["factorisations"] == 1
+        # the fallback is the plain step from the same positions, not a new solve
+        X, flows = evaluated[3]
+        assert flows == 2
+        assert np.array_equal(X, pl._onto_quadric(out.form, flowed[1]))
+
+    def test_solve_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # np.vdot on the 48x144 history vectors sums in an order that depends
+        # on the BLAS thread count; the solved state must not
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from pseudoplateau import einstein as ein, plateau as pl\n"
+            "th = np.linspace(0, 2 * np.pi, 144, endpoint=False)\n"
+            "phi = 0.25 * np.sin(3 * th)\n"
+            "loop = ein.LipschitzLoop(th, np.column_stack([np.cos(phi), np.sin(phi)]), c1=True)\n"
+            "out = pl.plateau_solve(pl.build_state(loop, 48, 144, 3.0), tol=1e-9)\n"
+            "assert out.converged\n"
+            "print(hashlib.sha256(pl.state_dumps(out).encode()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+            run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                 capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
     def test_threefold_wobble_solves_to_threefold_surface(self):
         # f(t + 2pi/3) = f(t) on 144 samples: the rotation by a third of a
