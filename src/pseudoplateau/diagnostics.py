@@ -609,38 +609,36 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
 
 def _distance_to_crown(crown: BarbotCrown, pts: np.ndarray) -> float:
     """Sup over the sample points of the exact auxiliary distance to the
-    crown (each edge minimised over its arc parameter by golden section,
-    which reaches machine precision where library minimisers floor their
-    tolerance at sqrt(eps)). The searches of all points on all four edges
-    run in lock step."""
+    crown, each edge minimised over its arc parameter in closed form.
+
+    An edge is the photon vec(t) = cos t z_i + sin t z_j, t in [0, pi/2],
+    so |u(t)| = |v(t)| and its normalised point e(t) = vec(t) / |u(t)|
+    gives |e(t) -+ p|^2 = 4 -+ 2 (c.w) / sqrt(c^T M c), with c = (cos t,
+    sin t), w = (z_i.p, z_j.p) and M the Gram matrix of u_i, u_j. That
+    ratio is stationary only at c ~ +-M^-1 w, so the minimum over the edge
+    is at an end or at one of those two angles. The distance is evaluated
+    directly at each candidate: the form 4 -+ 2 (...) loses half the digits
+    near the crown."""
     z = crown.zreps
     zi, zj = z, np.roll(z, -1, axis=0)
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    ui, uj = zi[:, :2], zj[:, :2]
+    alpha, beta, gamma = np.sum(ui * ui, axis=1), np.sum(ui * uj, axis=1), np.sum(uj * uj, axis=1)
+    wi, wj = pts @ zi.T, pts @ zj.T
+    # the adjugate of M applied to +-w, as two angles in (-pi, pi]: no
+    # shift by pi or 2 pi, which would round a small angle absolutely
+    y, x = alpha * wj - beta * wi, gamma * wi - beta * wj
+    end = np.zeros_like(y)
+    cand = np.stack([end, end + np.pi / 2.0, np.arctan2(y, x), np.arctan2(-y, -x)], axis=-1)
+    # t has shape (points, 4, 4); a stationary angle off the edge is
+    # replaced by its end t = 0, and the edge points broadcast against p
+    t = np.where((cand >= 0.0) & (cand <= np.pi / 2.0), cand, 0.0)
+    vec = np.cos(t)[..., None] * zi[:, None, :] + np.sin(t)[..., None] * zj[:, None, :]
+    nu = np.linalg.norm(vec[..., :2], axis=-1, keepdims=True)
+    nv = np.linalg.norm(vec[..., 2:], axis=-1, keepdims=True)
+    e = np.concatenate([vec[..., :2] / nu, vec[..., 2:] / nv], axis=-1)
     p = pts[:, None, None, :]
-
-    def dist(t):
-        # t has shape (points, 4, m); the edge points broadcast against p
-        vec = np.cos(t)[..., None] * zi[:, None, :] + np.sin(t)[..., None] * zj[:, None, :]
-        nu = np.linalg.norm(vec[..., :2], axis=-1, keepdims=True)
-        nv = np.linalg.norm(vec[..., 2:], axis=-1, keepdims=True)
-        e = np.concatenate([vec[..., :2] / nu, vec[..., 2:] / nv], axis=-1)
-        return np.minimum(np.linalg.norm(e - p, axis=-1), np.linalg.norm(e + p, axis=-1))
-
-    coarse = np.linspace(1e-9, np.pi / 2.0 - 1e-9, 24)
-    t0 = coarse[np.argmin(dist(np.broadcast_to(coarse, (len(pts), 4, 24))), axis=-1)]
-    lo, hi = np.maximum(t0 - 0.1, 0.0), np.minimum(t0 + 0.1, np.pi / 2.0)
-    x1 = hi - golden * (hi - lo)
-    x2 = lo + golden * (hi - lo)
-    f1, f2 = dist(np.stack([x1, x2], axis=-1)).transpose(2, 0, 1)
-    for _ in range(70):
-        left = f1 < f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x = np.where(left, hi - golden * (hi - lo), lo + golden * (hi - lo))
-        f = dist(x[..., None])[..., 0]
-        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
-        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
-    return float(max(0.0, np.max(np.min(np.minimum(f1, f2), axis=1))))
+    d = np.minimum(np.linalg.norm(e - p, axis=-1), np.linalg.norm(e + p, axis=-1))
+    return float(max(0.0, np.max(np.min(d, axis=(1, 2)))))
 
 
 def barbot_degeneration(loop: LipschitzLoop, crown: BarbotCrown, iters: int = 60) -> dict:

@@ -465,20 +465,16 @@ def crown_from_corners(form: BilinearForm, corners) -> BarbotCrown:
 
 def crown_loop(crown: BarbotCrown, samples_per_edge: int = 24) -> LipschitzLoop:
     """Sample the crown as a loop graph: each edge is the positive span of
-    two consecutive vertex representatives."""
-    pts = []
-    for i in range(4):
-        zi = crown.zreps[i]
-        zj = crown.zreps[(i + 1) % 4]
-        for t in np.linspace(0.0, 1.0, samples_per_edge, endpoint=False):
-            vec = np.cos(t * np.pi / 2.0) * zi + np.sin(t * np.pi / 2.0) * zj
-            nu = np.linalg.norm(vec[:2])
-            nv = np.linalg.norm(vec[2:])
-            theta = np.arctan2(vec[1] / nu, vec[0] / nu) % (2.0 * np.pi)
-            pts.append((theta, vec[2:] / nv))
-    thetas = np.array([p[0] for p in pts])
-    fibers = np.array([p[1] for p in pts])
-    return LipschitzLoop(thetas, fibers, c1=False)
+    two consecutive vertex representatives, which keeps the edge's lift
+    continuous (no sign rule). The four edges are one (4, samples) grid."""
+    z = crown.zreps
+    t = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False) * np.pi / 2.0
+    vec = (np.cos(t)[:, None] * z[:, None, :]
+           + np.sin(t)[:, None] * np.roll(z, -1, axis=0)[:, None, :]).reshape(-1, z.shape[1])
+    nu = np.linalg.norm(vec[:, :2], axis=1)
+    nv = np.linalg.norm(vec[:, 2:], axis=1, keepdims=True)
+    thetas = np.arctan2(vec[:, 1] / nu, vec[:, 0] / nu) % (2.0 * np.pi)
+    return LipschitzLoop(thetas, vec[:, 2:] / nv, c1=False)
 
 
 def crown_seeded_from_arc(form: BilinearForm, loop: LipschitzLoop) -> BarbotCrown:

@@ -103,7 +103,8 @@ def gradient_norm_sq(form: BilinearForm, h: Horofunction, x, frame: np.ndarray):
 
 
 def barbot_surface_point(crown: BarbotCrown, s: float, t: float) -> HPoint:
-    """The orbit surface point e^s z0 + e^t z1 + e^-s z2 + e^-t z3."""
+    """The orbit surface point e^s z0 + e^t z1 + e^-s z2 + e^-t z3; column
+    arrays s and t give one point per row."""
     z = crown.zreps
     return HPoint(np.exp(s) * z[0] + np.exp(t) * z[1] + np.exp(-s) * z[2] + np.exp(-t) * z[3])
 

@@ -337,33 +337,34 @@ def _mean_fiber(loop: LipschitzLoop) -> np.ndarray:
     return mean / norm
 
 
-def _barbot_ring_params(form: BilinearForm, crown: BarbotCrown, r: float, theta: float):
-    """Orbit parameters (s, t) of the crown surface point with the given
-    cylinder coordinates, by Newton from the standard-crown closed form."""
+def _barbot_ring_params(crown: BarbotCrown, r: np.ndarray, theta: np.ndarray):
+    """Orbit parameters (s, t) of the crown surface points with the given
+    cylinder coordinates, by Newton from the standard-crown closed form.
+    The Newton runs in lock step over the points, and each point stops once
+    its residual is below 1e-13."""
     z = crown.zreps
-    target = np.sinh(r) * np.array([np.cos(theta), np.sin(theta)])
+    target = np.sinh(r)[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
     sr = np.sqrt(2.0) * np.sinh(r)
-    s0 = np.arcsinh(sr * np.cos(theta))
-    t0 = np.arcsinh(sr * np.sin(theta))
-    st = np.array([s0, t0])
+    st = np.column_stack([np.arcsinh(sr * np.cos(theta)), np.arcsinh(sr * np.sin(theta))])
+    todo = np.arange(len(st))
     for _ in range(60):
-        es, et = np.exp(st[0]), np.exp(st[1])
+        es, et = np.exp(st[todo, :1]), np.exp(st[todo, 1:])
         u = es * z[0, :2] + et * z[1, :2] + z[2, :2] / es + z[3, :2] / et
-        F = u - target
-        if np.max(np.abs(F)) < 1e-13:
+        F = u - target[todo]
+        # a NaN residual stays live, so it ends in the budget's error
+        live = ~(np.max(np.abs(F), axis=1) < 1e-13)
+        if not np.any(live):
             break
-        J = np.column_stack([
-            es * z[0, :2] - z[2, :2] / es,
-            et * z[1, :2] - z[3, :2] / et,
-        ])
+        todo, es, et, F = todo[live], es[live], et[live], F[live]
+        J = np.stack([es * z[0, :2] - z[2, :2] / es, et * z[1, :2] - z[3, :2] / et], axis=-1)
         try:
-            step = np.linalg.solve(J, F)
+            step = np.linalg.solve(J, F[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise SolverError("crown ring parametrisation is singular") from exc
-        st = st - step
+        st[todo] = st[todo] - step
     else:
         raise SolverError("crown ring parametrisation did not converge")
-    return float(st[0]), float(st[1])
+    return st[:, 0], st[:, 1]
 
 
 def _detect_tiling_crown(form: BilinearForm, loop: LipschitzLoop):
@@ -471,10 +472,8 @@ def barbot_state(form: BilinearForm, crown: BarbotCrown, m: int, s: int, R: floa
     """The analytically sampled flat orbit surface on the polar mesh."""
     mesh = DiskMesh(m, s, R)
     r, th = mesh.polar_grid()
-    X = np.zeros((mesh.vertex_count, form.dim))
-    for v in range(mesh.vertex_count):
-        ss, tt = _barbot_ring_params(form, crown, r[v], th[v])
-        X[v] = barbot_surface_point(crown, ss, tt).rep
+    ss, tt = _barbot_ring_params(crown, r, th)
+    X = barbot_surface_point(crown, ss[:, None], tt[:, None]).rep
     return SurfaceState(
         mesh=mesh, positions=X, pinned=mesh.boundary_mask(), form=form,
         loop=None, converged=True, final_residual=0.0,

@@ -1,12 +1,15 @@
 """Scalar references for the batched boundary kernels.
 
 They work one quadruple, one point or one pair at a time, the way
-`crossratio.qs_certify`, `crossratio.circle_map_test`,
-`diagnostics._distance_to_crown`, the loop pair scans,
+`crossratio.qs_certify`, `crossratio.circle_map_test`, the loop pair scans,
 `einstein.photon_arc` and the boundary points of loops and of the standard
 circle were computed before they were batched.
 `quadruple_positive` is the scalar positivity certificate of one
-quadruple, built on the triple classification `triple_class`. Tests
+quadruple, built on the triple classification `triple_class`.
+`distance_to_crown_reference` minimises over each crown edge by a
+golden-section search, one point and one edge at a time; the program
+takes the closed-form minimiser of `diagnostics._distance_to_crown`
+instead, so the two share only the evaluation of an edge point. Tests
 compare the batched kernels against them. Boundary points are
 representative rows, as in `einstein`.
 """
@@ -182,7 +185,8 @@ def lipschitz_margin_reference(loop):
 
 
 def distance_to_crown_reference(crown, pts):
-    """Scalar golden-section distance of each point to each crown edge."""
+    """Sup over the points of the distance to the crown, each point and
+    each edge searched by a scalar golden section."""
     z = crown.zreps
     edges = [(z[i], z[(i + 1) % 4]) for i in range(4)]
     golden = (np.sqrt(5.0) - 1.0) / 2.0

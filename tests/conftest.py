@@ -57,12 +57,12 @@ def make_circle(n=1, k=96):
     return ein.LipschitzLoop(th, np.tile(f, (k, 1)), c1=True)
 
 
-def make_rigid_arc(k=96, slope=1.0 / 3.0):
+def make_rigid_arc(k=96, slope=1.0 / 3.0, n=1):
     thetas = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
-    fibers = np.zeros((k, 2))
+    fibers = np.zeros((k, n + 1))
     for i, t in enumerate(thetas):
         phi = t if t <= np.pi / 2.0 else np.pi / 2.0 - (t - np.pi / 2.0) * slope
-        fibers[i] = (np.cos(phi), np.sin(phi))
+        fibers[i, :2] = (np.cos(phi), np.sin(phi))
     return ein.LipschitzLoop(thetas, fibers, c1=False)
 
 
@@ -70,13 +70,10 @@ def orbit_surface_gaps(crown, X):
     """Per-vertex distance from each row of X to the point of the crown's
     orbit surface with the same first two coordinates. That point lies on
     the surface, so each gap bounds the distance to the surface from above."""
-    form = BilinearForm(crown.n)
-    gaps = np.empty(len(X))
-    for v, x in enumerate(X):
-        s, t = pl._barbot_ring_params(form, crown, np.arcsinh(np.hypot(x[0], x[1])),
-                                      np.arctan2(x[1], x[0]))
-        gaps[v] = np.linalg.norm(x - hs.barbot_surface_point(crown, s, t).rep)
-    return gaps
+    s, t = pl._barbot_ring_params(crown, np.arcsinh(np.hypot(X[:, 0], X[:, 1])),
+                                  np.arctan2(X[:, 1], X[:, 0]))
+    on = hs.barbot_surface_point(crown, s[:, None], t[:, None]).rep
+    return np.linalg.norm(X - on, axis=1)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ with scalar loops and `np.linalg.lstsq`, the way the mesh tables and the
 geometry were computed before they were built from arrays. The analytic
 oracles are the totally geodesic disk, the finite-radius points over a
 loop and the closed-form second fundamental form of a flat orbit surface.
+The orbit-surface reference runs each vertex's Newton on its own, where
+`plateau.barbot_state` runs them in lock step.
 The flattening references are a Gauss-Newton that always factors the
 normal matrix J^T J, and a development that starts from the surface's H^2
 projection instead of a ring-by-ring placement. Tests compare the program
@@ -56,6 +58,44 @@ def barbot_second_fundamental(crown, s, t):
     alpha = xss2 - x
     beta = np.zeros_like(x)
     return alpha, beta
+
+
+def barbot_ring_params_reference(crown, r, theta):
+    """`plateau._barbot_ring_params` for one point: the same Newton from
+    the standard-crown closed form, one 2 x 2 solve per step."""
+    z = crown.zreps
+    target = np.sinh(r) * np.array([np.cos(theta), np.sin(theta)])
+    sr = np.sqrt(2.0) * np.sinh(r)
+    st = np.array([np.arcsinh(sr * np.cos(theta)), np.arcsinh(sr * np.sin(theta))])
+    for _ in range(60):
+        es, et = np.exp(st[0]), np.exp(st[1])
+        u = es * z[0, :2] + et * z[1, :2] + z[2, :2] / es + z[3, :2] / et
+        F = u - target
+        if np.max(np.abs(F)) < 1e-13:
+            break
+        J = np.column_stack([
+            es * z[0, :2] - z[2, :2] / es,
+            et * z[1, :2] - z[3, :2] / et,
+        ])
+        try:
+            step = np.linalg.solve(J, F)
+        except np.linalg.LinAlgError as exc:
+            raise pl.SolverError("crown ring parametrisation is singular") from exc
+        st = st - step
+    else:
+        raise pl.SolverError("crown ring parametrisation did not converge")
+    return float(st[0]), float(st[1])
+
+
+def barbot_positions_reference(crown, m, s, R):
+    """The positions of `plateau.barbot_state`, one vertex at a time."""
+    mesh = pl.DiskMesh(m, s, R)
+    r, th = mesh.polar_grid()
+    X = np.zeros((mesh.vertex_count, crown.n + 3))
+    for v in range(mesh.vertex_count):
+        ss, tt = barbot_ring_params_reference(crown, r[v], th[v])
+        X[v] = hs.barbot_surface_point(crown, ss, tt).rep
+    return X
 
 
 def reference_faces(mesh):

@@ -276,6 +276,55 @@ class TestBarbotDegeneration:
         assert len(gaps) == 21
         assert max(gaps) <= 1e-15
 
+    def test_lock_step_distance_matches_scalar_reference_n2(self, monkeypatch):
+        # the same check in H^{2,2}, on 16 samples; the late iterations sit
+        # on the crown to rounding
+        loop = make_rigid_arc(k=16, n=2)
+        crown = ein.crown_seeded_from_arc(BilinearForm(2), loop)
+        kernel = diag._distance_to_crown
+        gaps = []
+
+        def both(cr_, pts):
+            got = kernel(cr_, pts)
+            gaps.append(abs(got - distance_to_crown_reference(cr_, pts)))
+            return got
+
+        monkeypatch.setattr(diag, "_distance_to_crown", both)
+        rep = diag.barbot_degeneration(loop, crown, iters=20)
+        assert len(gaps) == 21 and rep["final"] < 1e-15
+        assert max(gaps) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_points_on_the_edges_are_on_the_crown(self, n):
+        crown = ein.barbot_crown_standard(n)
+        z = crown.zreps
+        t = np.array([0.0, 0.3, np.pi / 2.0])[:, None, None]
+        vec = (np.cos(t) * z + np.sin(t) * np.roll(z, -1, axis=0)).reshape(-1, n + 3)
+        assert diag._distance_to_crown(crown, ein.boundary_points(BilinearForm(n), vec)) <= 1e-15
+
+    def test_random_points_match_scalar_reference(self):
+        crown = ein.barbot_crown_standard(2)
+        rng = np.random.default_rng(0)
+        u, v = rng.normal(size=(200, 2)), rng.normal(size=(200, 3))
+        pts = np.hstack([u / np.linalg.norm(u, axis=1, keepdims=True),
+                         v / np.linalg.norm(v, axis=1, keepdims=True)])
+        got = np.array([diag._distance_to_crown(crown, p[None]) for p in pts])
+        ref = np.array([distance_to_crown_reference(crown, p[None]) for p in pts])
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        # the ends of the edges decide some of the distances: on some
+        # (point, edge) pairs the stationary c ~ +-M^-1 w has components of
+        # opposite signs, so neither angle lies in [0, pi/2], and some points
+        # are nearest to a crown vertex
+        z = crown.zreps
+        U = np.stack([z[:, :2], np.roll(z[:, :2], -1, axis=0)], axis=1)
+        w = np.stack([pts @ z.T, pts @ np.roll(z, -1, axis=0).T], axis=-1)
+        c = np.linalg.solve(U @ U.transpose(0, 2, 1), w[..., None])[..., 0]
+        assert np.any(c[..., 0] * c[..., 1] < 0.0)
+        corners = ein.boundary_points(BilinearForm(2), z)
+        to_corner = np.min(np.minimum(np.linalg.norm(pts[:, None] - corners, axis=-1),
+                                      np.linalg.norm(pts[:, None] + corners, axis=-1)), axis=1)
+        assert np.any(np.abs(to_corner - ref) <= 1e-15)
+
 
 class TestAsymptoticHyperbolicity:
     def test_disk_all_rings_hyperbolic(self, solved_circle):

@@ -10,10 +10,10 @@ from pseudoplateau.qcore import BilinearForm
 from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 
-from conftest import SRC, orbit_surface_gaps
+from conftest import SRC, make_rigid_arc, orbit_surface_gaps
 from geometry_reference import (
-    balanced_star, geodesic_disk_state, reference_cotan_matrix, reference_faces,
-    reference_geometry, reference_polar_grid,
+    balanced_star, barbot_positions_reference, geodesic_disk_state, reference_cotan_matrix,
+    reference_faces, reference_geometry, reference_polar_grid,
 )
 
 
@@ -161,6 +161,22 @@ class TestBuildState:
         loop = ein.LipschitzLoop(th, fib)
         with pytest.raises(ein.InvalidLoopError):
             pl.build_state(loop, 8, 24, 2.0)
+
+
+class TestBarbotState:
+    @pytest.mark.parametrize("m,s", [(32, 96), (8, 24)])
+    @pytest.mark.parametrize("kind", ["standard", "seeded"])
+    def test_lock_step_positions_equal_the_per_vertex_reference(self, kind, m, s):
+        crown = (ein.barbot_crown_standard(1) if kind == "standard"
+                 else ein.crown_seeded_from_arc(FORM1, make_rigid_arc(k=48)))
+        st = pl.barbot_state(FORM1, crown, m, s, 1.2)
+        assert np.array_equal(st.positions, barbot_positions_reference(crown, m, s, 1.2))
+
+    @pytest.mark.parametrize("fill,message", [(0.0, "singular"), (np.nan, "did not converge")])
+    def test_newton_failure_raises(self, fill, message):
+        crown = ein.BarbotCrown(np.full((4, 4), fill))
+        with pytest.raises(pl.SolverError, match=message):
+            pl.barbot_state(FORM1, crown, 8, 24, 1.0)
 
 
 class TestResidual:
