@@ -20,7 +20,7 @@ from .einstein import (
     loop_load,
     loop_save,
 )
-from .hspace import HPoint, Horofunction, spatial_distance
+from .hspace import Horofunction, spatial_distance
 from .plateau import DiskMesh, SurfaceState, build_state, plateau_solve
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "loop_classify",
     "loop_load",
     "loop_save",
-    "HPoint",
     "Horofunction",
     "spatial_distance",
     "DiskMesh",

@@ -8,7 +8,6 @@ cross-ratios is what certification measures.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -418,12 +417,11 @@ def lightlike_chord_formula(B: float, lam: float) -> float:
 CHORD_OFFSET = 0.3
 
 
-@functools.lru_cache(maxsize=32)
 def _lightlike_chord_ratio(n: int, B: float):
     """Measure the controlled fraction of one lightlike chord of the standard
     diamond of R^{1,n}, and evaluate the closed form at the chord's lambda.
-    The chord is the same for every chart, so it is measured once per
-    (n, B)."""
+    The chord is the same for every chart, so it is measured in the
+    standard diamond."""
     e1 = np.zeros(n + 1)
     e1[0] = 1.0
     u_dir = np.zeros(n + 1)
@@ -445,31 +443,18 @@ def _lightlike_chord_ratio(n: int, B: float):
     seg = qq - p
 
     corners = np.array([-e1, e1])
-
-    def bval(t):
-        to_c, to_b = q1n(p + t * seg + corners)
-        return to_c / to_b
-
-    lam = bval(0.5)
+    to_c, to_b = q1n(p + 0.5 * seg + corners)
+    lam = to_c / to_b
     if not (1.0 / B < lam < B):
         raise GeometryError("chord offset places the midpoint outside the controlled region")
     formula = lightlike_chord_formula(B, lam)
 
-    def solve(target, bracket):
-        a_, b_ = bracket
-        fa = bval(a_) - target
-        for _ in range(200):
-            m = 0.5 * (a_ + b_)
-            fm = bval(m) - target
-            if fa * fm <= 0:
-                b_ = m
-            else:
-                a_, fa = m, fm
-            if b_ - a_ < 1e-15:
-                break
-        return 0.5 * (a_ + b_)
+    # seg is lightlike, so both pairings are affine in t along the chord and
+    # b(t) = to_c / to_b is a ratio of affine functions of t
+    (c0, b0), (c1, b1) = q1n(p + corners), q1n(qq + corners)
 
-    t_hi_end = solve(1.0 / B, (0.5, 1.0 - 1e-12))
-    t_lo_end = solve(B, (1e-12, 0.5))
-    measured = abs(t_hi_end - t_lo_end)
+    def crossing(target):
+        return (target * b0 - c0) / ((c1 - c0) - target * (b1 - b0))
+
+    measured = abs(crossing(1.0 / B) - crossing(B))
     return measured, formula

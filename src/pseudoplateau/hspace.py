@@ -31,16 +31,6 @@ HOROFUNCTION_ISOTROPY_ATOL = 1e-8
 FRAME_ATOL = 1e-8
 
 
-@dataclass(frozen=True)
-class HPoint:
-    """A point of H^{2,n}, stored as a q = -1 representative."""
-
-    rep: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rep", np.asarray(self.rep, dtype=float))
-
-
 def spatial_distance(form: BilinearForm, x, y):
     """arccosh of the pairing on acausal pairs, zero otherwise. Pairings
     within rounding of 1 count as causal: arccosh amplifies noise there.
@@ -102,11 +92,11 @@ def gradient_norm_sq(form: BilinearForm, h: Horofunction, x, frame: np.ndarray):
 # Analytic surfaces
 
 
-def barbot_surface_point(crown: BarbotCrown, s: float, t: float) -> HPoint:
+def barbot_surface_point(crown: BarbotCrown, s: float, t: float) -> np.ndarray:
     """The orbit surface point e^s z0 + e^t z1 + e^-s z2 + e^-t z3; column
     arrays s and t give one point per row."""
     z = crown.zreps
-    return HPoint(np.exp(s) * z[0] + np.exp(t) * z[1] + np.exp(-s) * z[2] + np.exp(-t) * z[3])
+    return np.exp(s) * z[0] + np.exp(t) * z[1] + np.exp(-s) * z[2] + np.exp(-t) * z[3]
 
 
 def barbot_tangent_frame(crown: BarbotCrown, s: float, t: float) -> np.ndarray:
@@ -117,7 +107,7 @@ def barbot_tangent_frame(crown: BarbotCrown, s: float, t: float) -> np.ndarray:
     return np.sqrt(2.0) * np.vstack([xs, xt])
 
 
-def cylinder_point(form: BilinearForm, r: float, theta: float, fiber) -> HPoint:
+def cylinder_point(form: BilinearForm, r: float, theta: float, fiber) -> np.ndarray:
     """The point sinh(r) (cos t, sin t, 0) + cosh(r) (0, 0, v); q = -1 for
     any unit fiber v, giving global polar-fiber coordinates on H^{2,n}."""
     f = _as_vector(fiber)
@@ -125,5 +115,5 @@ def cylinder_point(form: BilinearForm, r: float, theta: float, fiber) -> HPoint:
     vec[0] = np.sinh(r) * np.cos(theta)
     vec[1] = np.sinh(r) * np.sin(theta)
     vec[2:] = np.cosh(r) * f
-    return HPoint(vec)
+    return vec
 

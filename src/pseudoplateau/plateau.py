@@ -444,7 +444,7 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
         grid[-1, :, 1] = np.sinh(R) * np.sin(thetas)
         grid[-1, :, 2:] = rim
         vbar = _mean_fiber(loop)
-        X[0] = cylinder_point(form, 0.0, 0.0, vbar).rep
+        X[0] = cylinder_point(form, 0.0, 0.0, vbar)
         # taper each ray's fiber from vbar to the rim fiber by a slerp with
         # slope below 1/cosh(r), which keeps the rays spacelike for strictly
         # contracting boundary data
@@ -473,7 +473,7 @@ def barbot_state(form: BilinearForm, crown: BarbotCrown, m: int, s: int, R: floa
     mesh = DiskMesh(m, s, R)
     r, th = mesh.polar_grid()
     ss, tt = _barbot_ring_params(crown, r, th)
-    X = barbot_surface_point(crown, ss[:, None], tt[:, None]).rep
+    X = barbot_surface_point(crown, ss[:, None], tt[:, None])
     return SurfaceState(
         mesh=mesh, positions=X, pinned=mesh.boundary_mask(), form=form,
         loop=None, converged=True, final_residual=0.0,
@@ -554,22 +554,18 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
                   max_iter: int = 20000) -> SurfaceState:
     """Damped implicit flow of the maximality defect on unpinned vertices,
     with the quadric normalisation re-imposed each step and the steps
-    Anderson-mixed. The step starts at INITIAL_DT, halves (with revert)
-    whenever a face loses spacelikeness or the residual jumps, grows 1.1x
-    after 20 clean steps, and is capped at INITIAL_DT.
+    Anderson-mixed.
 
-    The implicit operator is factored once per step size, at the positions
-    where that step size is first used, and every step until dt changes
-    solves against that factor. The plain step from X is the fixed-point
-    map G(X) = X + A^-1 Omega rho scaled onto the quadric. Each new step
-    mixes G with the differences of G and of F = G - X at the last
-    ANDERSON_DEPTH accepted iterates of the same dt, and is checked like
-    the plain step. A mixed step that fails a check is a fallback: the
-    history is cleared and the next iteration takes the plain step at the
-    same dt. Only a plain step that fails halves dt, and every change of dt
-    clears the history. Convergence is judged on the residual of each new
-    state. A tol that is not finite and positive, or a negative max_iter,
-    raises GeometryError."""
+    The implicit operator is factored at the start, with dt = INITIAL_DT.
+    Each iteration takes the plain step G(X) = X + A^-1 Omega rho scaled
+    onto the quadric, mixes G with the differences of G and of F = G - X at
+    the last ANDERSON_DEPTH accepted iterates, and checks the result with
+    `_trial`. Every rejected step, a row that is not timelike or a trial
+    that fails, is handled the same way: dt halves, the history is cleared,
+    and the operator is factored again at the current positions. dt never
+    grows back, and a dt below 1e-8 raises SolverError. Convergence is
+    judged on the residual of each new state. A tol that is not finite and
+    positive, or a negative max_iter, raises GeometryError."""
     if not (np.isfinite(tol) and tol > 0):
         raise GeometryError(f"solver tolerance must be finite and positive, got {tol!r}")
     if max_iter < 0:
@@ -580,65 +576,47 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     idx = np.flatnonzero(~out.pinned)
     dt = INITIAL_DT
     halvings = 0
-    fallbacks = 0
     factorisations = 0
-    lu, lu_dt = None, None
-    dt_min = dt
-    clean = 0
+    lu = None
     rho, assembly = _residual(form, X, mesh, face_grams(form, X, mesh.faces))
     rmax = float(np.max(np.linalg.norm(rho, axis=1)))
     hist = [rmax]
-    # the plain step G(X) from the current X, its free rows G and F = G - X,
     # (G, F) at the last accepted iterate, and the stored differences
-    plain = G = F = last = None
+    last = None
     dG, dF = [], []
     it = 0
     converged = rmax < tol
     while it < max_iter and not converged:
         it += 1
-        if dt != lu_dt:
-            lu = None  # free the old factor before the new one is made
-            lu, lu_dt = _flow_operator(assembly, idx, dt), dt
+        if lu is None:
+            lu = _flow_operator(assembly, idx, dt)
             factorisations += 1
-            plain, last, dG, dF = None, None, [], []
-        if plain is None:
-            plain = _onto_quadric(form, _flow_step(X, rho, assembly[2], idx, lu))
-            if plain is not None:
-                G = np.take(plain, idx, axis=0)
-                F = G - np.take(X, idx, axis=0)
-                if last is not None:
-                    dG = (dG + [G - last[0]])[-ANDERSON_DEPTH:]
-                    dF = (dF + [F - last[1]])[-ANDERSON_DEPTH:]
-        Xnew, mixed = plain, False
-        if plain is not None and dF:
-            free = _onto_quadric(form, _anderson_mix(G, F, dG, dF))
-            if free is None:
-                Xnew = None
-            else:
-                Xnew = plain.copy()
-                Xnew[idx] = free
-            mixed = True
+        Xnew = _onto_quadric(form, _flow_step(X, rho, assembly[2], idx, lu))
+        if Xnew is not None:
+            G = np.take(Xnew, idx, axis=0)
+            F = G - np.take(X, idx, axis=0)
+            if last is not None:
+                dG = (dG + [G - last[0]])[-ANDERSON_DEPTH:]
+                dF = (dF + [F - last[1]])[-ANDERSON_DEPTH:]
+            if dF:
+                free = _onto_quadric(form, _anderson_mix(G, F, dG, dF))
+                if free is None:
+                    Xnew = None
+                else:
+                    Xnew[idx] = free
         step = None if Xnew is None else _trial(form, mesh, Xnew, rmax, tol)
-        if step is None and mixed:
-            fallbacks += 1
-            dG, dF = [], []
-            continue
         if step is None:
             dt *= 0.5
             halvings += 1
-            clean = 0
-            dt_min = min(dt_min, dt)
+            lu = None  # free the old factor before the next one is made
+            last, dG, dF = None, [], []
             if dt < 1e-8:
                 raise SolverError("step size collapsed below 1e-8 without a spacelike step")
             continue
         X = Xnew
         rho, assembly, rmax = step
         hist.append(rmax)
-        plain, last = None, (G, F)
-        clean += 1
-        if clean >= 20:
-            dt = min(dt * 1.1, INITIAL_DT)
-            clean = 0
+        last = (G, F)
         converged = rmax < tol
     out.positions = X
     out.converged = bool(converged)
@@ -646,8 +624,8 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     out.final_residual = rmax
     stride = max(1, len(hist) // 200)
     out.residual_history = [float(h) for h in hist[::stride]]
-    out.dt_summary = {"final": dt, "min": dt_min, "initial": INITIAL_DT, "halvings": halvings,
-                      "fallbacks": fallbacks, "factorisations": factorisations}
+    out.dt_summary = {"final": dt, "initial": INITIAL_DT, "halvings": halvings,
+                      "factorisations": factorisations}
     return out
 
 

@@ -39,9 +39,8 @@ ISOMETRY_ATOL = 1e-8
 
 
 def _as_vector(v) -> np.ndarray:
-    """Accept a bare array or anything carrying a representative in .rep."""
-    rep = getattr(v, "rep", v)
-    return np.asarray(rep, dtype=float)
+    """The vector or stack of vectors v as a float array."""
+    return np.asarray(v, dtype=float)
 
 
 def _rows(values):

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from pseudoplateau import diagnostics as diag
-from pseudoplateau.hspace import HPoint, gradient_norm_sq, horofunction, spatial_distance
+from pseudoplateau.hspace import gradient_norm_sq, horofunction, spatial_distance
 from pseudoplateau.plateau import discrete_geometry
 
 from boundary_reference import boundary_point_reference, loop_point_reference
@@ -46,8 +46,8 @@ def gradient_samples_reference(state, geo, rng, points, per_point):
     for z in boundary_points_reference(state, points, rng):
         h = horofunction(form, z)
         for v in rng.choice(inter, size=min(per_point, len(inter)), replace=False):
-            x = HPoint(state.positions[v])
-            if abs(form.inner(x.rep, h.z0)) < 1e-10:
+            x = state.positions[v]
+            if abs(form.inner(x, h.z0)) < 1e-10:
                 skipped += 1
                 continue
             vals.append(gradient_norm_sq(form, h, x, np.vstack([e1[v], e2[v]])))
@@ -79,7 +79,7 @@ def distance_pairs_reference(state, rng, sources, per_source):
             d_graph = dist[row, t]
             if t == src or not np.isfinite(d_graph) or d_graph < 0.3:
                 continue
-            rows.append((d_graph, spatial_distance(form, HPoint(X[src]), HPoint(X[t]))))
+            rows.append((d_graph, spatial_distance(form, X[src], X[t])))
     return np.array(rows).reshape(-1, 2)
 
 
@@ -104,7 +104,7 @@ def gromov_reference(state, seed):
     max_slack = -np.inf
     ok = True
     for _ in range(400):
-        x = HPoint(state.positions[rng.choice(inter)])
+        x = state.positions[rng.choice(inter)]
         pick = rng.integers(0, 2)
         if pick == 0:
             z = state.positions[rng.choice(inter)]
@@ -113,15 +113,14 @@ def gromov_reference(state, seed):
             z = bd[rng.integers(0, len(bd))]
             w = bd[rng.integers(0, len(bd))]
         num = form.inner(z, w)
-        den = form.inner(z, x.rep) * form.inner(x.rep, w)
+        den = form.inner(z, x) * form.inner(x, w)
         if abs(den) < 1e-12:
             continue
         ratio = abs(num / den)
         max_m1 = max(max_m1, ratio)
         if pick == 0:
-            zp, wp = HPoint(z), HPoint(w)
-            slack = (spatial_distance(form, zp, wp) - spatial_distance(form, zp, x)
-                     - spatial_distance(form, x, wp))
+            slack = (spatial_distance(form, z, w) - spatial_distance(form, z, x)
+                     - spatial_distance(form, x, w))
             max_slack = max(max_slack, slack)
             if slack > np.log(2.0 * max(ratio, 1e-300)) + 1e-6:
                 ok = False

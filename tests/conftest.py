@@ -72,7 +72,7 @@ def orbit_surface_gaps(crown, X):
     the surface, so each gap bounds the distance to the surface from above."""
     s, t = pl._barbot_ring_params(crown, np.arcsinh(np.hypot(X[:, 0], X[:, 1])),
                                   np.arctan2(X[:, 1], X[:, 0]))
-    on = hs.barbot_surface_point(crown, s[:, None], t[:, None]).rep
+    on = hs.barbot_surface_point(crown, s[:, None], t[:, None])
     return np.linalg.norm(X - on, axis=1)
 
 

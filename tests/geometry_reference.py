@@ -53,7 +53,7 @@ def barbot_second_fundamental(crown, s, t):
     `hspace.barbot_tangent_frame`: returns (alpha, beta) = (II(e1, e1),
     II(e1, e2)); beta vanishes and II(e2, e2) = -alpha by maximality."""
     z = crown.zreps
-    x = hs.barbot_surface_point(crown, s, t).rep
+    x = hs.barbot_surface_point(crown, s, t)
     xss2 = 2.0 * (np.exp(s) * z[0] + np.exp(-s) * z[2])
     alpha = xss2 - x
     beta = np.zeros_like(x)
@@ -94,7 +94,7 @@ def barbot_positions_reference(crown, m, s, R):
     X = np.zeros((mesh.vertex_count, crown.n + 3))
     for v in range(mesh.vertex_count):
         ss, tt = barbot_ring_params_reference(crown, r[v], th[v])
-        X[v] = hs.barbot_surface_point(crown, ss, tt).rep
+        X[v] = hs.barbot_surface_point(crown, ss, tt)
     return X
 
 

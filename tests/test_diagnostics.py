@@ -110,7 +110,7 @@ class TestGradientAudit:
     def test_barbot_attains_two(self, barbot_grid_state):
         crown = ein.barbot_crown_standard(1)
         from pseudoplateau.hspace import barbot_surface_point, barbot_tangent_frame, \
-            gradient_norm_sq, horofunction, HPoint
+            gradient_norm_sq, horofunction
         h = horofunction(FORM1, crown.zreps[0])
         vals = []
         for s, t in ((0.0, 0.0), (0.8, -0.5), (-1.0, 1.5)):

@@ -30,7 +30,7 @@ class TestSpatialDistance:
         # two points separated along the compact fiber direction
         a = hs.cylinder_point(FORM1, 0.0, 0.0, np.array([1.0, 0.0]))
         b = hs.cylinder_point(FORM1, 0.0, 0.0, np.array([np.cos(0.5), np.sin(0.5)]))
-        assert abs(FORM1.inner(a.rep, b.rep)) < 1.0
+        assert abs(FORM1.inner(a, b)) < 1.0
         assert hs.spatial_distance(FORM1, a, b) == 0.0
 
     @given(st.integers(0, 2**31 - 1))
@@ -42,8 +42,8 @@ class TestSpatialDistance:
         d = hs.spatial_distance(FORM2, x, y)
         assert hs.spatial_distance(FORM2, y, x) == d
         g = random_isometry(FORM2, rng)
-        gx = hs.HPoint(g.apply(x.rep))
-        gy = hs.HPoint(g.apply(y.rep))
+        gx = g.apply(x)
+        gy = g.apply(y)
         assert hs.spatial_distance(FORM2, gx, gy) == pytest.approx(d, abs=1e-10 * (1 + d))
 
 
@@ -92,7 +92,7 @@ class TestStacks:
     def test_spatial_distance_rows(self):
         rng = np.random.default_rng(5)
         # random fibers give acausal and causal pairs; row 0 is coincident
-        pts = np.array([hs.cylinder_point(FORM2, r, t, f / np.linalg.norm(f)).rep
+        pts = np.array([hs.cylinder_point(FORM2, r, t, f / np.linalg.norm(f))
                         for r, t, f in zip(rng.uniform(0, 2, 40), rng.uniform(0, 2 * np.pi, 40),
                                            rng.normal(size=(40, 3)))])
         x, y = pts[:20], pts[20:]
@@ -100,7 +100,7 @@ class TestStacks:
         # a pairing within rounding of 1 counts as causal
         y[1] = x[1] * (1.0 + 4e-15)
         got = hs.spatial_distance(FORM2, x, y)
-        want = [hs.spatial_distance(FORM2, hs.HPoint(a), hs.HPoint(b)) for a, b in zip(x, y)]
+        want = [hs.spatial_distance(FORM2, a, b) for a, b in zip(x, y)]
         assert all(isinstance(d, float) for d in want)
         assert want[1] == 0.0 and 0 < sum(d == 0.0 for d in want) < 20
         assert got.shape == (20,) and np.array_equal(got, want)
@@ -109,17 +109,17 @@ class TestStacks:
         crown = ein.barbot_crown_standard(1)
         h = hs.horofunction(FORM1, crown.zreps[0])
         st = np.random.default_rng(2).uniform(-1.5, 1.5, size=(12, 2))
-        x = np.array([hs.barbot_surface_point(crown, s, t).rep for s, t in st])
+        x = np.array([hs.barbot_surface_point(crown, s, t) for s, t in st])
         frames = np.array([hs.barbot_tangent_frame(crown, s, t) for s, t in st])
         got = hs.gradient_norm_sq(FORM1, h, x, frames)
-        want = [hs.gradient_norm_sq(FORM1, h, hs.HPoint(p), f) for p, f in zip(x, frames)]
+        want = [hs.gradient_norm_sq(FORM1, h, p, f) for p, f in zip(x, frames)]
         assert all(isinstance(g, float) for g in want)
         assert got.shape == (12,) and np.array_equal(got, want)
 
     def test_one_bad_row_rejects_the_stack(self):
         crown = ein.barbot_crown_standard(1)
         h = hs.horofunction(FORM1, crown.zreps[0])
-        x = np.array([hs.barbot_surface_point(crown, s, 0.0).rep for s in (0.0, 0.5)])
+        x = np.array([hs.barbot_surface_point(crown, s, 0.0) for s in (0.0, 0.5)])
         frames = np.array([hs.barbot_tangent_frame(crown, s, 0.0) for s in (0.0, 0.5)])
         bad = frames.copy()
         bad[1] *= 2.0
@@ -132,7 +132,7 @@ class TestStacks:
             hs.check_frame(FORM1, bad)
         orth = hs.horofunction(FORM1, np.array([1.0, 0.0, 1.0, 0.0]))
         y = x.copy()
-        y[1] = hs.cylinder_point(FORM1, 0.0, 0.0, np.array([0.0, 1.0])).rep
+        y[1] = hs.cylinder_point(FORM1, 0.0, 0.0, np.array([0.0, 1.0]))
         with pytest.raises(hs.HorofunctionDomainError):
             hs.horofunction_gradient(FORM1, orth, y, np.stack([np.eye(FORM1.dim)[:2]] * 2))
 
@@ -145,7 +145,7 @@ class TestBarbotSurface:
         for _ in range(20):
             s, t = rng.uniform(-2, 2, size=2)
             x = hs.barbot_surface_point(crown, s, t)
-            assert form.q(x.rep) == pytest.approx(-1.0, rel=1e-12)
+            assert form.q(x) == pytest.approx(-1.0, rel=1e-12)
 
     def test_origin_velocity(self):
         crown = ein.barbot_crown_standard(1)
@@ -159,7 +159,7 @@ class TestBarbotSurface:
         lam, mu, t = 1.0, 0.5, 1.7
         xt = hs.barbot_surface_point(crown, lam * t, mu * t)
         expect = -0.5 * (np.cosh(lam * t) + np.cosh(mu * t))
-        assert FORM1.inner(x0.rep, xt.rep) == pytest.approx(expect, abs=1e-12)
+        assert FORM1.inner(x0, xt) == pytest.approx(expect, abs=1e-12)
 
     def test_flat_induced_metric(self):
         crown = ein.barbot_crown_standard(2)
@@ -198,7 +198,7 @@ class TestBoundaryRay:
         fibers = np.tile([1.0, 0.0], (32, 1))
         loop = ein.LipschitzLoop(thetas, fibers)
         x = boundary_ray_point(loop, 0.9, 2.0)
-        assert abs(x.rep[3]) < 1e-14
+        assert abs(x[3]) < 1e-14
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
@@ -209,7 +209,7 @@ class TestBoundaryRay:
         loop = ein.LipschitzLoop(thetas, fibers)
         theta = rng.uniform(0, 2 * np.pi)
         R = rng.uniform(0.1, 5.0)
-        x = boundary_ray_point(loop, theta, R).rep
+        x = boundary_ray_point(loop, theta, R)
         # q = sinh^2 R - cosh^2 R |f|^2 cancels terms of size cosh^2 R, so
         # rounding alone reaches a few ulps of cosh^2 R (at most 2.7 of them
         # over 3000 seeds)
@@ -227,7 +227,7 @@ class TestBoundaryRay:
         target = loop.boundary_points(theta)
         target = target / np.linalg.norm(target)
         for R in (2.0, 4.0, 8.0):
-            x = boundary_ray_point(loop, theta, R).rep
+            x = boundary_ray_point(loop, theta, R)
             x = x / np.linalg.norm(x)
             gap = min(np.linalg.norm(x - target), np.linalg.norm(x + target))
             assert gap <= 2.0 * np.exp(-2.0 * R)

@@ -286,8 +286,7 @@ class TestSolve:
 
     def test_refactors_when_the_step_size_changes(self, monkeypatch):
         calls, dts = self._count_factorisations(monkeypatch)
-        # reject the first trial step: dt halves, then grows back after
-        # every 20 clean steps
+        # reject the first trial step: dt halves once and never grows back
         residual, evaluations = pl._residual, []
 
         def reject_first_trial(*args):
@@ -297,12 +296,13 @@ class TestSolve:
             return residual(*args)
 
         monkeypatch.setattr(pl, "_residual", reject_first_trial)
-        # the mixed steps converge to 1e-9 before dt has grown back twice
+        # tol 1e-11 takes more than 20 accepted steps at dt = 0.1, so a
+        # regrowth of dt would show in the recorded steps
         out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-11)
         assert out.converged and out.dt_summary["halvings"] == 1
-        changes = 1 + sum(a != b for a, b in zip(dts, dts[1:]))
-        assert len(calls) == out.dt_summary["factorisations"] == changes
-        assert changes >= 3
+        assert dts[0] == 0.2 and set(dts[1:]) == {0.1}
+        assert out.dt_summary["final"] == 0.1 and len(dts) > 21
+        assert len(calls) == out.dt_summary["factorisations"] == 1 + out.dt_summary["halvings"]
 
     @pytest.mark.parametrize("loop", [
         wobble_loop(k=144), ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=36),
@@ -312,11 +312,12 @@ class TestSolve:
         out = pl.plateau_solve(pl.build_state(loop, 24, 72, 3.0), tol=1e-9)
         assert out.converged and out.iterations <= 16
         assert out.dt_summary["factorisations"] == 1
-        assert out.dt_summary["halvings"] == out.dt_summary["fallbacks"] == 0
+        assert out.dt_summary["halvings"] == 0
 
-    def test_rejected_mixed_step_falls_back_to_the_plain_step(self, monkeypatch):
+    def test_rejected_mixed_step_halves_dt_and_takes_the_plain_step(self, monkeypatch):
         # residual evaluations: the start, the first (plain) step, the first
-        # mixed step, which is rejected, then the plain step it falls back to
+        # mixed step, which is rejected, then the plain step that follows
+        calls, dts = self._count_factorisations(monkeypatch)
         residual, step = pl._residual, pl._flow_step
         evaluated, flowed = [], []
 
@@ -327,15 +328,19 @@ class TestSolve:
             return residual(form, X, mesh, grams)
 
         monkeypatch.setattr(pl, "_residual", reject_first_mixed)
-        monkeypatch.setattr(pl, "_flow_step", lambda *a: flowed.append(step(*a)) or flowed[-1])
+        monkeypatch.setattr(pl, "_flow_step",
+                            lambda *a: flowed.append((a[0], step(*a))) or flowed[-1][1])
         out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-9)
         assert out.converged
-        assert out.dt_summary["fallbacks"] == 1 and out.dt_summary["halvings"] == 0
-        assert out.dt_summary["factorisations"] == 1
-        # the fallback is the plain step from the same positions, not a new solve
+        assert out.dt_summary["halvings"] == 1
+        assert len(calls) == out.dt_summary["factorisations"] == 2
+        assert dts[:3] == [0.2, 0.2, 0.1]
+        # the history is cleared: the next step is the unmixed plain step,
+        # a new solve from the positions the mixed step was taken from
         X, flows = evaluated[3]
-        assert flows == 2
-        assert np.array_equal(X, pl._onto_quadric(out.form, flowed[1]))
+        assert flows == 3
+        assert np.array_equal(flowed[2][0], flowed[1][0])
+        assert np.array_equal(X, pl._onto_quadric(out.form, flowed[2][1]))
 
     def test_solve_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         # np.vdot on the 48x144 history vectors sums in an order that depends

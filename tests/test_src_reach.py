@@ -1,13 +1,14 @@
 """The package keeps only code that the program or an acceptance criterion
 reaches: every `DiscreteGeometry` field is read by the code that consumes
-the geometry pass, and every top-level function and class is used from
+the geometry pass, every top-level function and class is used from
 another place in the package, from `bench/`, or from
-`tests/test_acceptance.py`. Test-only references live in
-`tests/*_reference.py`.
+`tests/test_acceptance.py`, and every module-level constant is read from
+one of those places. Test-only references live in `tests/*_reference.py`.
 
-Both checks scan the source with `ast`, so a name counts as used when it
+The checks scan the source with `ast`, so a name counts as used when it
 appears as a name or an attribute; `bench/tracing.py` names the functions
-it patches as strings, so string constants under `bench/` count too."""
+it patches as strings, so string constants under `bench/` count too. A
+constant counts as read only where its name or attribute is loaded."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,26 @@ def test_every_top_level_definition_is_reached():
     used |= _used_names(_parse(ROOT / "tests" / "test_acceptance.py"))
     unreached = [f"{module}.{name}" for module, name in defined if name not in used]
     assert not unreached, f"top-level definitions only tests reach: {unreached}"
+
+
+def test_every_module_level_constant_is_read():
+    defined = []   # (module, name)
+    read = set()
+    sources = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"])
+    for path in sources:
+        tree = _parse(path)
+        if path.parent == PACKAGE:
+            for top in tree.body:
+                if isinstance(top, (ast.Assign, ast.AnnAssign)):
+                    targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                    defined += [(path.stem, t.id) for t in targets
+                                if isinstance(t, ast.Name) and not t.id.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    assert defined
+    unread = [f"{module}.{name}" for module, name in defined if name not in read]
+    assert not unread, f"module-level constants nothing reads: {unread}"
