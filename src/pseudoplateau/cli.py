@@ -166,6 +166,9 @@ def cmd_audit(args) -> int:
             reports[name] = rep.to_dict()
             all_passed = bool(all_passed and rep.passed)
             print(f"audit {name}: {'pass' if rep.passed else 'FAIL'}")
+    except diag.FlatteningError as exc:
+        print(f"flattening error: {exc}", file=sys.stderr)
+        return 2
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

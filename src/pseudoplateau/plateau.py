@@ -394,6 +394,9 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
     When the loop itself traces a photon quadrilateral, the Dirichlet data
     is placed on the exact flat orbit surface through that quadrilateral,
     so the solve is comparable vertex-by-vertex with the closed form.
+    Otherwise the rim ring is checked first: a loop whose Lipschitz
+    constant reaches tanh R has rim edges that are not spacelike, and is
+    rejected with InvalidLoopError.
     """
     if m < 8:
         raise GeometryError("need at least eight rings")
@@ -443,6 +446,15 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
         grid[-1, :, 0] = np.sinh(R) * np.cos(thetas)
         grid[-1, :, 1] = np.sinh(R) * np.sin(thetas)
         grid[-1, :, 2:] = rim
+        # q(edge) = sinh^2 R |circle chord|^2 - cosh^2 R |fiber chord|^2, so a
+        # rim edge is spacelike only where the fiber chord is below tanh R
+        # times the circle chord, whatever the interior does
+        edges = np.roll(grid[-1], -1, axis=0) - grid[-1]
+        timelike = int(np.sum(~(form.inner_rows(edges, edges) > 0.0)))
+        if timelike:
+            raise InvalidLoopError(
+                f"{timelike} of {s} rim edges at radius {R:g} are not spacelike: the loop's "
+                f"Lipschitz constant reaches tanh R = {np.tanh(R):.6f}")
         vbar = _mean_fiber(loop)
         X[0] = cylinder_point(form, 0.0, 0.0, vbar)
         # taper each ray's fiber from vbar to the rim fiber by a slerp with

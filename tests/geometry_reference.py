@@ -233,13 +233,14 @@ def reference_geometry(state):
     return out
 
 
-def gauss_newton_normal(residual, x):
+def gauss_newton_normal(residual, x, tol=diag.GAUSS_NEWTON_TOL):
     """`diagnostics._gauss_newton` with the normal-matrix step
-    splu(J^T J).solve(J^T r) for every J, square or not."""
+    splu(J^T J).solve(J^T r), which also takes a J that is not square,
+    until max |r| < tol."""
     r, J = residual(x)
     step = None
     for _ in range(diag.GAUSS_NEWTON_TRIALS):
-        if np.max(np.abs(r)) < diag.GAUSS_NEWTON_TOL:
+        if np.max(np.abs(r)) < tol:
             return x
         if step is None:
             Jt = J.T.tocsc()
@@ -260,7 +261,8 @@ def develop_from_projection(state, lengths):
     """`diagnostics._develop_h2` from the surface's own H^2 projection
     (X_0, X_1, |X_{2:}|), moved by an isometry that puts vertex 0 at the
     origin and v(1, 0) on the +x axis, then Gauss-Newton on the edge
-    lengths with `gauss_newton_normal`. Returns the (x, y) rows."""
+    lengths with `gauss_newton_normal` to `diagnostics.LAYOUT_TOL`.
+    Returns the (x, y) rows."""
     mesh = state.mesh
     faces = mesh.faces
     nv = mesh.vertex_count
@@ -297,5 +299,5 @@ def develop_from_projection(state, lengths):
                           shape=(len(edges), 2 * nv))
         return np.arccosh(pair) - target, J[:, free]
 
-    xy[free] = gauss_newton_normal(residual, xy[free])
+    xy[free] = gauss_newton_normal(residual, xy[free], diag.LAYOUT_TOL)
     return xy.reshape(nv, 2)

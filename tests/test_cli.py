@@ -106,6 +106,14 @@ class TestSolve:
         assert err.startswith("error:")
         assert not (workdir / "runp").exists()
 
+    def test_photon_arc_exit_three_naming_the_rim(self, tmp_path, capsys):
+        assert cli.main(["loop-gen", "--kind", "rigid_arc", "--out", str(tmp_path / "a.loop")]) == 0
+        code = cli.main(["solve", "--loop", str(tmp_path / "a.loop"), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error:") and "rim edges" in err and "tanh R" in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestMalformedInput:
     # (command, file edited, line, text replaced, replacement)
@@ -279,3 +287,19 @@ def test_audit_runs_one_geometry_pass(tmp_path, monkeypatch, solved_wobble_state
                      "--out", str(tmp_path / "out")])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_flattening_stall_exit_two(tmp_path, monkeypatch, capsys, solved_wobble_state):
+    # a numeric stall on a valid converged state is a non-convergence, not invalid input
+    pl.state_save(solved_wobble_state, tmp_path / "state.txt")
+    ein.loop_save(solved_wobble_state.loop, tmp_path / "wobble.loop")
+
+    def stall(residual, x):
+        raise diag.FlatteningError("Gauss-Newton solve stalled at max residual 3.07e-10")
+
+    monkeypatch.setattr(diag, "_gauss_newton", stall)
+    code = cli.main(["audit", "--state", str(tmp_path / "state.txt"),
+                     "--loop", str(tmp_path / "wobble.loop"),
+                     "--audits", "rigidity,boundary_extension", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("flattening error: Gauss-Newton solve stalled")

@@ -28,6 +28,13 @@ def wobble_48x144():
     return pl.plateau_solve(pl.build_state(make_wobble(), 48, 144, 3.0), tol=1e-9, max_iter=2000)
 
 
+@pytest.fixture(scope="module")
+def wobble_n2_48x144():
+    # with a 1e-10 flattening stop, its angle defects put the ring layout 3.5e-9 off at the rim
+    loop = make_wobble(n=2, k=144)
+    return pl.plateau_solve(pl.build_state(loop, 48, 144, 3.0), tol=1e-9, max_iter=2000)
+
+
 def _flattening_residual(monkeypatch, st):
     """The residual-and-Jacobian callback that `yamabe_flatten` hands to
     the solver."""
@@ -67,8 +74,8 @@ def _max_side_error(st, xy, lengths):
     for k, (a, b) in enumerate(diag.FACE_SIDES):
         pa, pb = p[faces[:, a]], p[faces[:, b]]
         pair = pa[:, 2] * pb[:, 2] - pa[:, 0] * pb[:, 0] - pa[:, 1] * pb[:, 1]
-        errors.append(np.max(np.abs(np.arccosh(np.maximum(pair, 1.0)) - lengths[k])))
-    return max(errors)
+        errors.append(np.abs(np.arccosh(np.maximum(pair, 1.0)) - lengths[k]))
+    return np.max(errors)
 
 
 class TestRigidityAudit:
@@ -426,11 +433,11 @@ class TestSquareMode:
 
 
 class TestPlacement:
-    @pytest.mark.parametrize("fixture", ["solved_wobble_state", "wobble_48x144"])
+    @pytest.mark.parametrize("fixture", ["solved_wobble_state", "wobble_48x144", "wobble_n2_48x144"])
     def test_placement_alone_reproduces_sides(self, fixture, request):
         st = request.getfixturevalue(fixture)
         _, lengths = diag.yamabe_flatten(st)
-        assert _max_side_error(st, diag._place_rings(st, lengths), lengths) < diag.GAUSS_NEWTON_TOL
+        assert _max_side_error(st, diag._place_rings(st, lengths), lengths) < diag.LAYOUT_TOL
 
     @pytest.mark.parametrize("mirrored", [False, True], ids=["as_solved", "mirrored"])
     @pytest.mark.parametrize("fixture", ["solved_wobble_state", "solved_circle"])
@@ -472,6 +479,21 @@ class TestDevelopment:
         signs = np.sign(np.linalg.det(p[faces]))
         fan = np.sign(np.linalg.det(p[[0, st.mesh.vertex(1, 0), st.mesh.vertex(1, 1)]]))
         assert fan != 0.0 and np.all(signs == fan)
+
+    def test_n2_state_develops(self, wobble_n2_48x144):
+        _, cert = diag.boundary_extension(wobble_n2_48x144, seed=7)
+        assert np.isfinite(cert.B)
+
+    @pytest.mark.parametrize("change", [1e-8, np.nan], ids=["off_by_1e-8", "nan"])
+    def test_layout_check_rejects_a_side_it_cannot_meet(self, change, solved_wobble_state):
+        st = solved_wobble_state
+        _, lengths = diag.yamabe_flatten(st)
+        ls = np.array(lengths)
+        # the radial side v(1, 0)-v(2, 0) of the first quad face, which the
+        # placement shoots along; its other face keeps the flattened length
+        ls[2, st.mesh.sectors] += change
+        with pytest.raises(diag.FlatteningError):
+            diag._develop_h2(st, tuple(ls))
 
     def test_boundary_angles_repeatable(self, solved_wobble_state):
         b1, _ = diag.boundary_extension(solved_wobble_state, seed=5)

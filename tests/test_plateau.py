@@ -162,6 +162,11 @@ class TestBuildState:
         with pytest.raises(ein.InvalidLoopError):
             pl.build_state(loop, 8, 24, 2.0)
 
+    def test_photon_arc_rejected_at_the_rim(self):
+        # Lipschitz constant 1 >= tanh 3: 18 of 72 rim edges are timelike
+        with pytest.raises(ein.InvalidLoopError, match=r"18 of 72 rim edges .* tanh R"):
+            pl.build_state(make_rigid_arc(k=128), 24, 72, 3.0)
+
 
 class TestBarbotState:
     @pytest.mark.parametrize("m,s", [(32, 96), (8, 24)])
