@@ -165,7 +165,14 @@ def _edge_graph(state: SurfaceState) -> sp.csr_matrix:
     """Shortest-path graph: mesh edges plus the balanced-star chords. The
     raw polar mesh offers few edge directions (skinny triangles), which
     overestimates the induced distance by up to ~30%; the star chords
-    restore directional coverage."""
+    restore directional coverage.
+
+    The graph is built once per state, like its geometry, and shared by
+    the audit and the plot export, so none may write to it."""
+    return state.derived("edge_graph", _build_edge_graph)
+
+
+def _build_edge_graph(state: SurfaceState) -> sp.csr_matrix:
     X = state.positions
     mesh = state.mesh
     faces = mesh.faces
@@ -204,8 +211,10 @@ def _edge_graph(state: SurfaceState) -> sp.csr_matrix:
     G = sp.coo_matrix(
         (np.concatenate([edge_len, edge_len]), (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
         shape=(nv, nv),
-    )
-    return G.tocsr()
+    ).tocsr()
+    for arr in (G.data, G.indices, G.indptr):
+        arr.flags.writeable = False
+    return G
 
 
 def _distance_pairs(state: SurfaceState, rng: np.random.Generator, sources: int,

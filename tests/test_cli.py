@@ -289,6 +289,18 @@ def test_audit_runs_one_geometry_pass(tmp_path, monkeypatch, solved_wobble_state
     assert len(calls) == 1
 
 
+def test_audit_builds_one_edge_graph(tmp_path, monkeypatch, solved_wobble_state):
+    # the distance_ratio audit and the plot export share the state's graph
+    pl.state_save(solved_wobble_state, tmp_path / "state.txt")
+    calls = []
+    build = diag._build_edge_graph
+    monkeypatch.setattr(diag, "_build_edge_graph", lambda st: calls.append(1) or build(st))
+    code = cli.main(["audit", "--state", str(tmp_path / "state.txt"),
+                     "--audits", "distance_ratio", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_flattening_stall_exit_two(tmp_path, monkeypatch, capsys, solved_wobble_state):
     # a numeric stall on a valid converged state is a non-convergence, not invalid input
     pl.state_save(solved_wobble_state, tmp_path / "state.txt")

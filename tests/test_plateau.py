@@ -286,36 +286,39 @@ class TestSolve:
         calls, dts = self._count_factorisations(monkeypatch)
         out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-9)
         assert out.converged and out.dt_summary["halvings"] == 0
-        assert set(dts) == {0.2}
+        assert set(dts) == {pl.INITIAL_DT}
         assert len(calls) == out.dt_summary["factorisations"] == 1
 
     def test_refactors_when_the_step_size_changes(self, monkeypatch):
         calls, dts = self._count_factorisations(monkeypatch)
-        # reject the first trial step: dt halves once and never grows back
+        # reject the first four trial steps: dt halves four times and never
+        # grows back
         residual, evaluations = pl._residual, []
 
-        def reject_first_trial(*args):
+        def reject_first_trials(*args):
             evaluations.append(1)
-            if len(evaluations) == 2:
+            if 2 <= len(evaluations) <= 5:
                 raise pl.FaceError("rejected")
             return residual(*args)
 
-        monkeypatch.setattr(pl, "_residual", reject_first_trial)
-        # tol 1e-11 takes more than 20 accepted steps at dt = 0.1, so a
-        # regrowth of dt would show in the recorded steps
+        monkeypatch.setattr(pl, "_residual", reject_first_trials)
+        # tol 1e-11 takes more than 20 accepted steps at dt = INITIAL_DT / 16,
+        # so a regrowth of dt would show in the recorded steps
         out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-11)
-        assert out.converged and out.dt_summary["halvings"] == 1
-        assert dts[0] == 0.2 and set(dts[1:]) == {0.1}
-        assert out.dt_summary["final"] == 0.1 and len(dts) > 21
+        assert out.converged and out.dt_summary["halvings"] == 4
+        assert dts[:4] == [pl.INITIAL_DT / 2**k for k in range(4)]
+        assert set(dts[4:]) == {pl.INITIAL_DT / 16}
+        assert out.dt_summary["final"] == pl.INITIAL_DT / 16 and len(dts[4:]) > 20
         assert len(calls) == out.dt_summary["factorisations"] == 1 + out.dt_summary["halvings"]
 
-    @pytest.mark.parametrize("loop", [
-        wobble_loop(k=144), ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=36),
+    @pytest.mark.parametrize("loop, ceiling", [
+        (wobble_loop(k=144), 8),
+        (ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=36), 16),
     ], ids=["wobble", "crown"])
-    def test_mixed_steps_converge_within_the_ceiling(self, loop):
+    def test_mixed_steps_converge_within_the_ceiling(self, loop, ceiling):
         # the plain flow takes 26 (wobble) and 16 (crown) steps at 24x72
         out = pl.plateau_solve(pl.build_state(loop, 24, 72, 3.0), tol=1e-9)
-        assert out.converged and out.iterations <= 16
+        assert out.converged and out.iterations <= ceiling
         assert out.dt_summary["factorisations"] == 1
         assert out.dt_summary["halvings"] == 0
 
@@ -339,7 +342,7 @@ class TestSolve:
         assert out.converged
         assert out.dt_summary["halvings"] == 1
         assert len(calls) == out.dt_summary["factorisations"] == 2
-        assert dts[:3] == [0.2, 0.2, 0.1]
+        assert dts[:3] == [pl.INITIAL_DT, pl.INITIAL_DT, pl.INITIAL_DT / 2]
         # the history is cleared: the next step is the unmixed plain step,
         # a new solve from the positions the mixed step was taken from
         X, flows = evaluated[3]
