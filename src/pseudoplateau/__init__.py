@@ -9,36 +9,9 @@ Submodules:
     plateau      disk meshes and the discrete Plateau solver
     diagnostics  quantitative audits of solved surfaces
     cli          command-line driver
+
+Import names from the submodules; the package itself imports none of them,
+so that `import pseudoplateau.einstein` does not load scipy.
 """
 
-from .qcore import BilinearForm, Isometry, SubspaceSignature, subspace_signature
-from .einstein import (
-    BarbotCrown,
-    LipschitzLoop,
-    barbot_crown_standard,
-    loop_classify,
-    loop_load,
-    loop_save,
-)
-from .hspace import Horofunction, spatial_distance
-from .plateau import DiskMesh, SurfaceState, build_state, plateau_solve
-
-__all__ = [
-    "BilinearForm",
-    "Isometry",
-    "SubspaceSignature",
-    "subspace_signature",
-    "BarbotCrown",
-    "LipschitzLoop",
-    "barbot_crown_standard",
-    "loop_classify",
-    "loop_load",
-    "loop_save",
-    "Horofunction",
-    "spatial_distance",
-    "DiskMesh",
-    "SurfaceState",
-    "build_state",
-    "plateau_solve",
-]
 __version__ = "0.1.0"

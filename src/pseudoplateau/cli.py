@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 non-convergence or audit failure, 3 invalid input.
 All reports are machine-readable (JSON/CSV) and byte-identical for
-identical configuration and seed.
+identical configuration and seed. `plateau` and `diagnostics`, and with them
+scipy, are imported only by the commands that use them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 
 from .qcore import GeometryError
 from . import einstein as ein
-from . import plateau as pl
-from . import diagnostics as diag
 
 
 # The most samples `loop-gen` generates. The loop classifiers build k x k
@@ -95,10 +94,11 @@ def cmd_loop_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import plateau as pl
     try:
         loop = ein.loop_load(args.loop)
         state = pl.build_state(loop, args.rings, args.sectors, args.radius)
-    except (GeometryError, OSError) as exc:
+    except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:
@@ -129,15 +129,19 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def cmd_audit(args) -> int:
+    from . import diagnostics as diag, plateau as pl
     names = [a.strip() for a in args.audits.split(",") if a.strip()]
-    for name in names:
-        if name not in diag.AUDITS:
-            print(f"error: unknown audit {name!r}", file=sys.stderr)
-            return 3
-        if diag.AUDITS[name].needs_loop and not args.loop:
-            print(f"error: the {name} audit needs --loop", file=sys.stderr)
-            return 3
     try:
+        # the whole request is checked before the first audit runs
+        if not names:
+            raise GeometryError("--audits names no audit")
+        if args.seed < 0:
+            raise GeometryError(f"--seed must be non-negative, got {args.seed}")
+        for name in names:
+            if name not in diag.AUDITS:
+                raise GeometryError(f"unknown audit {name!r}")
+            if diag.AUDITS[name].needs_loop and not args.loop:
+                raise GeometryError(f"the {name} audit needs --loop")
         state = pl.state_load(args.state)
         if args.loop:
             state.loop = ein.loop_load(args.loop)
@@ -150,7 +154,7 @@ def cmd_audit(args) -> int:
         if not residual <= pl.STATE_RESIDUAL_MAX:
             raise GeometryError(f"state is marked converged, but its residual {residual:.3e} "
                                 f"is above {pl.STATE_RESIDUAL_MAX:g}")
-    except (GeometryError, OSError) as exc:
+    except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     os.makedirs(args.out, exist_ok=True)
@@ -180,11 +184,12 @@ def cmd_audit(args) -> int:
     return 0 if all_passed else 2
 
 
-def _write_plot_data(state: pl.SurfaceState, out: str, seed: int) -> None:
-    """The plot CSVs, drawn with the audits' own samplers and one seeded
-    stream: the ring profile of K, a histogram of squared horofunction
-    gradients (12 boundary points x 40 vertices), and (graph, spatial)
-    distance pairs (8 sources x 25 targets)."""
+def _write_plot_data(state, out: str, seed: int) -> None:
+    """The plot CSVs of a `plateau.SurfaceState`, drawn with the audits' own
+    samplers and one seeded stream: the ring profile of K, a histogram of
+    squared horofunction gradients (12 boundary points x 40 vertices), and
+    (graph, spatial) distance pairs (8 sources x 25 targets)."""
+    from . import diagnostics as diag, plateau as pl
     geo = pl.discrete_geometry(state)
     mesh = state.mesh
     rows = [(i, mesh.radius * i / mesh.rings, k)
@@ -239,8 +244,17 @@ def main(argv=None) -> int:
     p_audit.add_argument("--out", required=True)
     p_audit.set_defaults(func=cmd_audit)
 
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, but exit 2
+        # means non-convergence here: a usage error is invalid input
+        return 0 if exc.code == 0 else 3
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unreadable input or an unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

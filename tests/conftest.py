@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from pseudoplateau.qcore import BilinearForm
+from pseudoplateau import cli
 from pseudoplateau import einstein as ein
 from pseudoplateau import hspace as hs
 from pseudoplateau import plateau as pl
@@ -14,22 +17,50 @@ from pseudoplateau import plateau as pl
 
 FORM1 = BilinearForm(1)
 
-# The source tree, absolute, so that a CLI subprocess started in a temporary
+# The source tree, absolute, so that a subprocess started in a temporary
 # directory imports this checkout whether or not the package is installed.
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="session")
 def run_cli():
-    """Return ``run(*args, cwd)``: run ``python -m pseudoplateau.cli *args`` in ``cwd``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    """Return ``run(*args, cwd)``: call ``cli.main(args)`` in this process,
+    in the directory ``cwd``, and return its exit code and captured output
+    as a ``subprocess.CompletedProcess``. An exception that leaves ``main``
+    fails the calling test."""
+
+    def run(*args, cwd):
+        argv = [str(a) for a in args]
+        out, err = io.StringIO(), io.StringIO()
+        old = os.getcwd()
+        os.chdir(cwd)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(old)
+        return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def python_env():
+    """The environment for a fresh ``python`` process that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.fixture(scope="session")
+def run_cli_process(python_env):
+    """Return ``run(*args, cwd)``: run ``python -m pseudoplateau.cli *args``
+    in a fresh process in ``cwd``, for the tests whose subject is the
+    process boundary."""
 
     def run(*args, cwd):
         return subprocess.run(
-            [sys.executable, "-m", "pseudoplateau.cli", *args],
-            cwd=cwd, env=env, capture_output=True, text=True,
+            [sys.executable, "-m", "pseudoplateau.cli", *map(str, args)],
+            cwd=cwd, env=python_env, capture_output=True, text=True,
         )
 
     return run

@@ -309,9 +309,10 @@ class TestCriterion11AsymptoticHyperbolicity:
 
 
 class TestCriterion12Determinism:
-    def test_byte_identical_runs(self, tmp_path, run_cli):
+    def test_byte_identical_runs(self, tmp_path, run_cli_process):
+        # each command in its own process, as a user runs them
         def run(*args):
-            res = run_cli(*args, cwd=tmp_path)
+            res = run_cli_process(*args, cwd=tmp_path)
             assert res.returncode in (0, 2), res.stderr
             return res
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -143,6 +145,12 @@ class TestMalformedInput:
         assert res.returncode == 3, res.stderr
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
+    def test_no_traceback_in_a_fresh_process(self, workdir, run_cli_process, tmp_path):
+        # in-process, an exception that leaves main fails the test; here a
+        # real process's stderr is read
+        self.test_exit_three_without_traceback(workdir, run_cli_process, tmp_path,
+                                               *self.CASES[-1])
+
 
 @pytest.mark.parametrize("radius,code", [("1.0", 0), ("1.000001", 3), ("1e300", 3)])
 def test_state_header_radius_checked_against_rim(tmp_path, capsys, radius, code):
@@ -217,12 +225,16 @@ class TestAudit:
         res = run_cli("audit", "--state", "rf/state.txt", "--out", "rf", cwd=workdir)
         assert res.returncode == 3, res.stderr
 
-    @pytest.mark.parametrize("audits,loop", [("rigidity,no_such_audit", True),
-                                             ("rigidity,hessian", False)],
-                             ids=["unknown_name", "hessian_without_loop"])
-    def test_rejected_request_runs_no_audit(self, workdir, run_cli, audits, loop):
+    @pytest.mark.parametrize("audits,loop,extra", [("rigidity,no_such_audit", True, ()),
+                                                   ("rigidity,hessian", False, ()),
+                                                   ("rigidity,gradient", True, ("--seed", "-1")),
+                                                   (",", True, ())],
+                             ids=["unknown_name", "hessian_without_loop", "negative_seed",
+                                  "no_audit_named"])
+    def test_rejected_request_runs_no_audit(self, workdir, run_cli, audits, loop, extra):
         # the whole request is checked before the first audit runs
-        args = ("audit", "--state", "run/state.txt", "--audits", audits, "--out", "rejected")
+        args = ("audit", "--state", "run/state.txt", "--audits", audits, *extra,
+                "--out", "rejected")
         res = run_cli(*args, *(("--loop", "wobble.loop") if loop else ()), cwd=workdir)
         assert res.returncode == 3, res.stderr
         assert res.stderr.startswith("error:")
@@ -244,6 +256,60 @@ class TestAudit:
             b1 = (workdir / "d1" / name).read_bytes()
             b2 = (workdir / "d2" / name).read_bytes()
             assert b1 == b2
+
+
+class TestUsage:
+    # argparse's own exit code is 2, which the contract keeps for non-convergence
+    @pytest.mark.parametrize("args", [
+        ("loop-gen", "--kind", "bogus", "--out", "x.loop"),
+        ("solve", "--loop", "wobble.loop", "--rings", "abc", "--out", "usage"),
+        ("solve", "--out", "usage"),
+        ("bogus",),
+    ], ids=["unknown_kind", "non_integer_rings", "solve_without_loop", "unknown_command"])
+    def test_usage_error_exit_three(self, workdir, run_cli, args):
+        res = run_cli(*args, cwd=workdir)
+        assert res.returncode == 3, res.stderr
+        assert "error:" in res.stderr
+        assert not (workdir / "x.loop").exists() and not (workdir / "usage").exists()
+
+    def test_help_exit_zero(self, tmp_path, run_cli):
+        res = run_cli("--help", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize("args", [
+    ("loop-gen", "--kind", "circle", "--out", "missing/c.loop"),
+    ("solve", "--loop", "wobble.loop", "--rings", "12", "--sectors", "36", "--radius", "2.5",
+     "--out", "file/run"),
+    ("audit", "--state", "run/state.txt", "--audits", "rigidity", "--out", "file/out"),
+], ids=["loop_gen", "solve", "audit"])
+def test_unwritable_out_exit_three(workdir, run_cli, args):
+    # a missing directory, or a path under a regular file
+    (workdir / "file").write_text("")
+    res = run_cli(*args, cwd=workdir)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("error:")
+    assert not res.stdout
+
+
+class TestProcess:
+    def test_module_entry_point(self, tmp_path, run_cli_process):
+        res = run_cli_process("loop-gen", "--kind", "circle", "--out", "c.loop", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "class=positive" in res.stdout
+        assert (tmp_path / "c.loop").exists()
+
+    def test_loop_gen_imports_no_scipy_sparse(self, tmp_path, python_env):
+        # loop-gen needs qcore and einstein only; scipy comes with plateau
+        script = ("import sys\n"
+                  "from pseudoplateau import cli\n"
+                  "assert cli.main(['loop-gen', '--kind', 'crown', '--out', 'cr.loop']) == 0\n"
+                  "print('scipy.sparse' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=python_env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "False"
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,6 @@ CLI (`solve` for a loop, `audit` for a state), a file that the parser
 rejects exits 3 with an `error:` line, and no exception leaves `cli.main`.
 """
 
-import contextlib
-import io
 import tempfile
 import tracemalloc
 import warnings
@@ -117,25 +115,22 @@ def test_mutated_state_parses_or_raises_geometry_error(changes):
 CONVERGED_STATE_TEXT = STATE_TEXT.replace("converged=0", "converged=1", 1)
 
 
-def _run_cli(text, command):
-    """Write `text` to a file, run `command(path, out)` through `cli.main`
-    in-process, and return the exit code and stderr."""
+def _run_on_file(run_cli, text, *args):
+    """Write `text` to `input.txt` in a temporary directory, run the CLI on
+    `args` there, and return the exit code and stderr."""
     with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "input.txt"
-        path.write_text(text)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(command(str(path), str(Path(d) / "out")))
-    return code, err.getvalue()
+        (Path(d) / "input.txt").write_text(text)
+        res = run_cli(*args, cwd=d)
+    return res.returncode, res.stderr
 
 
 @settings(max_examples=150, deadline=None)
 @given(edits)
-def test_mutated_loop_through_solve_exits_three_when_rejected(changes):
+def test_mutated_loop_through_solve_exits_three_when_rejected(run_cli, changes):
     text = mutate(LOOP_TEXT, changes)
-    code, err = _run_cli(text, lambda path, out: [
-        "solve", "--loop", path, "--rings", "8", "--sectors", "24", "--radius", "1.0",
-        "--max-iter", "0", "--out", out])
+    code, err = _run_on_file(run_cli, text, "solve", "--loop", "input.txt", "--rings", "8",
+                             "--sectors", "24", "--radius", "1.0", "--max-iter", "0",
+                             "--out", "out")
     try:
         ein.loop_loads(text)
     except ein.InvalidLoopError:
@@ -146,10 +141,10 @@ def test_mutated_loop_through_solve_exits_three_when_rejected(changes):
 
 @settings(max_examples=150, deadline=None)
 @given(edits)
-def test_mutated_state_through_audit_exits_three_when_rejected(changes):
+def test_mutated_state_through_audit_exits_three_when_rejected(run_cli, changes):
     text = mutate(CONVERGED_STATE_TEXT, changes)
-    code, err = _run_cli(text, lambda path, out: [
-        "audit", "--state", path, "--audits", "rigidity", "--out", out])
+    code, err = _run_on_file(run_cli, text, "audit", "--state", "input.txt",
+                             "--audits", "rigidity", "--out", "out")
     try:
         pl.state_loads(text)
     except GeometryError:
@@ -227,14 +222,12 @@ def test_huge_field_rejected_without_warning(parse, text, error):
             parse(text)
 
 
-def _loop_gen(*args):
-    """Run `loop-gen` in-process into a temporary directory; return the exit
-    code and stderr."""
+def _loop_gen(run_cli, *args):
+    """Run `loop-gen` into a temporary directory; return the exit code and
+    stderr."""
     with tempfile.TemporaryDirectory() as d:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(["loop-gen", *args, "--out", str(Path(d) / "x.loop")])
-    return code, err.getvalue()
+        res = run_cli("loop-gen", *args, "--out", "x.loop", cwd=d)
+    return res.returncode, res.stderr
 
 
 @pytest.mark.parametrize("kind,flag,value", [
@@ -243,8 +236,8 @@ def _loop_gen(*args):
     ("c1_wobble", "--n", 0), ("rigid_arc", "--n", -1), ("circle", "--n", 0),
     ("crown", "--n", 0),
 ])
-def test_loop_gen_rejects_degenerate_sizes(kind, flag, value):
-    code, err = _loop_gen("--kind", kind, flag, str(value))
+def test_loop_gen_rejects_degenerate_sizes(run_cli, kind, flag, value):
+    code, err = _loop_gen(run_cli, "--kind", kind, flag, value)
     assert code == 3 and err.startswith("error:"), (code, err)
 
 
@@ -252,18 +245,18 @@ def test_loop_gen_rejects_degenerate_sizes(kind, flag, value):
 @given(st.sampled_from(["circle", "c1_wobble", "rigid_arc", "crown"]),
        st.one_of(st.integers(-(10**18), 2), st.integers(cli.MAX_LOOP_SAMPLES + 1, 10**18)),
        st.integers(-(10**6), 3))
-def test_loop_gen_out_of_range_samples_exit_three(kind, samples, n):
-    code, err = _loop_gen("--kind", kind, "--samples", str(samples), "--n", str(n))
+def test_loop_gen_out_of_range_samples_exit_three(run_cli, kind, samples, n):
+    code, err = _loop_gen(run_cli, "--kind", kind, "--samples", samples, "--n", n)
     assert code == 3 and err.startswith("error:"), (code, err)
 
 
-def test_loop_gen_sample_cap_checked_before_allocation():
+def test_loop_gen_sample_cap_checked_before_allocation(run_cli):
     tracemalloc.start()
     try:
-        code, err = _loop_gen("--kind", "circle", "--samples", str(10**12))
+        code, err = _loop_gen(run_cli, "--kind", "circle", "--samples", 10**12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 3 and err.startswith("error:")
     assert peak < 10**6
-    assert _loop_gen("--kind", "circle", "--samples", str(cli.MAX_LOOP_SAMPLES // 64))[0] == 0
+    assert _loop_gen(run_cli, "--kind", "circle", "--samples", cli.MAX_LOOP_SAMPLES // 64)[0] == 0

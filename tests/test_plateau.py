@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -10,7 +9,7 @@ from pseudoplateau.qcore import BilinearForm
 from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 
-from conftest import SRC, make_rigid_arc, orbit_surface_gaps
+from conftest import make_rigid_arc, orbit_surface_gaps
 from geometry_reference import (
     balanced_star, barbot_positions_reference, geodesic_disk_state, reference_cotan_matrix,
     reference_faces, reference_geometry, reference_polar_grid,
@@ -350,7 +349,7 @@ class TestSolve:
         assert np.array_equal(flowed[2][0], flowed[1][0])
         assert np.array_equal(X, pl._onto_quadric(out.form, flowed[2][1]))
 
-    def test_solve_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+    def test_solve_does_not_depend_on_the_blas_thread_count(self, tmp_path, python_env):
         # np.vdot on the 48x144 history vectors sums in an order that depends
         # on the BLAS thread count; the solved state must not
         script = (
@@ -366,9 +365,7 @@ class TestSolve:
         )
         digests = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+            env = dict(python_env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                                  capture_output=True, text=True)
             assert run.returncode == 0, run.stderr
