@@ -57,11 +57,10 @@ def generate_loop(kind: str, n: int = 1, samples: int = 128, amplitude: float = 
             fibers[:, 2] = b
         return ein.LipschitzLoop(thetas, fibers, c1=True)
     if kind == "rigid_arc":
+        phi = np.where(thetas <= np.pi / 2.0, thetas, np.pi / 2.0 - (thetas - np.pi / 2.0) * slope)
         fibers = np.zeros((samples, n + 1))
-        for i, t in enumerate(thetas):
-            phi = t if t <= np.pi / 2.0 else np.pi / 2.0 - (t - np.pi / 2.0) * slope
-            fibers[i, 0] = np.cos(phi)
-            fibers[i, 1] = np.sin(phi)
+        fibers[:, 0] = np.cos(phi)
+        fibers[:, 1] = np.sin(phi)
         return ein.LipschitzLoop(thetas, fibers, c1=False)
     if kind == "crown":
         crown = ein.barbot_crown_standard(n)
@@ -145,6 +144,8 @@ def cmd_audit(args) -> int:
         state = pl.state_load(args.state)
         if args.loop:
             state.loop = ein.loop_load(args.loop)
+            if "boundary_extension" in names and ein.loop_classify(state.loop) != "positive":
+                raise GeometryError("boundary extension requires a positive loop")
         if not state.converged:
             raise GeometryError("state is not converged")
         # the header's converged=1 is not taken on trust; a damaged state

@@ -175,7 +175,7 @@ def circle_map_test(form: BilinearForm, bmap: SampledBoundaryMap, tol: float = 1
     P = bmap.reps
     for shift in range(min(k // 3, 16)):
         idx = [shift, (shift + k // 3) % k, (shift + (2 * k) // 3) % k]
-        if subspace_signature(form, P[idx]).as_tuple() == (2, 1, 0):
+        if subspace_signature(form, P[idx]) == (2, 1, 0):
             sig_ok = True
             break
     if not sig_ok:

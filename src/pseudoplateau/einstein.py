@@ -11,7 +11,6 @@ geodesic interpolation between samples.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -424,7 +423,7 @@ def validate_crown(form: BilinearForm, crown: BarbotCrown, atol: float = 1e-10) 
     for i in range(2):
         if abs(form.inner(z[i], z[i + 2]) + 0.25) > atol:
             raise DegenerateCrownError("diagonal crown pairing must equal -1/4")
-    if subspace_signature(form, z).as_tuple() != (2, 2, 0):
+    if subspace_signature(form, z) != (2, 2, 0):
         raise DegenerateCrownError("crown span must have signature (2, 2)")
 
 
@@ -521,15 +520,9 @@ def loop_save(loop: LipschitzLoop, path) -> None:
 
 
 def loop_dumps(loop: LipschitzLoop) -> str:
-    out = io.StringIO()
-    out.write(f"{LOOP_HEADER} n={loop.n} samples={loop.size}")
-    if loop.c1:
-        out.write(" c1=1")
-    out.write("\n")
-    for t, f in zip(loop.thetas, loop.fibers):
-        coords = " ".join(repr(float(x)) for x in f)
-        out.write(f"{float(t)!r} {coords}\n")
-    return out.getvalue()
+    header = f"{LOOP_HEADER} n={loop.n} samples={loop.size}{' c1=1' if loop.c1 else ''}\n"
+    fmt = "{!r}" + " {!r}" * (loop.n + 1) + "\n"
+    return header + "".join(map(fmt.format, loop.thetas.tolist(), *loop.fibers.T.tolist()))
 
 
 def loop_load(path) -> LipschitzLoop:
@@ -547,36 +540,41 @@ def loop_loads(text: str) -> LipschitzLoop:
         raise InvalidLoopError(f"malformed loop file: {exc}") from exc
 
 
+def _read_table(text: str, header: str, row: str, error: type, shape) -> tuple[dict, np.ndarray]:
+    """The header fields and the body of a `header key=value ...` file, the
+    body as one float array. `shape(fields)` gives the number of body lines
+    and of fields per line the header promises; both are checked against
+    the file before anything is sized, so a corrupt header cannot ask for
+    huge arrays. `row` is the messages' word for a body line, and every
+    rejection raises `error`."""
+    # one list of tokens per line that is not blank
+    rows = [toks for toks in map(str.split, text.splitlines()) if toks]
+    if not rows or rows[0][:2] != header.split():
+        raise error(f"missing {header!r} header")
+    fields = dict(tok.split("=") for tok in rows.pop(0)[2:])
+    count, width = shape(fields)
+    if len(rows) != count:
+        raise error(f"header promises {count} {row} lines, file has {len(rows)}")
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=count)
+    bad = np.flatnonzero(widths != width)
+    if bad.size:
+        raise error(f"{row} line {bad[0]} has {widths[bad[0]]} fields, expected {width}")
+    return fields, np.array(rows, dtype=float).reshape(count, width)
+
+
 def _parse_loop(text: str) -> LipschitzLoop:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(LOOP_HEADER):
-        raise InvalidLoopError("missing loop header")
-    fields = dict(tok.split("=") for tok in lines[0].split()[2:])
-    n = int(fields["n"])
-    k = int(fields["samples"])
-    c1 = fields.get("c1", "0") == "1"
-    if k < 3:
-        raise InvalidLoopError(f"a loop needs at least three samples, header promises {k}")
-    if len(lines) - 1 != k:
-        raise InvalidLoopError(f"header promises {k} samples, file has {len(lines) - 1}")
-    # check the field counts before the header's n sizes any array
-    rows = [ln.split() for ln in lines[1:]]
-    for i, toks in enumerate(rows):
-        if len(toks) != n + 2:
-            raise InvalidLoopError(f"sample line {i} has {len(toks)} fields, expected {n + 2}")
-    thetas = np.zeros(k)
-    fibers = np.zeros((k, n + 1))
-    for i, toks in enumerate(rows):
-        vals = [float(t) for t in toks]
-        if not np.all(np.isfinite(vals)):
-            raise InvalidLoopError(f"sample line {i} has a non-finite value")
-        thetas[i] = vals[0]
-        f = np.array(vals[1:])
-        # a huge finite coordinate overflows the norm to inf, which the
-        # check below rejects
-        with np.errstate(over="ignore"):
-            nf = np.linalg.norm(f)
-        if abs(nf - 1.0) > 1e-6:
-            raise InvalidLoopError(f"sample {i} is off the unit sphere by {abs(nf - 1.0):.2e}")
-        fibers[i] = f / nf
-    return LipschitzLoop(thetas, fibers, c1=c1)
+    fields, body = _read_table(text, LOOP_HEADER, "sample", InvalidLoopError,
+                               lambda f: (int(f["samples"]), int(f["n"]) + 2))
+    bad = np.flatnonzero(~np.all(np.isfinite(body), axis=1))
+    if bad.size:
+        raise InvalidLoopError(f"sample line {bad[0]} has a non-finite value")
+    fibers = body[:, 1:]
+    # a huge finite coordinate overflows the norm to inf, which the check
+    # below rejects
+    with np.errstate(over="ignore"):
+        norms = norm_rows(fibers)
+    off = np.flatnonzero(np.abs(norms - 1.0) > 1e-6)
+    if off.size:
+        raise InvalidLoopError(f"sample {off[0]} is off the unit sphere by "
+                               f"{abs(norms[off[0]] - 1.0):.2e}")
+    return LipschitzLoop(body[:, 0], fibers / norms[:, None], c1=fields.get("c1", "0") == "1")

@@ -22,6 +22,7 @@ from .einstein import (
     BarbotCrown,
     InvalidLoopError,
     LipschitzLoop,
+    _read_table,
     crown_from_corners,
     graph_points,
     loop_classify,
@@ -213,7 +214,6 @@ class DiskMesh:
 class SurfaceState:
     mesh: DiskMesh
     positions: np.ndarray
-    pinned: np.ndarray
     form: BilinearForm
     loop: LipschitzLoop | None = None
     converged: bool = False
@@ -238,7 +238,6 @@ class SurfaceState:
         return SurfaceState(
             mesh=self.mesh,
             positions=self.positions.copy(),
-            pinned=self.pinned.copy(),
             form=self.form,
             loop=self.loop,
             converged=self.converged,
@@ -489,8 +488,7 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
     if not ok:
         idx = int(np.argmin(good))
         raise FaceError(f"initial face {idx} is not spacelike")
-    state = SurfaceState(mesh=mesh, positions=X, pinned=mesh.boundary_mask(), form=form, loop=loop)
-    return state
+    return SurfaceState(mesh=mesh, positions=X, form=form, loop=loop)
 
 
 def barbot_state(form: BilinearForm, crown: BarbotCrown, m: int, s: int, R: float) -> SurfaceState:
@@ -500,8 +498,7 @@ def barbot_state(form: BilinearForm, crown: BarbotCrown, m: int, s: int, R: floa
     ss, tt = _barbot_ring_params(crown, r, th)
     X = barbot_surface_point(crown, ss[:, None], tt[:, None])
     return SurfaceState(
-        mesh=mesh, positions=X, pinned=mesh.boundary_mask(), form=form,
-        loop=None, converged=True, final_residual=0.0,
+        mesh=mesh, positions=X, form=form, loop=None, converged=True, final_residual=0.0,
     )
 
 
@@ -605,7 +602,7 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     out = state.copy()
     form, mesh = out.form, out.mesh
     X = out.positions
-    idx = np.flatnonzero(~out.pinned)
+    idx = np.flatnonzero(~mesh.boundary_mask())
     dt = INITIAL_DT
     halvings = 0
     factorisations = 0
@@ -790,7 +787,7 @@ def state_dumps(state: SurfaceState) -> str:
     header = (f"{STATE_HEADER} n={state.form.n} rings={mesh.rings} "
               f"sectors={mesh.sectors} R={mesh.radius!r} converged={int(state.converged)}\n")
     columns = [mesh.ring_of().tolist(), mesh.sector_of().tolist(), *state.positions.T.tolist(),
-               state.pinned.astype(int).tolist()]
+               mesh.boundary_mask().astype(int).tolist()]
     fmt = "{} {} " + "{!r} " * state.form.dim + "{}\n"
     return header + "".join(map(fmt.format, *columns))
 
@@ -811,35 +808,24 @@ def state_loads(text: str) -> SurfaceState:
 
 
 def _parse_state(text: str) -> SurfaceState:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(STATE_HEADER):
-        raise GeometryError("missing surface state header")
-    fields = dict(tok.split("=") for tok in lines[0].split()[2:])
-    n = int(fields["n"])
-    m = int(fields["rings"])
-    s = int(fields["sectors"])
-    R = float(fields["R"])
-    converged = fields.get("converged", "0") == "1"
-    # count the vertex lines and their fields before the header sizes the
-    # form and the mesh, so a corrupt header cannot ask for huge arrays
-    nv = 1 + m * s
-    if len(lines) - 1 != nv:
-        raise GeometryError(f"state has {len(lines) - 1} vertex lines, expected {nv}")
-    rows = [ln.split() for ln in lines[1:]]
-    for vals in rows:
-        if len(vals) != n + 6:
-            raise GeometryError(f"vertex line has {len(vals)} fields, expected {n + 6}")
-    form = BilinearForm(n)
-    mesh = DiskMesh(m, s, R)
-    X = np.zeros((nv, form.dim))
-    pinned = np.zeros(nv, dtype=bool)
-    for vals in rows:
-        i, j = int(vals[0]), int(vals[1])
-        if not (0 <= i <= m and 0 <= j < s):
-            raise GeometryError(f"vertex ({i}, {j}) is not on the mesh")
-        v = mesh.vertex(i, j)
-        X[v] = [float(t) for t in vals[2: 2 + form.dim]]
-        pinned[v] = vals[2 + form.dim] == "1"
+    fields, body = _read_table(
+        text, STATE_HEADER, "vertex", GeometryError,
+        lambda f: (1 + int(f["rings"]) * int(f["sectors"]), int(f["n"]) + 6))
+    form = BilinearForm(int(fields["n"]))
+    mesh = DiskMesh(int(fields["rings"]), int(fields["sectors"]), float(fields["R"]))
+    m, s, R = mesh.rings, mesh.sectors, mesh.radius
+    # (i, j) must be whole numbers on the mesh, checked as floats, so an
+    # index too large for int64 is rejected before the conversion
+    ij = body[:, :2]
+    on_mesh = np.all((ij >= 0) & (ij <= [m, s - 1]) & (ij == np.floor(ij)), axis=1)
+    if not np.all(on_mesh):
+        i, j = ij[np.argmin(on_mesh)]
+        raise GeometryError(f"vertex ({i:g}, {j:g}) is not on the mesh")
+    i, j = ij.astype(np.int64).T
+    if not np.array_equal(body[:, -1], i == m):
+        raise GeometryError("the pinned column is not 1 exactly on the rim")
+    X = np.zeros((mesh.vertex_count, form.dim))
+    X[np.where(i == 0, 0, 1 + (i - 1) * s + j)] = body[:, 2:-1]
     # a huge or infinite coordinate makes qx inf or nan, which the check
     # rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -850,10 +836,8 @@ def _parse_state(text: str) -> SurfaceState:
     rim = np.arcsinh(np.linalg.norm(X[mesh.vertex(m, 0):, :2], axis=1))
     if not np.all(np.abs(rim - R) <= 1e-9 * max(1.0, R)):
         raise GeometryError(f"rim vertices are not at the header radius R={R!r}")
-    return SurfaceState(
-        mesh=mesh, positions=X, pinned=pinned, form=form, converged=converged,
-        final_residual=float("nan"),
-    )
+    return SurfaceState(mesh=mesh, positions=X, form=form,
+                        converged=fields.get("converged", "0") == "1")
 
 
 def state_load(path) -> SurfaceState:

@@ -137,21 +137,11 @@ class BilinearForm:
         return out
 
 
-@dataclass(frozen=True)
-class SubspaceSignature:
-    positive: int
-    negative: int
-    null: int
-    eigenvalues: np.ndarray
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.positive, self.negative, self.null)
-
-
-def subspace_signature(form: BilinearForm, vectors, tol: float = NULL_EIGENVALUE_RTOL) -> SubspaceSignature:
-    """Signature of the span of `vectors` from the eigenvalues of their Gram
-    matrix; eigenvalues below tol (relative to the largest magnitude) count
-    as null."""
+def subspace_signature(form: BilinearForm, vectors,
+                       tol: float = NULL_EIGENVALUE_RTOL) -> tuple[int, int, int]:
+    """The signature (positive, negative, null) of the span of `vectors`,
+    from the eigenvalues of their Gram matrix; eigenvalues below tol
+    (relative to the largest magnitude) count as null."""
     vecs = [_as_vector(v) for v in vectors]
     if len(vecs) == 0:
         raise GeometryError("empty vector list")
@@ -162,10 +152,8 @@ def subspace_signature(form: BilinearForm, vectors, tol: float = NULL_EIGENVALUE
     # set the reference magnitude
     vec_scale = max(form.aux_norm(v) for v in vecs)
     cutoff = tol * max(np.max(np.abs(eig)), vec_scale**2)
-    null = int(np.sum(np.abs(eig) <= cutoff))
-    pos = int(np.sum(eig > cutoff))
-    neg = int(np.sum(eig < -cutoff))
-    return SubspaceSignature(pos, neg, null, eig)
+    return (int(np.sum(eig > cutoff)), int(np.sum(eig < -cutoff)),
+            int(np.sum(np.abs(eig) <= cutoff)))
 
 
 @dataclass(frozen=True)
@@ -263,8 +251,8 @@ def standardize_triple(triple, form: BilinearForm) -> Isometry:
     """
     vecs = [_as_vector(t) for t in triple]
     sig = subspace_signature(form, vecs)
-    if sig.as_tuple() != (2, 1, 0):
-        raise DegenerateTripleError(f"not a positive triple: signature {sig.as_tuple()}")
+    if sig != (2, 1, 0):
+        raise DegenerateTripleError(f"not a positive triple: signature {sig}")
     e = triple_frame(form, vecs)
     basis = [e[0], e[1], e[2]]
     for k in range(form.dim):

@@ -96,7 +96,7 @@ def triple_class(form, a, b, c, tol=1e-9):
     if (ein.projectively_equal(a, b) or ein.projectively_equal(a, c)
             or ein.projectively_equal(b, c)):
         raise ein.CoincidentPointsError("triple contains coincident points")
-    sig = subspace_signature(form, [a, b, c], tol=tol).as_tuple()
+    sig = subspace_signature(form, [a, b, c], tol=tol)
     if sig == (2, 1, 0):
         return "positive"
     if sig == (1, 2, 0):
@@ -148,7 +148,7 @@ def circle_map_test_reference(form, bmap, tol=1e-10):
     sig_ok = False
     for shift in range(min(k // 3, 16)):
         idx = (shift, (shift + k // 3) % k, (shift + (2 * k) // 3) % k)
-        sig = subspace_signature(form, [bmap.reps[t] for t in idx]).as_tuple()
+        sig = subspace_signature(form, [bmap.reps[t] for t in idx])
         if sig == (2, 1, 0):
             sig_ok = True
             break

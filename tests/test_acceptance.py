@@ -55,7 +55,7 @@ class TestCriterion1BarbotExactness:
                 worst_pair = max(worst_pair, abs(form.inner(z[i], z[(i + 1) % 4])))
             for i in range(2):
                 worst_pair = max(worst_pair, abs(form.inner(z[i], z[i + 2]) + 0.25))
-            sig = subspace_signature(form, z).as_tuple()
+            sig = subspace_signature(form, z)
             assert sig == (2, 2, 0)
         x = ein.barbot_crown_standard(1).zreps.sum(axis=0)
         sum_q = abs(FORM1.q(x) + 1.0)

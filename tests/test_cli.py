@@ -339,6 +339,14 @@ class TestNegativeControl:
         assert res.returncode == 3, res.stderr
         assert res.stderr.startswith("error:") and "positive loop" in res.stderr
         assert "Traceback" not in res.stderr
+        # the request is rejected before the first audit runs and before
+        # --out is made, also behind an audit that would pass
+        res = run_cli("audit", "--state", "run/state.txt", "--loop", "crown.loop",
+                      "--audits", "rigidity,boundary_extension", "--out", "ext2", cwd=crown_dir)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error:") and "positive loop" in res.stderr
+        assert "audit rigidity:" not in res.stdout
+        assert not (crown_dir / "ext2").exists()
 
 
 def test_audit_runs_one_geometry_pass(tmp_path, monkeypatch, solved_wobble_state):

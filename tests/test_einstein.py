@@ -23,7 +23,7 @@ from boundary_reference import (
     quadruple_positive,
     triple_class,
 )
-from conftest import make_wobble
+from conftest import make_rigid_arc, make_wobble
 
 
 FORM1 = BilinearForm(1)
@@ -150,9 +150,9 @@ class TestMinkowskiChart:
         chart = ein.minkowski_chart(FORM2, a, b)
         w = np.array([1.0, 1.0, 0.0])
         pts = ein.minkowski_chart_apply(FORM2, chart, np.outer([0.5, 1.5, 3.0], w))
-        sig = ein.subspace_signature(FORM2, pts).as_tuple()
+        sig = ein.subspace_signature(FORM2, pts)
         assert sig[2] >= 1 and sig[0] + sig[1] + sig[2] == 3
-        assert ein.subspace_signature(FORM2, pts[:2]).as_tuple() == (0, 0, 2)
+        assert ein.subspace_signature(FORM2, pts[:2]) == (0, 0, 2)
 
     def test_spacelike_line_lands_on_circle_through_cone_point(self):
         a, b, _ = ref_points(FORM1)
@@ -161,7 +161,7 @@ class TestMinkowskiChart:
         pts = ein.minkowski_chart_apply(FORM1, chart, np.outer([-1.0, 0.5, 2.0], w))
         # the three images and the cone point span a (2, 1) space; the fourth
         # Gram eigenvalue is the rank-deficiency null
-        sig = ein.subspace_signature(FORM1, np.vstack([pts, a])).as_tuple()
+        sig = ein.subspace_signature(FORM1, np.vstack([pts, a]))
         assert sig == (2, 1, 1)
 
     @given(st.integers(0, 2**31 - 1))
@@ -372,6 +372,14 @@ class TestLoops:
         assert loop.lipschitz_margin == pytest.approx(lipschitz_margin_reference(loop),
                                                       abs=1e-15)
 
+    @pytest.mark.parametrize("samples,slope,n", [(128, 1.0 / 3.0, 1), (64, 1.0 / 3.0, 1),
+                                                 (200, 0.5, 3)])
+    def test_rigid_arc_equals_per_sample_reference(self, samples, slope, n):
+        loop = cli.generate_loop("rigid_arc", n=n, samples=samples, slope=slope)
+        ref = make_rigid_arc(k=samples, slope=slope, n=n)
+        assert np.array_equal(loop.thetas, ref.thetas)
+        assert np.array_equal(loop.fibers, ref.fibers)
+
 
 class TestCrown:
     def test_standard_crown_invariants(self):
@@ -426,6 +434,17 @@ class TestLoopIO:
     def test_rejects_malformed_file(self, text):
         with pytest.raises(ein.InvalidLoopError):
             ein.loop_loads(text)
+
+    def test_dumps_equal_per_sample_formatting(self):
+        wobble = make_wobble(n=2)
+        crown = ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=9)
+        for loop, flag in [(wobble, " c1=1"), (crown, "")]:
+            lines = ein.loop_dumps(loop).splitlines(keepends=True)
+            assert lines[0] == f"einstein-loop v1 n={loop.n} samples={loop.size}{flag}\n"
+            assert len(lines) == 1 + loop.size
+            for i in range(loop.size):
+                coords = " ".join(repr(float(x)) for x in loop.fibers[i])
+                assert lines[1 + i] == f"{float(loop.thetas[i])!r} {coords}\n"
 
     def test_renormalises_near_unit_samples(self):
         eps = 5e-7

@@ -207,6 +207,29 @@ def test_loop_with_nan_rejected(field):
         ein.loop_loads(_with_field(LOOP_TEXT, 3, field, "nan"))
 
 
+def test_loop_names_first_non_finite_line():
+    # body lines count from 0, so text line 3 is sample line 2
+    text = _with_field(_with_field(LOOP_TEXT, 7, 1, "inf"), 3, 2, "nan")
+    with pytest.raises(ein.InvalidLoopError, match="sample line 2 has a non-finite value"):
+        ein.loop_loads(text)
+
+
+@pytest.mark.parametrize("line,field,value,message", [
+    (3, -1, "1", "pinned column"),
+    (-1, -1, "0", "pinned column"),
+    (3, 0, "1.5", "not on the mesh"),
+    (3, 1, "1.5", "not on the mesh"),
+    (3, 0, str(10**20), "not on the mesh"),
+    (3, 1, "-1", "not on the mesh"),
+], ids=["interior_pinned", "rim_unpinned", "ring_1.5", "sector_1.5", "ring_beyond_int64",
+        "negative_sector"])
+def test_state_with_bad_index_or_pinned_column_rejected(line, field, value, message):
+    # 10**20 is beyond int64: converting its token to int64 would raise
+    # OverflowError, not GeometryError
+    with pytest.raises(GeometryError, match=message):
+        pl.state_loads(_with_field(STATE_TEXT, line, field, value))
+
+
 @pytest.mark.parametrize("parse,text,error", [
     (ein.loop_loads, _with_field(LOOP_TEXT, 3, 1, "1e200"), ein.InvalidLoopError),
     (pl.state_loads, _with_field(STATE_TEXT, 5, 2, "1e200"), GeometryError),

@@ -205,7 +205,7 @@ class TestResidual:
         v = st.mesh.vertex(4, 0)
         X[v] = X[v] + 0.1 * np.array([0.0, 0.0, 0.0, 1.0])
         X[v] = X[v] / np.sqrt(-FORM1.q(X[v]))
-        st2 = pl.SurfaceState(mesh=st.mesh, positions=X, pinned=st.pinned, form=FORM1)
+        st2 = pl.SurfaceState(mesh=st.mesh, positions=X, form=FORM1)
         rho = pl.mean_curvature_residual(st2)
         assert np.linalg.norm(rho[v]) > 1e-2
 
@@ -466,7 +466,6 @@ class TestStateIO:
         assert back.mesh.rings == solved_wobble.mesh.rings
         assert back.converged == solved_wobble.converged
         assert np.allclose(back.positions, solved_wobble.positions, atol=1e-14)
-        assert np.array_equal(back.pinned, solved_wobble.pinned)
 
     def test_rejects_off_quadric(self, tmp_path):
         st = geodesic_disk_state(FORM1, 8, 24, 1.0)
@@ -506,11 +505,12 @@ class TestStateIO:
     def test_dumps_equal_per_vertex_formatting(self, solved_wobble):
         st = solved_wobble
         table = st.mesh.stencil
+        rim = st.mesh.boundary_mask()
         lines = pl.state_dumps(st).splitlines(keepends=True)
         assert len(lines) == 1 + st.mesh.vertex_count
         for v in range(st.mesh.vertex_count):
             coords = " ".join(repr(float(x)) for x in st.positions[v])
-            assert lines[1 + v] == f"{table.ring[v]} {table.sector[v]} {coords} {int(st.pinned[v])}\n"
+            assert lines[1 + v] == f"{table.ring[v]} {table.sector[v]} {coords} {int(rim[v])}\n"
 
     def test_solve_report_is_json(self, solved_wobble):
         import json

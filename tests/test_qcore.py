@@ -92,16 +92,16 @@ class TestSubspaceSignature:
         form = BilinearForm(2)
         e1 = np.eye(form.dim)[0]
         e2 = np.eye(form.dim)[1]
-        assert subspace_signature(form, [e1, e2]).as_tuple() == (2, 0, 0)
+        assert subspace_signature(form, [e1, e2]) == (2, 0, 0)
 
     def test_isotropic_plane_from_crown(self):
         form = BilinearForm(1)
         z = crown_reps(1)
-        assert subspace_signature(form, [z[0], z[1]]).as_tuple() == (0, 0, 2)
+        assert subspace_signature(form, [z[0], z[1]]) == (0, 0, 2)
 
     def test_crown_span_type(self):
         form = BilinearForm(1)
-        assert subspace_signature(form, crown_reps(1)).as_tuple() == (2, 2, 0)
+        assert subspace_signature(form, crown_reps(1)) == (2, 2, 0)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -110,8 +110,8 @@ class TestSubspaceSignature:
         rng = np.random.default_rng(seed)
         vecs = rng.normal(size=(3, form.dim))
         g = random_isometry(form, rng)
-        before = subspace_signature(form, vecs).as_tuple()
-        after = subspace_signature(form, vecs @ g.matrix.T).as_tuple()
+        before = subspace_signature(form, vecs)
+        after = subspace_signature(form, vecs @ g.matrix.T)
         assert before == after
 
 
