@@ -24,15 +24,8 @@ from . import einstein as ein
 MAX_LOOP_SAMPLES = 4096
 
 
-def _north_pole(n: int) -> np.ndarray:
-    f = np.zeros(n + 1)
-    f[0] = 1.0
-    return f
-
-
 def generate_loop(kind: str, n: int = 1, samples: int = 128, amplitude: float = 0.25,
-                  frequency: int = 3, slope: float = 1.0 / 3.0,
-                  input_path: str | None = None) -> ein.LipschitzLoop:
+                  frequency: int = 3, input_path: str | None = None) -> ein.LipschitzLoop:
     # checked before anything is sized
     if not 3 <= samples <= MAX_LOOP_SAMPLES:
         raise ein.InvalidLoopError(f"--samples must lie in [3, {MAX_LOOP_SAMPLES}], got {samples}")
@@ -40,7 +33,7 @@ def generate_loop(kind: str, n: int = 1, samples: int = 128, amplitude: float = 
         raise ein.InvalidLoopError(f"--n must be at least 1, got {n}")
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     if kind == "circle":
-        fibers = np.tile(_north_pole(n), (samples, 1))
+        fibers = np.tile(np.eye(1, n + 1), (samples, 1))
         return ein.LipschitzLoop(thetas, fibers, c1=True)
     if kind == "c1_wobble":
         if amplitude * frequency >= 0.95:
@@ -57,7 +50,9 @@ def generate_loop(kind: str, n: int = 1, samples: int = 128, amplitude: float = 
             fibers[:, 2] = b
         return ein.LipschitzLoop(thetas, fibers, c1=True)
     if kind == "rigid_arc":
-        phi = np.where(thetas <= np.pi / 2.0, thetas, np.pi / 2.0 - (thetas - np.pi / 2.0) * slope)
+        # rigid on [0, pi/2]; a fall of slope 1/3 over the other 3 pi/2 closes the loop
+        fall = (thetas - np.pi / 2.0) * (1.0 / 3.0)
+        phi = np.where(thetas <= np.pi / 2.0, thetas, np.pi / 2.0 - fall)
         fibers = np.zeros((samples, n + 1))
         fibers[:, 0] = np.cos(phi)
         fibers[:, 1] = np.sin(phi)
@@ -73,18 +68,13 @@ def generate_loop(kind: str, n: int = 1, samples: int = 128, amplitude: float = 
 
 
 def cmd_loop_gen(args) -> int:
-    try:
-        loop = generate_loop(args.kind, n=args.n, samples=args.samples,
-                             amplitude=args.amplitude, frequency=args.frequency,
-                             slope=args.slope, input_path=args.input)
-        cls = ein.loop_classify(loop)
-        if cls == "invalid":
-            raise ein.InvalidLoopError("generated loop is not semi-positive")
-        if args.kind in ("circle", "c1_wobble") and cls != "positive":
-            raise ein.InvalidLoopError("generator produced a non-positive loop")
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    loop = generate_loop(args.kind, n=args.n, samples=args.samples, amplitude=args.amplitude,
+                         frequency=args.frequency, input_path=args.input)
+    cls = ein.loop_classify(loop)
+    if cls == "invalid":
+        raise ein.InvalidLoopError("generated loop is not semi-positive")
+    if args.kind in ("circle", "c1_wobble") and cls != "positive":
+        raise ein.InvalidLoopError("generator produced a non-positive loop")
     ein.loop_save(loop, args.out)
     arcs = ein.photon_arc(loop) if cls == "semipositive" else []
     print(f"wrote {os.path.basename(args.out)}: n={loop.n} samples={loop.size} "
@@ -94,20 +84,19 @@ def cmd_loop_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     from . import plateau as pl
-    try:
-        loop = ein.loop_load(args.loop)
-        state = pl.build_state(loop, args.rings, args.sectors, args.radius)
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    # --out is checked before the solve, and made only after it
+    made = os.path.isdir(args.out)
+    where = args.out if made else os.path.dirname(os.path.abspath(args.out))
+    if not made and (os.path.lexists(args.out) or not os.path.isdir(where)):
+        raise NotADirectoryError(f"--out {args.out} is not a directory and cannot be made one")
+    if not os.access(where, os.W_OK | os.X_OK):
+        raise PermissionError(f"--out {args.out} is not writable")
+    state = pl.build_state(ein.loop_load(args.loop), args.rings, args.sectors, args.radius)
     try:
         solved = pl.plateau_solve(state, tol=args.tol, max_iter=args.max_iter)
     except pl.SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     os.makedirs(args.out, exist_ok=True)
     state_path = os.path.join(args.out, "state.txt")
     report_path = os.path.join(args.out, "solve_report.json")
@@ -130,34 +119,30 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def cmd_audit(args) -> int:
     from . import diagnostics as diag, plateau as pl
     names = [a.strip() for a in args.audits.split(",") if a.strip()]
-    try:
-        # the whole request is checked before the first audit runs
-        if not names:
-            raise GeometryError("--audits names no audit")
-        if args.seed < 0:
-            raise GeometryError(f"--seed must be non-negative, got {args.seed}")
-        for name in names:
-            if name not in diag.AUDITS:
-                raise GeometryError(f"unknown audit {name!r}")
-            if diag.AUDITS[name].needs_loop and not args.loop:
-                raise GeometryError(f"the {name} audit needs --loop")
-        state = pl.state_load(args.state)
-        if args.loop:
-            state.loop = ein.loop_load(args.loop)
-            if "boundary_extension" in names and ein.loop_classify(state.loop) != "positive":
-                raise GeometryError("boundary extension requires a positive loop")
-        if not state.converged:
-            raise GeometryError("state is not converged")
-        # the header's converged=1 is not taken on trust; a damaged state
-        # gives a residual of nan, which the check rejects
-        with np.errstate(all="ignore"):
-            residual = float(np.max(np.linalg.norm(pl.mean_curvature_residual(state), axis=1)))
-        if not residual <= pl.STATE_RESIDUAL_MAX:
-            raise GeometryError(f"state is marked converged, but its residual {residual:.3e} "
-                                f"is above {pl.STATE_RESIDUAL_MAX:g}")
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    # the whole request is checked before the first audit runs
+    if not names:
+        raise GeometryError("--audits names no audit")
+    if args.seed < 0:
+        raise GeometryError(f"--seed must be non-negative, got {args.seed}")
+    for name in names:
+        if name not in diag.AUDITS:
+            raise GeometryError(f"unknown audit {name!r}")
+        if diag.AUDITS[name].needs_loop and not args.loop:
+            raise GeometryError(f"the {name} audit needs --loop")
+    state = pl.state_load(args.state)
+    if args.loop:
+        state.loop = ein.loop_load(args.loop)
+        if "boundary_extension" in names and ein.loop_classify(state.loop) != "positive":
+            raise GeometryError("boundary extension requires a positive loop")
+    if not state.converged:
+        raise GeometryError("state is not converged")
+    # the header's converged=1 is not taken on trust; a damaged state gives
+    # a residual of nan, which the check rejects
+    with np.errstate(all="ignore"):
+        residual = float(np.max(np.linalg.norm(pl.mean_curvature_residual(state), axis=1)))
+    if not residual <= pl.STATE_RESIDUAL_MAX:
+        raise GeometryError(f"state is marked converged, but its residual {residual:.3e} "
+                            f"is above {pl.STATE_RESIDUAL_MAX:g}")
     os.makedirs(args.out, exist_ok=True)
     reports = {}
     all_passed = True
@@ -174,9 +159,6 @@ def cmd_audit(args) -> int:
     except diag.FlatteningError as exc:
         print(f"flattening error: {exc}", file=sys.stderr)
         return 2
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     _write_plot_data(state, args.out, args.seed)
     with open(os.path.join(args.out, "audit_report.json"), "w") as fh:
         json.dump({"audits": reports, "seed": args.seed, "passed": all_passed},
@@ -220,7 +202,6 @@ def main(argv=None) -> int:
     p_gen.add_argument("--samples", type=int, default=128)
     p_gen.add_argument("--amplitude", type=float, default=0.25)
     p_gen.add_argument("--frequency", type=int, default=3)
-    p_gen.add_argument("--slope", type=float, default=1.0 / 3.0)
     p_gen.add_argument("--input", default=None)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_loop_gen)
@@ -253,7 +234,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 3
     try:
         return args.func(args)
-    except OSError as exc:  # an unreadable input or an unwritable --out
+    except (GeometryError, OSError) as exc:  # invalid input, unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

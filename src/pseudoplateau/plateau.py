@@ -11,7 +11,7 @@ tangent plane.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -235,17 +235,10 @@ class SurfaceState:
         return values[name]
 
     def copy(self) -> "SurfaceState":
-        return SurfaceState(
-            mesh=self.mesh,
-            positions=self.positions.copy(),
-            form=self.form,
-            loop=self.loop,
-            converged=self.converged,
-            iterations=self.iterations,
-            final_residual=self.final_residual,
-            residual_history=list(self.residual_history),
-            dt_summary=dict(self.dt_summary),
-        )
+        """A copy with its own positions and records, and no kept values."""
+        return replace(self, positions=self.positions.copy(),
+                       residual_history=list(self.residual_history),
+                       dt_summary=dict(self.dt_summary))
 
 
 def face_grams(form: BilinearForm, X: np.ndarray, faces: np.ndarray):
@@ -486,9 +479,32 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
         grid[:-1, :, 2:] = np.cosh(r)[:, None, None] * np.where(near, chord, arc)
     ok, good = faces_spacelike(form, X, mesh.faces)
     if not ok:
-        idx = int(np.argmin(good))
-        raise FaceError(f"initial face {idx} is not spacelike")
+        # a mesh too coarse for its radius fails on the geodesic disk itself
+        sectors = np.arange(s, (MAX_VERTICES - 1) // m + 1)
+        disk = _disk_faces_spacelike(m, sectors, R)
+        if not disk[0]:
+            need = (f"below {sectors[np.argmax(disk)]} sectors" if disk.any() else
+                    f"at any sector count within {MAX_VERTICES} vertices")
+            raise FaceError(f"the mesh of {m} rings and {s} sectors is too coarse at radius {R:g}: "
+                            f"even the geodesic disk has faces that are not spacelike {need}")
+        raise FaceError(f"initial face {int(np.argmin(good))} is not spacelike")
     return SurfaceState(mesh=mesh, positions=X, form=form, loop=loop)
+
+
+def _disk_faces_spacelike(m: int, sectors: np.ndarray, R: float) -> np.ndarray:
+    """Whether every face of the geodesic disk on m rings at radius R is
+    spacelike, per sector count. Points d apart on the disk are 2 sinh(d/2)
+    apart in the ambient form, and a face is spacelike exactly when these
+    chords meet the strict triangle inequality."""
+    r, half = R * np.arange(m + 1) / m, np.pi / sectors[:, None]
+    # 2 sinh(d/2) from cosh d = cosh r1 cosh r2 - sinh r1 sinh r2 cos(2 half)
+    radial = 2.0 * np.sinh(0.5 * R / m)
+    ring = 2.0 * np.sinh(r) * np.sin(half)
+    diagonal = np.sqrt(radial**2 + 4.0 * np.sinh(r[:-1]) * np.sinh(r[1:]) * np.sin(half) ** 2)
+    # no diagonal is shorter than a radial side, so each face of a quad (the
+    # fan face at ring 1) is spacelike when its ring side is within one radial side of the diagonal
+    gaps = np.hstack([ring[:, 1:] - diagonal, ring[:, 1:-1] - diagonal[:, 1:]])
+    return np.all(np.abs(gaps) < radial, axis=1)
 
 
 def barbot_state(form: BilinearForm, crown: BarbotCrown, m: int, s: int, R: float) -> SurfaceState:
@@ -510,14 +526,19 @@ def _flow_operator(assembly, idx: np.ndarray, dt: float):
     """LU factor of the implicit flow operator A = L + (2 + 1/dt) Omega on
     the free vertices `idx`, with the cotangent Laplacian L and the vertex
     areas Omega of `assembly`. A is symmetric, so its columns are ordered
-    by minimum degree on A + A^T.
+    by minimum degree on A + A^T. SuperLU runs with relax=1 and
+    panel_size=1, without relaxed supernodes and with one-column panels:
+    with the same order and fill (2,080,028 nonzeros at 96x288) the
+    defaults factored in 75-78 ms against 54-55 ms, and 2.3-2.6 against
+    1.4-1.6 ms at 24x72 (2-core Xeon, scipy 1.17).
 
     L + 2 Omega is the Newton operator of the ambient equation Delta x = 2x
     (Pinkall and Polthier, Experiment. Math. 2, 1993). At dt = 1, A = L +
     3 Omega is that operator plus one mass matrix, which damps the step."""
     W, deg, omega = assembly
     A = (sp.diags(deg + (2.0 + 1.0 / dt) * omega) - W).tocsr()
-    return sp.linalg.splu(A[idx][:, idx].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return sp.linalg.splu(A[idx][:, idx].tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
+                          panel_size=1)
 
 
 def _flow_step(X: np.ndarray, rho: np.ndarray, omega: np.ndarray, idx: np.ndarray,
@@ -693,6 +714,20 @@ def _shared_geometry(state: SurfaceState) -> DiscreteGeometry:
     return geo
 
 
+def _second_form_fit(form: BilinearForm, pts, x, f1, f2):
+    """The tangent coordinates u1, u2 of the star legs `pts` of the vertices x in the frames
+    (f1, f2), and the second forms (a11, a12, a22) fitted to the normal deviation by a batched
+    QR of each star's 8 x 3 matrix and the triangular solve R sol = Q^T normal. Its temporaries
+    are freed before the geometry pass reaches its peak memory."""
+    d = pts - x
+    d = d + form.inner_rows(d, x)[..., None] * x
+    u1 = form.inner_rows(d, f1)
+    u2 = form.inner_rows(d, f2)
+    normal = d - (u1[..., None] * f1 + u2[..., None] * f2)
+    Q, R = np.linalg.qr(0.5 * np.stack([u1 * u1, 2.0 * u1 * u2, u2 * u2], axis=-1))
+    return u1, u2, np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ normal)
+
+
 def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     """One batched pass over every interior vertex star of the mesh's
     stencil table. Padding slots hold the vertex itself, so their rows in
@@ -717,27 +752,13 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     def succ(a):
         return np.take_along_axis(a, nxt, axis=1)
 
-    # quadratic fit of the normal deviation over the star: one 3-unknown
-    # least-squares problem per vertex, solved by a batched pseudo-inverse
-    d = pts - x
-    d = d + form.inner_rows(d, x)[..., None] * x
-    u1 = form.inner_rows(d, f1)
-    u2 = form.inner_rows(d, f2)
-    normal = d - (u1[..., None] * f1 + u2[..., None] * f2)
-    G = 0.5 * np.stack([u1 * u1, 2.0 * u1 * u2, u2 * u2], axis=-1)
-    sol = np.linalg.pinv(G) @ normal
-    a11, a12, a22 = sol[:, 0], sol[:, 1], sol[:, 2]
-    q11 = form.inner_rows(a11, a11)
-    q12 = form.inner_rows(a12, a12)
-    q22 = form.inner_rows(a22, a22)
-
+    u1, u2, sol = _second_form_fit(form, pts, x, f1, f2)
+    a11, a12, a22 = sol.swapaxes(0, 1)
     ii_frame = np.zeros((nv, 2, 2, dim))
-    ii_frame[idx, 0, 0] = a11
-    ii_frame[idx, 0, 1] = a12
-    ii_frame[idx, 1, 0] = a12
-    ii_frame[idx, 1, 1] = a22
+    ii_frame[idx] = np.stack([sol[:, :2], sol[:, 1:]], axis=1)
     ii_fit = np.full(nv, np.nan)
-    ii_fit[idx] = -(q11 + 2.0 * q12 + q22)
+    ii_fit[idx] = -(form.inner_rows(a11, a11) + 2.0 * form.inner_rows(a12, a12)
+                    + form.inner_rows(a22, a22))
 
     def kappa_sq(du1, du2):
         # squared normal curvature of each direction, from the fitted form

@@ -6,9 +6,15 @@ the way the gradient, distance-ratio, Gromov and Hessian audits were
 computed before they were evaluated on arrays. They draw from the
 generator in the same order as the audits, so tests can compare the two
 sample by sample.
+
+`edge_graph_reference` is the distance graph as it was built before its
+pairs were deduplicated by key alone: the chord fan ring by ring, a length
+for every listed pair, and the shortest of each key's duplicates chosen by
+a lexsort on (length, key).
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from pseudoplateau import diagnostics as diag
@@ -180,3 +186,42 @@ def hessian_reference(state, z, samples, seed):
         "passed": med <= diag.HESSIAN_MAX_MEDIAN_ERROR,
         "samples": len(errors),
     }
+
+
+def edge_graph_reference(state):
+    """`diagnostics._build_edge_graph` with a per-ring chord fan, lengths of
+    every listed pair, and a lexsort that keeps each edge's shortest copy."""
+    X = state.positions
+    mesh = state.mesh
+    faces = mesh.faces
+    nv = mesh.vertex_count
+    table = mesh.stencil
+    src = np.broadcast_to(np.arange(nv)[:, None], table.star.shape)
+    rows = [faces[:, a] for a in range(3)] + [src[table.mask]]
+    cols = [faces[:, (a + 1) % 3] for a in range(3)] + [table.star[table.mask]]
+    s = mesh.sectors
+    js = np.arange(s)
+    for i0 in range(1, mesh.rings):
+        sigma = int(np.clip(round(s / (2.0 * np.pi * i0)), 1, s // 4))
+        fan = [(k, 1) for k in (2, 3, 4)] + [(k, -1) for k in (2, 3, 4)]
+        fan += [(1, k * sigma) for k in (2, 3, 4)] + [(1, -k * sigma) for k in (2, 3, 4)]
+        for (di, dj) in fan:
+            if i0 + di <= mesh.rings:
+                rows.append(mesh.vertex(i0, 0) + js)
+                cols.append(mesh.vertex(i0 + di, 0) + (js + dj) % s)
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.arccosh(np.maximum(np.abs(state.form.inner_rows(X[rows], X[cols])), 1.0))
+    lo = np.minimum(rows, cols)
+    hi = np.maximum(rows, cols)
+    keep = lo != hi
+    keys = lo[keep] * nv + hi[keep]
+    order = np.lexsort((vals[keep], keys))
+    keys, edge_len = keys[order], vals[keep][order]
+    first = np.concatenate([[True], keys[1:] != keys[:-1]])
+    keys, edge_len = keys[first], edge_len[first]
+    ei, ej = keys // nv, keys % nv
+    return sp.coo_matrix(
+        (np.concatenate([edge_len, edge_len]), (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
+        shape=(nv, nv),
+    ).tocsr()

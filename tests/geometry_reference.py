@@ -8,10 +8,13 @@ oracles are the totally geodesic disk, the finite-radius points over a
 loop and the closed-form second fundamental form of a flat orbit surface.
 The orbit-surface reference runs each vertex's Newton on its own, where
 `plateau.barbot_state` runs them in lock step.
+The second-form fit reference solves each star's least-squares problem by
+a batched pseudo-inverse, where the program takes a QR factorisation.
 The flattening references are a Gauss-Newton that always factors the
-normal matrix J^T J, and a development that starts from the surface's H^2
-projection instead of a ring-by-ring placement. Tests compare the program
-against them.
+normal matrix J^T J, a residual whose Jacobian is summed from a COO list
+of its entries at every call, and a development that starts from the
+surface's H^2 projection instead of a ring-by-ring placement. Tests
+compare the program against them.
 """
 
 import numpy as np
@@ -231,6 +234,55 @@ def reference_geometry(state):
         out["K"][v] = (2.0 * np.pi - angle_sum) / (area / 3.0)
     out["ii_gauss"] = 2.0 * (out["K"] + 1.0)
     return out
+
+
+def second_form_fit_pinv(form, pts, x, f1, f2):
+    """`plateau._second_form_fit` with the batched pseudo-inverse of each
+    star's 8 x 3 matrix in place of its QR factorisation."""
+    d = pts - x
+    d = d + form.inner_rows(d, x)[..., None] * x
+    u1 = form.inner_rows(d, f1)
+    u2 = form.inner_rows(d, f2)
+    normal = d - (u1[..., None] * f1 + u2[..., None] * f2)
+    G = 0.5 * np.stack([u1 * u1, 2.0 * u1 * u2, u2 * u2], axis=-1)
+    return u1, u2, np.linalg.pinv(G) @ normal
+
+
+def flattening_residual_coo(state):
+    """The residual of `diagnostics.yamabe_flatten` as a function of the
+    interior factors: the angle defects, and the Jacobian summed from a COO
+    list of every face's entries, converted to CSR and cut to the interior
+    block at every call."""
+    form, X, faces = state.form, state.positions, state.mesh.faces
+    nv = state.mesh.vertex_count
+    ni = nv - state.mesh.sectors
+    ends = [faces[:, side] for side in diag.FACE_SIDES]
+    half0 = [np.sinh(0.5 * np.arccosh(np.maximum(np.abs(form.inner_rows(X[e[:, 0]], X[e[:, 1]])),
+                                                 1.0))) for e in ends]
+
+    def residual(ui):
+        u = np.concatenate([ui, np.zeros(nv - ni)])
+        ls = np.array([2.0 * np.arcsinh(h * np.exp(0.5 * (u[e[:, 0]] + u[e[:, 1]])))
+                       for h, e in zip(half0, ends)])
+        sh = np.sinh(ls)
+        angles = diag._face_angles(ls)
+        cos = np.cos(angles)
+        sums = np.bincount(faces.T.ravel(), weights=angles.ravel(), minlength=nv)
+        dl_du = np.tanh(0.5 * ls)
+        rows, cols, vals = [], [], []
+        for k in range(3):
+            a, b = (k + 1) % 3, (k + 2) % 3
+            g = sh[k] / (sh[a] * sh[b] * np.sin(angles[k]))
+            for side, dA_dl in ((k, g), (a, -g * cos[b]), (b, -g * cos[a])):
+                for end in range(2):
+                    rows.append(faces[:, k])
+                    cols.append(ends[side][:, end])
+                    vals.append(-dA_dl * dl_du[side])
+        J = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(nv, nv)).tocsr()
+        return 2.0 * np.pi - sums[:ni], J[:ni, :ni]
+
+    return residual
 
 
 def gauss_newton_normal(residual, x, tol=diag.GAUSS_NEWTON_TOL):

@@ -116,6 +116,17 @@ class TestSolve:
         assert err.startswith("error:") and "rim edges" in err and "tanh R" in err
         assert not (tmp_path / "run").exists()
 
+    def test_mesh_too_coarse_exit_three_naming_the_sector_count(self, tmp_path, capsys):
+        # the circle at R = 4 on the default 24 x 72 mesh
+        assert cli.main(["loop-gen", "--kind", "circle", "--out", str(tmp_path / "c.loop")]) == 0
+        code = cli.main(["solve", "--loop", str(tmp_path / "c.loop"), "--radius", "4",
+                         "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error: the mesh of 24 rings and 72 sectors is too coarse")
+        assert "below 79 sectors" in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestMalformedInput:
     # (command, file edited, line, text replaced, replacement)
@@ -265,7 +276,9 @@ class TestUsage:
         ("solve", "--loop", "wobble.loop", "--rings", "abc", "--out", "usage"),
         ("solve", "--out", "usage"),
         ("bogus",),
-    ], ids=["unknown_kind", "non_integer_rings", "solve_without_loop", "unknown_command"])
+        ("loop-gen", "--kind", "rigid_arc", "--slope", "0.5", "--out", "x.loop"),
+    ], ids=["unknown_kind", "non_integer_rings", "solve_without_loop", "unknown_command",
+            "removed_slope_flag"])
     def test_usage_error_exit_three(self, workdir, run_cli, args):
         res = run_cli(*args, cwd=workdir)
         assert res.returncode == 3, res.stderr
@@ -282,15 +295,21 @@ class TestUsage:
     ("loop-gen", "--kind", "circle", "--out", "missing/c.loop"),
     ("solve", "--loop", "wobble.loop", "--rings", "12", "--sectors", "36", "--radius", "2.5",
      "--out", "file/run"),
+    ("solve", "--loop", "wobble.loop", "--rings", "12", "--sectors", "36", "--radius", "2.5",
+     "--out", "missing/run"),
     ("audit", "--state", "run/state.txt", "--audits", "rigidity", "--out", "file/out"),
-], ids=["loop_gen", "solve", "audit"])
-def test_unwritable_out_exit_three(workdir, run_cli, args):
-    # a missing directory, or a path under a regular file
+], ids=["loop_gen", "solve", "solve_missing_parent", "audit"])
+def test_unwritable_out_exit_three(workdir, run_cli, monkeypatch, args):
+    # a missing directory, or a path under a regular file; solve checks its
+    # --out before it solves, and makes nothing
     (workdir / "file").write_text("")
+    monkeypatch.setattr(pl, "plateau_solve",
+                        lambda *a, **k: pytest.fail("solve ran before its --out was checked"))
     res = run_cli(*args, cwd=workdir)
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("error:")
     assert not res.stdout
+    assert not (workdir / "missing").exists()
 
 
 class TestProcess:

@@ -12,7 +12,9 @@ from pseudoplateau import diagnostics as diag
 import audit_reference as ref
 from boundary_reference import distance_to_crown_reference, worst_pair_reference
 from conftest import make_circle, make_rigid_arc, make_wobble
-from geometry_reference import develop_from_projection, gauss_newton_normal
+from geometry_reference import (
+    develop_from_projection, flattening_residual_coo, gauss_newton_normal,
+)
 
 
 FORM1 = BilinearForm(1)
@@ -21,6 +23,12 @@ FORM1 = BilinearForm(1)
 @pytest.fixture(scope="module")
 def wobble_16x48():
     return pl.plateau_solve(pl.build_state(make_wobble(), 16, 48, 3.0), tol=1e-9, max_iter=2000)
+
+
+@pytest.fixture(scope="module")
+def wobble_n2_16x48():
+    return pl.plateau_solve(pl.build_state(make_wobble(n=2, k=144), 16, 48, 3.0), tol=1e-9,
+                            max_iter=2000)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +155,14 @@ class TestDistanceRatioAudit:
         sources = np.arange(1, solved_wobble_state.mesh.vertex_count, 97)
         assert np.array_equal(dijkstra(G, directed=True, indices=sources),
                               dijkstra(G, directed=False, indices=sources))
+
+    @pytest.mark.parametrize("name", ["wobble_16x48", "wobble_n2_16x48"])
+    def test_edge_graph_equals_lexsort_reference(self, name, request):
+        # deduplicating by key alone keeps every edge and its length to the bit
+        st = request.getfixturevalue(name)
+        got, want = diag._build_edge_graph(st), ref.edge_graph_reference(st)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
     def test_barbot_diagonal_ratio(self):
         crown = ein.barbot_crown_standard(1)
@@ -394,6 +410,19 @@ class TestFlatteningJacobian:
             du[i] = h
             fd[:, i] = (residual(u + du)[0] - residual(u - du)[0]) / (2.0 * h)
         assert np.max(np.abs(J.toarray() - fd)) < 1e-6
+
+    def test_matches_coo_reference(self, monkeypatch, wobble_16x48):
+        # the fixed pattern filled by bincount, against a Jacobian summed
+        # from its COO entries at every call
+        st = wobble_16x48
+        residual = _flattening_residual(monkeypatch, st)
+        reference = flattening_residual_coo(st)
+        ni = st.mesh.vertex_count - st.mesh.sectors
+        for u in (np.zeros(ni), np.random.default_rng(2).uniform(-0.05, 0.05, ni)):
+            (r, J), (r_ref, J_ref) = residual(u), reference(u)
+            assert np.array_equal(r, r_ref)
+            assert set(zip(*J.nonzero())) == set(zip(*J_ref.nonzero()))
+            assert np.max(np.abs((J - J_ref).toarray())) <= 1e-13 * np.max(np.abs(J_ref.data))
 
     def test_is_symmetric(self, monkeypatch, wobble_16x48):
         # the Hessian of the Bobenko-Pinkall-Springborn functional

@@ -9,10 +9,10 @@ from pseudoplateau.qcore import BilinearForm
 from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 
-from conftest import make_rigid_arc, orbit_surface_gaps
+from conftest import make_circle, make_rigid_arc, orbit_surface_gaps
 from geometry_reference import (
     balanced_star, barbot_positions_reference, geodesic_disk_state, reference_cotan_matrix,
-    reference_faces, reference_geometry, reference_polar_grid,
+    reference_faces, reference_geometry, reference_polar_grid, second_form_fit_pinv,
 )
 
 
@@ -165,6 +165,32 @@ class TestBuildState:
         # Lipschitz constant 1 >= tanh 3: 18 of 72 rim edges are timelike
         with pytest.raises(ein.InvalidLoopError, match=r"18 of 72 rim edges .* tanh R"):
             pl.build_state(make_rigid_arc(k=128), 24, 72, 3.0)
+
+    @pytest.mark.parametrize("m,R,first", [(10, 4.5, 113), (12, 4.0, 73), (16, 4.0, 76),
+                                           (24, 4.0, 79)])
+    def test_closed_form_disk_check_matches_the_built_disk(self, m, R, first):
+        # the circle's start is the geodesic disk, built with the program's
+        # own face test; the closed form agrees on each side of its threshold
+        sectors = np.arange(first - 4, first + 4)
+        closed = pl._disk_faces_spacelike(m, sectors, R)
+        assert closed.tolist() == [False] * 4 + [True] * 4
+        for s, want in zip(sectors, closed):
+            try:
+                pl.build_state(make_circle(k=s), m, s, R)
+                built = True
+            except pl.FaceError as exc:
+                assert "too coarse" in str(exc)
+                built = False
+            assert built == want, s
+
+    def test_taper_failure_keeps_the_face_message(self):
+        # a triangle wave of Lipschitz constant 0.95 < tanh 3: its rim and the
+        # disk are spacelike on 24 x 72, the tapered center fan is not
+        th = np.linspace(0.0, 2.0 * np.pi, 144, endpoint=False)
+        phi = 0.95 * np.arcsin(np.sin(th))
+        loop = ein.LipschitzLoop(th, np.column_stack([np.cos(phi), np.sin(phi)]))
+        with pytest.raises(pl.FaceError, match=r"^initial face 4 is not spacelike$"):
+            pl.build_state(loop, 24, 72, 3.0)
 
 
 class TestBarbotState:
@@ -425,6 +451,18 @@ class TestBatchedGeometry:
             assert np.array_equal(np.isnan(got), np.isnan(want)), field
             ok = ~np.isnan(want)
             assert np.max(np.abs(got[ok] - want[ok])) <= 1e-11, field
+
+    @pytest.mark.parametrize("name", ["solved_wobble", "barbot_grid"])
+    def test_qr_fit_matches_pinv_reference(self, name, request, monkeypatch):
+        st = request.getfixturevalue(name)
+        got = pl._geometry_pass(st)
+        monkeypatch.setattr(pl, "_second_form_fit", second_form_fit_pinv)
+        want = pl._geometry_pass(st)
+        for field in ("ii_frame", "ii_fit", "K"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert np.array_equal(np.isnan(g), np.isnan(w)), field
+            ok = ~np.isnan(w)
+            assert np.max(np.abs(g[ok] - w[ok])) <= 1e-12, field
 
     def test_computed_once_per_state(self, monkeypatch):
         crown = ein.barbot_crown_standard(1)
