@@ -23,7 +23,7 @@ from .einstein import (
     boundary_points,
     graph_points,
     loop_classify,
-    _circle_dist_matrix,
+    _pair_distances,
 )
 from .crossratio import SampledBoundaryMap, qs_certify
 from .hspace import gradient_norm_sq, horofunction, spatial_distance
@@ -513,25 +513,18 @@ def boundary_extension(state: SurfaceState, seed: int = 0):
 
 
 def _pair_ratios(loop: LipschitzLoop) -> np.ndarray:
-    """Fiber/circle distance ratio of every sample pair i < j, with 0 where
-    j <= i or where the circle distance falls below 1e-4."""
-    dn = np.arccos(np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0))
-    d1 = _circle_dist_matrix(loop.thetas)
-    keep = np.triu(d1 >= 1e-4, 1)
-    return np.where(keep, dn / np.where(keep, d1, 1.0), 0.0)
-
-
-def loop_margin(loop: LipschitzLoop) -> float:
-    """Relative contraction margin: 1 - max fiber/circle distance ratio over
-    sampled pairs (pairs below 1e-4 are skipped as pure noise)."""
-    return 1.0 - float(np.max(_pair_ratios(loop)))
+    """Fiber/circle distance ratio of every sample pair i < j, in the order of
+    `_pair_distances`, with 0 where the circle distance is below 1e-4 (noise)."""
+    circle, fiber = _pair_distances(loop)
+    keep = circle >= 1e-4
+    return np.where(keep, fiber / np.where(keep, circle, 1.0), 0.0)
 
 
 def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0) -> dict:
     """Renormalise the loop over sampled positive triples -- half spread at
     random, half concentrating on shrinking arcs -- and report the minimum
-    contraction margin; a margin bounded away from zero is the numeric
-    proxy for quasiperiodicity."""
+    contraction margin, 1 minus the largest pair ratio; a margin bounded
+    away from zero is the numeric proxy for quasiperiodicity."""
     if loop_classify(loop) != "positive":
         raise GeometryError("quasiperiodicity probe requires a positive loop")
     form = BilinearForm(loop.n)
@@ -541,10 +534,11 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
     reps = np.column_stack([np.cos(loop.thetas), np.sin(loop.thetas), loop.fibers])
     # concentrating triples probe the renormalisation dynamics; aim half of
     # them at the least-contracting spot of the graph, the first worst pair
-    # in row-major order
+    # in pair order
     ratios = _pair_ratios(loop)
-    top = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    worst_center = 0.5 * (loop.thetas[top[0]] + loop.thetas[top[1]]) if ratios[top] > 0.0 else 0.0
+    top = int(np.argmax(ratios))
+    i, j = np.triu_indices(k, 1)
+    worst_center = 0.5 * (loop.thetas[i[top]] + loop.thetas[j[top]]) if ratios[top] > 0.0 else 0.0
     tried = 0
     while len(margins) < triples and tried < 30 * triples:
         tried += 1
@@ -556,8 +550,9 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
                 worst_center + rng.normal(scale=0.05)
             delta = np.pi * 10.0 ** rng.uniform(-1.7, -0.2)
             angles = (center + np.array([-delta, 0.0, delta])) % (2.0 * np.pi)
-            sel = np.unique([int(np.argmin(np.abs((loop.thetas - a + np.pi) % (2 * np.pi) - np.pi)))
-                             for a in angles])
+            # the nearest sample to each angle
+            offsets = (loop.thetas - angles[:, None] + np.pi) % (2 * np.pi) - np.pi
+            sel = np.unique(np.argmin(np.abs(offsets), axis=1))
             if len(sel) < 3:
                 continue
         try:
@@ -573,13 +568,13 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
             renorm = LipschitzLoop(thetas, fibers)
         except GeometryError:
             continue
-        margins.append(loop_margin(renorm))
+        margins.append(1.0 - float(np.max(_pair_ratios(renorm))))
     if not margins:
         raise GeometryError("no positive triple produced a renormalisable graph")
     return {
         "min_margin": float(np.min(margins)),
         "median_margin": float(np.median(margins)),
-        "base_margin": float(loop_margin(loop)),
+        "base_margin": 1.0 - float(ratios[top]),
         "renormalizations": len(margins),
         "seed": int(seed),
     }

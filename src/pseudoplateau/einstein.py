@@ -275,8 +275,8 @@ def in_closed_diamond(form: BilinearForm, chart: MinkowskiChart, x, tol: float =
 
 
 def _circle_dist_matrix(thetas: np.ndarray) -> np.ndarray:
-    """The circle distance between every pair of the angles, as one matrix."""
-    d = np.abs(thetas[:, None] - thetas[None, :]) % (2.0 * np.pi)
+    """The circle distance between every pair of angles in [0, 2 pi], as one matrix."""
+    d = np.abs(thetas[:, None] - thetas[None, :])
     return np.minimum(d, 2.0 * np.pi - d)
 
 
@@ -347,13 +347,20 @@ class LipschitzLoop:
         return graph_points(thetas, self.fibers_at(thetas))
 
 
+def _pair_distances(loop: LipschitzLoop) -> tuple[np.ndarray, np.ndarray]:
+    """The circle distance and the fiber angle of every sample pair i < j, in
+    `np.triu_indices` order, each equal to its entry of the full matrices."""
+    upper = ~np.tri(loop.size, dtype=bool)  # a boolean mask reads row-major order
+    d = np.abs(loop.thetas[:, None] - loop.thetas)[upper]
+    dots = (loop.fibers @ loop.fibers.T)[upper]
+    return np.minimum(d, 2.0 * np.pi - d), np.arccos(np.clip(dots, -1.0, 1.0))
+
+
 def loop_classify(loop: LipschitzLoop) -> str:
     """'positive' when strictly contracting on all sampled pairs,
     'semipositive' when 1-Lipschitz within LIPSCHITZ_TOL but not a sampled
     isometry, 'invalid' otherwise."""
-    dots = np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0)
-    iu = np.triu_indices(loop.size, 1)
-    gaps = _circle_dist_matrix(loop.thetas)[iu] - np.arccos(dots)[iu]
+    gaps = np.subtract(*_pair_distances(loop))
     if np.all(gaps > LIPSCHITZ_TOL):
         return "positive"
     if np.all(gaps >= -LIPSCHITZ_TOL):
@@ -385,16 +392,9 @@ def photon_arc(loop: LipschitzLoop) -> list[tuple[int, int]]:
     steps = offsets[1:]
     grows = back[(rows + steps) % k] >= steps
     best = np.logical_and.accumulate(grows, axis=1).sum(axis=1)
-    arcs = []
-    for i in range(k):
-        if best[i] == 0:
-            continue
-        prev = (i - 1) % k
-        # maximal iff not contained in the window of the previous start
-        if best[prev] >= best[i] + 1:
-            continue
-        arcs.append((i, (i + best[i]) % k))
-    return arcs
+    # an arc is maximal iff not contained in the window of the previous start
+    maximal = (best > 0) & (np.roll(best, 1) < best + 1)
+    return [(i, (i + best[i]) % k) for i in np.flatnonzero(maximal).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -418,7 +418,10 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
     crown = _detect_tiling_crown(form, loop)
     thetas = 2.0 * np.pi * np.arange(s) / s
     X = np.zeros((mesh.vertex_count, form.dim))
-    if crown is not None:
+    # the face check multiplies four chords of up to 2 cosh R, which overflow past R = log(max
+    # float) / 4: there the zero start stays, fails that check, and the disk names the mesh
+    placed = 4.0 * R < np.log(np.finfo(float).max)
+    if placed and crown is not None:
         # a photon quadrilateral: its flat orbit surface carries the rim
         # within a vanishing margin of the null bound, so no inward taper of
         # the rim profile stays spacelike. Pin the exact orbit ring, seed the
@@ -443,7 +446,7 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
             if eps < 1e-4:
                 X = base.copy()
                 break
-    else:
+    elif placed:
         # the points sinh(r) (cos t, sin t, 0) + cosh(r) (0, 0, v) of
         # `cylinder_point`, one array per ring
         grid = X[1:].reshape(m, s, form.dim)
@@ -495,16 +498,18 @@ def _disk_faces_spacelike(m: int, sectors: np.ndarray, R: float) -> np.ndarray:
     """Whether every face of the geodesic disk on m rings at radius R is
     spacelike, per sector count. Points d apart on the disk are 2 sinh(d/2)
     apart in the ambient form, and a face is spacelike exactly when these
-    chords meet the strict triangle inequality."""
-    r, half = R * np.arange(m + 1) / m, np.pi / sectors[:, None]
-    # 2 sinh(d/2) from cosh d = cosh r1 cosh r2 - sinh r1 sinh r2 cos(2 half)
-    radial = 2.0 * np.sinh(0.5 * R / m)
-    ring = 2.0 * np.sinh(r) * np.sin(half)
-    diagonal = np.sqrt(radial**2 + 4.0 * np.sinh(r[:-1]) * np.sinh(r[1:]) * np.sin(half) ** 2)
-    # no diagonal is shorter than a radial side, so each face of a quad (the
-    # fan face at ring 1) is spacelike when its ring side is within one radial side of the diagonal
-    gaps = np.hstack([ring[:, 1:] - diagonal, ring[:, 1:-1] - diagonal[:, 1:]])
-    return np.all(np.abs(gaps) < radial, axis=1)
+    chords meet the strict triangle inequality. Chords past the float range are
+    inf or NaN and fail, rightly: no mesh within MAX_VERTICES passes past R = 10.4."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, half = R * np.arange(m + 1) / m, np.pi / sectors[:, None]
+        # 2 sinh(d/2) from cosh d = cosh r1 cosh r2 - sinh r1 sinh r2 cos(2 half)
+        radial = 2.0 * np.sinh(0.5 * R / m)
+        ring = 2.0 * np.sinh(r) * np.sin(half)
+        diagonal = np.sqrt(radial**2 + 4.0 * np.sinh(r[:-1]) * np.sinh(r[1:]) * np.sin(half) ** 2)
+        # no diagonal is shorter than a radial side, so each face of a quad (the fan face at
+        # ring 1) is spacelike when its ring side is within one radial side of the diagonal
+        gaps = np.hstack([ring[:, 1:] - diagonal, ring[:, 1:-1] - diagonal[:, 1:]])
+        return np.all(np.abs(gaps) < radial, axis=1)
 
 
 def barbot_state(form: BilinearForm, crown: BarbotCrown, m: int, s: int, R: float) -> SurfaceState:

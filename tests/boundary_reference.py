@@ -6,6 +6,9 @@ They work one quadruple, one point or one pair at a time, the way
 circle were computed before they were batched.
 `quadruple_positive` is the scalar positivity certificate of one
 quadruple, built on the triple classification `triple_class`.
+`quasiperiodicity_probe_reference` and `loop_classify_reference` are the
+loop scans as they were before the pair kernel: full k x k matrices, one
+nearest-sample search per angle.
 `distance_to_crown_reference` minimises over each crown edge by a
 golden-section search, one point and one edge at a time; the program
 takes the closed-form minimiser of `diagnostics._distance_to_crown`
@@ -18,7 +21,8 @@ import numpy as np
 
 from pseudoplateau import crossratio as cr
 from pseudoplateau import einstein as ein
-from pseudoplateau.qcore import DegenerateTripleError, subspace_signature
+from pseudoplateau.qcore import (BilinearForm, DegenerateTripleError, GeometryError,
+                                 standardize_triple, subspace_signature)
 
 
 def sign_rule_reference(rep):
@@ -251,7 +255,7 @@ def photon_arc_reference(loop, tol=1e-8):
     testing the whole window's submatrix of the rigidity matrix."""
     k = loop.size
     dots = np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0)
-    rigid = np.arccos(dots) >= ein._circle_dist_matrix(loop.thetas) - tol
+    rigid = np.arccos(dots) >= circle_dist_matrix_reference(loop.thetas) - tol
 
     def window_rigid(i, length):
         idx = [(i + t) % k for t in range(length + 1)]
@@ -269,3 +273,97 @@ def photon_arc_reference(loop, tol=1e-8):
             continue
         arcs.append((i, (i + best[i]) % k))
     return arcs
+
+
+def circle_dist_matrix_reference(thetas):
+    """The circle distance matrix, reduced mod 2 pi as it was before the
+    pair kernel."""
+    d = np.abs(thetas[:, None] - thetas[None, :]) % (2.0 * np.pi)
+    return np.minimum(d, 2.0 * np.pi - d)
+
+
+def loop_classify_reference(loop):
+    """`einstein.loop_classify` on full k x k matrices, read at the pairs
+    i < j."""
+    dots = np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0)
+    iu = np.triu_indices(loop.size, 1)
+    gaps = circle_dist_matrix_reference(loop.thetas)[iu] - np.arccos(dots)[iu]
+    if np.all(gaps > ein.LIPSCHITZ_TOL):
+        return "positive"
+    if np.all(gaps >= -ein.LIPSCHITZ_TOL):
+        if np.all(np.abs(gaps) <= ein.LIPSCHITZ_TOL):
+            return "invalid"  # a sampled global isometry traces a photon
+        return "semipositive"
+    return "invalid"
+
+
+def pair_ratio_matrix_reference(loop):
+    """Fiber/circle distance ratio of every sample pair i < j as a k x k
+    matrix, with 0 where j <= i or where the circle distance falls below
+    1e-4."""
+    dn = np.arccos(np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0))
+    d1 = circle_dist_matrix_reference(loop.thetas)
+    keep = np.triu(d1 >= 1e-4, 1)
+    return np.where(keep, dn / np.where(keep, d1, 1.0), 0.0)
+
+
+def loop_margin_reference(loop):
+    """Relative contraction margin: 1 - max fiber/circle distance ratio over
+    sampled pairs (pairs below 1e-4 are skipped as pure noise)."""
+    return 1.0 - float(np.max(pair_ratio_matrix_reference(loop)))
+
+
+def quasiperiodicity_probe_reference(loop, triples=50, seed=0):
+    """`diagnostics.quasiperiodicity_probe` one triple at a time, on full
+    ratio matrices and with one nearest-sample search per angle."""
+    if loop_classify_reference(loop) != "positive":
+        raise GeometryError("quasiperiodicity probe requires a positive loop")
+    form = BilinearForm(loop.n)
+    rng = np.random.default_rng(seed)
+    k = loop.size
+    margins = []
+    reps = np.column_stack([np.cos(loop.thetas), np.sin(loop.thetas), loop.fibers])
+    # concentrating triples probe the renormalisation dynamics; aim half of
+    # them at the least-contracting spot of the graph, the first worst pair
+    # in row-major order
+    ratios = pair_ratio_matrix_reference(loop)
+    top = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    worst_center = 0.5 * (loop.thetas[top[0]] + loop.thetas[top[1]]) if ratios[top] > 0.0 else 0.0
+    tried = 0
+    while len(margins) < triples and tried < 30 * triples:
+        tried += 1
+        mode = tried % 4
+        if mode in (0, 1):
+            sel = np.sort(rng.choice(k, size=3, replace=False))
+        else:
+            center = rng.uniform(0.0, 2.0 * np.pi) if mode == 2 else \
+                worst_center + rng.normal(scale=0.05)
+            delta = np.pi * 10.0 ** rng.uniform(-1.7, -0.2)
+            angles = (center + np.array([-delta, 0.0, delta])) % (2.0 * np.pi)
+            sel = np.unique([int(np.argmin(np.abs((loop.thetas - a + np.pi) % (2 * np.pi) - np.pi)))
+                             for a in angles])
+            if len(sel) < 3:
+                continue
+        try:
+            g = standardize_triple(reps[sel], form)
+        except GeometryError:
+            continue
+        moved = reps @ g.matrix.T
+        nu = np.linalg.norm(moved[:, :2], axis=1)
+        nv = np.linalg.norm(moved[:, 2:], axis=1)
+        thetas = np.arctan2(moved[:, 1] / nu, moved[:, 0] / nu) % (2.0 * np.pi)
+        fibers = moved[:, 2:] / nv[:, None]
+        try:
+            renorm = ein.LipschitzLoop(thetas, fibers)
+        except GeometryError:
+            continue
+        margins.append(loop_margin_reference(renorm))
+    if not margins:
+        raise GeometryError("no positive triple produced a renormalisable graph")
+    return {
+        "min_margin": float(np.min(margins)),
+        "median_margin": float(np.median(margins)),
+        "base_margin": float(loop_margin_reference(loop)),
+        "renormalizations": len(margins),
+        "seed": int(seed),
+    }

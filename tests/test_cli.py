@@ -116,6 +116,19 @@ class TestSolve:
         assert err.startswith("error:") and "rim edges" in err and "tanh R" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("radius", ["400", "800", "1e308"])
+    def test_huge_radius_names_the_mesh_without_warnings(self, workdir, tmp_path, capsys,
+                                                         radius):
+        # the start's chords overflow at these radii; placing it printed
+        # RuntimeWarnings and blamed the loop's Lipschitz constant
+        code = cli.main(["solve", "--loop", str(workdir / "wobble.loop"), "--rings", "8",
+                         "--sectors", "24", "--radius", radius, "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error: the mesh of 8 rings and 24 sectors is too coarse")
+        assert err.count("\n") == 1 and "at any sector count within 200000 vertices" in err
+        assert not (tmp_path / "run").exists()
+
     def test_mesh_too_coarse_exit_three_naming_the_sector_count(self, tmp_path, capsys):
         # the circle at R = 4 on the default 24 x 72 mesh
         assert cli.main(["loop-gen", "--kind", "circle", "--out", str(tmp_path / "c.loop")]) == 0

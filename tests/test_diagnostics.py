@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from pseudoplateau.qcore import BilinearForm
+from pseudoplateau import cli
 from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 from pseudoplateau import crossratio as cr
 from pseudoplateau import diagnostics as diag
 
 import audit_reference as ref
-from boundary_reference import distance_to_crown_reference, worst_pair_reference
+from boundary_reference import (distance_to_crown_reference, loop_classify_reference,
+                                quasiperiodicity_probe_reference, worst_pair_reference)
 from conftest import make_circle, make_rigid_arc, make_wobble
 from geometry_reference import (
     develop_from_projection, flattening_residual_coo, gauss_newton_normal,
@@ -206,6 +208,29 @@ class TestBoundaryExtension:
             diag.boundary_extension(solved_crown_state, seed=5)
 
 
+def near_photon_loop(k=192):
+    """A loop rigid within a factor 0.999 on [0, pi/2] and contracting back."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
+    fibers = np.zeros((k, 2))
+    for i, t in enumerate(thetas):
+        phi = 0.999 * t if t <= np.pi / 2 else 0.999 * np.pi / 2 - (t - np.pi / 2) / 3.0
+        fibers[i] = (np.cos(phi), np.sin(phi))
+    return ein.LipschitzLoop(thetas, fibers)
+
+
+PROBE_LOOPS = {
+    "circle": make_circle,
+    "wobble_n1": lambda: cli.generate_loop("c1_wobble", n=1),
+    "wobble_n2": lambda: cli.generate_loop("c1_wobble", n=2),
+    "wobble_n3": lambda: cli.generate_loop("c1_wobble", n=3),
+    "near_photon": near_photon_loop,
+    # six samples of the frequency-1 wobble (at frequency 3 all six sit at
+    # its zeros): concentrating draws narrower than a sample gap find fewer
+    # than three distinct nearest samples and are skipped
+    "wobble_k6": lambda: make_wobble(k=6, freq=1),
+}
+
+
 class TestQuasiperiodicityProbe:
     def test_circle_margin_constant_one(self):
         rep = diag.quasiperiodicity_probe(make_circle(), triples=30, seed=1)
@@ -217,14 +242,8 @@ class TestQuasiperiodicityProbe:
         assert rep["min_margin"] > 0.01
 
     def test_near_photon_arc_margin_collapses(self):
-        k = 192
-        thetas = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
-        fibers = np.zeros((k, 2))
-        for i, t in enumerate(thetas):
-            phi = 0.999 * t if t <= np.pi / 2 else 0.999 * np.pi / 2 - (t - np.pi / 2) / 3.0
-            fibers[i] = (np.cos(phi), np.sin(phi))
-        loop = ein.LipschitzLoop(thetas, fibers)
-        base = diag.loop_margin(loop)
+        loop = near_photon_loop()
+        base = 1.0 - np.max(diag._pair_ratios(loop))
         assert base == pytest.approx(1e-3, rel=0.2)
         rep = diag.quasiperiodicity_probe(loop, triples=120, seed=2)
         assert rep["min_margin"] < base
@@ -239,12 +258,13 @@ class TestQuasiperiodicityProbe:
     def test_pair_scan_matches_scalar_reference(self, loop):
         worst, pair = worst_pair_reference(loop)
         ratios = diag._pair_ratios(loop)
-        assert diag.loop_margin(loop) == 1.0 - worst
+        assert 1.0 - np.max(ratios) == 1.0 - worst
         if pair is None:
             assert np.max(ratios) == 0.0
         else:
-            top = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-            assert tuple(int(t) for t in top) == pair
+            top = int(np.argmax(ratios))
+            i, j = np.triu_indices(loop.size, 1)
+            assert (int(i[top]), int(j[top])) == pair
             assert ratios[top] == worst
 
     def test_pair_scan_skips_pairs_below_floor(self):
@@ -255,8 +275,23 @@ class TestQuasiperiodicityProbe:
         # the pair (0, 1) has ratio 2 but lies closer than the floor
         worst, pair = worst_pair_reference(loop)
         assert pair != (0, 1) and worst < 0.5
-        assert diag.loop_margin(loop) == 1.0 - worst
-        assert diag._pair_ratios(loop)[0, 1] == 0.0
+        assert 1.0 - np.max(diag._pair_ratios(loop)) == 1.0 - worst
+        # pair (0, 1) is the first in pair order
+        assert diag._pair_ratios(loop)[0] == 0.0
+
+    @pytest.mark.parametrize("name", PROBE_LOOPS)
+    @pytest.mark.parametrize("triples,seed", [(10, 0), (50, 21), (120, 7)])
+    def test_probe_equals_per_triple_reference(self, name, triples, seed):
+        loop = PROBE_LOOPS[name]()
+        rep = diag.quasiperiodicity_probe(loop, triples=triples, seed=seed)
+        assert rep == quasiperiodicity_probe_reference(loop, triples=triples, seed=seed)
+
+    @pytest.mark.parametrize("name", list(PROBE_LOOPS) + ["rigid_arc", "crown"])
+    def test_loop_classify_equals_full_matrix_reference(self, name):
+        loop = (make_rigid_arc() if name == "rigid_arc" else
+                ein.crown_loop(ein.barbot_crown_standard(1)) if name == "crown" else
+                PROBE_LOOPS[name]())
+        assert ein.loop_classify(loop) == loop_classify_reference(loop)
 
 
 class TestBarbotDegeneration:

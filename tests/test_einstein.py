@@ -13,6 +13,7 @@ from pseudoplateau import einstein as ein
 
 from boundary_reference import (
     boundary_point_reference,
+    circle_dist_matrix_reference,
     circle_dist_reference,
     circle_point_reference,
     fiber_at_reference,
@@ -355,6 +356,25 @@ class TestLoops:
         d1 = ein._circle_dist_matrix(loop.thetas)
         want = [[circle_dist_reference(a, b) for b in loop.thetas] for a in loop.thetas]
         assert np.array_equal(d1, np.array(want))
+
+    @pytest.mark.parametrize("case", ["uneven60", "wobble_n2", "crown", "k3"])
+    def test_pair_distances_equal_full_matrix_entries(self, case):
+        # pairs across 0, near pi apart, on a photon and the fewest samples
+        if case == "uneven60":
+            th = np.sort(np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, 60) ** 1.3
+                         % (2.0 * np.pi))
+            loop = ein.LipschitzLoop(th, np.column_stack([np.cos(np.sin(th)), np.sin(np.sin(th))]))
+        elif case == "wobble_n2":
+            loop = make_wobble(n=2, k=96)
+        elif case == "crown":
+            loop = ein.crown_loop(ein.barbot_crown_standard(1))
+        else:
+            loop = ein.LipschitzLoop([0.0, 2.0, 4.0], np.eye(3))
+        circle, fiber = ein._pair_distances(loop)
+        iu = np.triu_indices(loop.size, 1)
+        assert np.array_equal(circle, circle_dist_matrix_reference(loop.thetas)[iu])
+        assert np.array_equal(
+            fiber, np.arccos(np.clip(loop.fibers @ loop.fibers.T, -1.0, 1.0))[iu])
 
     @pytest.mark.parametrize("samples", [0, 2])
     def test_too_few_samples_rejected(self, samples):

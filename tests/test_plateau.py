@@ -377,17 +377,20 @@ class TestSolve:
 
     def test_solve_does_not_depend_on_the_blas_thread_count(self, tmp_path, python_env):
         # np.vdot on the 48x144 history vectors sums in an order that depends
-        # on the BLAS thread count; the solved state must not
+        # on the BLAS thread count; the solved state must not. Nor may the
+        # probe, whose pair scans read one Gram matrix per loop
         script = (
             "import hashlib\n"
             "import numpy as np\n"
-            "from pseudoplateau import einstein as ein, plateau as pl\n"
+            "from pseudoplateau import cli, diagnostics as diag, einstein as ein, plateau as pl\n"
             "th = np.linspace(0, 2 * np.pi, 144, endpoint=False)\n"
             "phi = 0.25 * np.sin(3 * th)\n"
             "loop = ein.LipschitzLoop(th, np.column_stack([np.cos(phi), np.sin(phi)]), c1=True)\n"
             "out = pl.plateau_solve(pl.build_state(loop, 48, 144, 3.0), tol=1e-9)\n"
             "assert out.converged\n"
             "print(hashlib.sha256(pl.state_dumps(out).encode()).hexdigest())\n"
+            "wobble = cli.generate_loop('c1_wobble', n=1, samples=128)\n"
+            "print(repr(diag.quasiperiodicity_probe(wobble, triples=50, seed=21)))\n"
         )
         digests = []
         for threads in ("1", "2"):
