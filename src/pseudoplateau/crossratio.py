@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    NULL_EIGENVALUE_RTOL,
     BilinearForm,
     DegenerateTripleError,
     GeometryError,
@@ -221,12 +220,6 @@ class QSCertificate:
         )
 
 
-# The sub-triples of a quadruple (a, b, c, d) in the order positivity visits
-# them, and the pairs of a triple.
-_SUBTRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-_TRIPLE_PAIRS = ([0, 0, 1], [1, 2, 2])
-
-
 def _window_quadruples(rng: np.random.Generator, domain: np.ndarray, A: float,
                        target: int) -> np.ndarray:
     """Up to `target` sorted index quadruples, uniform over 4-subsets of the
@@ -251,62 +244,37 @@ def _window_quadruples(rng: np.random.Generator, domain: np.ndarray, A: float,
     return np.concatenate(blocks)[:target] if blocks else np.empty((0, 4), dtype=np.intp)
 
 
-def _quadruple_checks(P: np.ndarray, G: np.ndarray, norms: np.ndarray, quads: np.ndarray):
-    """The positivity and transversality tests of each row of `quads`
-    (indices into the representatives P with pairing matrix G and row norms
-    `norms`), as arrays: per sub-triple whether it has coincident points and
-    whether it fails to be positive, per pair whether it is transverse, and
-    whether d lies in the future cone of c in the chart of (a, b, c)."""
-    T = quads[:, _SUBTRIPLES]
-    R = P[T]
-    coincident = np.any(projectively_equal(R[:, :, _TRIPLE_PAIRS[0]], R[:, :, _TRIPLE_PAIRS[1]]),
-                        axis=-1)
-    # signature (2, 1, 0) of each sub-triple, with subspace_signature's cutoff
-    eig = np.linalg.eigvalsh(G[T[..., :, None], T[..., None, :]])
-    scale = np.maximum(np.max(np.abs(eig), axis=-1), np.max(norms[T], axis=-1) ** 2)
-    cutoff = NULL_EIGENVALUE_RTOL * scale[..., None]
-    positive = (np.sum(eig > cutoff, axis=-1) == 2) & (np.sum(eig < -cutoff, axis=-1) == 1)
-
-    apart = _apart(G, norms, quads)
-    # In the Minkowski chart of a, q(u_x - u_y) is a positive multiple of
-    # D(x, y) = -<x,y> / (<x,a><y,a>). With u_b = -e1 and u_c = e1, d lies in
-    # the future cone of c exactly when D(d,c) > 0 and
-    # D(d,b) - D(d,c) - D(c,b) = 4 (u_d - e1)_0 > 0.
-    a, b, c, d = quads.T
-
-    def D(p, q):
-        return -G[p, q] / (G[p, a] * G[q, a])
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_c = D(d, c)
-        ordered = (d_c > 0) & (D(d, b) - d_c - D(c, b) > 0)
-    return coincident, coincident | ~positive, apart, ordered
-
-
-def _certified_ratios(P: np.ndarray, G: np.ndarray, norms: np.ndarray,
-                      quads: np.ndarray) -> np.ndarray:
-    """b(a, b, c, d) of each row of `quads`, in cyclic domain order, after
-    checking that every quadruple is positive and pairwise transverse.
-
-    The first failing row raises what the per-quadruple test raises: a
-    coincident or non-positive sub-triple first, then d on the light cone of
-    a or a wrong cyclic order, then a non-transverse pair.
-    """
-    coincident, bad_triple, apart, ordered = _quadruple_checks(P, G, norms, quads)
-    on_cone = ~apart[:, 2]
-    failed = np.any(bad_triple, axis=1) | on_cone | ~ordered | ~np.all(apart, axis=1)
-    if np.any(failed):
-        q = int(np.argmax(failed))
-        if np.any(bad_triple[q]):
-            if coincident[q, int(np.argmax(bad_triple[q]))]:
-                raise CoincidentPointsError("triple contains coincident points")
-            raise DegenerateTripleError("quadruple has a non-positive sub-triple")
-        if on_cone[q]:
-            raise ChartDomainError("point lies on the light cone of the chart")
-        if not ordered[q]:
-            raise NonPositiveMapError("sampled quadruple is not positive")
-        raise NonTransverseError("cross-ratio needs pairwise transverse points")
-    return _ratios(G, quads)
+def _check_positive_map(P: np.ndarray, G: np.ndarray):
+    """Check that the map with representatives P and pairing matrix G is
+    positive, so that every quadruple in domain order is. Every pair must be
+    transverse (CoincidentPointsError for a coincident pair, else
+    DegenerateTripleError). With rows signed to pair negatively with sample
+    0, every pairing must be negative (DegenerateTripleError): the Gram
+    matrix of three such isotropic vectors has trace 0 and determinant
+    2pqr < 0, so signature (2, 1), and the signed rows lift a strictly
+    contracting map. The pairs being transverse, the sign of 2pqr is exact
+    and needs no eigenvalue cutoff. Last, the angles of the signed rows must
+    wind once round the circle in domain order, either way round
+    (NonPositiveMapError)."""
+    norms = norm_rows(P)
+    apart = transverse(G, norms[:, None], norms)
+    np.fill_diagonal(apart, True)
+    if not np.all(apart):
+        i, j = np.argwhere(~apart)[0]
+        if projectively_equal(P[i], P[j]):
+            raise CoincidentPointsError("map has coincident samples")
+        raise DegenerateTripleError("map has a non-transverse pair of samples")
+    s = np.where(G[0] > 0.0, -1.0, 1.0)
+    s[0] = 1.0
+    signed = s[:, None] * G * s
+    np.fill_diagonal(signed, -1.0)
+    if not np.all(signed < 0.0):
+        raise DegenerateTripleError("map has a non-positive triple")
+    u = P[:, :2] * s[:, None]
+    angle = np.arctan2(u[:, 1], u[:, 0])
+    step = np.diff(angle, append=angle[0])
+    if np.sum(step < 0.0) != 1 and np.sum(step > 0.0) != 1:
+        raise NonPositiveMapError("map does not wind once round the circle in domain order")
 
 
 def qs_certify(form: BilinearForm, bmap: SampledBoundaryMap, A: float = 2.0,
@@ -315,21 +283,22 @@ def qs_certify(form: BilinearForm, bmap: SampledBoundaryMap, A: float = 2.0,
     projective cross-ratio lies in the window [1/A, A]. Deterministic given
     the seed.
 
-    Quadruples are drawn from one seed stream and tested as arrays against
-    one pairing matrix. The worst quadruple is the first, in draw order,
-    that attains B.
+    Quadruples are drawn from one seed stream; the map is checked positive
+    once as a whole, and B is read off the drawn quadruples as arrays
+    against one pairing matrix. The worst quadruple is the first, in draw
+    order, that attains B.
     """
     if A <= 1.0:
         raise GeometryError("the window parameter must exceed 1")
     if bmap.size < 8:
         raise InsufficientSamplesError("too few samples to certify")
-    P = bmap.reps
-    G = (P * form.signs) @ P.T
-    norms = norm_rows(P)
     quads = _window_quadruples(np.random.default_rng(rng_seed), bmap.domain, A, n_quadruples)
     if not len(quads):
         raise InsufficientSamplesError("rejection sampling accepted no quadruple")
-    b = np.abs(_certified_ratios(P, G, norms, quads))
+    P = bmap.reps
+    G = (P * form.signs) @ P.T
+    _check_positive_map(P, G)
+    b = np.abs(_ratios(G, quads))
     score = np.maximum(b, 1.0 / b)
     top = int(np.argmax(score))
     best = 1.0

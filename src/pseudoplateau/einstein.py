@@ -290,8 +290,11 @@ class LipschitzLoop:
     c1: bool = False
 
     def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float) % (2.0 * np.pi)
+        thetas = np.asarray(self.thetas, dtype=float)
         fibers = np.asarray(self.fibers, dtype=float)
+        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(fibers))):
+            raise InvalidLoopError("loop samples must be finite")
+        thetas = thetas % (2.0 * np.pi)
         order = np.argsort(thetas)
         thetas = thetas[order]
         fibers = fibers[order]

@@ -346,9 +346,11 @@ def _barbot_ring_params(crown: BarbotCrown, r: np.ndarray, theta: np.ndarray):
     """Orbit parameters (s, t) of the crown surface points with the given
     cylinder coordinates, by Newton from the standard-crown closed form.
     The Newton runs in lock step over the points, and each point stops once
-    its residual is below 1e-13."""
+    its residual is below 1e-13, or 8 ulps of its target where rounding
+    cannot reach 1e-13."""
     z = crown.zreps
     target = np.sinh(r)[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    stop = np.maximum(1e-13, 8.0 * np.finfo(float).eps * np.max(np.abs(target), axis=1))
     sr = np.sqrt(2.0) * np.sinh(r)
     st = np.column_stack([np.arcsinh(sr * np.cos(theta)), np.arcsinh(sr * np.sin(theta))])
     todo = np.arange(len(st))
@@ -357,7 +359,7 @@ def _barbot_ring_params(crown: BarbotCrown, r: np.ndarray, theta: np.ndarray):
         u = es * z[0, :2] + et * z[1, :2] + z[2, :2] / es + z[3, :2] / et
         F = u - target[todo]
         # a NaN residual stays live, so it ends in the budget's error
-        live = ~(np.max(np.abs(F), axis=1) < 1e-13)
+        live = ~(np.max(np.abs(F), axis=1) < stop[todo])
         if not np.any(live):
             break
         todo, es, et, F = todo[live], es[live], et[live], F[live]
@@ -421,7 +423,10 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
     # the face check multiplies four chords of up to 2 cosh R, which overflow past R = log(max
     # float) / 4: there the zero start stays, fails that check, and the disk names the mesh
     placed = 4.0 * R < np.log(np.finfo(float).max)
-    if placed and crown is not None:
+    # the crown's ring parametrisation stops converging near R = 40, where no mesh passes the
+    # disk test: there too the zero start stays, and the face check names the mesh
+    sectors = np.arange(s, (MAX_VERTICES - 1) // m + 1)
+    if placed and crown is not None and _disk_faces_spacelike(m, sectors, R).any():
         # a photon quadrilateral: its flat orbit surface carries the rim
         # within a vanishing margin of the null bound, so no inward taper of
         # the rim profile stays spacelike. Pin the exact orbit ring, seed the
@@ -446,7 +451,7 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
             if eps < 1e-4:
                 X = base.copy()
                 break
-    elif placed:
+    elif placed and crown is None:
         # the points sinh(r) (cos t, sin t, 0) + cosh(r) (0, 0, v) of
         # `cylinder_point`, one array per ring
         grid = X[1:].reshape(m, s, form.dim)
@@ -483,7 +488,6 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
     ok, good = faces_spacelike(form, X, mesh.faces)
     if not ok:
         # a mesh too coarse for its radius fails on the geodesic disk itself
-        sectors = np.arange(s, (MAX_VERTICES - 1) // m + 1)
         disk = _disk_faces_spacelike(m, sectors, R)
         if not disk[0]:
             need = (f"below {sectors[np.argmax(disk)]} sectors" if disk.any() else

@@ -5,7 +5,9 @@ They work one quadruple, one point or one pair at a time, the way
 `einstein.photon_arc` and the boundary points of loops and of the standard
 circle were computed before they were batched.
 `quadruple_positive` is the scalar positivity certificate of one
-quadruple, built on the triple classification `triple_class`.
+quadruple, built on the triple classification `triple_class`; the
+program checks positivity once for the whole map instead, and is tested
+against it on every 4-subset of small maps.
 `quasiperiodicity_probe_reference` and `loop_classify_reference` are the
 loop scans as they were before the pair kernel: full k x k matrices, one
 nearest-sample search per angle.
@@ -124,7 +126,9 @@ def quadruple_positive(form, a, b, c, d):
 
 def certify_reference(form, bmap, A=2.0, n_quadruples=2000, rng_seed=0):
     """`qs_certify` with `quadruple_positive` and `cross_ratio_b` called on
-    each quadruple of the same draw, in draw order."""
+    each quadruple of the same draw, in draw order. It tests only the drawn
+    quadruples, so it can certify a map that is not positive where the draw
+    misses every bad quadruple; `qs_certify` checks the whole map."""
     quads = cr._window_quadruples(np.random.default_rng(rng_seed), bmap.domain, A, n_quadruples)
     if len(quads) == 0:
         raise cr.InsufficientSamplesError("rejection sampling accepted no quadruple")

@@ -129,6 +129,25 @@ class TestSolve:
         assert err.count("\n") == 1 and "at any sector count within 200000 vertices" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("radius,sectors,need", [
+        ("6", "436", "initial face"), ("9", "24", "below 7253 sectors"),
+        ("40", "24", "at any sector count within 200000 vertices"),
+        ("100", "24", "at any sector count within 200000 vertices"),
+    ])
+    def test_crown_at_large_radius_reaches_the_face_check(self, tmp_path, capsys, radius,
+                                                          sectors, need):
+        # the crown's ring parametrisation once stopped at an absolute
+        # residual that rounding cannot reach here, and from R = 40 it does
+        # not converge at all, so these ended in a convergence error
+        assert cli.main(["loop-gen", "--kind", "crown", "--out", str(tmp_path / "c.loop")]) == 0
+        capsys.readouterr()
+        code = cli.main(["solve", "--loop", str(tmp_path / "c.loop"), "--rings", "8",
+                         "--sectors", sectors, "--radius", radius, "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error:") and err.count("\n") == 1 and need in err
+        assert not (tmp_path / "run").exists()
+
     def test_mesh_too_coarse_exit_three_naming_the_sector_count(self, tmp_path, capsys):
         # the circle at R = 4 on the default 24 x 72 mesh
         assert cli.main(["loop-gen", "--kind", "circle", "--out", str(tmp_path / "c.loop")]) == 0

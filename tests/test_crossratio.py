@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudoplateau.qcore import BilinearForm, DegenerateTripleError, random_isometry
+from pseudoplateau.qcore import BilinearForm, DegenerateTripleError, GeometryError, random_isometry
 from pseudoplateau import crossratio as cr
 from pseudoplateau import einstein as ein
 
@@ -354,30 +355,81 @@ class TestBatchedCertificate:
         expected = DegenerateTripleError if kind == "crown" else cr.NonPositiveMapError
         assert type(got.value) is expected
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_order_and_signature_agree_with_quadruple_positive(self, n):
-        # random index quadruples in random order, so most are not cyclically
-        # ordered; crown samples add quadruples with degenerate sub-triples
-        form = BilinearForm(n)
-        rng = np.random.default_rng(100 + n)
-        crown = ein.crown_loop(ein.barbot_crown_standard(n), samples_per_edge=6)
-        loops = [make_wobble(n=n, k=64), crown]
-        agree = positive = degenerate = 0
-        for loop, count in zip(loops, (1500, 300)):
-            P = ein.graph_points(loop.thetas, loop.fibers)
-            quads = np.array([rng.choice(len(P), size=4, replace=False) for _ in range(count)])
-            coincident, bad_triple, _, ordered = cr._quadruple_checks(
-                P, (P * form.signs) @ P.T, np.linalg.norm(P, axis=1), quads)
-            for q, row in enumerate(quads):
-                try:
-                    expected = quadruple_positive(form, *P[row])
-                except DegenerateTripleError:
-                    assert np.any(bad_triple[q]) and not np.any(coincident[q])
-                    degenerate += 1
-                    continue
-                assert not np.any(bad_triple[q])
-                assert ordered[q] == expected
-                positive += expected
-                agree += 1
-        assert agree + degenerate == 1800
-        assert agree >= 1500 and 200 < positive < agree and degenerate > 0
+    def test_adjacent_swap_rejected_at_every_seed(self):
+        # swapping the images of two neighbouring samples leaves most drawn
+        # quadruples positive, so a draw can miss every bad one; the map
+        # check sees the swap whatever the seed
+        dom = np.linspace(0, 2 * np.pi, 96, endpoint=False)
+        img = dom.copy()
+        img[[10, 11]] = img[[11, 10]]
+        bmap = cr.SampledBoundaryMap(dom, circle_points(FORM1, *img))
+        for seed in range(50):
+            with pytest.raises(cr.NonPositiveMapError):
+                cr.qs_certify(FORM1, bmap, A=2.0, n_quadruples=1500, rng_seed=seed)
+
+
+def _swapped(bmap, i, j):
+    reps = bmap.reps.copy()
+    reps[[i, j]] = reps[[j, i]]
+    return cr.SampledBoundaryMap(bmap.domain, reps)
+
+
+def _small_circle(n, k, sign=1.0):
+    dom = np.linspace(0, 2 * np.pi, k, endpoint=False)
+    return cr.SampledBoundaryMap(dom, ein.circle_points(BilinearForm(n), sign * dom))
+
+
+def _fast_map(n, k, freq):
+    # fibers turning `freq` times as fast as the circle: not contracting
+    th = np.linspace(0, 2 * np.pi, k, endpoint=False)
+    fib = np.zeros((k, n + 1))
+    fib[:, 0], fib[:, 1] = np.cos(freq * th), np.sin(freq * th)
+    return sample_map(ein.LipschitzLoop(th, fib))
+
+
+def _reversed_wobble(n, k):
+    bmap = sample_map(make_wobble(n=n, k=k))
+    return cr.SampledBoundaryMap(bmap.domain, bmap.reps[::-1])
+
+
+_SMALL_MAPS = {
+    "circle-n1": (1, lambda: _small_circle(1, 8)),
+    "wobble-n2": (2, lambda: sample_map(make_wobble(n=2, k=10))),
+    "wobble-n3": (3, lambda: sample_map(make_wobble(n=3, k=9))),
+    "adjacent-swap-n1": (1, lambda: _swapped(_small_circle(1, 10), 3, 4)),
+    "adjacent-swap-n3": (3, lambda: _swapped(sample_map(make_wobble(n=3, k=10)), 0, 1)),
+    "far-swap-n2": (2, lambda: _swapped(sample_map(make_wobble(n=2, k=10)), 1, 6)),
+    "reversed-n1": (1, lambda: _small_circle(1, 9, sign=-1.0)),
+    "reversed-n2": (2, lambda: _reversed_wobble(2, 10)),
+    "non-contracting-n1": (1, lambda: _fast_map(1, 10, 2)),
+    "non-contracting-n2": (2, lambda: _fast_map(2, 9, 3)),
+    "crown-n1": (1, lambda: sample_map(ein.crown_loop(ein.barbot_crown_standard(1), 2))),
+    "crown-n2": (2, lambda: sample_map(ein.crown_loop(ein.barbot_crown_standard(2), 2))),
+}
+
+
+@pytest.mark.parametrize("name", list(_SMALL_MAPS))
+def test_certifies_exactly_when_every_quadruple_is_positive(name):
+    """On small maps, `qs_certify` certifies exactly when every 4-subset in
+    domain order passes the scalar `quadruple_positive`, and otherwise raises
+    what the first failing 4-subset raises, or NonPositiveMapError where it
+    is merely out of order."""
+    n, build = _SMALL_MAPS[name]
+    form = BilinearForm(n)
+    bmap = build()
+    assert bmap.size <= 10
+    expected = None
+    try:
+        for sel in itertools.combinations(range(bmap.size), 4):
+            if not quadruple_positive(form, *bmap.reps[list(sel)]):
+                expected = cr.NonPositiveMapError
+                break
+    except GeometryError as err:
+        expected = type(err)
+    if expected is None:
+        cert = cr.qs_certify(form, bmap, A=2.0, n_quadruples=50, rng_seed=0)
+        assert cert.quadruples_tested > 0
+    else:
+        with pytest.raises(GeometryError) as got:
+            cr.qs_certify(form, bmap, A=2.0, n_quadruples=50, rng_seed=0)
+        assert type(got.value) is expected

@@ -383,6 +383,17 @@ class TestLoops:
         with pytest.raises(ein.InvalidLoopError):
             ein.LipschitzLoop(th, np.tile([1.0, 0.0], (samples, 1)))
 
+    @pytest.mark.parametrize("thetas,fibers", [
+        ([0.0, 1.0, 2.0], [[np.nan, 0.0], [1.0, 0.0], [1.0, 0.0]]),
+        ([np.nan, 1.0, 2.0, 3.0], [[1.0, 0.0]] * 4),
+        ([np.inf, 1.0, 2.0, 3.0], [[1.0, 0.0]] * 4),
+    ], ids=["nan_fiber", "nan_angle", "inf_angle"])
+    def test_non_finite_samples_rejected(self, thetas, fibers):
+        # a NaN fiber once passed the unit-norm test, a NaN angle was dropped
+        # by the duplicate filter, and an infinite one warned in the `%`
+        with pytest.raises(ein.InvalidLoopError):
+            ein.LipschitzLoop(thetas, fibers)
+
     @pytest.mark.parametrize("kind", ["c1_wobble", "rigid_arc", "crown"])
     def test_lipschitz_margin_matches_pairwise_reference(self, kind):
         if kind == "crown":

@@ -2,8 +2,9 @@
 reaches: every `DiscreteGeometry` field is read by the code that consumes
 the geometry pass, every top-level function and class is used from
 another place in the package, from `bench/`, or from
-`tests/test_acceptance.py`, and every module-level constant is read from
-one of those places. Test-only references live in `tests/*_reference.py`.
+`tests/test_acceptance.py`, every module-level constant is read from one
+of those places, and every name a module imports is used in that module.
+Test-only references live in `tests/*_reference.py`.
 
 The checks scan the source with `ast`, so a name counts as used when it
 appears as a name or an attribute; `bench/tracing.py` names the functions
@@ -92,3 +93,15 @@ def test_every_module_level_constant_is_read():
     assert defined
     unread = [f"{module}.{name}" for module, name in defined if name not in read]
     assert not unread, f"module-level constants nothing reads: {unread}"
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        imports = [n for n in ast.walk(tree) if isinstance(n, ast.Import)
+                   or isinstance(n, ast.ImportFrom) and n.module != "__future__"]
+        bound = [alias.asname or alias.name.split(".")[0] for n in imports for alias in n.names]
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.stem}: {name}" for name in bound if name not in loaded]
+    assert not unused, f"imported names their module never uses: {unused}"
