@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
-from scipy.sparse.linalg import splu
 
 from .qcore import BilinearForm, GeometryError, standardize_triple
 from .einstein import (
@@ -27,7 +26,7 @@ from .einstein import (
 )
 from .crossratio import SampledBoundaryMap, qs_certify
 from .hspace import gradient_norm_sq, horofunction, spatial_distance
-from .plateau import SurfaceState, discrete_geometry
+from .plateau import SurfaceState, _factor, discrete_geometry
 
 
 class UnconvergedStateError(GeometryError):
@@ -322,17 +321,14 @@ LAYOUT_TOL = 1e-10
 
 
 def _gauss_newton(residual, x: np.ndarray) -> np.ndarray:
-    """Damped Newton, until max |r| < GAUSS_NEWTON_TOL: each step is
-    halved until the squared residual drops.
+    """Damped Newton, until max |r| < GAUSS_NEWTON_TOL: the step J^-1 r is
+    factored once at each accepted x, and a trial that does not lower the
+    squared residual halves its length on that factor.
 
     `residual(x)` returns the residual vector and its sparse square
     Jacobian, or raises FlatteningError at an inadmissible x, which rejects
-    the trial step like a residual increase does. The step is
-    splu(J).solve(r), the Gauss-Newton step of a nonsingular J. J is the
-    flattening's Hessian, so it is factored in symmetric mode: minimum
-    degree on its own pattern and diagonal pivots, with relax=1 and
-    panel_size=1 as in `plateau._flow_operator`: at 96x288 the defaults
-    took 76-110 ms against 52-60 ms for the same fill."""
+    the trial step like a residual increase does. J is the flattening's
+    Hessian, so it is symmetric, and `plateau._factor` factors it."""
     r, J = residual(x)
     step = None
     for _ in range(GAUSS_NEWTON_TRIALS):
@@ -340,8 +336,7 @@ def _gauss_newton(residual, x: np.ndarray) -> np.ndarray:
             return x
         if step is None:
             # the factor is not kept: held into the next step, two would be alive at once
-            step, t = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           relax=1, panel_size=1, options={"SymmetricMode": True}).solve(r), 1.0
+            step, t = _factor(J).solve(r), 1.0
         try:
             r_t, J_t = residual(x - t * step)
         except FlatteningError:

@@ -44,13 +44,8 @@ STAR_WIDTH = 8
 # The largest mesh `build_state` accepts, in vertices (1 + rings * sectors).
 MAX_VERTICES = 200_000
 
-# The first and largest step size of `plateau_solve`. At dt = 1 the step's
-# operator L + 3 Omega is one mass matrix from L + 2 Omega, the Newton
-# operator of Delta x = 2x (see `_flow_operator`).
-INITIAL_DT = 1.0
-
-# The number of past steps that `plateau_solve` mixes into each new one. At
-# dt = 1 a depth of 2 takes the 24x72 crown 17 steps, against 14 at depth 4.
+# The number of past steps that `plateau_solve` mixes into each new one. A
+# depth of 2 takes the 24x72 crown 17 steps, against 14 at depth 4.
 ANDERSON_DEPTH = 4
 
 # The default tolerance of `plateau_solve`, and the largest residual a state
@@ -62,16 +57,14 @@ STATE_RESIDUAL_MAX = 1e-6
 class StencilTable:
     """Per-vertex index arrays of a `DiskMesh`.
 
-    `ring` and `sector` are the grid coordinates of every vertex (the
-    center is (0, 0)). `star` holds the balanced star of every interior
-    vertex in cyclic order, padded to STAR_WIDTH with the vertex itself;
-    `mask` marks the real entries and `nxt` the slot of each entry's cyclic
-    successor (a padding slot is its own successor). Rim vertices have an
-    empty star.
+    `ring` is the ring of every vertex (the center's is 0). `star` holds
+    the balanced star of every interior vertex in cyclic order, padded to
+    STAR_WIDTH with the vertex itself; `mask` marks the real entries and
+    `nxt` the slot of each entry's cyclic successor (a padding slot is its
+    own successor). Rim vertices have an empty star.
     """
 
     ring: np.ndarray
-    sector: np.ndarray
     star: np.ndarray
     mask: np.ndarray
     nxt: np.ndarray
@@ -207,7 +200,7 @@ class DiskMesh:
         slot = np.arange(STAR_WIDTH)
         mask = slot < length[:, None]
         nxt = np.where(mask, (slot + 1) % np.maximum(length, 1)[:, None], slot)
-        return StencilTable(ring=self.ring_of(), sector=self.sector_of(), star=star, mask=mask, nxt=nxt)
+        return StencilTable(ring=self.ring_of(), star=star, mask=mask, nxt=nxt)
 
 
 @dataclass
@@ -252,9 +245,13 @@ def face_grams(form: BilinearForm, X: np.ndarray, faces: np.ndarray):
     return a, b, c, a * c - b * b
 
 
+def _spacelike(grams) -> np.ndarray:
+    """Which faces of the `face_grams` entries have a positive definite Gram matrix."""
+    return (grams[0] > 0.0) & (grams[3] > 0.0)
+
+
 def faces_spacelike(form: BilinearForm, X: np.ndarray, faces: np.ndarray):
-    a, _, _, det = face_grams(form, X, faces)
-    good = (a > 0.0) & (det > 0.0)
+    good = _spacelike(face_grams(form, X, faces))
     return bool(np.all(good)), good
 
 
@@ -264,10 +261,9 @@ def _cotan_matrix(grams, mesh: DiskMesh):
     `cotan_pattern`. An off-diagonal entry sums at most two face terms, so
     the order of the sums does not change a bit of the result."""
     a, b, c, det = grams
-    bad = det <= 0
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise FaceError(f"degenerate face {idx} (induced Gram not positive definite)")
+    good = _spacelike(grams)
+    if not np.all(good):
+        raise FaceError(f"face {int(np.argmin(good))} is not spacelike")
     s = np.sqrt(det)
     area = 0.5 * s
     cot0 = b / s
@@ -531,35 +527,42 @@ def barbot_state(form: BilinearForm, crown: BarbotCrown, m: int, s: int, R: floa
 # Solver
 
 
-def _flow_operator(assembly, idx: np.ndarray, dt: float):
-    """LU factor of the implicit flow operator A = L + (2 + 1/dt) Omega on
-    the free vertices `idx`, with the cotangent Laplacian L and the vertex
-    areas Omega of `assembly`. A is symmetric, so its columns are ordered
-    by minimum degree on A + A^T. SuperLU runs with relax=1 and
-    panel_size=1, without relaxed supernodes and with one-column panels:
-    with the same order and fill (2,080,028 nonzeros at 96x288) the
-    defaults factored in 75-78 ms against 54-55 ms, and 2.3-2.6 against
-    1.4-1.6 ms at 24x72 (2-core Xeon, scipy 1.17).
+def _factor(A):
+    """The SuperLU factor of the symmetric sparse matrix A, the one sparse
+    factorisation of the package: columns ordered by minimum degree on
+    A + A^T, diagonal pivots in symmetric mode, and relax=1 and
+    panel_size=1, without relaxed supernodes and with one-column panels.
+    With the same order and fill the defaults factored the flow operator
+    (2,080,028 nonzeros at 96x288) in 75-78 ms against 54-55 ms, and in
+    2.3-2.6 against 1.4-1.6 ms at 24x72, and the flattening's Jacobian at
+    96x288 in 76-110 ms against 52-60 ms (2-core Xeon, scipy 1.17). splu is
+    looked up when called, so a patched scipy.sparse.linalg.splu sees every
+    factorisation."""
+    return sp.linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          relax=1, panel_size=1, options={"SymmetricMode": True})
 
-    L + 2 Omega is the Newton operator of the ambient equation Delta x = 2x
-    (Pinkall and Polthier, Experiment. Math. 2, 1993). At dt = 1, A = L +
-    3 Omega is that operator plus one mass matrix, which damps the step."""
+
+def _flow_operator(assembly, idx: np.ndarray):
+    """The `_factor` of the implicit flow operator A = L + 3 Omega on the
+    free vertices `idx`, with the cotangent Laplacian L and the vertex areas
+    Omega of `assembly`. L + 2 Omega is the Newton operator of the ambient
+    equation Delta x = 2x (Pinkall and Polthier, Experiment. Math. 2, 1993);
+    the one mass matrix more damps the step."""
     W, deg, omega = assembly
-    A = (sp.diags(deg + (2.0 + 1.0 / dt) * omega) - W).tocsr()
-    return sp.linalg.splu(A[idx][:, idx].tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
-                          panel_size=1)
+    A = (sp.diags(deg + 3.0 * omega) - W).tocsr()
+    return _factor(A[idx][:, idx])
 
 
 def _flow_step(X: np.ndarray, rho: np.ndarray, omega: np.ndarray, idx: np.ndarray,
-               lu) -> np.ndarray:
-    """One implicit step of the residual flow x' = x + dt rho on the free
-    vertices `idx`, solving the factor `lu` of `_flow_operator` against
-    Omega rho. The implicit step damps the stiff spatial modes that a
-    single global explicit step cannot resolve on a graded polar mesh; its
-    fixed points (rho = 0) are the same."""
+               lu, t: float) -> np.ndarray:
+    """The implicit step X + t A^-1 Omega rho of the residual flow on the
+    free vertices `idx`, of length t, solving the factor `lu` of
+    `_flow_operator` against Omega rho. The implicit step damps the stiff
+    spatial modes that a single global explicit step cannot resolve on a
+    graded polar mesh; its fixed points (rho = 0) are the same."""
     Xn = X.copy()
-    Xn[idx] = np.take(X, idx, axis=0) + lu.solve(np.take(omega, idx)[:, None]
-                                                 * np.take(rho, idx, axis=0))
+    Xn[idx] = np.take(X, idx, axis=0) + t * lu.solve(np.take(omega, idx)[:, None]
+                                                     * np.take(rho, idx, axis=0))
     return Xn
 
 
@@ -573,14 +576,12 @@ def _onto_quadric(form: BilinearForm, Y: np.ndarray):
 
 def _trial(form: BilinearForm, mesh: DiskMesh, X: np.ndarray, rmax: float, tol: float):
     """The residual, cotangent assembly and largest residual norm of the
-    trial positions X, or None if X is not a step the solver may take: a
-    face is not spacelike, the residual raises FaceError, or the largest
-    residual is not finite or more than twice max(rmax, tol)."""
-    grams = face_grams(form, X, mesh.faces)
-    if not np.all((grams[0] > 0) & (grams[3] > 0)):
-        return None
+    trial positions X, or None if X is not a step the solver may take: the
+    residual raises FaceError, as it does on a face that is not spacelike,
+    or the largest residual is not finite or more than twice max(rmax,
+    tol)."""
     try:
-        rho, assembly = _residual(form, X, mesh, grams)
+        rho, assembly = _residual(form, X, mesh, face_grams(form, X, mesh.faces))
     except FaceError:
         return None
     r = float(np.max(np.linalg.norm(rho, axis=1)))
@@ -612,19 +613,21 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     with the quadric normalisation re-imposed each step and the steps
     Anderson-mixed.
 
-    The implicit operator A is factored at the start, with dt = INITIAL_DT
-    = 1. There A = L + 3 Omega: the Newton operator L + 2 Omega of the
+    The implicit operator A = L + 3 Omega of `_flow_operator` is factored
+    once, when the first step runs: the Newton operator L + 2 Omega of the
     ambient equation Delta x = 2x plus one mass matrix, so the plain step
     is a damped Newton step with a frozen Jacobian. Each iteration takes
-    the plain step G(X) = X + A^-1 Omega rho scaled onto the quadric, mixes
-    G with the differences of G and of F = G - X at the last ANDERSON_DEPTH
-    accepted iterates (Walker and Ni, SIAM J. Numer. Anal. 49, 2011), and
-    checks the result with `_trial`. Every rejected step, a row that is not
-    timelike or a trial that fails, is handled the same way: dt halves, the
-    history is cleared, and the operator is factored again at the current
-    positions. dt never grows back, and a dt below 1e-8 raises SolverError.
-    Convergence is judged on the residual of each new state. A tol that is
-    not finite and positive, or a negative max_iter, raises GeometryError."""
+    the plain step G(X) = X + t A^-1 Omega rho scaled onto the quadric,
+    mixes G with the differences of G and of F = G - X at the last
+    ANDERSON_DEPTH accepted iterates (Walker and Ni, SIAM J. Numer. Anal.
+    49, 2011), and checks the result with `_trial`. Every rejected step, a
+    row that is not timelike or a trial that fails, is handled the same
+    way: the step length t, at first 1, halves on the same factor and the
+    history is cleared. t never grows back, and a t below 1e-8 raises
+    SolverError; t is 2^-halvings, so the halvings are all the solve
+    records of it. Convergence is judged on the residual of each new state.
+    A tol that is not finite and positive, or a negative max_iter, raises
+    GeometryError."""
     if not (np.isfinite(tol) and tol > 0):
         raise GeometryError(f"solver tolerance must be finite and positive, got {tol!r}")
     if max_iter < 0:
@@ -633,9 +636,7 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     form, mesh = out.form, out.mesh
     X = out.positions
     idx = np.flatnonzero(~mesh.boundary_mask())
-    dt = INITIAL_DT
     halvings = 0
-    factorisations = 0
     lu = None
     rho, assembly = _residual(form, X, mesh, face_grams(form, X, mesh.faces))
     rmax = float(np.max(np.linalg.norm(rho, axis=1)))
@@ -648,9 +649,8 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     while it < max_iter and not converged:
         it += 1
         if lu is None:
-            lu = _flow_operator(assembly, idx, dt)
-            factorisations += 1
-        Xnew = _onto_quadric(form, _flow_step(X, rho, assembly[2], idx, lu))
+            lu = _flow_operator(assembly, idx)
+        Xnew = _onto_quadric(form, _flow_step(X, rho, assembly[2], idx, lu, 0.5 ** halvings))
         if Xnew is not None:
             G = np.take(Xnew, idx, axis=0)
             F = G - np.take(X, idx, axis=0)
@@ -665,12 +665,10 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
                     Xnew[idx] = free
         step = None if Xnew is None else _trial(form, mesh, Xnew, rmax, tol)
         if step is None:
-            dt *= 0.5
             halvings += 1
-            lu = None  # free the old factor before the next one is made
             last, dG, dF = None, [], []
-            if dt < 1e-8:
-                raise SolverError("step size collapsed below 1e-8 without a spacelike step")
+            if 0.5 ** halvings < 1e-8:
+                raise SolverError("step length collapsed below 1e-8 without a spacelike step")
             continue
         X = Xnew
         rho, assembly, rmax = step
@@ -683,8 +681,7 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     out.final_residual = rmax
     stride = max(1, len(hist) // 200)
     out.residual_history = [float(h) for h in hist[::stride]]
-    out.dt_summary = {"final": dt, "initial": INITIAL_DT, "halvings": halvings,
-                      "factorisations": factorisations}
+    out.dt_summary = {"halvings": halvings}
     return out
 
 

@@ -145,7 +145,7 @@ def hessian_reference(state, z, samples, seed):
     geo = discrete_geometry(state)
     e1, e2 = geo.frames
     mesh = state.mesh
-    ring, sec = mesh.stencil.ring, mesh.stencil.sector
+    ring, sec = mesh.stencil.ring, mesh.sector_of()
     inter = np.flatnonzero(mesh.interior_mask(diag.AUDIT_EXCLUDE_RINGS) & (ring >= 1))
     X = state.positions
     errors = []

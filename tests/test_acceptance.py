@@ -215,9 +215,7 @@ class TestCriterion8Contraction:
     def test_nested_diamond_sweep(self):
         rng = np.random.default_rng(88)
         B = 3.0
-        bound = (B - 1.0) / (B + 1.0)
         worst_ratio = 0.0
-        chord_gap = 0.0
         count = 0
         from pseudoplateau.qcore import random_isometry
 
@@ -243,11 +241,13 @@ class TestCriterion8Contraction:
             except (cr.GeometryError, ein.GeometryError):
                 continue
             worst_ratio = max(worst_ratio, repc.max_ratio)
-            chord_gap = max(chord_gap, abs(repc.chord_ratio_measured - repc.chord_ratio_formula))
             count += 1
-        ok = worst_ratio <= bound + 1e-6 and chord_gap <= 1e-8
+        # the controlled lightlike chord depends on B alone, not on the diamonds
+        chord_measured, chord_formula = cr._lightlike_chord_ratio(FORM1.n, B)
+        chord_gap = abs(chord_measured - chord_formula)
+        ok = worst_ratio <= repc.bound + 1e-6 and chord_gap <= 1e-8
         report("8 contraction", ok,
-               f"{count} configurations, worst ratio {worst_ratio:.6f} <= {bound:.6f}, "
+               f"{count} configurations, worst ratio {worst_ratio:.6f} <= {repc.bound:.6f}, "
                f"chord formula gap {chord_gap:.2e}")
 
 

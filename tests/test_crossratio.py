@@ -157,6 +157,19 @@ class TestCircleMap:
         with pytest.raises(cr.GeometryError, match="sample counts differ"):
             cr.SampledBoundaryMap(dom, reps)
 
+    @pytest.mark.parametrize("where,value", [("angle", np.nan), ("angle", np.inf),
+                                             ("rep", np.nan)],
+                             ids=["nan_angle", "inf_angle", "nan_rep"])
+    def test_non_finite_samples_rejected(self, where, value):
+        # a NaN angle once sorted last and passed, an infinite one warned in
+        # the reduction mod 2 pi, and a NaN representative reached the
+        # certificate as a degenerate triple
+        dom = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        reps = circle_points(FORM1, *dom)
+        (dom if where == "angle" else reps[3])[3] = value
+        with pytest.raises(cr.GeometryError, match="must be finite"):
+            cr.SampledBoundaryMap(dom, reps)
+
     def test_reorders_images_with_the_domain(self):
         dom = np.array([3.0, 1.0, 2.0, 0.5])
         bmap = cr.SampledBoundaryMap(dom, circle_points(FORM1, *dom))

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from pseudoplateau.qcore import BilinearForm
 from pseudoplateau import cli
@@ -60,17 +61,20 @@ def _flattening_residual(monkeypatch, st):
     return captured[0]
 
 
-def _spy_splu(monkeypatch):
-    """Record every matrix handed to `splu`, which still factors it."""
-    given = []
-    splu = diag.splu
+def _spy_factor(monkeypatch):
+    """Record every matrix the flattening hands to `plateau._factor`, which
+    still factors it, and count every call of scipy's splu."""
+    given, calls = [], []
+    factor, splu = diag._factor, scipy.sparse.linalg.splu
 
-    def spy(A, **options):
+    def spy(A):
         given.append(A)
-        return splu(A, **options)
+        return factor(A)
 
-    monkeypatch.setattr(diag, "splu", spy)
-    return given
+    monkeypatch.setattr(diag, "_factor", spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *a, **k: calls.append(1) or splu(*a, **k))
+    return given, calls
 
 
 def _lift(xy):
@@ -475,9 +479,9 @@ class TestSquareMode:
         ni = st.mesh.vertex_count - st.mesh.sectors
         J = _flattening_residual(monkeypatch, st)(np.zeros(ni))[1]
         pattern = set(zip(*J.nonzero()))
-        given = _spy_splu(monkeypatch)
+        given, calls = _spy_factor(monkeypatch)
         diag.yamabe_flatten(st)
-        assert given
+        assert given and len(calls) == len(given)
         for A in given:
             # J^T J couples vertices two rings apart, J only neighbours
             assert A.shape == (ni, ni)
@@ -485,9 +489,9 @@ class TestSquareMode:
 
     def test_development_factors_nothing(self, monkeypatch, solved_wobble_state):
         _, lengths = diag.yamabe_flatten(solved_wobble_state)
-        given = _spy_splu(monkeypatch)
+        given, calls = _spy_factor(monkeypatch)
         diag._develop_h2(solved_wobble_state, lengths)
-        assert given == []
+        assert given == [] and calls == []
 
     def test_factors_match_normal_matrix_gauss_newton(self, monkeypatch, solved_wobble_state):
         u, _ = diag.yamabe_flatten(solved_wobble_state)

@@ -71,9 +71,9 @@ class TestMesh:
     @pytest.mark.parametrize("rings,sectors", [(8, 24), (5, 9), (24, 72)])
     def test_stencil_table_holds_the_balanced_stars(self, rings, sectors):
         mesh = pl.DiskMesh(rings, sectors, 1.0)
-        table = mesh.stencil
+        table, sector = mesh.stencil, mesh.sector_of()
         for v in range(mesh.vertex_count):
-            i, j = int(table.ring[v]), int(table.sector[v])
+            i, j = int(table.ring[v]), int(sector[v])
             assert mesh.vertex(i, j) == v
             star = list(table.star[v][table.mask[v]])
             assert star == (balanced_star(mesh, i, j) if i < rings else [])
@@ -237,6 +237,17 @@ class TestResidual:
 
 
 class TestCotanAssembly:
+    def test_rejects_a_negative_definite_face(self):
+        # -(a, b, c) keeps det = ac - b^2 > 0 but makes the face's induced
+        # Gram matrix negative definite, which `faces_spacelike` refuses
+        st = geodesic_disk_state(FORM1, 8, 24, 2.0)
+        a, b, c, det = pl.face_grams(st.form, st.positions, st.mesh.faces)
+        flip = np.where(np.arange(len(a)) == 5, -1.0, 1.0)
+        grams = (flip * a, flip * b, flip * c, det)
+        assert det[5] > 0 and not pl._spacelike(grams)[5]
+        with pytest.raises(pl.FaceError, match=r"^face 5 is not spacelike$"):
+            pl._cotan_matrix(grams, st.mesh)
+
     @pytest.mark.parametrize("m, s", [(2, 3), (8, 24), (24, 72), (96, 288)])
     def test_matches_coo_assembly_bitwise(self, m, s):
         # build_state needs eight rings, so the 2 x 3 start is the sampled
@@ -288,36 +299,28 @@ class TestSolve:
         assert solved_wobble.final_residual < 1e-8
 
     @staticmethod
-    def _count_factorisations(monkeypatch):
-        """Count splu calls and record the dt of every flow step: the dt that
-        `_flow_operator` was given for the factor the step solves against."""
-        calls, dts, factor_dt = [], [], {}
+    def _record_steps(monkeypatch):
+        """Count splu calls, and record the step length and the factor of
+        every flow step."""
+        calls, steps = [], []
         splu = scipy.sparse.linalg.splu
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda *a, **k: calls.append(1) or splu(*a, **k))
-        operator, step = pl._flow_operator, pl._flow_step
+        step = pl._flow_step
+        monkeypatch.setattr(pl, "_flow_step", lambda *a: steps.append((a[5], a[4])) or step(*a))
+        return calls, steps
 
-        def recording_operator(assembly, idx, dt):
-            lu = operator(assembly, idx, dt)
-            factor_dt[id(lu)] = dt
-            return lu
-
-        monkeypatch.setattr(pl, "_flow_operator", recording_operator)
-        monkeypatch.setattr(pl, "_flow_step",
-                            lambda *a: dts.append(factor_dt[id(a[4])]) or step(*a))
-        return calls, dts
-
-    def test_factors_once_per_step_size(self, monkeypatch):
-        calls, dts = self._count_factorisations(monkeypatch)
+    def test_factors_once_per_solve(self, monkeypatch):
+        calls, steps = self._record_steps(monkeypatch)
         out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-9)
-        assert out.converged and out.dt_summary["halvings"] == 0
-        assert set(dts) == {pl.INITIAL_DT}
-        assert len(calls) == out.dt_summary["factorisations"] == 1
+        assert out.converged and out.dt_summary == {"halvings": 0}
+        assert [t for t, _ in steps] == [1.0] * out.iterations
+        assert len(calls) == 1
 
-    def test_refactors_when_the_step_size_changes(self, monkeypatch):
-        calls, dts = self._count_factorisations(monkeypatch)
-        # reject the first four trial steps: dt halves four times and never
-        # grows back
+    def test_rejections_halve_the_step_length_on_one_factor(self, monkeypatch):
+        calls, steps = self._record_steps(monkeypatch)
+        # reject the first four trial steps: the step length halves four
+        # times and never grows back
         residual, evaluations = pl._residual, []
 
         def reject_first_trials(*args):
@@ -327,30 +330,31 @@ class TestSolve:
             return residual(*args)
 
         monkeypatch.setattr(pl, "_residual", reject_first_trials)
-        # tol 1e-11 takes more than 20 accepted steps at dt = INITIAL_DT / 16,
-        # so a regrowth of dt would show in the recorded steps
+        # tol 1e-11 takes more than 20 accepted steps of length 1/16, so a
+        # regrowth of the length would show in the recorded steps
         out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-11)
-        assert out.converged and out.dt_summary["halvings"] == 4
-        assert dts[:4] == [pl.INITIAL_DT / 2**k for k in range(4)]
-        assert set(dts[4:]) == {pl.INITIAL_DT / 16}
-        assert out.dt_summary["final"] == pl.INITIAL_DT / 16 and len(dts[4:]) > 20
-        assert len(calls) == out.dt_summary["factorisations"] == 1 + out.dt_summary["halvings"]
+        assert out.converged and out.dt_summary == {"halvings": 4}
+        lengths = [t for t, _ in steps]
+        assert lengths[:4] == [1.0, 0.5, 0.25, 0.125]
+        assert set(lengths[4:]) == {1.0 / 16} and len(lengths[4:]) > 20
+        assert len(calls) == 1 and all(lu is steps[0][1] for _, lu in steps)
 
     @pytest.mark.parametrize("loop, ceiling", [
         (wobble_loop(k=144), 8),
         (ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=36), 16),
     ], ids=["wobble", "crown"])
-    def test_mixed_steps_converge_within_the_ceiling(self, loop, ceiling):
+    def test_mixed_steps_converge_within_the_ceiling(self, monkeypatch, loop, ceiling):
         # the plain flow takes 26 (wobble) and 16 (crown) steps at 24x72
+        calls, _ = self._record_steps(monkeypatch)
         out = pl.plateau_solve(pl.build_state(loop, 24, 72, 3.0), tol=1e-9)
         assert out.converged and out.iterations <= ceiling
-        assert out.dt_summary["factorisations"] == 1
-        assert out.dt_summary["halvings"] == 0
+        assert len(calls) == 1
+        assert out.dt_summary == {"halvings": 0}
 
-    def test_rejected_mixed_step_halves_dt_and_takes_the_plain_step(self, monkeypatch):
+    def test_rejected_mixed_step_halves_the_step_and_takes_the_plain_step(self, monkeypatch):
         # residual evaluations: the start, the first (plain) step, the first
         # mixed step, which is rejected, then the plain step that follows
-        calls, dts = self._count_factorisations(monkeypatch)
+        calls, steps = self._record_steps(monkeypatch)
         residual, step = pl._residual, pl._flow_step
         evaluated, flowed = [], []
 
@@ -365,9 +369,9 @@ class TestSolve:
                             lambda *a: flowed.append((a[0], step(*a))) or flowed[-1][1])
         out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-9)
         assert out.converged
-        assert out.dt_summary["halvings"] == 1
-        assert len(calls) == out.dt_summary["factorisations"] == 2
-        assert dts[:3] == [pl.INITIAL_DT, pl.INITIAL_DT, pl.INITIAL_DT / 2]
+        assert out.dt_summary == {"halvings": 1}
+        assert len(calls) == 1 and all(lu is steps[0][1] for _, lu in steps)
+        assert [t for t, _ in steps[:3]] == [1.0, 1.0, 0.5]
         # the history is cleared: the next step is the unmixed plain step,
         # a new solve from the positions the mixed step was taken from
         X, flows = evaluated[3]
@@ -545,13 +549,13 @@ class TestStateIO:
 
     def test_dumps_equal_per_vertex_formatting(self, solved_wobble):
         st = solved_wobble
-        table = st.mesh.stencil
+        table, sector = st.mesh.stencil, st.mesh.sector_of()
         rim = st.mesh.boundary_mask()
         lines = pl.state_dumps(st).splitlines(keepends=True)
         assert len(lines) == 1 + st.mesh.vertex_count
         for v in range(st.mesh.vertex_count):
             coords = " ".join(repr(float(x)) for x in st.positions[v])
-            assert lines[1 + v] == f"{table.ring[v]} {table.sector[v]} {coords} {int(rim[v])}\n"
+            assert lines[1 + v] == f"{table.ring[v]} {sector[v]} {coords} {int(rim[v])}\n"
 
     def test_solve_report_is_json(self, solved_wobble):
         import json

@@ -1,15 +1,18 @@
 """The package keeps only code that the program or an acceptance criterion
 reaches: every `DiscreteGeometry` field is read by the code that consumes
-the geometry pass, every top-level function and class is used from
-another place in the package, from `bench/`, or from
-`tests/test_acceptance.py`, every module-level constant is read from one
-of those places, and every name a module imports is used in that module.
+the geometry pass, every field of every dataclass is read from the
+package, from `bench/` or from `tests/test_acceptance.py`, every
+top-level function and class is used from another place in the package,
+from `bench/`, or from `tests/test_acceptance.py`, every module-level
+constant is read from one of those places, and every name a module
+imports is used in that module.
 Test-only references live in `tests/*_reference.py`.
 
 The checks scan the source with `ast`, so a name counts as used when it
 appears as a name or an attribute; `bench/tracing.py` names the functions
 it patches as strings, so string constants under `bench/` count too. A
-constant counts as read only where its name or attribute is loaded."""
+constant or a dataclass field counts as read only where its name or
+attribute is loaded."""
 
 import ast
 from pathlib import Path
@@ -51,6 +54,29 @@ def test_every_geometry_field_is_read_outside_the_pass():
                 read.add(n.attr)
     unread = [f for f in fields if f not in read]
     assert not unread, f"DiscreteGeometry fields no code reads: {unread}"
+
+
+def _is_dataclass(cls):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    defined = []   # (module.class, field)
+    read = set()
+    sources = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"])
+    for path in sources:
+        tree = _parse(path)
+        if path.parent == PACKAGE:
+            defined += [(f"{path.stem}.{cls.name}", n.target.id) for cls in tree.body
+                        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                        for n in cls.body if isinstance(n, ast.AnnAssign)]
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    assert defined
+    unread = [f"{cls}.{name}" for cls, name in defined if name not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 def test_every_top_level_definition_is_reached():
