@@ -31,13 +31,20 @@ def generate_loop(kind: str, n: int = 1, samples: int = 128, amplitude: float = 
         raise ein.InvalidLoopError(f"--samples must lie in [3, {MAX_LOOP_SAMPLES}], got {samples}")
     if n < 1:
         raise ein.InvalidLoopError(f"--n must be at least 1, got {n}")
+    if kind == "c1_wobble":
+        if not np.isfinite(amplitude):
+            raise ein.InvalidLoopError(f"--amplitude must be finite, got {amplitude}")
+        # the wobble's Lipschitz constant is |amplitude * frequency|
+        if abs(amplitude * frequency) >= 0.95:
+            raise ein.InvalidLoopError("wobble would not stay strictly contracting")
+        # at n >= 2 the fiber's first coordinate is sqrt(1 - amplitude^2)
+        if n >= 2 and abs(amplitude) >= 1.0:
+            raise ein.InvalidLoopError(f"--amplitude must lie in (-1, 1) at n >= 2, got {amplitude}")
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     if kind == "circle":
         fibers = np.tile(np.eye(1, n + 1), (samples, 1))
         return ein.LipschitzLoop(thetas, fibers, c1=True)
     if kind == "c1_wobble":
-        if amplitude * frequency >= 0.95:
-            raise ein.InvalidLoopError("wobble would not stay strictly contracting")
         if n == 1:
             phi = amplitude * np.sin(frequency * thetas)
             fibers = np.column_stack([np.cos(phi), np.sin(phi)])

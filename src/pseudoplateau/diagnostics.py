@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .qcore import BilinearForm, GeometryError, standardize_triple
+from .qcore import BilinearForm, GeometryError, standardize_triples
 from .einstein import (
     BarbotCrown,
     LipschitzLoop,
@@ -519,7 +519,14 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
     """Renormalise the loop over sampled positive triples -- half spread at
     random, half concentrating on shrinking arcs -- and report the minimum
     contraction margin, 1 minus the largest pair ratio; a margin bounded
-    away from zero is the numeric proxy for quasiperiodicity."""
+    away from zero is the numeric proxy for quasiperiodicity.
+
+    The candidates are drawn in rounds, each as many as the margins still
+    missing (within the budget of 30 * triples draws), so a round never
+    overshoots `triples` and the margins are those of drawing one candidate
+    at a time. Each round standardises its triples in one
+    `standardize_triples` call and renormalises the loop by all of them in
+    one stacked product; the pair scan then runs per renormalised loop."""
     if loop_classify(loop) != "positive":
         raise GeometryError("quasiperiodicity probe requires a positive loop")
     form = BilinearForm(loop.n)
@@ -536,11 +543,13 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
     worst_center = 0.5 * (loop.thetas[i[top]] + loop.thetas[j[top]]) if ratios[top] > 0.0 else 0.0
     tried = 0
     while len(margins) < triples and tried < 30 * triples:
-        tried += 1
-        mode = tried % 4
-        if mode in (0, 1):
-            sel = np.sort(rng.choice(k, size=3, replace=False))
-        else:
+        sels = []
+        for _ in range(min(triples - len(margins), 30 * triples - tried)):
+            tried += 1
+            mode = tried % 4
+            if mode in (0, 1):
+                sels.append(np.sort(rng.choice(k, size=3, replace=False)))
+                continue
             center = rng.uniform(0.0, 2.0 * np.pi) if mode == 2 else \
                 worst_center + rng.normal(scale=0.05)
             delta = np.pi * 10.0 ** rng.uniform(-1.7, -0.2)
@@ -548,22 +557,20 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
             # the nearest sample to each angle
             offsets = (loop.thetas - angles[:, None] + np.pi) % (2 * np.pi) - np.pi
             sel = np.unique(np.argmin(np.abs(offsets), axis=1))
-            if len(sel) < 3:
+            if len(sel) == 3:
+                sels.append(sel)
+        G, ok = standardize_triples(reps[np.array(sels, dtype=np.intp).reshape(-1, 3)], form)
+        moved = reps @ G[ok].transpose(0, 2, 1)
+        nu = np.linalg.norm(moved[..., :2], axis=-1)
+        nv = np.linalg.norm(moved[..., 2:], axis=-1)
+        thetas = np.arctan2(moved[..., 1] / nu, moved[..., 0] / nu) % (2.0 * np.pi)
+        fibers = moved[..., 2:] / nv[..., None]
+        for th, fib in zip(thetas, fibers):
+            try:
+                renorm = LipschitzLoop(th, fib)
+            except GeometryError:
                 continue
-        try:
-            g = standardize_triple(reps[sel], form)
-        except GeometryError:
-            continue
-        moved = reps @ g.matrix.T
-        nu = np.linalg.norm(moved[:, :2], axis=1)
-        nv = np.linalg.norm(moved[:, 2:], axis=1)
-        thetas = np.arctan2(moved[:, 1] / nu, moved[:, 0] / nu) % (2.0 * np.pi)
-        fibers = moved[:, 2:] / nv[:, None]
-        try:
-            renorm = LipschitzLoop(thetas, fibers)
-        except GeometryError:
-            continue
-        margins.append(1.0 - float(np.max(_pair_ratios(renorm))))
+            margins.append(1.0 - float(np.max(_pair_ratios(renorm))))
     if not margins:
         raise GeometryError("no positive triple produced a renormalisable graph")
     return {

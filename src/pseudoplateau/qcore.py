@@ -6,7 +6,7 @@ Everything downstream lives in E = R^{n+3} with the quadratic form
 
 This module owns the form itself, signatures of subspaces, and the
 canonical basis attached to a positive boundary triple, with the isometry
-that standardises it.
+that standardises it, computed for a whole stack of triples at once.
 """
 
 from __future__ import annotations
@@ -120,40 +120,29 @@ class BilinearForm:
     def q(self, u) -> float:
         return self.inner(u, u)
 
-    def aux_norm(self, u) -> float:
-        """Euclidean norm from the product splitting (all signs +1)."""
-        return float(np.linalg.norm(_as_vector(u)))
 
-    def gram(self, vectors) -> np.ndarray:
-        V = np.asarray([_as_vector(v) for v in vectors])
-        return (V * self.signs) @ V.T
-
-    def project_out(self, v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-        """q-orthogonal projection of v away from a q-orthonormal basis
-        (each basis vector must have q = +1 or -1)."""
-        out = v.astype(float).copy()
-        for b in basis:
-            out -= (self.inner(out, b) / self.q(b)) * b
-        return out
-
-
-def subspace_signature(form: BilinearForm, vectors,
-                       tol: float = NULL_EIGENVALUE_RTOL) -> tuple[int, int, int]:
+def subspace_signature(form: BilinearForm, vectors, tol: float = NULL_EIGENVALUE_RTOL
+                       ) -> tuple[int, int, int] | np.ndarray:
     """The signature (positive, negative, null) of the span of `vectors`,
     from the eigenvalues of their Gram matrix; eigenvalues below tol
-    (relative to the largest magnitude) count as null."""
-    vecs = [_as_vector(v) for v in vectors]
-    if len(vecs) == 0:
+    (relative to the largest magnitude) count as null.
+
+    `vectors` is a (k, dim) list or array, giving a tuple, or a stack of
+    them (..., k, dim), giving an (..., 3) array whose rows are the
+    signatures of the stack's members, each equal to the tuple for that
+    member alone."""
+    V = np.ascontiguousarray(vectors, dtype=float)
+    if V.ndim < 2 or V.shape[-2] == 0:
         raise GeometryError("empty vector list")
-    gram = form.gram(vecs)
-    eig = np.linalg.eigvalsh(gram)
+    eig = np.linalg.eigvalsh((V * form.signs) @ V.swapaxes(-1, -2))
     # the relative cutoff needs a floor at the vectors' own scale: an exactly
     # isotropic Gram comes back as pure rounding noise, and noise must not
     # set the reference magnitude
-    vec_scale = max(form.aux_norm(v) for v in vecs)
-    cutoff = tol * max(np.max(np.abs(eig)), vec_scale**2)
-    return (int(np.sum(eig > cutoff)), int(np.sum(eig < -cutoff)),
-            int(np.sum(np.abs(eig) <= cutoff)))
+    vec_scale = norm_rows(V).max(axis=-1)
+    cutoff = (tol * np.maximum(np.abs(eig).max(axis=-1), vec_scale**2))[..., None]
+    sig = ((eig > cutoff).sum(axis=-1), (eig < -cutoff).sum(axis=-1),
+           (np.abs(eig) <= cutoff).sum(axis=-1))
+    return tuple(int(c) for c in sig) if V.ndim == 2 else np.stack(sig, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -201,94 +190,115 @@ def reference_triple(form: BilinearForm) -> np.ndarray:
     return z
 
 
-def consistent_lifts(form: BilinearForm, triple) -> np.ndarray:
-    """Rescale signs of the three representatives so all pairwise products
-    are negative. Possible exactly when the product of the three pairwise
-    products is negative, which holds for every positive triple."""
-    u = np.array([_as_vector(t) for t in triple], dtype=float)
-    p01 = form.inner(u[0], u[1])
-    p02 = form.inner(u[0], u[2])
-    if p01 == 0.0 or p02 == 0.0:
-        raise DegenerateTripleError("triple contains a non-transverse pair")
-    if p01 > 0:
-        u[1] = -u[1]
-    if p02 > 0:
-        u[2] = -u[2]
-    p12 = form.inner(u[1], u[2])
-    if p12 == 0.0:
-        raise DegenerateTripleError("triple contains a non-transverse pair")
-    if p12 > 0:
-        raise DegenerateTripleError("pairwise products cannot be made negative; triple is not positive")
-    return u
+def standardize_triples(triples, form: BilinearForm) -> tuple[np.ndarray, np.ndarray]:
+    """The isometries carrying a stack of positive triples onto the reference
+    triple, as a (T, dim, dim) array, with a (T,) mask of the rows that
+    standardise; a masked-out row is zero.
 
+    A row standardises when its span has signature (2, 1, 0). Its
+    representatives are then signed so that every pair pairs negatively
+    (possible exactly for a positive triple) and rescaled so that every
+    pairing is -3/2. That pins the frame (e1, e2, e3) of the span with
+    e1 + e3, -e1/2 + sqrt(3)/2 e2 + e3 and -e1/2 - sqrt(3)/2 e2 + e3 on the
+    three lines. The frame is completed to a basis of E by Gram-Schmidt over
+    the standard basis, in natural order, skipping a candidate whose form
+    value is below 1e-10, and the overall determinant is fixed to +1, so for
+    a triple of the reference orientation the result lies in the identity
+    component. The adapted basis is inverted as Q M^T Q and polished back
+    onto the isometry group, since ill-conditioned triples lose a few digits
+    in Gram-Schmidt; a row whose defect still exceeds ISOMETRY_ATOL is
+    masked out.
 
-def triple_frame(form: BilinearForm, triple) -> np.ndarray:
-    """The orthonormal frame (e1, e2, e3) of span(triple), pinned by
-    requiring e1+e3, -e1/2 + sqrt(3)/2 e2 + e3, -e1/2 - sqrt(3)/2 e2 + e3
-    to lie on the three given isotropic lines (rows of the result)."""
-    u = consistent_lifts(form, triple)
-    p01 = form.inner(u[0], u[1])
-    p02 = form.inner(u[0], u[2])
-    p12 = form.inner(u[1], u[2])
+    Each row is computed only from its own triple, with every form product a
+    `dot_rows` product, so row i equals the i-th triple standardised alone.
+    Each stage runs on the rows still live, so a degenerate row never
+    reaches the arithmetic that it would turn into NaNs.
+    """
+    U = np.array(triples, dtype=float)
+    d = form.dim
+    if U.ndim != 3 or U.shape[2] != d:
+        raise DimensionMismatchError(f"expected a stack of triples in R^{d}, got shape {U.shape}")
+    if U.shape[1] != 3:
+        raise DegenerateTripleError(f"a triple has three points, got {U.shape[1]}")
+    S = form.signs
+    live = np.nonzero((subspace_signature(form, U) == (2, 1, 0)).all(axis=1))[0]
+
+    # signs making every pairwise product negative; negating a vector
+    # negates its products exactly
+    u0, u1, u2 = U[live, 0], U[live, 1], U[live, 2]
+    p01, p02 = dot_rows(S * u0, u1), dot_rows(S * u0, u2)
+    u1 = np.where((p01 > 0)[:, None], -u1, u1)
+    u2 = np.where((p02 > 0)[:, None], -u2, u2)
+    p12 = dot_rows(S * u1, u2)
+    ok = (p01 != 0.0) & (p02 != 0.0) & (p12 < 0.0)
+    live, u0, u1, u2 = live[ok], u0[ok], u1[ok], u2[ok]
+    p01, p02, p12 = -np.abs(p01[ok]), -np.abs(p02[ok]), p12[ok]
+
     # scalars a, b, c > 0 with (a u0).(b u1) = (a u0).(c u2) = (b u1).(c u2) = -3/2
     a = np.sqrt(-1.5 * p12 / (p01 * p02))
-    b = -1.5 / (a * p01)
-    c = -1.5 / (a * p02)
-    w0, w1, w2 = a * u[0], b * u[1], c * u[2]
+    w0 = a[:, None] * u0
+    w1 = (-1.5 / (a * p01))[:, None] * u1
+    w2 = (-1.5 / (a * p02))[:, None] * u2
     e3 = (w0 + w1 + w2) / 3.0
-    e1 = w0 - e3
-    e2 = (w1 - w2) / np.sqrt(3.0)
-    return np.array([e1, e2, e3])
+    # B's rows are the adapted basis, `count` of them filled in per row, and
+    # qb their form values
+    B = np.zeros((len(live), d, d))
+    B[:, 0], B[:, 1], B[:, 2] = w0 - e3, (w1 - w2) / np.sqrt(3.0), e3
+    qb = np.zeros((len(live), d))
+    qb[:, :3] = dot_rows(S * B[:, :3], B[:, :3])
+    count = np.full(len(live), 3)
+    for k in range(d):
+        r = np.nonzero(count < d)[0]
+        if r.size == 0:
+            break
+        cand = np.zeros((r.size, d))
+        cand[:, k] = 1.0
+        Br, qr, cr = B[r], qb[r], count[r]
+        least = cr.min()
+        for j in range(cr.max()):
+            s = slice(None) if j < least else cr > j
+            b = Br[s, j]
+            cand[s] -= (dot_rows(S * cand[s], b) / qr[s, j])[:, None] * b
+        qc = np.abs(dot_rows(S * cand, cand))
+        keep = qc >= 1e-10
+        r, cand = r[keep], cand[keep] / np.sqrt(qc[keep])[:, None]
+        # deterministic sign: first coordinate of largest magnitude positive
+        lead = cand[np.arange(r.size), np.abs(cand).argmax(axis=1)]
+        cand = np.where((lead < 0)[:, None], -cand, cand)
+        B[r, count[r]] = cand
+        qb[r, count[r]] = dot_rows(S * cand, cand)
+        count[r] += 1
+    full = count == d
+    live, M = live[full], np.ascontiguousarray(B[full].transpose(0, 2, 1))
+    flip = np.linalg.det(M) < 0
+    if d > 3:
+        M[flip, :, -1] = -M[flip, :, -1]
+    else:
+        M[flip] = -M[flip]
+
+    # M maps the standard basis to the adapted one; the standardizer is its
+    # inverse
+    Q, eye = form.matrix, np.eye(d)
+    g = Q @ M.transpose(0, 2, 1) @ Q
+    polish = np.arange(len(live))
+    for _ in range(2):
+        gp = g[polish]
+        E = Q @ gp.transpose(0, 2, 1) @ Q @ gp - eye
+        more = np.abs(E).max(axis=(1, 2)) >= 1e-14
+        polish = polish[more]
+        g[polish] = gp[more] @ (eye - 0.5 * E[more])
+    defect = np.abs(g.transpose(0, 2, 1) @ Q @ g - Q).max(axis=(1, 2))
+    ok = defect <= ISOMETRY_ATOL
+    G, mask = np.zeros((len(U), d, d)), np.zeros(len(U), dtype=bool)
+    G[live[ok]], mask[live[ok]] = g[ok], True
+    return G, mask
 
 
 def standardize_triple(triple, form: BilinearForm) -> Isometry:
-    """The isometry carrying a positive triple onto the reference triple.
-
-    The adapted frame is completed to a basis of E by Gram-Schmidt over the
-    standard basis, in natural order, and the overall determinant is fixed
-    to +1. For triples inducing the reference orientation the result lies in
-    the identity component.
-    """
-    vecs = [_as_vector(t) for t in triple]
-    sig = subspace_signature(form, vecs)
-    if sig != (2, 1, 0):
-        raise DegenerateTripleError(f"not a positive triple: signature {sig}")
-    e = triple_frame(form, vecs)
-    basis = [e[0], e[1], e[2]]
-    for k in range(form.dim):
-        if len(basis) == form.dim:
-            break
-        cand = np.zeros(form.dim)
-        cand[k] = 1.0
-        cand = form.project_out(cand, basis)
-        qc = form.q(cand)
-        if abs(qc) < 1e-10:
-            continue
-        cand = cand / np.sqrt(abs(qc))
-        # deterministic sign: first coordinate of largest magnitude positive
-        lead = cand[np.argmax(np.abs(cand))]
-        if lead < 0:
-            cand = -cand
-        basis.append(cand)
-    if len(basis) != form.dim:
-        raise DegenerateTripleError("failed to complete the adapted frame to a basis")
-    M = np.column_stack(basis)
-    if np.linalg.det(M) < 0:
-        if form.dim > 3:
-            M[:, -1] = -M[:, -1]
-        else:
-            M = -M
-    # M maps the standard basis to the adapted one; the standardizer is its
-    # inverse. Ill-conditioned triples lose a few digits in Gram-Schmidt, so
-    # polish back onto the isometry group before validating.
-    Q = form.matrix
-    g = Q @ M.T @ Q
-    for _ in range(2):
-        E = Q @ g.T @ Q @ g - np.eye(form.dim)
-        if np.max(np.abs(E)) < 1e-14:
-            break
-        g = g @ (np.eye(form.dim) - 0.5 * E)
-    defect = isometry_defect(form, g)
-    if defect > ISOMETRY_ATOL:
-        raise DegenerateTripleError(f"standardizer defect {defect:.2e} exceeds tolerance")
-    return Isometry(g)
+    """The isometry carrying a positive triple onto the reference triple:
+    `standardize_triples` on a stack of one, raising DegenerateTripleError
+    where that row is masked out."""
+    G, mask = standardize_triples([triple], form)
+    if not mask[0]:
+        raise DegenerateTripleError("not a positive triple, or its standardizer is degenerate")
+    return Isometry(G[0])

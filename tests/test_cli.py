@@ -42,6 +42,25 @@ class TestLoopGen:
                       "--frequency", "3", "--out", "w.loop", cwd=tmp_path)
         assert res.returncode == 3, res.stderr
 
+    @pytest.mark.parametrize("n,amplitude,frequency,message", [
+        (2, "1.5", "0", "--amplitude must lie in (-1, 1) at n >= 2"),
+        (2, "-1", "0", "--amplitude must lie in (-1, 1) at n >= 2"),
+        (2, "inf", "0", "--amplitude must be finite"),
+        (1, "inf", "0", "--amplitude must be finite"),
+        (1, "nan", "3", "--amplitude must be finite"),
+        (1, "-0.5", "3", "wobble would not stay strictly contracting"),
+        (2, "0.5", "-3", "wobble would not stay strictly contracting"),
+    ], ids=["n2_amplitude_above_one", "n2_amplitude_minus_one", "n2_inf", "n1_inf", "n1_nan",
+            "negative_amplitude", "negative_frequency"])
+    def test_degenerate_wobble_rejected_before_sampling(self, tmp_path, run_cli, n, amplitude,
+                                                       frequency, message):
+        res = run_cli("loop-gen", "--kind", "c1_wobble", "--n", n, "--amplitude", amplitude,
+                      "--frequency", frequency, "--out", "w.loop", cwd=tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.splitlines() == [res.stderr.strip()]
+        assert res.stderr.startswith("error: " + message)
+        assert not (tmp_path / "w.loop").exists()
+
     def test_custom_round_trip(self, tmp_path, run_cli):
         res = run_cli("loop-gen", "--kind", "rigid_arc", "--out", "a.loop", cwd=tmp_path)
         assert res.returncode == 0, res.stderr

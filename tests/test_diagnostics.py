@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg
 
 from pseudoplateau.qcore import BilinearForm
+from pseudoplateau import qcore
 from pseudoplateau import cli
 from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
@@ -44,6 +45,19 @@ def wobble_n2_48x144():
     # with a 1e-10 flattening stop, its angle defects put the ring layout 3.5e-9 off at the rim
     loop = make_wobble(n=2, k=144)
     return pl.plateau_solve(pl.build_state(loop, 48, 144, 3.0), tol=1e-9, max_iter=2000)
+
+
+@pytest.fixture(scope="module")
+def unsolved_wobble_24x72():
+    """A spacelike surface that is not maximal: the unsolved start of the
+    144-sample wobble (amplitude 0.25, frequency 3) at 24x72, R = 3, which
+    carries its loop, marked converged. Its residual is about 30."""
+    loop = cli.generate_loop("c1_wobble", n=1, samples=144, amplitude=0.25, frequency=3)
+    st = pl.build_state(loop, 24, 72, 3.0)
+    assert np.max(np.linalg.norm(pl.mean_curvature_residual(st), axis=1)) > 29.0
+    assert st.loop is loop
+    st.converged = True
+    return st
 
 
 def _flattening_residual(monkeypatch, st):
@@ -104,6 +118,16 @@ class TestRigidityAudit:
         assert abs(rep.values["max_K"]) < 3e-2
         assert abs(rep.values["max_II_sq"] - 2.0) < 1e-1
 
+    def test_fails_off_a_maximal_surface(self, unsolved_wobble_24x72):
+        # K <= 0 and |II|^2 <= 2 hold on every maximal surface; the unsolved
+        # start breaks both by far more than the mesh allowance
+        rep = diag.rigidity_audit(unsolved_wobble_24x72)
+        assert not rep.passed
+        assert rep.thresholds == {"max_K": diag.RIGIDITY_MAX_K,
+                                  "max_II_sq": diag.RIGIDITY_MAX_II_SQ}
+        assert rep.values["max_K"] > 1.0 > rep.thresholds["max_K"]
+        assert rep.values["max_II_sq"] > 20.0 > rep.thresholds["max_II_sq"]
+
     def test_unconverged_rejected(self, solved_wobble_state):
         bad = solved_wobble_state.copy()
         bad.converged = False
@@ -127,6 +151,16 @@ class TestGradientAudit:
         rep = diag.gradient_audit(solved_wobble_state, seed=1)
         assert rep.passed
         assert rep.samples >= 500
+
+    def test_fails_off_a_maximal_surface(self, unsolved_wobble_24x72):
+        # grad^2 <= 2 holds on every maximal surface; on the unsolved start
+        # the upper bound is crossed and the lower one is not
+        rep = diag.gradient_audit(unsolved_wobble_24x72, seed=7)
+        assert not rep.passed
+        assert rep.thresholds == {"min_grad_sq": diag.GRADIENT_MIN_SQ,
+                                  "max_grad_sq": diag.GRADIENT_MAX_SQ}
+        assert rep.values["max_grad_sq"] > 3.0 > rep.thresholds["max_grad_sq"]
+        assert rep.values["min_grad_sq"] >= rep.thresholds["min_grad_sq"]
 
     def test_barbot_attains_two(self, barbot_grid_state):
         crown = ein.barbot_crown_standard(1)
@@ -289,6 +323,31 @@ class TestQuasiperiodicityProbe:
         loop = PROBE_LOOPS[name]()
         rep = diag.quasiperiodicity_probe(loop, triples=triples, seed=seed)
         assert rep == quasiperiodicity_probe_reference(loop, triples=triples, seed=seed)
+
+    def test_each_round_standardises_its_batch_in_one_call(self, monkeypatch):
+        stacks = []
+        kernel = diag.standardize_triples
+
+        def spy(triples, form):
+            stacks.append(np.shape(triples))
+            return kernel(triples, form)
+
+        def single(*args):
+            raise AssertionError("the probe standardised a triple on its own")
+
+        monkeypatch.setattr(diag, "standardize_triples", spy)
+        monkeypatch.setattr(qcore, "standardize_triple", single)
+        # the bench wobble: every draw of the first round has three samples
+        # and renormalises, so one call standardises all 50
+        rep = diag.quasiperiodicity_probe(PROBE_LOOPS["wobble_n1"](), triples=50, seed=7)
+        assert rep["renormalizations"] == 50
+        assert stacks == [(50, 3, 4)]
+        # six samples: a round of 50 draws gives 33 triples, the next rounds
+        # draw only the 17 and then the 6 margins still missing
+        stacks.clear()
+        rep = diag.quasiperiodicity_probe(PROBE_LOOPS["wobble_k6"](), triples=50, seed=21)
+        assert rep["renormalizations"] == 50
+        assert stacks == [(33, 3, 4), (11, 3, 4), (6, 3, 4)]
 
     @pytest.mark.parametrize("name", list(PROBE_LOOPS) + ["rigid_arc", "crown"])
     def test_loop_classify_equals_full_matrix_reference(self, name):

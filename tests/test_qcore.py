@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcore_reference import standardize_triple_reference
+
 from pseudoplateau.qcore import (
     BilinearForm,
     DegenerateCrownError,
@@ -11,6 +13,7 @@ from pseudoplateau.qcore import (
     random_isometry,
     reference_triple,
     standardize_triple,
+    standardize_triples,
     subspace_signature,
 )
 
@@ -113,6 +116,101 @@ class TestSubspaceSignature:
         before = subspace_signature(form, vecs)
         after = subspace_signature(form, vecs @ g.matrix.T)
         assert before == after
+
+
+def _boundary_reps(n, thetas, fibers):
+    return np.column_stack([np.cos(thetas), np.sin(thetas), fibers])
+
+
+def mixed_triples(n, count, seed):
+    """`count` triples in R^{n+3}: positive ones (moved reference triples,
+    in both orientations, and graph triples of a contracting loop, rescaled)
+    mixed with degenerate ones (three crown vertices, a repeated point, a
+    non-transverse pair). H^{2,0} has no crown, and two of its boundary
+    points pair to zero only when they coincide, so at n = 0 those two
+    kinds are a point repeated with another scale."""
+    form = BilinearForm(n)
+    rng = np.random.default_rng(seed)
+    crown = crown_reps(n) if n else None
+    out = []
+    for t in range(count):
+        kind = t % 6
+        if kind == 0:
+            tri = reference_triple(form) @ random_isometry(form, rng).matrix.T
+            if rng.uniform() < 0.5:
+                tri = tri[::-1]
+        elif kind in (1, 2):
+            th = np.sort(rng.uniform(0.0, 2.0 * np.pi, 3))
+            fib = np.zeros((3, n + 1))
+            fib[:, 0] = 1.0
+            fib[:, -1] += 0.3 * np.sin(2.0 * th)
+            fib /= np.linalg.norm(fib, axis=1)[:, None]
+            tri = _boundary_reps(n, th, fib) * rng.uniform(0.1, 10.0, size=(3, 1))
+        elif kind == 4 or crown is None:
+            tri = reference_triple(form) @ random_isometry(form, rng).matrix.T
+            tri[2] = tri[0] * (1.0 if kind == 4 else -2.5)
+        elif kind == 3:
+            tri = crown[rng.permutation(4)[:3]]
+        else:
+            # consecutive crown vertices pair to zero
+            tri = np.array([crown[0], crown[1], reference_triple(form)[1]])
+        out.append(np.asarray(tri, dtype=float))
+    return np.array(out)
+
+
+class TestStandardizeTriples:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_rows_equal_single_calls_and_reference_bitwise(self, n):
+        # the suite turns warnings into errors, so a degenerate row that
+        # reached NaN arithmetic would fail here
+        form = BilinearForm(n)
+        stack = mixed_triples(n, 60, seed=n)
+        G, mask = standardize_triples(stack, form)
+        assert G.shape == (60, form.dim, form.dim) and mask.shape == (60,)
+        for i, tri in enumerate(stack):
+            try:
+                want = standardize_triple_reference(tri, form)
+            except DegenerateTripleError:
+                with pytest.raises(DegenerateTripleError):
+                    standardize_triple(tri, form)
+                assert not mask[i] and not np.any(G[i]), i
+                continue
+            assert mask[i], i
+            assert G[i].tobytes() == standardize_triple(tri, form).matrix.tobytes() \
+                == want.tobytes(), i
+        # the positive kinds all standardise, the degenerate kinds none
+        assert mask[0::6].all() and mask[1::6].all() and mask[2::6].all()
+        assert not mask[3::6].any() and not mask[4::6].any() and not mask[5::6].any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_do_not_depend_on_the_stack(self, n):
+        form = BilinearForm(n)
+        stack = mixed_triples(n, 24, seed=10 + n)
+        G, mask = standardize_triples(stack, form)
+        order = np.random.default_rng(n).permutation(len(stack))
+        Gp, maskp = standardize_triples(stack[order], form)
+        assert np.array_equal(maskp, mask[order])
+        assert Gp.tobytes() == G[order].tobytes()
+
+    def test_empty_stack(self):
+        form = BilinearForm(2)
+        G, mask = standardize_triples(np.zeros((0, 3, form.dim)), form)
+        assert G.shape == (0, form.dim, form.dim) and mask.shape == (0,)
+
+    def test_shape_checked(self):
+        form = BilinearForm(1)
+        with pytest.raises(DimensionMismatchError):
+            standardize_triples(np.zeros((2, 3, 5)), form)
+        with pytest.raises(DegenerateTripleError):
+            standardize_triple(reference_triple(form)[:2], form)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_signature_stack_equals_rows(self, n):
+        form = BilinearForm(n)
+        stack = mixed_triples(n, 30, seed=20 + n)
+        sig = subspace_signature(form, stack)
+        assert sig.shape == (30, 3)
+        assert [tuple(row) for row in sig.tolist()] == [subspace_signature(form, t) for t in stack]
 
 
 class TestStandardizeTriple:
