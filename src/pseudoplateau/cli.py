@@ -34,6 +34,9 @@ def generate_loop(kind: str, n: int = 1, samples: int = 128, amplitude: float = 
     if kind == "c1_wobble":
         if not np.isfinite(amplitude):
             raise ein.InvalidLoopError(f"--amplitude must be finite, got {amplitude}")
+        # the sampled phase frequency * theta, theta below 2 pi, must be a finite float
+        if not abs(frequency) < sys.float_info.max / (2.0 * np.pi):
+            raise ein.InvalidLoopError("--frequency is too large: the wobble's phase overflows")
         # the wobble's Lipschitz constant is |amplitude * frequency|
         if abs(amplitude * frequency) >= 0.95:
             raise ein.InvalidLoopError("wobble would not stay strictly contracting")

@@ -26,7 +26,7 @@ from .einstein import (
 )
 from .crossratio import SampledBoundaryMap, qs_certify
 from .hspace import gradient_norm_sq, horofunction, spatial_distance
-from .plateau import SurfaceState, _factor, discrete_geometry
+from .plateau import SolverError, SurfaceState, _iterate, discrete_geometry
 
 
 class UnconvergedStateError(GeometryError):
@@ -306,46 +306,18 @@ def gromov_audit(state: SurfaceState, seed: int = 0) -> AuditReport:
 # The corners at the ends of side k of a face, which is opposite corner k.
 FACE_SIDES = ([1, 2], [0, 2], [0, 1])
 
-# Residual evaluations the flattening's Newton solve may spend, rejected
-# trial steps included; it converges in a handful.
-GAUSS_NEWTON_TRIALS = 40
+# Trials the flattening's `plateau._iterate` may spend, rejected ones
+# included; it converges in a handful.
+FLATTENING_TRIALS = 40
 
-# The largest angle defect at which the flattening's Newton solve stops. It
-# sits below LAYOUT_TOL: the ring placement carries the defects out to the
-# rim, and at 1e-10 they made it miss rim sides by up to 6e-9 at n = 2.
-GAUSS_NEWTON_TOL = 1e-12
+# The largest angle defect at which the flattening stops. It sits below
+# LAYOUT_TOL: the ring placement carries the defects out to the rim, and at
+# 1e-10 they made it miss rim sides by up to 6e-9 at n = 2.
+FLATTENING_TOL = 1e-12
 
 # The largest gap between a side of the developed layout and its flattened
 # length.
 LAYOUT_TOL = 1e-10
-
-
-def _gauss_newton(residual, x: np.ndarray) -> np.ndarray:
-    """Damped Newton, until max |r| < GAUSS_NEWTON_TOL: the step J^-1 r is
-    factored once at each accepted x, and a trial that does not lower the
-    squared residual halves its length on that factor.
-
-    `residual(x)` returns the residual vector and its sparse square
-    Jacobian, or raises FlatteningError at an inadmissible x, which rejects
-    the trial step like a residual increase does. J is the flattening's
-    Hessian, so it is symmetric, and `plateau._factor` factors it."""
-    r, J = residual(x)
-    step = None
-    for _ in range(GAUSS_NEWTON_TRIALS):
-        if np.max(np.abs(r)) < GAUSS_NEWTON_TOL:
-            return x
-        if step is None:
-            # the factor is not kept: held into the next step, two would be alive at once
-            step, t = _factor(J).solve(r), 1.0
-        try:
-            r_t, J_t = residual(x - t * step)
-        except FlatteningError:
-            r_t = None
-        if r_t is not None and r_t @ r_t < r @ r:
-            x, r, J, step = x - t * step, r_t, J_t, None
-        else:
-            t *= 0.5
-    raise FlatteningError(f"Gauss-Newton solve stalled at max residual {np.max(np.abs(r)):.2e}")
 
 
 def _face_angles(ls: np.ndarray) -> np.ndarray:
@@ -360,10 +332,12 @@ def _face_angles(ls: np.ndarray) -> np.ndarray:
                             np.sqrt(np.sinh(s) * sh_gap))
 
 
-def yamabe_flatten(state: SurfaceState):
-    """Per-vertex log conformal factors making the mesh a cone-free
-    hyperbolic surface (interior angle sums 2 pi; boundary factors fixed),
-    by Newton on the interior angle defects, to within GAUSS_NEWTON_TOL.
+def _flattening(state: SurfaceState):
+    """The flattening's equations in the log conformal factors ui of the
+    interior vertices, the boundary factors fixed at 0: `lengths_of(ui)`,
+    the side lengths per face, side k opposite corner k; `defects(ui)`, the
+    interior angle defects; and `jacobian(ui)`, their sparse Jacobian. Each
+    raises FlatteningError where a triangle inequality breaks.
 
     Lengths scale by sinh(l'/2) = e^{(u_i+u_j)/2} sinh(l/2), so
     dl'/du_i = tanh(l'/2). The angle A_k opposite side l_k comes from
@@ -371,9 +345,7 @@ def yamabe_flatten(state: SurfaceState):
     dA_k = sinh l_k / (sinh l_a sinh l_b sin A_k) (dl_k - cos A_b dl_a - cos A_a dl_b).
     The Jacobian is the Hessian of the convex functional of Bobenko,
     Pinkall and Springborn (Geom. Topol. 19, 2015), so it is square and
-    symmetric. Returns the factors and the side lengths per face, side k
-    opposite corner k.
-    """
+    symmetric."""
     form = state.form
     X = state.positions
     faces = state.mesh.faces
@@ -393,30 +365,60 @@ def yamabe_flatten(state: SurfaceState):
             raise FlatteningError("conformal factors broke a triangle inequality")
         return ls
 
-    # the Jacobian's pattern is fixed by the mesh: the entries (corner k, each end of each side)
-    # of every face, ordered (k, side, end, face), on interior rows and columns, and their CSR slots
+    def defects(ui):
+        angles = _face_angles(np.asarray(lengths_of(ui)))
+        return 2.0 * np.pi - np.bincount(faces.T.ravel(), weights=angles.ravel(), minlength=nv)[:ni]
+
+    # the Jacobian's entries (corner k, each end of each side) of every face, ordered
+    # (k, side, end, face), on interior rows and columns
     sides = np.array(FACE_SIDES)[(np.arange(3)[:, None] + np.arange(3)) % 3]
     rows, cols = faces.T[np.repeat(np.arange(3), 6)].ravel(), faces.T[sides.ravel()].ravel()
     keep = (rows < ni) & (cols < ni)
-    keys, slot = np.unique(rows[keep] * ni + cols[keep], return_inverse=True)
-    pattern = (keys % ni, np.searchsorted(keys, ni * np.arange(ni + 1)))
 
-    def residual(ui):
+    def jacobian(ui):
         ls = np.asarray(lengths_of(ui))
         sh = np.sinh(ls)
         angles = _face_angles(ls)
         cos = np.cos(angles)
-        sums = np.bincount(faces.T.ravel(), weights=angles.ravel(), minlength=nv)
         dl_du = np.tanh(0.5 * ls)
         # -dA_k/du through side k, then the sides a = k + 1 and b = k + 2 (mod 3)
         g = sh / (np.roll(sh, -1, axis=0) * np.roll(sh, -2, axis=0) * np.sin(angles))
         jac = np.stack([-g * dl_du, g * np.roll(cos, -2, axis=0) * np.roll(dl_du, -1, axis=0),
                         g * np.roll(cos, -1, axis=0) * np.roll(dl_du, -2, axis=0)], axis=1)
-        data = np.bincount(slot, np.repeat(jac, 2, axis=1).ravel()[keep], minlength=keys.size)
-        return 2.0 * np.pi - sums[:ni], sp.csr_matrix((data, *pattern), shape=(ni, ni))
+        return sp.csr_matrix((np.repeat(jac, 2, axis=1).ravel()[keep], (rows[keep], cols[keep])),
+                             shape=(ni, ni))
 
-    ui = _gauss_newton(residual, np.zeros(ni))
-    return np.concatenate([ui, np.zeros(nv - ni)]), tuple(lengths_of(ui))
+    return lengths_of, defects, jacobian
+
+
+def yamabe_flatten(state: SurfaceState):
+    """Per-vertex log conformal factors making the mesh a cone-free
+    hyperbolic surface (interior angle sums 2 pi; boundary factors fixed):
+    `plateau._iterate` on the interior angle defects of `_flattening`, to
+    within FLATTENING_TOL and FLATTENING_TRIALS trials. Its frozen Jacobian
+    is the Jacobian at u = 0, the Hessian of a convex functional, factored
+    once. A stall or a step-length collapse raises FlatteningError. Returns
+    the factors and the side lengths per face, side k opposite corner k.
+    """
+    lengths_of, defects, jacobian = _flattening(state)
+    u0 = np.zeros(state.mesh.vertex_count - state.mesh.sectors)
+
+    def evaluate(ui):
+        try:
+            r = defects(ui)
+        except FlatteningError:
+            return None
+        return -r, np.max(np.abs(r))
+
+    r = defects(u0)
+    try:
+        ui, sizes, _ = _iterate(evaluate, u0, -r, np.max(np.abs(r)), jacobian(u0),
+                                FLATTENING_TOL, FLATTENING_TRIALS)
+    except SolverError as exc:
+        raise FlatteningError(str(exc)) from exc
+    if not sizes[-1] < FLATTENING_TOL:
+        raise FlatteningError(f"solve stalled at max angle defect {sizes[-1]:.2e}")
+    return np.concatenate([ui, np.zeros(state.mesh.sectors)]), tuple(lengths_of(ui))
 
 
 def _place_rings(state: SurfaceState, lengths) -> np.ndarray:

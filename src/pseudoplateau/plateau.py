@@ -542,52 +542,12 @@ def _factor(A):
                           relax=1, panel_size=1, options={"SymmetricMode": True})
 
 
-def _flow_operator(assembly, idx: np.ndarray):
-    """The `_factor` of the implicit flow operator A = L + 3 Omega on the
-    free vertices `idx`, with the cotangent Laplacian L and the vertex areas
-    Omega of `assembly`. L + 2 Omega is the Newton operator of the ambient
-    equation Delta x = 2x (Pinkall and Polthier, Experiment. Math. 2, 1993);
-    the one mass matrix more damps the step."""
-    W, deg, omega = assembly
-    A = (sp.diags(deg + 3.0 * omega) - W).tocsr()
-    return _factor(A[idx][:, idx])
-
-
-def _flow_step(X: np.ndarray, rho: np.ndarray, omega: np.ndarray, idx: np.ndarray,
-               lu, t: float) -> np.ndarray:
-    """The implicit step X + t A^-1 Omega rho of the residual flow on the
-    free vertices `idx`, of length t, solving the factor `lu` of
-    `_flow_operator` against Omega rho. The implicit step damps the stiff
-    spatial modes that a single global explicit step cannot resolve on a
-    graded polar mesh; its fixed points (rho = 0) are the same."""
-    Xn = X.copy()
-    Xn[idx] = np.take(X, idx, axis=0) + t * lu.solve(np.take(omega, idx)[:, None]
-                                                     * np.take(rho, idx, axis=0))
-    return Xn
-
-
 def _onto_quadric(form: BilinearForm, Y: np.ndarray):
     """The rows of Y scaled onto q = -1, or None if a row is not timelike."""
     q = form.inner_rows(Y, Y)
     if not np.all(q < 0):
         return None
     return Y / np.sqrt(-q)[:, None]
-
-
-def _trial(form: BilinearForm, mesh: DiskMesh, X: np.ndarray, rmax: float, tol: float):
-    """The residual, cotangent assembly and largest residual norm of the
-    trial positions X, or None if X is not a step the solver may take: the
-    residual raises FaceError, as it does on a face that is not spacelike,
-    or the largest residual is not finite or more than twice max(rmax,
-    tol)."""
-    try:
-        rho, assembly = _residual(form, X, mesh, face_grams(form, X, mesh.faces))
-    except FaceError:
-        return None
-    r = float(np.max(np.linalg.norm(rho, axis=1)))
-    if not np.isfinite(r) or r > 2.0 * max(rmax, tol):
-        return None
-    return rho, assembly, r
 
 
 def _anderson_mix(G: np.ndarray, F: np.ndarray, dG: list, dF: list) -> np.ndarray:
@@ -607,27 +567,67 @@ def _anderson_mix(G: np.ndarray, F: np.ndarray, dG: list, dF: list) -> np.ndarra
     return mixed
 
 
+def _iterate(evaluate, x: np.ndarray, rhs: np.ndarray, size: float, A, tol: float,
+             max_iter: int, post=lambda y: y):
+    """The package's one iteration loop, run by `plateau_solve` and
+    `diagnostics.yamabe_flatten`: damped Newton with the frozen Jacobian A,
+    factored once before the first step, and Anderson-mixed steps (Walker
+    and Ni, SIAM J. Numer. Anal. 49, 2011).
+
+    `evaluate(x)` returns the right-hand side and the size (a largest
+    residual) at x, and `post(y)` the point y stands for, each None where
+    its argument is inadmissible; `rhs` and `size` are those at the start.
+    A trial mixes the plain step G = post(x + t A^-1 rhs) with the
+    differences of G and of F = G - x at the last ANDERSON_DEPTH accepted
+    iterates. One that is inadmissible, or whose size is not at most
+    2 max(size, tol), halves t (at first 1) and clears the history; t never
+    grows back, and below 1e-8 it raises SolverError. The loop stops at a
+    size below tol or after max_iter trials. Returns the last accepted x,
+    the accepted sizes (the start's first) and the step length of each
+    trial."""
+    sizes, lengths = [size], []
+    lu, t = None, 1.0
+    # (G, F) at the last accepted iterate, and the stored differences
+    last, dG, dF = None, [], []
+    while len(lengths) < max_iter and not size < tol:
+        if lu is None:
+            lu = _factor(A)
+        lengths.append(t)
+        trial = G = post(x + t * lu.solve(rhs))
+        if G is not None:
+            F = G - x
+            if last is not None:
+                dG = (dG + [G - last[0]])[-ANDERSON_DEPTH:]
+                dF = (dF + [F - last[1]])[-ANDERSON_DEPTH:]
+            if dF:
+                trial = post(_anderson_mix(G, F, dG, dF))
+        step = None if trial is None else evaluate(trial)
+        if step is None or not step[1] <= 2.0 * max(size, tol):
+            t *= 0.5
+            last, dG, dF = None, [], []
+            if t < 1e-8:
+                raise SolverError("step length collapsed below 1e-8 without an admissible step")
+            continue
+        x, (rhs, size) = trial, step
+        sizes.append(size)
+        last = (G, F)
+    return x, sizes, lengths
+
+
 def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
                   max_iter: int = 20000) -> SurfaceState:
-    """Damped implicit flow of the maximality defect on unpinned vertices,
-    with the quadric normalisation re-imposed each step and the steps
-    Anderson-mixed.
-
-    The implicit operator A = L + 3 Omega of `_flow_operator` is factored
-    once, when the first step runs: the Newton operator L + 2 Omega of the
-    ambient equation Delta x = 2x plus one mass matrix, so the plain step
-    is a damped Newton step with a frozen Jacobian. Each iteration takes
-    the plain step G(X) = X + t A^-1 Omega rho scaled onto the quadric,
-    mixes G with the differences of G and of F = G - X at the last
-    ANDERSON_DEPTH accepted iterates (Walker and Ni, SIAM J. Numer. Anal.
-    49, 2011), and checks the result with `_trial`. Every rejected step, a
-    row that is not timelike or a trial that fails, is handled the same
-    way: the step length t, at first 1, halves on the same factor and the
-    history is cleared. t never grows back, and a t below 1e-8 raises
-    SolverError; t is 2^-halvings, so the halvings are all the solve
-    records of it. Convergence is judged on the residual of each new state.
-    A tol that is not finite and positive, or a negative max_iter, raises
-    GeometryError."""
+    """Damped implicit flow of the maximality defect on the free vertices
+    by `_iterate`, which leaves the rim rows where the state has them. The
+    frozen Jacobian is A = L + 3 Omega on the free vertices at the start,
+    with the cotangent Laplacian L and the vertex areas Omega: the Newton
+    operator L + 2 Omega of the ambient equation Delta x = 2x (Pinkall and
+    Polthier, Experiment. Math. 2, 1993) plus one mass matrix, so the plain
+    step X + t A^-1 Omega rho is a damped Newton step. Each step is scaled
+    onto the quadric; a row that is not
+    timelike, or a face that is not spacelike, makes a trial inadmissible.
+    The size is the largest residual norm. t is 2^-halvings, so the
+    halvings are all the solve records of it. A tol that is not finite and
+    positive, or a negative max_iter, raises GeometryError."""
     if not (np.isfinite(tol) and tol > 0):
         raise GeometryError(f"solver tolerance must be finite and positive, got {tol!r}")
     if max_iter < 0:
@@ -636,52 +636,32 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     form, mesh = out.form, out.mesh
     X = out.positions
     idx = np.flatnonzero(~mesh.boundary_mask())
-    halvings = 0
-    lu = None
-    rho, assembly = _residual(form, X, mesh, face_grams(form, X, mesh.faces))
-    rmax = float(np.max(np.linalg.norm(rho, axis=1)))
-    hist = [rmax]
-    # (G, F) at the last accepted iterate, and the stored differences
-    last = None
-    dG, dF = [], []
-    it = 0
-    converged = rmax < tol
-    while it < max_iter and not converged:
-        it += 1
-        if lu is None:
-            lu = _flow_operator(assembly, idx)
-        Xnew = _onto_quadric(form, _flow_step(X, rho, assembly[2], idx, lu, 0.5 ** halvings))
-        if Xnew is not None:
-            G = np.take(Xnew, idx, axis=0)
-            F = G - np.take(X, idx, axis=0)
-            if last is not None:
-                dG = (dG + [G - last[0]])[-ANDERSON_DEPTH:]
-                dF = (dF + [F - last[1]])[-ANDERSON_DEPTH:]
-            if dF:
-                free = _onto_quadric(form, _anderson_mix(G, F, dG, dF))
-                if free is None:
-                    Xnew = None
-                else:
-                    Xnew[idx] = free
-        step = None if Xnew is None else _trial(form, mesh, Xnew, rmax, tol)
-        if step is None:
-            halvings += 1
-            last, dG, dF = None, [], []
-            if 0.5 ** halvings < 1e-8:
-                raise SolverError("step length collapsed below 1e-8 without a spacelike step")
-            continue
-        X = Xnew
-        rho, assembly, rmax = step
-        hist.append(rmax)
-        last = (G, F)
-        converged = rmax < tol
-    out.positions = X
-    out.converged = bool(converged)
-    out.iterations = it
-    out.final_residual = rmax
-    stride = max(1, len(hist) // 200)
-    out.residual_history = [float(h) for h in hist[::stride]]
-    out.dt_summary = {"halvings": halvings}
+
+    def residual(Y):
+        rho, assembly = _residual(form, Y, mesh, face_grams(form, Y, mesh.faces))
+        rhs = np.take(assembly[2], idx)[:, None] * np.take(rho, idx, axis=0)
+        return rhs, float(np.max(np.linalg.norm(rho, axis=1))), assembly
+
+    def evaluate(x):
+        Y = X.copy()
+        Y[idx] = x
+        try:
+            return residual(Y)[:2]
+        except FaceError:
+            return None
+
+    rhs, size, (W, deg, omega) = residual(X)
+    A = (sp.diags(deg + 3.0 * omega) - W).tocsr()[idx][:, idx]
+    x, sizes, lengths = _iterate(evaluate, np.take(X, idx, axis=0), rhs, size, A, tol, max_iter,
+                                 lambda y: _onto_quadric(form, y))
+    X[idx] = x
+    out.converged = bool(sizes[-1] < tol)
+    out.iterations = len(lengths)
+    out.final_residual = sizes[-1]
+    stride = max(1, len(sizes) // 200)
+    out.residual_history = [float(h) for h in sizes[::stride]]
+    # every trial that was not accepted halved the step length
+    out.dt_summary = {"halvings": len(lengths) - (len(sizes) - 1)}
     return out
 
 

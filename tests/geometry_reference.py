@@ -285,13 +285,22 @@ def flattening_residual_coo(state):
     return residual
 
 
-def gauss_newton_normal(residual, x, tol=diag.GAUSS_NEWTON_TOL):
-    """`diagnostics._gauss_newton` with the normal-matrix step
+# Residual evaluations `gauss_newton_normal` may spend, rejected trial
+# steps included.
+GAUSS_NEWTON_TRIALS = 40
+
+
+def gauss_newton_normal(residual, x, tol=diag.FLATTENING_TOL):
+    """Damped Gauss-Newton with the normal-matrix step
     splu(J^T J).solve(J^T r), which also takes a J that is not square,
-    until max |r| < tol."""
+    until max |r| < tol: the step is factored once at each accepted x, and a
+    trial that does not lower the squared residual halves its length on
+    that factor. `residual(x)` returns the residual vector and its sparse
+    Jacobian, or raises FlatteningError at an inadmissible x, which rejects
+    the trial like a residual increase does."""
     r, J = residual(x)
     step = None
-    for _ in range(diag.GAUSS_NEWTON_TRIALS):
+    for _ in range(GAUSS_NEWTON_TRIALS):
         if np.max(np.abs(r)) < tol:
             return x
         if step is None:

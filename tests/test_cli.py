@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pseudoplateau import cli
@@ -50,8 +51,11 @@ class TestLoopGen:
         (1, "nan", "3", "--amplitude must be finite"),
         (1, "-0.5", "3", "wobble would not stay strictly contracting"),
         (2, "0.5", "-3", "wobble would not stay strictly contracting"),
+        (1, "0", "1" + "0" * 320, "--frequency is too large"),
+        (2, "0", "-1" + "0" * 308, "--frequency is too large"),
     ], ids=["n2_amplitude_above_one", "n2_amplitude_minus_one", "n2_inf", "n1_inf", "n1_nan",
-            "negative_amplitude", "negative_frequency"])
+            "negative_amplitude", "negative_frequency", "frequency_beyond_float",
+            "phase_beyond_float"])
     def test_degenerate_wobble_rejected_before_sampling(self, tmp_path, run_cli, n, amplitude,
                                                        frequency, message):
         res = run_cli("loop-gen", "--kind", "c1_wobble", "--n", n, "--amplitude", amplitude,
@@ -449,13 +453,30 @@ def test_flattening_stall_exit_two(tmp_path, monkeypatch, capsys, solved_wobble_
     # a numeric stall on a valid converged state is a non-convergence, not invalid input
     pl.state_save(solved_wobble_state, tmp_path / "state.txt")
     ein.loop_save(solved_wobble_state.loop, tmp_path / "wobble.loop")
-
-    def stall(residual, x):
-        raise diag.FlatteningError("Gauss-Newton solve stalled at max residual 3.07e-10")
-
-    monkeypatch.setattr(diag, "_gauss_newton", stall)
+    # one trial leaves the angle defects far above the flattening's stop
+    monkeypatch.setattr(diag, "FLATTENING_TRIALS", 1)
     code = cli.main(["audit", "--state", str(tmp_path / "state.txt"),
                      "--loop", str(tmp_path / "wobble.loop"),
                      "--audits", "rigidity,boundary_extension", "--out", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("flattening error: Gauss-Newton solve stalled")
+    assert capsys.readouterr().err.startswith("flattening error: solve stalled")
+
+
+def test_flattening_step_collapse_exit_two(tmp_path, monkeypatch, capsys, solved_wobble_state):
+    # the shared loop's step-length collapse inside the flattening is a
+    # non-convergence too, not the solver's invalid-input exit
+    pl.state_save(solved_wobble_state, tmp_path / "state.txt")
+    ein.loop_save(solved_wobble_state.loop, tmp_path / "wobble.loop")
+
+    class NanFactor:
+        # every step is NaN, so every trial is rejected and the length halves to the end
+        def solve(self, b):
+            return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(pl, "_factor", lambda A: NanFactor())
+    code = cli.main(["audit", "--state", str(tmp_path / "state.txt"),
+                     "--loop", str(tmp_path / "wobble.loop"),
+                     "--audits", "rigidity,boundary_extension", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == ("flattening error: step length collapsed below 1e-8 "
+                                       "without an admissible step\n")

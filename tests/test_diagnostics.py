@@ -60,32 +60,24 @@ def unsolved_wobble_24x72():
     return st
 
 
-def _flattening_residual(monkeypatch, st):
-    """The residual-and-Jacobian callback that `yamabe_flatten` hands to
-    the solver."""
-    captured = []
-
-    def capture(residual, x):
-        captured.append(residual)
-        return x
-
-    with monkeypatch.context() as patch:
-        patch.setattr(diag, "_gauss_newton", capture)
-        diag.yamabe_flatten(st)
-    return captured[0]
+def _flattening_residual(st):
+    """The flattening's angle defects and their Jacobian from
+    `diagnostics._flattening`, as one residual-and-Jacobian callback."""
+    _, defects, jacobian = diag._flattening(st)
+    return lambda ui: (defects(ui), jacobian(ui))
 
 
 def _spy_factor(monkeypatch):
-    """Record every matrix the flattening hands to `plateau._factor`, which
-    still factors it, and count every call of scipy's splu."""
+    """Record every matrix handed to `plateau._factor`, which still factors
+    it, and count every call of scipy's splu."""
     given, calls = [], []
-    factor, splu = diag._factor, scipy.sparse.linalg.splu
+    factor, splu = pl._factor, scipy.sparse.linalg.splu
 
     def spy(A):
         given.append(A)
         return factor(A)
 
-    monkeypatch.setattr(diag, "_factor", spy)
+    monkeypatch.setattr(pl, "_factor", spy)
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda *a, **k: calls.append(1) or splu(*a, **k))
     return given, calls
@@ -495,9 +487,9 @@ class TestYamabe:
 
 
 class TestFlatteningJacobian:
-    def test_matches_central_differences(self, monkeypatch, wobble_16x48):
+    def test_matches_central_differences(self, wobble_16x48):
         st = wobble_16x48
-        residual = _flattening_residual(monkeypatch, st)
+        residual = _flattening_residual(st)
         ni = st.mesh.vertex_count - st.mesh.sectors
         u = np.random.default_rng(2).uniform(-0.05, 0.05, ni)
         _, J = residual(u)
@@ -509,11 +501,11 @@ class TestFlatteningJacobian:
             fd[:, i] = (residual(u + du)[0] - residual(u - du)[0]) / (2.0 * h)
         assert np.max(np.abs(J.toarray() - fd)) < 1e-6
 
-    def test_matches_coo_reference(self, monkeypatch, wobble_16x48):
-        # the fixed pattern filled by bincount, against a Jacobian summed
-        # from its COO entries at every call
+    def test_matches_coo_reference(self, wobble_16x48):
+        # the stacked entries of all three corners at once, against a
+        # Jacobian summed corner by corner from its COO entries
         st = wobble_16x48
-        residual = _flattening_residual(monkeypatch, st)
+        residual = _flattening_residual(st)
         reference = flattening_residual_coo(st)
         ni = st.mesh.vertex_count - st.mesh.sectors
         for u in (np.zeros(ni), np.random.default_rng(2).uniform(-0.05, 0.05, ni)):
@@ -522,10 +514,10 @@ class TestFlatteningJacobian:
             assert set(zip(*J.nonzero())) == set(zip(*J_ref.nonzero()))
             assert np.max(np.abs((J - J_ref).toarray())) <= 1e-13 * np.max(np.abs(J_ref.data))
 
-    def test_is_symmetric(self, monkeypatch, wobble_16x48):
+    def test_is_symmetric(self, wobble_16x48):
         # the Hessian of the Bobenko-Pinkall-Springborn functional
         st = wobble_16x48
-        residual = _flattening_residual(monkeypatch, st)
+        residual = _flattening_residual(st)
         ni = st.mesh.vertex_count - st.mesh.sectors
         for u in (np.zeros(ni), np.random.default_rng(2).uniform(-0.05, 0.05, ni)):
             J = residual(u)[1].toarray()
@@ -536,11 +528,12 @@ class TestSquareMode:
     def test_flattening_factors_its_jacobian(self, monkeypatch, solved_wobble_state):
         st = solved_wobble_state
         ni = st.mesh.vertex_count - st.mesh.sectors
-        J = _flattening_residual(monkeypatch, st)(np.zeros(ni))[1]
+        J = _flattening_residual(st)(np.zeros(ni))[1]
         pattern = set(zip(*J.nonzero()))
         given, calls = _spy_factor(monkeypatch)
         diag.yamabe_flatten(st)
-        assert given and len(calls) == len(given)
+        # one factorisation per flattening, of the Jacobian at u = 0
+        assert len(given) == 1 and len(calls) == 1 and (given[0] != J).nnz == 0
         for A in given:
             # J^T J couples vertices two rings apart, J only neighbours
             assert A.shape == (ni, ni)
@@ -552,11 +545,15 @@ class TestSquareMode:
         diag._develop_h2(solved_wobble_state, lengths)
         assert given == [] and calls == []
 
-    def test_factors_match_normal_matrix_gauss_newton(self, monkeypatch, solved_wobble_state):
-        u, _ = diag.yamabe_flatten(solved_wobble_state)
-        monkeypatch.setattr(diag, "_gauss_newton", gauss_newton_normal)
-        want, _ = diag.yamabe_flatten(solved_wobble_state)
-        assert np.max(np.abs(u - want)) <= 1e-12
+    def test_factors_match_normal_matrix_gauss_newton(self, solved_wobble_state):
+        st = solved_wobble_state
+        u, _ = diag.yamabe_flatten(st)
+        ni = st.mesh.vertex_count - st.mesh.sectors
+        # the flattening stops within 1e-13 on this state, and the reference is run as far: a
+        # 1e-12 stop leaves its own factors 1e-11 off
+        want = gauss_newton_normal(_flattening_residual(st), np.zeros(ni), tol=1e-13)
+        assert np.max(np.abs(u[:ni] - want)) <= 1e-12
+        assert np.all(u[ni:] == 0.0)
 
 
 class TestPlacement:

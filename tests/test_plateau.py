@@ -300,25 +300,40 @@ class TestSolve:
 
     @staticmethod
     def _record_steps(monkeypatch):
-        """Count splu calls, and record the step length and the factor of
-        every flow step."""
-        calls, steps = [], []
+        """Count splu calls, record the factor, right-hand side and result of
+        every solve on the factor, and the step length of every trial."""
+        calls, solves, lengths = [], [], []
         splu = scipy.sparse.linalg.splu
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda *a, **k: calls.append(1) or splu(*a, **k))
-        step = pl._flow_step
-        monkeypatch.setattr(pl, "_flow_step", lambda *a: steps.append((a[5], a[4])) or step(*a))
-        return calls, steps
+        factor, iterate = pl._factor, pl._iterate
+
+        class Recorded:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                solves.append((self, b, self.lu.solve(b)))
+                return solves[-1][2]
+
+        def recorded_iterate(*args):
+            out = iterate(*args)
+            lengths.extend(out[2])
+            return out
+
+        monkeypatch.setattr(pl, "_factor", lambda A: Recorded(factor(A)))
+        monkeypatch.setattr(pl, "_iterate", recorded_iterate)
+        return calls, solves, lengths
 
     def test_factors_once_per_solve(self, monkeypatch):
-        calls, steps = self._record_steps(monkeypatch)
+        calls, solves, lengths = self._record_steps(monkeypatch)
         out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-9)
         assert out.converged and out.dt_summary == {"halvings": 0}
-        assert [t for t, _ in steps] == [1.0] * out.iterations
+        assert lengths == [1.0] * out.iterations and len(solves) == out.iterations
         assert len(calls) == 1
 
     def test_rejections_halve_the_step_length_on_one_factor(self, monkeypatch):
-        calls, steps = self._record_steps(monkeypatch)
+        calls, solves, lengths = self._record_steps(monkeypatch)
         # reject the first four trial steps: the step length halves four
         # times and never grows back
         residual, evaluations = pl._residual, []
@@ -334,10 +349,10 @@ class TestSolve:
         # regrowth of the length would show in the recorded steps
         out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-11)
         assert out.converged and out.dt_summary == {"halvings": 4}
-        lengths = [t for t, _ in steps]
         assert lengths[:4] == [1.0, 0.5, 0.25, 0.125]
         assert set(lengths[4:]) == {1.0 / 16} and len(lengths[4:]) > 20
-        assert len(calls) == 1 and all(lu is steps[0][1] for _, lu in steps)
+        assert len(calls) == 1 and len(solves) == len(lengths)
+        assert all(lu is solves[0][0] for lu, _, _ in solves)
 
     @pytest.mark.parametrize("loop, ceiling", [
         (wobble_loop(k=144), 8),
@@ -345,44 +360,57 @@ class TestSolve:
     ], ids=["wobble", "crown"])
     def test_mixed_steps_converge_within_the_ceiling(self, monkeypatch, loop, ceiling):
         # the plain flow takes 26 (wobble) and 16 (crown) steps at 24x72
-        calls, _ = self._record_steps(monkeypatch)
+        calls, _, _ = self._record_steps(monkeypatch)
         out = pl.plateau_solve(pl.build_state(loop, 24, 72, 3.0), tol=1e-9)
         assert out.converged and out.iterations <= ceiling
         assert len(calls) == 1
         assert out.dt_summary == {"halvings": 0}
 
+    @pytest.mark.parametrize("loop", [
+        wobble_loop(k=144), ein.crown_loop(ein.barbot_crown_standard(1), samples_per_edge=36),
+    ], ids=["wobble", "crown"])
+    def test_rim_rows_stay_where_build_state_put_them(self, loop):
+        # the solve moves the free rows only, so the rim keeps its Dirichlet
+        # data to the bit; scaling a row onto the quadric is not idempotent
+        st = pl.build_state(loop, 24, 72, 3.0)
+        out = pl.plateau_solve(st, tol=1e-9)
+        assert out.converged
+        rim = st.mesh.boundary_mask()
+        assert np.array_equal(out.positions[rim], st.positions[rim])
+
     def test_rejected_mixed_step_halves_the_step_and_takes_the_plain_step(self, monkeypatch):
         # residual evaluations: the start, the first (plain) step, the first
         # mixed step, which is rejected, then the plain step that follows
-        calls, steps = self._record_steps(monkeypatch)
-        residual, step = pl._residual, pl._flow_step
-        evaluated, flowed = [], []
+        calls, solves, lengths = self._record_steps(monkeypatch)
+        residual = pl._residual
+        evaluated = []
 
         def reject_first_mixed(form, X, mesh, grams):
-            evaluated.append((X, len(flowed)))
+            evaluated.append((X, len(solves)))
             if len(evaluated) == 3:
                 raise pl.FaceError("rejected")
             return residual(form, X, mesh, grams)
 
         monkeypatch.setattr(pl, "_residual", reject_first_mixed)
-        monkeypatch.setattr(pl, "_flow_step",
-                            lambda *a: flowed.append((a[0], step(*a))) or flowed[-1][1])
         out = pl.plateau_solve(pl.build_state(wobble_loop(), 16, 48, 3.0), tol=1e-9)
         assert out.converged
         assert out.dt_summary == {"halvings": 1}
-        assert len(calls) == 1 and all(lu is steps[0][1] for _, lu in steps)
-        assert [t for t, _ in steps[:3]] == [1.0, 1.0, 0.5]
+        assert len(calls) == 1 and all(lu is solves[0][0] for lu, _, _ in solves)
+        assert lengths[:3] == [1.0, 1.0, 0.5]
         # the history is cleared: the next step is the unmixed plain step,
         # a new solve from the positions the mixed step was taken from
         X, flows = evaluated[3]
         assert flows == 3
-        assert np.array_equal(flowed[2][0], flowed[1][0])
-        assert np.array_equal(X, pl._onto_quadric(out.form, flowed[2][1]))
+        assert np.array_equal(solves[2][1], solves[1][1])
+        free = ~out.mesh.boundary_mask()
+        plain = pl._onto_quadric(out.form, evaluated[1][0][free] + 0.5 * solves[2][2])
+        assert np.array_equal(X[free], plain)
 
     def test_solve_does_not_depend_on_the_blas_thread_count(self, tmp_path, python_env):
         # np.vdot on the 48x144 history vectors sums in an order that depends
         # on the BLAS thread count; the solved state must not. Nor may the
-        # probe, whose pair scans read one Gram matrix per loop
+        # flattening of that state, which mixes its steps in the same way, or
+        # the probe, whose pair scans read one Gram matrix per loop
         script = (
             "import hashlib\n"
             "import numpy as np\n"
@@ -393,6 +421,8 @@ class TestSolve:
             "out = pl.plateau_solve(pl.build_state(loop, 48, 144, 3.0), tol=1e-9)\n"
             "assert out.converged\n"
             "print(hashlib.sha256(pl.state_dumps(out).encode()).hexdigest())\n"
+            "u, _ = diag.yamabe_flatten(out)\n"
+            "print(hashlib.sha256(u.tobytes()).hexdigest())\n"
             "wobble = cli.generate_loop('c1_wobble', n=1, samples=128)\n"
             "print(repr(diag.quasiperiodicity_probe(wobble, triples=50, seed=21)))\n"
         )
