@@ -20,6 +20,7 @@ from .einstein import (
     BarbotCrown,
     LipschitzLoop,
     boundary_points,
+    graph_coordinates,
     graph_points,
     loop_classify,
     _pair_distances,
@@ -86,10 +87,8 @@ def _boundary_points(state: SurfaceState, count: int, rng: np.random.Generator) 
         thetas = rng.uniform(0.0, 2.0 * np.pi, size=count)
         return state.loop.boundary_points(thetas)
     mesh = state.mesh
-    base = mesh.vertex(mesh.rings, 0)
-    idx = rng.integers(0, mesh.sectors, size=count)
     # a rim vertex lies on q = -1; its class (u/|u|, v/|v|) is isotropic
-    X = state.positions[base + idx]
+    X = state.positions[mesh.interior_count + rng.integers(0, mesh.sectors, size=count)]
     classes = np.hstack([X[:, :2] / np.linalg.norm(X[:, :2], axis=1)[:, None],
                          X[:, 2:] / np.linalg.norm(X[:, 2:], axis=1)[:, None]])
     return boundary_points(state.form, classes)
@@ -184,12 +183,12 @@ def _build_edge_graph(state: SurfaceState) -> sp.csr_matrix:
     m, s = mesh.rings, mesh.sectors
     ring = np.arange(1, m)[:, None]
     k = np.array([2, 3, 4])
-    wide = np.clip(np.round(s / (2.0 * np.pi * ring)), 1, s // 4).astype(np.int64) * k
+    wide = table.sigma[:, None] * k
     di = np.concatenate([k, k, np.ones(6, dtype=np.int64)])
     dj = np.hstack([np.broadcast_to([1, 1, 1, -1, -1, -1], (m - 1, 6)), wide, -wide])
     js = np.arange(s)
-    fan_rows = np.broadcast_to(1 + (ring[..., None] - 1) * s + js, dj.shape + (s,))
-    fan_cols = 1 + (ring + di - 1)[..., None] * s + (js + dj[..., None]) % s
+    fan_rows = np.broadcast_to(mesh.vertex(ring[..., None], js), dj.shape + (s,))
+    fan_cols = mesh.vertex((ring + di)[..., None], js + dj[..., None])
     on_mesh = ring + di <= m
     rows = np.concatenate([faces.ravel(), src[table.mask], fan_rows[on_mesh].ravel()])
     cols = np.concatenate([np.roll(faces, -1, axis=1).ravel(), table.star[table.mask],
@@ -200,8 +199,7 @@ def _build_edge_graph(state: SurfaceState) -> sp.csr_matrix:
     keys = np.sort((lo * nv + hi)[lo != hi])
     keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
     ei, ej = keys // nv, keys % nv
-    edge_len = np.arccosh(np.maximum(np.abs(state.form.inner_rows(np.take(X, ei, axis=0),
-                                                                  np.take(X, ej, axis=0))), 1.0))
+    edge_len = spatial_distance(state.form, np.take(X, ei, axis=0), np.take(X, ej, axis=0))
     G = sp.csr_matrix((np.concatenate([edge_len, edge_len]),
                        (np.concatenate([ei, ej]), np.concatenate([ej, ei]))), shape=(nv, nv))
     for arr in (G.data, G.indices, G.indptr):
@@ -312,7 +310,9 @@ FLATTENING_TRIALS = 40
 
 # The largest angle defect at which the flattening stops. It sits below
 # LAYOUT_TOL: the ring placement carries the defects out to the rim, and at
-# 1e-10 they made it miss rim sides by up to 6e-9 at n = 2.
+# 1e-10 they made it miss rim sides by up to 6e-9 at n = 2. It bounds the
+# defects, not the conformal factors: at 96x288 two flattenings that both
+# stopped below it gave factors 2.4e-10 apart.
 FLATTENING_TOL = 1e-12
 
 # The largest gap between a side of the developed layout and its flattened
@@ -350,15 +350,14 @@ def _flattening(state: SurfaceState):
     X = state.positions
     faces = state.mesh.faces
     nv = state.mesh.vertex_count
-    # the rim is the last ring, so the free interior factors come first
-    ni = nv - state.mesh.sectors
+    # the rim comes last, so the free interior factors come first
+    ni = state.mesh.interior_count
     ends = [faces[:, side] for side in FACE_SIDES]
-    pairs = [np.abs(form.inner_rows(np.take(X, e[:, 0], axis=0), np.take(X, e[:, 1], axis=0)))
-             for e in ends]
-    half0 = [np.sinh(0.5 * np.arccosh(np.maximum(pair, 1.0))) for pair in pairs]
+    half0 = [np.sinh(0.5 * spatial_distance(form, np.take(X, e[:, 0], axis=0),
+                                            np.take(X, e[:, 1], axis=0))) for e in ends]
 
     def lengths_of(ui):
-        u = np.concatenate([ui, np.zeros(nv - ni)])
+        u = np.pad(ui, (0, nv - ni))
         l0, l1, l2 = ls = [2.0 * np.arcsinh(h * np.exp(0.5 * (u[e[:, 0]] + u[e[:, 1]])))
                            for h, e in zip(half0, ends)]
         if np.any((l0 + l1 <= l2) | (l0 + l2 <= l1) | (l1 + l2 <= l0)):
@@ -401,7 +400,7 @@ def yamabe_flatten(state: SurfaceState):
     the factors and the side lengths per face, side k opposite corner k.
     """
     lengths_of, defects, jacobian = _flattening(state)
-    u0 = np.zeros(state.mesh.vertex_count - state.mesh.sectors)
+    u0 = np.zeros(state.mesh.interior_count)
 
     def evaluate(ui):
         try:
@@ -418,7 +417,7 @@ def yamabe_flatten(state: SurfaceState):
         raise FlatteningError(str(exc)) from exc
     if not sizes[-1] < FLATTENING_TOL:
         raise FlatteningError(f"solve stalled at max angle defect {sizes[-1]:.2e}")
-    return np.concatenate([ui, np.zeros(state.mesh.sectors)]), tuple(lengths_of(ui))
+    return np.pad(ui, (0, state.mesh.vertex_count - len(ui))), tuple(lengths_of(ui))
 
 
 def _place_rings(state: SurfaceState, lengths) -> np.ndarray:
@@ -497,9 +496,9 @@ def boundary_extension(state: SurfaceState, seed: int = 0):
         raise GeometryError("boundary extension requires a positive loop")
     _, lengths = yamabe_flatten(state)
     mesh = state.mesh
-    rim = _develop_h2(state, lengths)[mesh.vertex(mesh.rings, 0):]
+    rim = _develop_h2(state, lengths)[mesh.interior_count:]
     thetas_disk = np.arctan2(rim[:, 1], rim[:, 0]) % (2.0 * np.pi)
-    thetas_loop = 2.0 * np.pi * np.arange(mesh.sectors) / mesh.sectors
+    thetas_loop = mesh.polar_grid()[1][mesh.interior_count:]
     bmap = SampledBoundaryMap(thetas_disk, state.loop.boundary_points(thetas_loop))
     cert = qs_certify(state.form, bmap, A=2.0, n_quadruples=1500, rng_seed=seed)
     return bmap, cert
@@ -562,12 +561,7 @@ def quasiperiodicity_probe(loop: LipschitzLoop, triples: int = 50, seed: int = 0
             if len(sel) == 3:
                 sels.append(sel)
         G, ok = standardize_triples(reps[np.array(sels, dtype=np.intp).reshape(-1, 3)], form)
-        moved = reps @ G[ok].transpose(0, 2, 1)
-        nu = np.linalg.norm(moved[..., :2], axis=-1)
-        nv = np.linalg.norm(moved[..., 2:], axis=-1)
-        thetas = np.arctan2(moved[..., 1] / nu, moved[..., 0] / nu) % (2.0 * np.pi)
-        fibers = moved[..., 2:] / nv[..., None]
-        for th, fib in zip(thetas, fibers):
+        for th, fib in zip(*graph_coordinates(reps @ G[ok].transpose(0, 2, 1))):
             try:
                 renorm = LipschitzLoop(th, fib)
             except GeometryError:
@@ -696,19 +690,17 @@ def hessian_audit(state: SurfaceState, z, samples: int = 200, seed: int = 0) -> 
     h = horofunction(form, z)
     geo = discrete_geometry(state)
     mesh = state.mesh
-    ring = mesh.stencil.ring
-    inter = np.flatnonzero(mesh.interior_mask(AUDIT_EXCLUDE_RINGS) & (ring >= 1))
+    inter = np.flatnonzero(mesh.interior_mask(AUDIT_EXCLUDE_RINGS) & (mesh.ring_of() >= 1))
     X = state.positions
     drawn = rng.choice(inter, size=min(samples, len(inter)), replace=False)
     # the radial neighbours one ring out and one ring in (the center for ring 1)
-    vp = drawn + mesh.sectors
-    vm = np.where(ring[drawn] > 1, drawn - mesh.sectors, 0)
+    vp, vm = mesh.tangent_diffs[:2, drawn]
     pairs3 = np.abs(form.inner_rows(X[np.stack([drawn, vp, vm])], h.z0))
     usable = np.min(pairs3, axis=0) >= 1e-8
     v, vp, vm, pairs3 = drawn[usable], vp[usable], vm[usable], pairs3[:, usable]
     x = X[v]
     # second difference along the radial near-geodesic triple
-    lp, lm = np.arccosh(np.maximum(np.abs(form.inner_rows(X[np.stack([vp, vm])], x)), 1.0))
+    lp, lm = spatial_distance(form, X[np.stack([vp, vm])], x)
     hv, hp, hm = np.log(pairs3)
     second = 2.0 * ((hp - hv) / lp + (hm - hv) / lm) / (lp + lm)
     # unit direction c of the segment in the tangent frame

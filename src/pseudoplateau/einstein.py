@@ -87,6 +87,24 @@ def graph_points(thetas, fibers) -> np.ndarray:
     return _signed(np.concatenate([u, fibers], axis=-1))
 
 
+def graph_coordinates(X):
+    """The angles and fibers of the rows (..., dim) of X: `graph_points` undone."""
+    nu = np.linalg.norm(X[..., :2], axis=-1)
+    nv = np.linalg.norm(X[..., 2:], axis=-1, keepdims=True)
+    return np.arctan2(X[..., 1] / nu, X[..., 0] / nu) % (2.0 * np.pi), X[..., 2:] / nv
+
+
+def slerp(f, g, t):
+    """The points a fraction t (..., 1) along the great-circle arcs from the
+    unit vectors f to g (..., d), or along their renormalised chord where f
+    and g are within 1e-12 rad; f, g and t broadcast together."""
+    ang = np.arccos(np.clip(dot_rows(f, g), -1.0, 1.0))[..., None]
+    near = ang < 1e-12
+    chord = (1.0 - t) * f + t * g
+    arc = (np.sin((1.0 - t) * ang) * f + np.sin(t * ang) * g) / np.sin(np.where(near, 1.0, ang))
+    return np.where(near, chord / norm_rows(chord)[..., None], arc)
+
+
 def circle_points(form: BilinearForm, thetas) -> np.ndarray:
     """Boundary points of the standard spacelike circle, the boundary of the
     totally geodesic plane spanned by e1, e2 and e3: (cos t, sin t, 1, 0, ...)
@@ -327,8 +345,7 @@ class LipschitzLoop:
 
     def fibers_at(self, thetas) -> np.ndarray:
         """The fiber at one angle (n+1,) or at a stack of angles (k, n+1):
-        geodesic interpolation between the bracketing samples, or their
-        renormalised chord where the two fibers are within 1e-12 rad."""
+        the `slerp` between the bracketing samples."""
         theta = np.asarray(thetas, dtype=float) % (2.0 * np.pi)
         k = self.size
         idx = np.searchsorted(self.thetas, theta)
@@ -337,13 +354,8 @@ class LipschitzLoop:
         gap = (self.thetas[j] - ti) % (2.0 * np.pi)
         same = gap < 1e-12
         t = (((theta - ti) % (2.0 * np.pi)) / np.where(same, 1.0, gap))[..., None]
-        f, g = self.fibers[i], self.fibers[j]
-        ang = np.arccos(np.clip(dot_rows(f, g), -1.0, 1.0))[..., None]
-        near = ang < 1e-12
-        chord = (1.0 - t) * f + t * g
-        chord = chord / norm_rows(chord)[..., None]
-        arc = (np.sin((1.0 - t) * ang) * f + np.sin(t * ang) * g) / np.sin(np.where(near, 1.0, ang))
-        return np.where(same[..., None], f, np.where(near, chord, arc))
+        f = self.fibers[i]
+        return np.where(same[..., None], f, slerp(f, self.fibers[j], t))
 
     def boundary_points(self, thetas) -> np.ndarray:
         """The loop's boundary points at one angle or at a stack of angles."""
@@ -473,10 +485,7 @@ def crown_loop(crown: BarbotCrown, samples_per_edge: int = 24) -> LipschitzLoop:
     t = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False) * np.pi / 2.0
     vec = (np.cos(t)[:, None] * z[:, None, :]
            + np.sin(t)[:, None] * np.roll(z, -1, axis=0)[:, None, :]).reshape(-1, z.shape[1])
-    nu = np.linalg.norm(vec[:, :2], axis=1)
-    nv = np.linalg.norm(vec[:, 2:], axis=1, keepdims=True)
-    thetas = np.arctan2(vec[:, 1] / nu, vec[:, 0] / nu) % (2.0 * np.pi)
-    return LipschitzLoop(thetas, vec[:, 2:] / nv, c1=False)
+    return LipschitzLoop(*graph_coordinates(vec), c1=False)
 
 
 def crown_seeded_from_arc(form: BilinearForm, loop: LipschitzLoop) -> BarbotCrown:

@@ -27,8 +27,9 @@ from .einstein import (
     graph_points,
     loop_classify,
     photon_arc,
+    slerp,
 )
-from .hspace import barbot_surface_point, cylinder_point
+from .hspace import barbot_surface_point, cylinder_point, spatial_distance
 
 
 class SolverError(GeometryError):
@@ -41,7 +42,7 @@ class FaceError(GeometryError):
 
 STAR_WIDTH = 8
 
-# The largest mesh `build_state` accepts, in vertices (1 + rings * sectors).
+# The largest mesh `build_state` and the state files accept, in vertices.
 MAX_VERTICES = 200_000
 
 # The number of past steps that `plateau_solve` mixes into each new one. A
@@ -53,6 +54,19 @@ ANDERSON_DEPTH = 4
 STATE_RESIDUAL_MAX = 1e-6
 
 
+def _solver_vertex_count(m: int, s: int) -> int:
+    """The vertex count 1 + m s, or GeometryError for a mesh that `build_state`
+    and the state files refuse: the audits draw samples from its inner rings."""
+    if m < 8:
+        raise GeometryError("need at least eight rings")
+    if s < 3 * m:
+        raise GeometryError("need at least three sectors per ring")
+    if 1 + m * s > MAX_VERTICES:
+        raise GeometryError(f"a mesh of {m} rings and {s} sectors has more than "
+                            f"{MAX_VERTICES} vertices")
+    return 1 + m * s
+
+
 @dataclass(frozen=True)
 class StencilTable:
     """Per-vertex index arrays of a `DiskMesh`.
@@ -61,19 +75,22 @@ class StencilTable:
     the balanced star of every interior vertex in cyclic order, padded to
     STAR_WIDTH with the vertex itself; `mask` marks the real entries and
     `nxt` the slot of each entry's cyclic successor (a padding slot is its
-    own successor). Rim vertices have an empty star.
+    own successor). Rim vertices have an empty star. `sigma` is the star
+    width of the rings 1 .. rings - 1, in sectors.
     """
 
     ring: np.ndarray
     star: np.ndarray
     mask: np.ndarray
     nxt: np.ndarray
+    sigma: np.ndarray
 
 
 @dataclass(frozen=True)
 class DiskMesh:
     """Polar triangulation of a disk: a center vertex, `rings` concentric
-    rings of `sectors` vertices, quads between rings split into triangles."""
+    rings of `sectors` vertices, quads between rings split into triangles.
+    It is the one owner of the layout: the numbering, the rim and the stars."""
 
     rings: int
     sectors: int
@@ -88,7 +105,7 @@ class DiskMesh:
         m, s = self.rings, self.sectors
         # the center fan, then per quad (ring i-1 to i, sector j to j+1) the
         # triangles (v00, v10, v11) and (v00, v11, v01), ring by ring
-        v = self.vertex(1, 0) + np.arange(m * s, dtype=np.int64).reshape(m, s)
+        v = self.vertex(np.arange(1, m + 1)[:, None], np.arange(s))
         lo, hi = v[:-1], v[1:]
         lo1, hi1 = np.roll(lo, -1, axis=1), np.roll(hi, -1, axis=1)
         fan = np.column_stack([np.zeros(s, dtype=np.int64), v[0], np.roll(v[0], -1)])
@@ -100,10 +117,15 @@ class DiskMesh:
     def vertex_count(self) -> int:
         return 1 + self.rings * self.sectors
 
-    def vertex(self, i: int, j: int) -> int:
-        if i == 0:
-            return 0
-        return 1 + (i - 1) * self.sectors + (j % self.sectors)
+    @property
+    def interior_count(self) -> int:
+        """The number of vertices off the rim, which come before the rim's."""
+        return self.vertex_count - self.sectors
+
+    def vertex(self, i, j):
+        """The index of vertex j (taken mod sectors) of ring i, ring 0 being
+        the center. i and j may be integer arrays, broadcast together."""
+        return (i != 0) * (1 + (i - 1) * self.sectors + j % self.sectors)
 
     def ring_of(self) -> np.ndarray:
         return np.concatenate([[0], np.repeat(np.arange(1, self.rings + 1), self.sectors)])
@@ -113,16 +135,11 @@ class DiskMesh:
 
     def polar_grid(self):
         """Radii and angles of every vertex (center first)."""
-        m, s = self.rings, self.sectors
-        r = np.concatenate([[0.0], np.repeat(self.radius * np.arange(1, m + 1) / m, s)])
-        th = np.concatenate([[0.0], np.tile(2.0 * np.pi * np.arange(s) / s, m)])
-        return r, th
+        return (self.radius * self.ring_of() / self.rings,
+                2.0 * np.pi * self.sector_of() / self.sectors)
 
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.vertex_count, dtype=bool)
-        base = self.vertex(self.rings, 0)
-        mask[base: base + self.sectors] = True
-        return mask
+        return np.arange(self.vertex_count) >= self.interior_count
 
     def interior_mask(self, exclude_rings: int = 0) -> np.ndarray:
         """Vertices at least `exclude_rings` rings away from the boundary."""
@@ -137,12 +154,11 @@ class DiskMesh:
         center along sectors 0 and s/4 at the center itself. Kept apart from
         `stencil`, which the solver does not need."""
         m, s = self.rings, self.sectors
-        v = self.vertex(1, 0) + np.arange(m * s).reshape(m, s)
-        rings = np.stack([np.vstack([v[1:], v[-1:]]), np.vstack([np.zeros((1, s), int), v[:-1]]),
-                          np.roll(v, -1, axis=1), np.roll(v, 1, axis=1)]).reshape(4, -1)
-        center = [[self.vertex(1, 0)], [self.vertex(1, s // 2)],
-                  [self.vertex(1, s // 4)], [self.vertex(1, (3 * s) // 4)]]
-        return np.hstack([center, rings])
+        i, j = np.arange(1, m + 1)[:, None], np.arange(s)
+        center = self.vertex(1, np.array([0, s // 2, s // 4, (3 * s) // 4]))
+        rings = np.stack([self.vertex(np.minimum(i + 1, m), j), self.vertex(i - 1, j),
+                          self.vertex(i, j + 1), self.vertex(i, j - 1)]).reshape(4, -1)
+        return np.column_stack([center, rings])
 
     @cached_property
     def cotan_pattern(self):
@@ -168,39 +184,35 @@ class DiskMesh:
         is badly anisotropic near the center (aspect ratio s/2pi independent
         of m), which leaves a non-vanishing bias in angle-defect estimates;
         the balanced star subsamples the ring to restore second-order
-        accuracy.
+        accuracy. Ring i's star width is s / (2 pi i), rounded and clipped
+        to [1, s // 4]: below four sectors it raises GeometryError.
         """
         m, s = self.rings, self.sectors
-        nv = self.vertex_count
+        if s < 4:
+            raise GeometryError("the balanced stars need at least four sectors")
+        ni, nv = self.interior_count, self.vertex_count
+        ring = np.arange(1, m)
+        sigma = np.clip(np.round(s / (2.0 * np.pi * ring)), 1, s // 4).astype(np.int64)
+        # the legs (ring step, sector step in sigma) of rings 1 .. m - 1 in
+        # cyclic order, and leg 8 to the vertex itself, which pads ring 1:
+        # its three inner legs all end at the center, and it keeps one
+        slots = np.tile(np.arange(STAR_WIDTH), (m - 1, 1))
+        slots[0] = [0, 1, 2, 3, 6, 7, 8, 8]
+        di = np.array([1, 1, 0, -1, -1, -1, 0, 1, 0])[slots]
+        dj = np.array([0, 1, 1, 1, 0, -1, -1, -1, 0])[slots] * sigma[:, None]
         star = np.repeat(np.arange(nv)[:, None], STAR_WIDTH, axis=1)
+        star[1:ni] = self.vertex((ring[:, None] + di)[:, None],
+                                 np.arange(s)[:, None] + dj[:, None]).reshape(-1, STAR_WIDTH)
         length = np.zeros(nv, dtype=np.int64)
+        length[1:ni] = np.repeat(np.sum(slots < STAR_WIDTH, axis=1), s)
+        # the center's legs: every stride-th vertex of ring 1
         stride = max(1, round(s / 6))
-        center = [self.vertex(1, k * stride) for k in range(s // stride)]
-        star[0, :len(center)] = center
-        length[0] = len(center)
-        js = np.arange(s)
-        for i in range(1, m):
-            sigma = int(np.clip(round(s / (2.0 * np.pi * i)), 1, s // 4))
-            raw = [
-                (i + 1, 0), (i + 1, sigma), (i, sigma), (i - 1, sigma),
-                (i - 1, 0), (i - 1, -sigma), (i, -sigma), (i + 1, -sigma),
-            ]
-            # which legs coincide does not depend on the sector, so sector 0
-            # decides which legs every vertex of the ring keeps
-            legs, ids = [], []
-            for (a, o) in raw:
-                v = self.vertex(a, o)
-                if not ids or (v != ids[-1] and v != ids[0]):
-                    legs.append((a, o))
-                    ids.append(v)
-            rows = self.vertex(i, 0) + js
-            for k, (a, o) in enumerate(legs):
-                star[rows, k] = 0 if a == 0 else self.vertex(a, 0) + (js + o) % s
-            length[rows] = len(legs)
+        length[0] = s // stride
+        star[0, :length[0]] = self.vertex(1, stride * np.arange(length[0]))
         slot = np.arange(STAR_WIDTH)
         mask = slot < length[:, None]
         nxt = np.where(mask, (slot + 1) % np.maximum(length, 1)[:, None], slot)
-        return StencilTable(ring=self.ring_of(), star=star, mask=mask, nxt=nxt)
+        return StencilTable(ring=self.ring_of(), star=star, mask=mask, nxt=nxt, sigma=sigma)
 
 
 @dataclass
@@ -322,7 +334,7 @@ def _residual(form: BilinearForm, X: np.ndarray, mesh: DiskMesh, grams):
         - form.inner_rows(d, e1)[:, None] * e1
         - form.inner_rows(d, e2)[:, None] * e2
     )
-    rho[mesh.boundary_mask()] = 0.0
+    rho[mesh.interior_count:] = 0.0
     return rho, (W, deg, omega)
 
 
@@ -401,20 +413,13 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
     constant reaches tanh R has rim edges that are not spacelike, and is
     rejected with InvalidLoopError.
     """
-    if m < 8:
-        raise GeometryError("need at least eight rings")
-    if s < 3 * m:
-        raise GeometryError("need at least three sectors per ring")
-    if 1 + m * s > MAX_VERTICES:
-        raise GeometryError(f"a mesh of {m} rings and {s} sectors has more than "
-                            f"{MAX_VERTICES} vertices")
+    _solver_vertex_count(m, s)
     cls = loop_classify(loop)
     if cls == "invalid":
         raise InvalidLoopError("loop is neither positive nor semi-positive")
     form = BilinearForm(loop.n)
     mesh = DiskMesh(m, s, R)
     crown = _detect_tiling_crown(form, loop)
-    thetas = 2.0 * np.pi * np.arange(s) / s
     X = np.zeros((mesh.vertex_count, form.dim))
     # the face check multiplies four chords of up to 2 cosh R, which overflow past R = log(max
     # float) / 4: there the zero start stays, fails that check, and the disk names the mesh
@@ -431,12 +436,11 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
         # back onto the surface.
         r_all, _ = mesh.polar_grid()
         base = barbot_state(form, crown, m, s, R).positions
-        bmask = mesh.boundary_mask()
         eps = 0.05
         while True:
             X = base.copy()
             ang = eps * np.sin(np.pi * r_all / R)
-            ang[bmask] = 0.0
+            ang[mesh.interior_count:] = 0.0
             ca, sa = np.cos(ang), np.sin(ang)
             f0, f1 = X[:, 2].copy(), X[:, 3].copy()
             X[:, 2] = ca * f0 - sa * f1
@@ -451,6 +455,7 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
         # the points sinh(r) (cos t, sin t, 0) + cosh(r) (0, 0, v) of
         # `cylinder_point`, one array per ring
         grid = X[1:].reshape(m, s, form.dim)
+        thetas = mesh.polar_grid()[1][mesh.interior_count:]
         rim = np.cosh(R) * loop.fibers_at(thetas)
         grid[-1, :, 0] = np.sinh(R) * np.cos(thetas)
         grid[-1, :, 1] = np.sinh(R) * np.sin(thetas)
@@ -472,15 +477,9 @@ def build_state(loop: LipschitzLoop, m: int, s: int, R: float) -> SurfaceState:
         r = R * np.arange(1, m) / m
         frac = (np.tanh(r) / np.tanh(R))[:, None, None]
         g = rim / np.linalg.norm(rim, axis=1)[:, None]
-        ang = np.arccos(np.clip(g @ vbar, -1.0, 1.0))[:, None]
-        near = ang < 1e-12
-        sin_ang = np.sin(np.where(near, 1.0, ang))
-        arc = (np.sin((1.0 - frac) * ang) * vbar + np.sin(frac * ang) * g) / sin_ang
-        chord = (1.0 - frac) * vbar + frac * g
-        chord /= np.linalg.norm(chord, axis=-1, keepdims=True)
         grid[:-1, :, 0] = np.outer(np.sinh(r), np.cos(thetas))
         grid[:-1, :, 1] = np.outer(np.sinh(r), np.sin(thetas))
-        grid[:-1, :, 2:] = np.cosh(r)[:, None, None] * np.where(near, chord, arc)
+        grid[:-1, :, 2:] = np.cosh(r)[:, None, None] * slerp(vbar, g, frac)
     ok, good = faces_spacelike(form, X, mesh.faces)
     if not ok:
         # a mesh too coarse for its radius fails on the geodesic disk itself
@@ -635,26 +634,26 @@ def plateau_solve(state: SurfaceState, tol: float = STATE_RESIDUAL_MAX,
     out = state.copy()
     form, mesh = out.form, out.mesh
     X = out.positions
-    idx = np.flatnonzero(~mesh.boundary_mask())
+    ni = mesh.interior_count
 
     def residual(Y):
         rho, assembly = _residual(form, Y, mesh, face_grams(form, Y, mesh.faces))
-        rhs = np.take(assembly[2], idx)[:, None] * np.take(rho, idx, axis=0)
+        rhs = assembly[2][:ni, None] * rho[:ni]
         return rhs, float(np.max(np.linalg.norm(rho, axis=1))), assembly
 
     def evaluate(x):
         Y = X.copy()
-        Y[idx] = x
+        Y[:ni] = x
         try:
             return residual(Y)[:2]
         except FaceError:
             return None
 
     rhs, size, (W, deg, omega) = residual(X)
-    A = (sp.diags(deg + 3.0 * omega) - W).tocsr()[idx][:, idx]
-    x, sizes, lengths = _iterate(evaluate, np.take(X, idx, axis=0), rhs, size, A, tol, max_iter,
+    A = (sp.diags(deg + 3.0 * omega) - W).tocsr()[:ni, :ni]
+    x, sizes, lengths = _iterate(evaluate, X[:ni], rhs, size, A, tol, max_iter,
                                  lambda y: _onto_quadric(form, y))
-    X[idx] = x
+    X[:ni] = x
     out.converged = bool(sizes[-1] < tol)
     out.iterations = len(lengths)
     out.final_residual = sizes[-1]
@@ -721,18 +720,16 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     form = state.form
     mesh = state.mesh
     X = state.positions
-    nv = mesh.vertex_count
+    nv, ni = mesh.vertex_count, mesh.interior_count
     dim = form.dim
     table = mesh.stencil
-    interior = mesh.interior_mask(exclude_rings=0)
     e1, e2 = tangent_frames(form, X, mesh)
-    idx = np.flatnonzero(interior)
-    star = table.star[idx]
-    mask = table.mask[idx]
-    nxt = table.nxt[idx]
-    x = np.take(X, idx, axis=0)[:, None, :]
-    f1 = np.take(e1, idx, axis=0)[:, None, :]
-    f2 = np.take(e2, idx, axis=0)[:, None, :]
+    star = table.star[:ni]
+    mask = table.mask[:ni]
+    nxt = table.nxt[:ni]
+    x = X[:ni, None, :]
+    f1 = e1[:ni, None, :]
+    f2 = e2[:ni, None, :]
     pts = np.take(X, star, axis=0)
 
     def succ(a):
@@ -741,9 +738,9 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     u1, u2, sol = _second_form_fit(form, pts, x, f1, f2)
     a11, a12, a22 = sol.swapaxes(0, 1)
     ii_frame = np.zeros((nv, 2, 2, dim))
-    ii_frame[idx] = np.stack([sol[:, :2], sol[:, 1:]], axis=1)
+    ii_frame[:ni] = np.stack([sol[:, :2], sol[:, 1:]], axis=1)
     ii_fit = np.full(nv, np.nan)
-    ii_fit[idx] = -(form.inner_rows(a11, a11) + 2.0 * form.inner_rows(a12, a12)
+    ii_fit[:ni] = -(form.inner_rows(a11, a11) + 2.0 * form.inner_rows(a12, a12)
                     + form.inner_rows(a22, a22))
 
     def kappa_sq(du1, du2):
@@ -761,9 +758,8 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     # angle defect carries an O(1) bias wherever the surface bends. The
     # normal directions are negative definite, so the ambient geodesic is
     # LONGER than the interior one and the correction is a shortening.
-    radial = np.arccosh(np.maximum(np.abs(form.inner_rows(pts, x)), 1.0))
-    outer = np.arccosh(np.maximum(
-        np.abs(form.inner_rows(pts, np.take(X, succ(star), axis=0))), 1.0))
+    radial = spatial_distance(form, pts, x)
+    outer = spatial_distance(form, pts, np.take(X, succ(star), axis=0))
     radial = radial * (1.0 - kappa_sq(u1, u2) * radial**2 / 24.0)
     outer = outer * (1.0 - kappa_sq(succ(u1) - u1, succ(u2) - u2) * outer**2 / 24.0)
     # padding slots get a unit equilateral triangle, then drop out of the sums
@@ -776,7 +772,7 @@ def _geometry_pass(state: SurfaceState) -> DiscreteGeometry:
     areas = np.sqrt(np.maximum(s_h * (s_h - la) * (s_h - lb) * (s_h - lc), 0.0))
     omega = np.sum(np.where(mask, areas, 0.0), axis=1) / 3.0
     K = np.full(nv, np.nan)
-    K[idx] = (2.0 * np.pi - np.sum(angles, axis=1)) / omega
+    K[:ni] = (2.0 * np.pi - np.sum(angles, axis=1)) / omega
     ii_gauss = 2.0 * (K + 1.0)
     return DiscreteGeometry(K=K, ii_gauss=ii_gauss, ii_fit=ii_fit, ii_frame=ii_frame,
                             frames=(e1, e2))
@@ -805,7 +801,8 @@ def state_save(state: SurfaceState, path) -> None:
 
 
 def state_loads(text: str) -> SurfaceState:
-    """Parse a state file; a malformed one raises GeometryError."""
+    """Parse a state file; a malformed one raises GeometryError, and so
+    does one on a mesh that `build_state` would not build."""
     try:
         return _parse_state(text)
     except GeometryError:
@@ -817,7 +814,7 @@ def state_loads(text: str) -> SurfaceState:
 def _parse_state(text: str) -> SurfaceState:
     fields, body = _read_table(
         text, STATE_HEADER, "vertex", GeometryError,
-        lambda f: (1 + int(f["rings"]) * int(f["sectors"]), int(f["n"]) + 6))
+        lambda f: (_solver_vertex_count(int(f["rings"]), int(f["sectors"])), int(f["n"]) + 6))
     form = BilinearForm(int(fields["n"]))
     mesh = DiskMesh(int(fields["rings"]), int(fields["sectors"]), float(fields["R"]))
     m, s, R = mesh.rings, mesh.sectors, mesh.radius
@@ -832,7 +829,7 @@ def _parse_state(text: str) -> SurfaceState:
     if not np.array_equal(body[:, -1], i == m):
         raise GeometryError("the pinned column is not 1 exactly on the rim")
     X = np.zeros((mesh.vertex_count, form.dim))
-    X[np.where(i == 0, 0, 1 + (i - 1) * s + j)] = body[:, 2:-1]
+    X[mesh.vertex(i, j)] = body[:, 2:-1]
     # a huge or infinite coordinate makes qx inf or nan, which the check
     # rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -840,7 +837,7 @@ def _parse_state(text: str) -> SurfaceState:
     if not np.all(np.abs(qx + 1.0) <= 1e-8):
         raise GeometryError("state vertices are off the quadric")
     # the rim vertices sit at the header radius, arcsinh |X[:2]| = R
-    rim = np.arcsinh(np.linalg.norm(X[mesh.vertex(m, 0):, :2], axis=1))
+    rim = np.arcsinh(np.linalg.norm(X[mesh.interior_count:, :2], axis=1))
     if not np.all(np.abs(rim - R) <= 1e-9 * max(1.0, R)):
         raise GeometryError(f"rim vertices are not at the header radius R={R!r}")
     return SurfaceState(mesh=mesh, positions=X, form=form,

@@ -11,7 +11,7 @@ from pseudoplateau import einstein as ein
 from pseudoplateau import plateau as pl
 from pseudoplateau.qcore import BilinearForm
 
-from geometry_reference import geodesic_disk_state
+from geometry_reference import geodesic_disk_point, geodesic_disk_state
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +232,27 @@ def test_state_header_radius_checked_against_rim(tmp_path, capsys, radius, code)
     if code == 3:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("audits", ["rigidity", "gradient,gromov"])
+@pytest.mark.parametrize("rings,sectors", [(2, 6), (3, 9), (4, 12), (8, 9)])
+def test_state_on_a_mesh_build_state_refuses_exit_three(tmp_path, capsys, rings, sectors, audits):
+    # the converged geodesic disk on a mesh that `solve` would not build: the
+    # audits once drew more samples than its inner rings hold and raised
+    # ValueError, or audited it at 8 x 9
+    form = BilinearForm(1)
+    mesh = pl.DiskMesh(rings, sectors, 1.0)
+    X = np.array([geodesic_disk_point(form, r, th) for r, th in zip(*mesh.polar_grid())])
+    state = pl.SurfaceState(mesh=mesh, positions=X, form=form, converged=True)
+    assert np.max(np.linalg.norm(pl.mean_curvature_residual(state), axis=1)) < 1e-12
+    pl.state_save(state, tmp_path / "state.txt")
+    out = tmp_path / "out"
+    code = cli.main(["audit", "--state", str(tmp_path / "state.txt"), "--audits", audits,
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("error: need at least") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_unsolved_state_marked_converged_exit_three(workdir, tmp_path, capsys):

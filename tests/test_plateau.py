@@ -53,7 +53,8 @@ class TestMesh:
         assert mesh.vertex_count == 1 + 8 * 24
         assert len(mesh.faces) == 24 * (2 * 8 - 1)
 
-    @pytest.mark.parametrize("rings,sectors", [(2, 3), (5, 9), (24, 72), (96, 288)])
+    @pytest.mark.parametrize("rings,sectors", [(2, 3), (2, 4), (3, 5), (5, 9), (8, 25), (13, 59),
+                                               (24, 72), (96, 288)])
     def test_faces_and_polar_grid_match_the_loop_reference(self, rings, sectors):
         mesh = pl.DiskMesh(rings, sectors, 1.7)
         want = reference_faces(mesh)
@@ -68,10 +69,13 @@ class TestMesh:
         with pytest.raises(pl.GeometryError):
             pl.build_state(wobble_loop(k=64), 8, 24, radius)
 
-    @pytest.mark.parametrize("rings,sectors", [(8, 24), (5, 9), (24, 72)])
+    @pytest.mark.parametrize("rings,sectors", [(2, 4), (3, 5), (8, 24), (5, 9), (8, 25), (13, 59),
+                                               (24, 72)])
     def test_stencil_table_holds_the_balanced_stars(self, rings, sectors):
         mesh = pl.DiskMesh(rings, sectors, 1.0)
         table, sector = mesh.stencil, mesh.sector_of()
+        assert table.sigma.tolist() == [int(np.clip(round(sectors / (2.0 * np.pi * i)), 1,
+                                                    sectors // 4)) for i in range(1, rings)]
         for v in range(mesh.vertex_count):
             i, j = int(table.ring[v]), int(sector[v])
             assert mesh.vertex(i, j) == v
@@ -81,7 +85,31 @@ class TestMesh:
             cyc = [table.nxt[v][k] for k in range(len(star))]
             assert cyc == [(k + 1) % len(star) for k in range(len(star))]
 
-    @pytest.mark.parametrize("rings,sectors", [(2, 3), (5, 9), (24, 72)])
+    def test_stencil_needs_four_sectors(self):
+        # at three sectors the star width s // 4 is 0, and a star would hold
+        # its own vertex
+        with pytest.raises(pl.GeometryError, match="four sectors"):
+            pl.DiskMesh(2, 3, 1.0).stencil
+
+    @pytest.mark.parametrize("rings,sectors", [(2, 3), (3, 5), (13, 59)])
+    def test_array_vertex_equals_the_scalar_call(self, rings, sectors):
+        mesh = pl.DiskMesh(rings, sectors, 1.0)
+        i, j = np.meshgrid(np.arange(rings + 1), np.arange(-sectors, 2 * sectors), indexing="ij")
+        got = mesh.vertex(i, j)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[mesh.vertex(int(a), int(b)) for a, b in zip(ra, rb)]
+                                for ra, rb in zip(i, j)]
+        assert got[0].tolist() == [0] * (3 * sectors)
+
+    @pytest.mark.parametrize("rings,sectors", [(2, 3), (3, 5), (8, 25), (13, 59)])
+    def test_interior_count_is_everything_off_the_rim(self, rings, sectors):
+        mesh = pl.DiskMesh(rings, sectors, 1.0)
+        off_rim = mesh.ring_of() < rings
+        assert np.array_equal(~mesh.boundary_mask(), off_rim)
+        assert np.array_equal(np.arange(mesh.vertex_count) < mesh.interior_count, off_rim)
+
+    @pytest.mark.parametrize("rings,sectors", [(2, 3), (2, 4), (3, 5), (5, 9), (8, 25), (13, 59),
+                                               (24, 72)])
     def test_tangent_diffs_hold_the_frame_differences(self, rings, sectors):
         mesh = pl.DiskMesh(rings, sectors, 1.0)
         s = sectors
